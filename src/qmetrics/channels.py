@@ -22,7 +22,7 @@ from .errors import (
     ParamOutOfDomain,
 )
 from .families import ParametricFamily, SpectralPresentation
-from .linalg import DEFAULT_H, RANK_TOL, eig_hermitian, fix_phases
+from .linalg import DEFAULT_H, RANK_TOL, central_difference, eig_hermitian, fix_phases
 from .metrics import evaluate_metric
 
 
@@ -186,21 +186,20 @@ def sm_channel_bound(
     chf: ChannelFamily, theta: float, rho0: np.ndarray, h: float = DEFAULT_H
 ) -> float:
     """Channel-level information bound 4 sum_k tr(U'_k rho0 U'_k^dagger) from
-    phase-aligned central differences of the canonical Kraus operators."""
+    Richardson central differences of the phase-aligned canonical Kraus
+    operators."""
     base = canonical_kraus(chf, theta, rho0)
-    plus = canonical_kraus(chf, theta + h, rho0)
-    minus = canonical_kraus(chf, theta - h, rho0)
-    if not (len(base) == len(plus) == len(minus)):
-        raise NumericalError(
-            "canonical branch count changed across the differencing step"
-        )
-    total = 0.0
-    for k, ref in enumerate(base):
-        p_k = _align_branch(plus[k], ref, rho0)
-        m_k = _align_branch(minus[k], ref, rho0)
-        der = (p_k - m_k) / (2.0 * h)
-        total += 4.0 * float(np.real(np.trace(der @ rho0 @ der.conj().T)))
-    return total
+
+    def aligned(t):
+        ops = canonical_kraus(chf, t, rho0)
+        if len(ops) != len(base):
+            raise NumericalError(
+                "canonical branch count changed across the differencing step"
+            )
+        return np.stack([_align_branch(u, ref, rho0) for u, ref in zip(ops, base)])
+
+    der = central_difference(aligned, theta, h=h)
+    return 4.0 * float(np.real(sum(np.trace(u @ rho0 @ u.conj().T) for u in der)))
 
 
 def induced_state_family(

@@ -21,6 +21,7 @@ from .errors import NumericalError, QMetricsError, UnknownMetric, ValidationErro
 from .estimation import cramer_rao_experiment, sld_optimal_povm
 from .families import bloch3, directional_family, family_registry, rot3_mixture
 from .gauge import PhaseAssignment, apply_gauge, minimizing_gauge_1p, integrability_test
+from .linalg import unitary
 from .metrics import METRIC_NAMES, c_l_information, c_upsilon_states, evaluate_metric
 
 DEFAULT_SEED = 42
@@ -216,9 +217,7 @@ def _builtin_channel_family(name: str, seed: int) -> channels.ChannelFamily:
         sz = np.diag([1.0, -1.0]).astype(complex)
 
         def evaluate(t):
-            from scipy.linalg import expm
-
-            return channels.unitary_channel(expm(-1j * t * sz / 2))
+            return channels.unitary_channel(unitary(t * sz / 2))
 
         return channels.ChannelFamily(dim=2, evaluate=evaluate, name="rotation-z")
     if name == "mixed-rotation":
@@ -228,9 +227,7 @@ def _builtin_channel_family(name: str, seed: int) -> channels.ChannelFamily:
         g1, g2 = _random_hermitian(rng, 2), _random_hermitian(rng, 2)
 
         def evaluate(t):
-            from scipy.linalg import expm
-
-            u1, u2 = expm(-1j * t * g1), expm(-1j * (0.4 + 0.7 * t) * g2)
+            u1, u2 = unitary(t * g1), unitary((0.4 + 0.7 * t) * g2)
             c, s = math.cos(0.6), math.sin(0.6)
             return channels.KrausChannel(operators=(c * u1, s * u2))
 

@@ -83,7 +83,7 @@ def sample_outcomes(
 def mle_1p(family: ParametricFamily, povm, counts, interval) -> float:
     """Maximum-likelihood estimate over a search interval.
 
-    Dense 256-point grid followed by three ternary-refinement passes on the
+    Dense 256-point grid followed by 60 ternary-search steps on the
     bracketing cell; ties on the grid break toward the interval midpoint.
     """
     elements = validate_povm(povm, family.dim)
@@ -113,14 +113,13 @@ def mle_1p(family: ParametricFamily, povm, counts, interval) -> float:
     best = int(candidates[np.argmin(np.abs(grid[candidates] - mid))])
     a = grid[max(best - 1, 0)]
     b = grid[min(best + 1, grid.size - 1)]
-    for _ in range(3):  # refinement passes
-        for _ in range(20):
-            m1 = a + (b - a) / 3.0
-            m2 = b - (b - a) / 3.0
-            if loglik(m1) < loglik(m2):
-                a = m1
-            else:
-                b = m2
+    for _ in range(60):
+        m1 = a + (b - a) / 3.0
+        m2 = b - (b - a) / 3.0
+        if loglik(m1) < loglik(m2):
+            a = m1
+        else:
+            b = m2
     return (a + b) / 2.0
 
 

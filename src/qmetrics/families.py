@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (
     DegeneracyUnresolved,
@@ -31,14 +30,7 @@ from .linalg import (
     central_difference,
     eig_hermitian,
     herm_defect,
-)
-
-REGISTRY_NAMES = (
-    "bloch3",
-    "rot3-mixture",
-    "pure-rotation",
-    "diagonal-simplex",
-    "random-full-rank",
+    unitary,
 )
 
 
@@ -126,28 +118,6 @@ class TangentData:
     eigenvalues: np.ndarray  # (d,) at the evaluation point
 
 
-def _spectral_frame_derivative(family: ParametricFamily, theta: np.ndarray, l: int,
-                               h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Richardson central difference of (eigenvalues, frame) along parameter l."""
-
-    def sp(t):
-        th = theta.copy()
-        th[l] = t
-        return family.spectral(th)
-
-    t0 = theta[l]
-    outs = {}
-    for step in (h, h / 2.0):
-        plus, minus = sp(t0 + step), sp(t0 - step)
-        outs[step] = (
-            (plus.eigenvalues - minus.eigenvalues) / (2.0 * step),
-            (plus.eigenvectors - minus.eigenvectors) / (2.0 * step),
-        )
-    dp = (4.0 * outs[h / 2.0][0] - outs[h][0]) / 3.0
-    dw = (4.0 * outs[h / 2.0][1] - outs[h][1]) / 3.0
-    return np.real(dp), dw
-
-
 def tangent_data(family: ParametricFamily, theta, h: float = DEFAULT_H) -> TangentData:
     """Eigenvalue derivatives and eigenvector-derivative overlaps at theta.
 
@@ -166,9 +136,16 @@ def tangent_data(family: ParametricFamily, theta, h: float = DEFAULT_H) -> Tange
         dp = np.empty((p_n, d))
         overlaps = np.empty((p_n, d, d), dtype=complex)
         for l in range(p_n):
-            dpl, dwl = _spectral_frame_derivative(family, theta, l, h)
-            dp[l] = dpl
-            overlaps[l] = dwl.conj().T @ w0
+            def along(t, l=l):
+                th = theta.copy()
+                th[l] = t
+                sp = family.spectral(th)
+                return np.vstack([sp.eigenvalues, sp.eigenvectors])
+
+            # Row 0 differences the eigenvalues, rows 1.. the frame.
+            d_stack = central_difference(along, theta[l], h=h)
+            dp[l] = np.real(d_stack[0])
+            overlaps[l] = d_stack[1:].conj().T @ w0
         return TangentData(dp=dp, overlaps=overlaps, eigenvalues=np.asarray(sp0.eigenvalues, float))
 
     es = eig_hermitian(family.rho(theta))
@@ -369,12 +346,14 @@ def random_full_rank(d: int = 3, nparams: int = 1, seed: int = 0) -> ParametricF
         return q / q.sum()
 
     def frame(th):
-        h = h0 + sum(t * g for t, g in zip(th, gens))
-        return expm(-1j * h)
+        return unitary(h0 + sum(t * g for t, g in zip(th, gens)))
 
     def evaluate(th):
         v = frame(th)
-        return (v * probs(th)) @ v.conj().T
+        rho = (v * probs(th)) @ v.conj().T
+        # The frame is unitary only to ~d eps; differencing would amplify the
+        # resulting trace error past the traceless-tangent check.
+        return rho / np.real(np.trace(rho))
 
     def spectral(th):
         return SpectralPresentation(eigenvalues=probs(th), eigenvectors=frame(th))
@@ -394,11 +373,12 @@ def random_pure(d: int = 3, nparams: int = 1, seed: int = 0) -> ParametricFamily
     p[0] = 1.0
 
     def frame(th):
-        h = h0 + sum(t * g for t, g in zip(th, gens))
-        return expm(-1j * h)
+        return unitary(h0 + sum(t * g for t, g in zip(th, gens)))
 
     def evaluate(th):
         psi = frame(th)[:, 0]
+        # Normalised because the frame is unitary only to ~d eps (see above).
+        psi = psi / np.linalg.norm(psi)
         return np.outer(psi, psi.conj())
 
     def spectral(th):
@@ -410,21 +390,23 @@ def random_pure(d: int = 3, nparams: int = 1, seed: int = 0) -> ParametricFamily
     )
 
 
+_REGISTRY = {
+    "bloch3": lambda params: bloch3(),
+    "rot3-mixture": lambda params: rot3_mixture(float(params.get("epsilon", 0.1))),
+    "pure-rotation": lambda params: pure_rotation(),
+    "diagonal-simplex": lambda params: diagonal_simplex(),
+    "random-full-rank": lambda params: random_full_rank(
+        d=int(params.get("d", 3)),
+        nparams=int(params.get("nparams", 1)),
+        seed=int(params.get("seed", 0)),
+    ),
+}
+REGISTRY_NAMES = tuple(_REGISTRY)
+
+
 def family_registry(name: str, params: dict | None = None) -> ParametricFamily:
     """Build a named family from a parameter dictionary (CLI entry point)."""
-    params = dict(params or {})
-    if name == "bloch3":
-        return bloch3()
-    if name == "rot3-mixture":
-        return rot3_mixture(float(params.get("epsilon", 0.1)))
-    if name == "pure-rotation":
-        return pure_rotation()
-    if name == "diagonal-simplex":
-        return diagonal_simplex()
-    if name == "random-full-rank":
-        return random_full_rank(
-            d=int(params.get("d", 3)),
-            nparams=int(params.get("nparams", 1)),
-            seed=int(params.get("seed", 0)),
-        )
-    raise UnknownFamily(f"unknown family {name!r}; known: {', '.join(REGISTRY_NAMES)}")
+    build = _REGISTRY.get(name)
+    if build is None:
+        raise UnknownFamily(f"unknown family {name!r}; known: {', '.join(REGISTRY_NAMES)}")
+    return build(dict(params or {}))

@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import MissingGauge, NonImaginaryOverlap, ValidationError
 from .families import ParametricFamily, SpectralPresentation, tangent_data
@@ -98,7 +97,8 @@ def minimizing_gauge_1p(
             f"diagonal overlap has real part {worst_re:.3e}; frame is not orthonormal"
         )
     integrand = np.imag(diag)  # alpha_k' = Im<w_k'|w_k>
-    samples = cumulative_trapezoid(integrand, grid, axis=0, initial=0.0).T
+    areas = np.diff(grid)[:, None] * (integrand[1:] + integrand[:-1]) / 2.0
+    samples = np.vstack([np.zeros((1, family.dim)), np.cumsum(areas, axis=0)]).T
     return PhaseAssignment.from_samples(grid, samples)
 
 

@@ -37,13 +37,10 @@ from .linalg import (
     DEGEN_GAP,
     HERM_TOL,
     RANK_TOL,
-    central_difference,
     eig_hermitian,
     herm_defect,
     sld_solve,
 )
-
-METRIC_NAMES = ("fisher", "sld", "kmb", "rld", "cupsilon", "cl")
 
 
 # ---------------------------------------------------------------------------
@@ -154,24 +151,14 @@ def classical_fisher(
 ) -> np.ndarray:
     """Fisher information matrix of the measured outcome distribution.
 
-    Derivatives of the Born probabilities are taken by central differences;
-    outcomes with vanishing probability contribute zero only if their
-    derivative also vanishes.
+    Born probabilities are linear in rho, so their derivatives are
+    Re tr(drho_l M_m) from the state tangents; outcomes with vanishing
+    probability contribute zero only if their derivative also vanishes.
     """
     theta = family.check_theta(theta)
     elements = validate_povm(povm, family.dim)
     p0 = born_probabilities(family.rho(theta), elements)
-
-    dp = np.empty((family.nparams, len(elements)))
-    for l in range(family.nparams):
-        def along(t, l=l):
-            th = theta.copy()
-            th[l] = t
-            return np.array(
-                [float(np.real(np.trace(family.evaluate(th) @ m))) for m in elements]
-            )
-
-        dp[l] = central_difference(along, theta[l], h=h)
+    dp = np.real(np.einsum("lij,mji->lm", family.drho(theta, h=h), np.array(elements)))
 
     fisher = np.zeros((family.nparams, family.nparams))
     for m, p in enumerate(p0):
@@ -378,17 +365,24 @@ def evaluate_metric(
     povm: Sequence[np.ndarray] | None = None,
     h: float = DEFAULT_H,
 ) -> np.ndarray:
-    """Dispatch a metric by its registry name (CLI and experiment entry point)."""
-    if name == "fisher":
-        return classical_fisher(family, theta, povm if povm is not None else basis_povm(family.dim), h=h)
-    if name == "sld":
-        return sld_information(family, theta, h=h)
-    if name == "kmb":
-        return kmb_information(family, theta, h=h)
-    if name == "rld":
-        return rld_information(family, theta, h=h)
-    if name == "cupsilon":
-        return c_upsilon_states(family, theta, h=h)
-    if name == "cl":
-        return c_l_information(family, theta, h=h)
-    raise UnknownMetric(f"unknown metric {name!r}; known: {', '.join(METRIC_NAMES)}")
+    """Dispatch a metric by its registry name (CLI and experiment entry point).
+
+    The POVM is used by "fisher" only and defaults to the computational basis.
+    """
+    metric = _METRICS.get(name)
+    if metric is None:
+        raise UnknownMetric(f"unknown metric {name!r}; known: {', '.join(METRIC_NAMES)}")
+    return metric(family, theta, povm, h)
+
+
+_METRICS = {
+    "fisher": lambda family, theta, povm, h: classical_fisher(
+        family, theta, basis_povm(family.dim) if povm is None else povm, h=h
+    ),
+    "sld": lambda family, theta, povm, h: sld_information(family, theta, h=h),
+    "kmb": lambda family, theta, povm, h: kmb_information(family, theta, h=h),
+    "rld": lambda family, theta, povm, h: rld_information(family, theta, h=h),
+    "cupsilon": lambda family, theta, povm, h: c_upsilon_states(family, theta, h=h),
+    "cl": lambda family, theta, povm, h: c_l_information(family, theta, h=h),
+}
+METRIC_NAMES = tuple(_METRICS)

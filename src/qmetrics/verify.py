@@ -232,4 +232,5 @@ SUITES = {
     "monotone": monotone_suite,
     "crlb": crlb_suite,
     "kmb-limit": kmb_limit_suite,
+    "achievability": achievability_suite,
 }

@@ -4,6 +4,7 @@ Run with `pytest -s tests/test_acceptance.py` to see the verdict lines; each
 test also asserts, so the suite fails loudly if any criterion regresses.
 """
 
+import functools
 import math
 import time
 
@@ -11,7 +12,6 @@ import numpy as np
 import pytest
 
 from qmetrics import (
-    CF_SLD,
     C_FUNCTIONS,
     ParametricFamily,
     PhaseAssignment,
@@ -29,7 +29,6 @@ from qmetrics import (
     equality_condition_residual,
     f_function_scan,
     integrability_test,
-    mc_metric,
     minimizing_gauge_1p,
     pure_rotation,
     pushforward_family,
@@ -39,6 +38,7 @@ from qmetrics import (
     sld_information,
     sld_optimal_povm,
 )
+from qmetrics import verify
 
 
 def verdict(num, label, ok, detail):
@@ -87,39 +87,24 @@ def test_criterion_02_depolarized_mixture_lower_bound():
             f"max deviation {worst:.2e}, all deltas positive, {elapsed:.2f}s")
 
 
-def _sandwich_data():
-    rng = np.random.default_rng(42)
-    out = []
-    for i in range(200):
-        d = 2 + i % 3
-        p = 1 + i % 3
-        fam = random_full_rank(d=d, nparams=p, seed=4_200_000 + i)
-        theta = rng.uniform(-0.3, 0.3, size=p)
-        out.append((fam, theta))
-    return out
+@functools.cache
+def _sandwich_report():
+    """The default sandwich suite (200 families, seeds 4 200 000 + i) and its
+    wall time; criteria 3 and 4 read the same run."""
+    start = time.perf_counter()
+    report = verify.sandwich_suite()
+    return report, time.perf_counter() - start
 
 
 def test_criterion_03_matrix_sandwich_on_200_families():
-    start = time.perf_counter()
-    worst = math.inf
-    for fam, theta in _sandwich_data():
-        h = sld_information(fam, theta)
-        cl = c_l_information(fam, theta)
-        cu = c_upsilon_states(fam, theta)
-        worst = min(worst,
-                    float(np.linalg.eigvalsh(cl - h).min()),
-                    float(np.linalg.eigvalsh(cu - cl).min()))
-    elapsed = time.perf_counter() - start
+    report, elapsed = _sandwich_report()
+    worst = min(report["worst_lower_margin"], report["worst_upper_margin"])
     verdict(3, "ordering on 200 random families", worst >= -1e-8 and elapsed < 60.0,
             f"min difference eigenvalue {worst:.2e} in {elapsed:.1f}s")
 
 
 def test_criterion_04_engine_equivalence_on_200_families():
-    worst = 0.0
-    for fam, theta in _sandwich_data():
-        a = mc_metric(fam, theta, CF_SLD)
-        b = sld_information(fam, theta)
-        worst = max(worst, float(np.max(np.abs(a - b))))
+    worst = _sandwich_report()[0]["worst_engine_deviation"]
     verdict(4, "two SLD routes agree", worst < 1e-8, f"max deviation {worst:.2e}")
 
 

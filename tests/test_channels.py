@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
 
 from qmetrics.channels import (
     ChannelFamily,
@@ -20,6 +19,7 @@ from qmetrics.channels import (
 )
 from qmetrics.errors import DimensionMismatch, ParamOutOfDomain
 from qmetrics.families import random_full_rank, rot3_mixture, validate_density
+from qmetrics.linalg import unitary
 from qmetrics.metrics import c_l_information, sld_information
 
 
@@ -31,7 +31,7 @@ def plus_state():
 def rotation_z_family():
     sz = np.diag([1.0, -1.0]).astype(complex)
     return ChannelFamily(
-        dim=2, evaluate=lambda t: unitary_channel(expm(-1j * t * sz / 2)), name="rz"
+        dim=2, evaluate=lambda t: unitary_channel(unitary(t * sz / 2)), name="rz"
     )
 
 
@@ -154,7 +154,7 @@ def test_channel_bound_matches_induced_family_lower_bound():
     def evaluate(t):
         from qmetrics.channels import KrausChannel
 
-        return KrausChannel(operators=(c * expm(-1j * t * g1), s * expm(-1j * (0.4 + 0.7 * t) * g2)))
+        return KrausChannel(operators=(c * unitary(t * g1), s * unitary((0.4 + 0.7 * t) * g2)))
 
     chf = ChannelFamily(dim=2, evaluate=evaluate, name="two-branch")
     psi, rho0 = plus_state()

@@ -11,6 +11,7 @@ from qmetrics.errors import (
     ValidationError,
 )
 from qmetrics.families import (
+    REGISTRY_NAMES,
     ParametricFamily,
     bloch3,
     diagonal_simplex,
@@ -48,6 +49,10 @@ def test_spectral_presentation_reconstructs_state(name, params, theta):
     assert np.allclose(sp.reconstruct(), fam.rho(theta), atol=1e-10)
     v = sp.eigenvectors
     assert np.allclose(v.conj().T @ v, np.eye(fam.dim), atol=1e-10)
+
+
+def test_registry_cases_cover_every_name():
+    assert {name for name, _, _ in ALL_REGISTRY} == set(REGISTRY_NAMES)
 
 
 def test_registry_rejects_unknown_name():

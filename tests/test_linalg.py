@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qmetrics
 from qmetrics.errors import NotHermitian, SingularSecondArgument, UnsupportedTangent
 from qmetrics.linalg import (
     central_difference,
@@ -10,6 +15,7 @@ from qmetrics.linalg import (
     fix_phases,
     relative_entropy,
     sld_solve,
+    unitary,
 )
 
 
@@ -101,3 +107,26 @@ def test_relative_entropy_singular_support():
 def test_central_difference_accuracy():
     d = central_difference(np.sin, 0.3, h=1e-4)
     assert abs(d - np.cos(0.3)) < 1e-10
+
+
+def test_unitary_matches_closed_form_rotation():
+    sz = np.diag([1.0, -1.0])
+    for t in (0.0, 0.7, -2.3):
+        expected = np.diag([np.exp(-0.5j * t), np.exp(0.5j * t)])
+        assert np.max(np.abs(unitary(t * sz / 2) - expected)) < 1e-15
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+def test_unitary_matches_scipy_expm(d):
+    expm = pytest.importorskip("scipy.linalg").expm
+    h = random_hermitian(np.random.default_rng(d), d)
+    h = h / np.linalg.norm(h, 2)
+    assert np.max(np.abs(unitary(h) - expm(-1j * h))) < 1e-13
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, qmetrics; print([m for m in sys.modules if m.startswith('scipy')])"
+    src = os.path.dirname(os.path.dirname(qmetrics.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

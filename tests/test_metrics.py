@@ -25,6 +25,7 @@ from qmetrics.metrics import (
     C_FUNCTIONS,
     CF_CL,
     CF_SLD,
+    METRIC_NAMES,
     basis_povm,
     born_probabilities,
     c_l_decomposition,
@@ -250,6 +251,16 @@ def test_pure_state_lower_bound_equals_sld(seed):
 def test_evaluate_metric_dispatch():
     fam = bloch3()
     theta = [0.5, 1.2, 0.5]
-    assert np.allclose(evaluate_metric(fam, theta, "sld"), sld_information(fam, theta))
+    direct = {
+        "fisher": classical_fisher(fam, theta, basis_povm(fam.dim)),
+        "sld": sld_information(fam, theta),
+        "kmb": kmb_information(fam, theta),
+        "rld": rld_information(fam, theta),
+        "cupsilon": c_upsilon_states(fam, theta),
+        "cl": c_l_information(fam, theta),
+    }
+    assert set(METRIC_NAMES) == set(direct)
+    for name in METRIC_NAMES:
+        assert np.array_equal(evaluate_metric(fam, theta, name), direct[name])
     with pytest.raises(UnknownMetric):
         evaluate_metric(fam, theta, "nope")

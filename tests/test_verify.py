@@ -2,7 +2,9 @@ from qmetrics import verify
 
 
 def test_suite_registry_names():
-    assert set(verify.SUITES) == {"sandwich", "gauge", "monotone", "crlb", "kmb-limit"}
+    assert set(verify.SUITES) == {
+        "sandwich", "gauge", "monotone", "crlb", "kmb-limit", "achievability"
+    }
 
 
 def test_sandwich_suite_passes_and_reports_margins():
