@@ -2,8 +2,10 @@
 
 Connects the information matrices to operational meaning: the projective
 measurement built from the score operator attains the quantum bound, sampled
-outcomes feed a grid + ternary-refinement maximum-likelihood estimator, and a
-Monte Carlo harness compares empirical variance against 1/(N F).
+outcomes feed a maximum-likelihood estimator (a 256-point grid scored from a
+log-Born table tabulated once per family, POVM and interval, then
+golden-section refinement), and a Monte Carlo harness compares empirical
+variance against 1/(N F).
 """
 
 from __future__ import annotations
@@ -68,59 +70,107 @@ def equality_condition_residual(family: ParametricFamily, theta, povm, h: float 
     return worst
 
 
+def _outcome_distribution(family: ParametricFamily, theta, elements: np.ndarray) -> np.ndarray:
+    p = born_probabilities(family.rho(theta), elements)
+    return p / p.sum()
+
+
 def sample_outcomes(
     family: ParametricFamily, theta_true, povm, n: int, seed=0
 ) -> np.ndarray:
     """Multinomial outcome counts for n repeated measurements; deterministic
     per seed (an int or a sequence of ints for derived streams)."""
-    elements = validate_povm(povm, family.dim)
-    p = born_probabilities(family.rho(theta_true), elements)
-    p = p / p.sum()
-    rng = np.random.default_rng(seed)
-    return rng.multinomial(n, p)
+    p = _outcome_distribution(family, theta_true, validate_povm(povm, family.dim))
+    return np.random.default_rng(seed).multinomial(n, p)
+
+
+GRID_POINTS = 256
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# The fewest golden-section steps whose bracket is no wider than that of 60
+# ternary steps: the smallest k with _INV_PHI**k <= (2/3)**60, which is 51.
+GOLDEN_STEPS = math.ceil(60 * math.log(2.0 / 3.0) / math.log(_INV_PHI))
+
+
+class Likelihood:
+    """Multinomial log-likelihood of outcome counts for one (family, POVM,
+    search interval).
+
+    The POVM is validated and stacked once, and the log Born probabilities
+    at GRID_POINTS evenly spaced points of the interval are tabulated once,
+    from one batched family evaluation. Every set of counts then scores the
+    whole grid with one matrix-vector product before its refinement.
+    """
+
+    def __init__(self, family: ParametricFamily, povm, interval):
+        lo, hi = float(interval[0]), float(interval[1])
+        if not lo < hi:
+            raise ValidationError("interval must satisfy lo < hi")
+        self.family = family
+        self.elements = validate_povm(povm, family.dim)
+        self.grid = np.linspace(lo, hi, GRID_POINTS)
+        self.mid = (lo + hi) / 2.0
+        with np.errstate(divide="ignore"):
+            self.log_born = np.log(born_probabilities(family.rhos(self.grid[:, None]), self.elements))
+
+    def _grid_scores(self, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Mask of the outcomes counted at least once, their counts, and the
+        log-likelihood at every grid point (-inf where a counted outcome has
+        zero probability)."""
+        counts = np.asarray(counts, dtype=float)
+        if counts.shape != (len(self.elements),):
+            raise ValidationError(
+                f"counts have shape {counts.shape}; expected one entry per POVM element "
+                f"({len(self.elements)},)"
+            )
+        if not np.all(np.isfinite(counts)) or np.any(counts < 0.0):
+            raise ValidationError("counts must be finite and non-negative")
+        counted = counts > 0.0
+        c = counts[counted]
+        return counted, c, self.log_born[:, counted] @ c
+
+    def _loglik(self, t: float, counted: np.ndarray, c: np.ndarray) -> float:
+        q = born_probabilities(self.family.rho([t]), self.elements)[counted]
+        if np.any(q <= 0.0):
+            return -math.inf
+        return float(np.log(q) @ c)
+
+    def estimate(self, counts) -> float:
+        """Maximum-likelihood estimate: the best grid point, ties broken
+        toward the interval midpoint, refined by golden-section search on the
+        two grid cells around it."""
+        counted, c, values = self._grid_scores(counts)
+        finite = values[np.isfinite(values)]
+        if finite.size == 0 or float(finite.max() - finite.min()) < 1e-12:
+            raise FlatLikelihood("likelihood does not vary across the search grid")
+        candidates = np.flatnonzero(values >= values.max())
+        best = int(candidates[np.argmin(np.abs(self.grid[candidates] - self.mid))])
+        a = self.grid[max(best - 1, 0)]
+        b = self.grid[min(best + 1, self.grid.size - 1)]
+        x1 = b - _INV_PHI * (b - a)
+        x2 = a + _INV_PHI * (b - a)
+        f1 = self._loglik(x1, counted, c)
+        f2 = self._loglik(x2, counted, c)
+        for _ in range(GOLDEN_STEPS):
+            if f1 < f2:
+                a, x1, f1 = x1, x2, f2
+                x2 = a + _INV_PHI * (b - a)
+                f2 = self._loglik(x2, counted, c)
+            else:
+                b, x2, f2 = x2, x1, f1
+                x1 = b - _INV_PHI * (b - a)
+                f1 = self._loglik(x1, counted, c)
+        return (a + b) / 2.0
 
 
 def mle_1p(family: ParametricFamily, povm, counts, interval) -> float:
     """Maximum-likelihood estimate over a search interval.
 
-    Dense 256-point grid followed by 60 ternary-search steps on the
-    bracketing cell; ties on the grid break toward the interval midpoint.
+    Dense 256-point grid, ties breaking toward the interval midpoint, then
+    51 golden-section steps on the two grid cells around the best point,
+    which leave a bracket no wider than 60 ternary steps would. Counts must
+    be finite and non-negative, one per POVM element.
     """
-    elements = validate_povm(povm, family.dim)
-    counts = np.asarray(counts, dtype=float)
-    lo, hi = float(interval[0]), float(interval[1])
-    if not lo < hi:
-        raise ValidationError("interval must satisfy lo < hi")
-    mid = (lo + hi) / 2.0
-
-    def loglik(t):
-        p = born_probabilities(family.rho(np.array([t])), elements)
-        ll = 0.0
-        for c, q in zip(counts, p):
-            if c > 0.0:
-                if q <= 0.0:
-                    return -math.inf
-                ll += c * math.log(q)
-        return ll
-
-    grid = np.linspace(lo, hi, 256)
-    values = np.array([loglik(t) for t in grid])
-    finite = values[np.isfinite(values)]
-    if finite.size == 0 or float(finite.max() - finite.min()) < 1e-12:
-        raise FlatLikelihood("likelihood does not vary across the search grid")
-    best_val = values.max()
-    candidates = np.flatnonzero(values >= best_val)
-    best = int(candidates[np.argmin(np.abs(grid[candidates] - mid))])
-    a = grid[max(best - 1, 0)]
-    b = grid[min(best + 1, grid.size - 1)]
-    for _ in range(60):
-        m1 = a + (b - a) / 3.0
-        m2 = b - (b - a) / 3.0
-        if loglik(m1) < loglik(m2):
-            a = m1
-        else:
-            b = m2
-    return (a + b) / 2.0
+    return Likelihood(family, povm, interval).estimate(counts)
 
 
 @dataclass(frozen=True)
@@ -148,22 +198,26 @@ def cramer_rao_experiment(
     """Monte Carlo Cramer-Rao comparison for a one-parameter family.
 
     Replication r uses an RNG stream derived from (seed, r), so results are
-    deterministic regardless of evaluation order.
+    deterministic regardless of evaluation order; replicate r equals
+    mle_1p on sample_outcomes(..., seed=[seed, r]). All replicates share one
+    Likelihood and one sampling distribution.
     """
     if family.nparams != 1:
         raise ValidationError("estimation harness is one-parameter")
     theta_true = float(np.atleast_1d(theta_true)[0])
     if interval is None:
-        lo, hi = family.domain[0]
+        lo, hi = family.bounds[0]
         lo = max(lo + 1e-6, theta_true - 0.4)
         hi = min(hi - 1e-6, theta_true + 0.4)
         interval = (lo, hi)
+    likelihood = Likelihood(family, povm, interval)
     fisher = float(classical_fisher(family, [theta_true], povm, h=h)[0, 0])
     bound = float(sld_information(family, [theta_true], h=h)[0, 0])
-    estimates = np.empty(reps)
-    for r in range(reps):
-        counts = sample_outcomes(family, [theta_true], povm, n, seed=[seed, r])
-        estimates[r] = mle_1p(family, povm, counts, interval)
+    p = _outcome_distribution(family, [theta_true], likelihood.elements)
+    estimates = np.array([
+        likelihood.estimate(np.random.default_rng([seed, r]).multinomial(n, p))
+        for r in range(reps)
+    ])
     reliable = n > 1 and reps > 1
     variance = float(np.var(estimates, ddof=1)) if reps > 1 else 0.0
     return EstimationReport(

@@ -121,13 +121,14 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
 
 
 def unitary(h: np.ndarray) -> np.ndarray:
-    """exp(-i h) of a Hermitian matrix h, as V e^{-i Lambda} V^dagger from eigh.
+    """exp(-i h) of a Hermitian matrix h, as V e^{-i Lambda} V^dagger from eigh;
+    a stack (n, d, d) gives the stack of unitaries.
 
     Unitary to about d * machine epsilon, which is not exact: callers that
     difference states built from it renormalise the trace themselves.
     """
     vals, vecs = np.linalg.eigh(np.asarray(h, dtype=complex))
-    return (vecs * np.exp(-1j * vals)) @ vecs.conj().T
+    return (vecs * np.exp(-1j * vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def central_difference(

@@ -99,7 +99,8 @@ C_FUNCTIONS = {cf.name: cf for cf in (CF_SLD, CF_KMB, CF_RLD, CF_CL)}
 # Measurements
 
 
-def validate_povm(povm: Sequence[np.ndarray], dim: int | None = None) -> list[np.ndarray]:
+def validate_povm(povm: Sequence[np.ndarray], dim: int | None = None) -> np.ndarray:
+    """Check a POVM and return its elements stacked, shape (m, d, d)."""
     elements = [np.asarray(m, dtype=complex) for m in povm]
     if not elements:
         raise ValidationError("POVM must have at least one element")
@@ -108,6 +109,8 @@ def validate_povm(povm: Sequence[np.ndarray], dim: int | None = None) -> list[np
         raise ValidationError(f"POVM dimension {d} does not match state dimension {dim}")
     total = np.zeros((d, d), dtype=complex)
     for m in elements:
+        if m.shape != (d, d):
+            raise ValidationError(f"POVM element has shape {m.shape}, expected ({d}, {d})")
         if herm_defect(m) > HERM_TOL:
             raise NotHermitian("POVM element is not Hermitian")
         if float(np.linalg.eigvalsh((m + m.conj().T) / 2).min()) < -1e-10:
@@ -115,7 +118,7 @@ def validate_povm(povm: Sequence[np.ndarray], dim: int | None = None) -> list[np
         total += m
     if np.max(np.abs(total - np.eye(d))) > 1e-9:
         raise ValidationError("POVM elements do not sum to the identity")
-    return elements
+    return np.array(elements)
 
 
 def random_povm(d: int, n_outcomes: int, seed: int = 0) -> list[np.ndarray]:
@@ -138,8 +141,11 @@ def basis_povm(d: int) -> list[np.ndarray]:
 
 
 def born_probabilities(rho: np.ndarray, povm: Sequence[np.ndarray]) -> np.ndarray:
-    """Outcome probabilities tr(rho M_m), clamped at zero."""
-    p = np.array([float(np.real(np.trace(rho @ m))) for m in povm])
+    """Outcome probabilities Re tr(rho M_m), clamped at zero.
+
+    rho may be a stack (..., d, d) of states; the result is (..., m).
+    """
+    p = np.real(np.einsum("...ij,mji->...m", rho, np.asarray(povm, dtype=complex)))
     return np.clip(p, 0.0, None)
 
 
@@ -158,7 +164,7 @@ def classical_fisher(
     theta = family.check_theta(theta)
     elements = validate_povm(povm, family.dim)
     p0 = born_probabilities(family.rho(theta), elements)
-    dp = np.real(np.einsum("lij,mji->lm", family.drho(theta, h=h), np.array(elements)))
+    dp = np.real(np.einsum("lij,mji->lm", family.drho(theta, h=h), elements))
 
     fisher = np.zeros((family.nparams, family.nparams))
     for m, p in enumerate(p0):

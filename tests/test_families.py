@@ -10,6 +10,7 @@ from qmetrics.errors import (
     UnknownFamily,
     ValidationError,
 )
+from qmetrics.channels import pushforward_family, random_tpcp
 from qmetrics.families import (
     REGISTRY_NAMES,
     ParametricFamily,
@@ -162,3 +163,63 @@ def test_diagonal_simplex_matches_closed_form():
     td = tangent_data(fam, [0.2])
     assert np.allclose(td.dp[0], [0.5, -0.5], atol=1e-10)
     assert np.max(np.abs(td.overlaps)) < 1e-10
+
+
+def _loop(fam, thetas):
+    return np.array([fam.rho(t) for t in thetas])
+
+
+BATCHED = [
+    (bloch3(), [(0.05, 0.95), (-7.0, 7.0), (-7.0, 7.0)]),
+    *((random_full_rank(d=d, nparams=p, seed=3 + d), [(-0.5, 0.5)] * p)
+      for d in (2, 4, 8) for p in (1, 3)),
+    (directional_family(bloch3(), [0.5, 0.8, 0.3], [1.0, 0.0, 0.0]), [(-0.4, 0.4)]),
+    (directional_family(random_full_rank(d=4, nparams=3, seed=2), [0.1, 0.2, -0.1],
+                        [0.3, 1.0, -0.5]), [(-0.4, 0.4)]),
+]
+
+
+@pytest.mark.parametrize("fam,box", BATCHED, ids=[f"{f.name}-p{f.nparams}" for f, _ in BATCHED])
+def test_batched_states_equal_the_pointwise_loop_bit_for_bit(fam, box):
+    assert fam.evaluate_many is not None
+    lo, hi = np.array(box).T
+    thetas = np.random.default_rng(0).uniform(lo, hi, size=(64, fam.nparams))
+    batch = fam.rhos(thetas)
+    assert batch.shape == (64, fam.dim, fam.dim)
+    assert np.array_equal(batch, _loop(fam, thetas))
+
+
+def test_rhos_falls_back_to_the_loop_without_a_batch_form():
+    base = random_full_rank(d=3, nparams=1, seed=4)
+    thetas = np.linspace(-0.3, 0.3, 7)[:, None]
+    for fam in (rot3_mixture(0.1), random_pure(3, 1, seed=5),
+                pushforward_family(random_tpcp(3, 2, seed=1), base)):
+        assert fam.evaluate_many is None
+        assert np.array_equal(fam.rhos(thetas), _loop(fam, thetas))
+
+
+def test_rhos_checks_the_whole_stack_like_rho():
+    fam = bloch3()
+    thetas = np.array([[0.5, 1.0, 0.0], [1.5, 0.0, 0.0], [0.2, 0.0, 0.0]])
+    with pytest.raises(ParamOutOfDomain) as per_point:
+        fam.rho(thetas[1])
+    with pytest.raises(ParamOutOfDomain) as batch:
+        fam.rhos(thetas)
+    assert str(batch.value) == str(per_point.value)
+    with pytest.raises(ValidationError):
+        fam.rhos(thetas[:, :2])
+
+    sliced = directional_family(fam, [0.5, 0.8, 0.3], [1.0, 0.0, 0.0])
+    with pytest.raises(DomainExit) as per_point:
+        sliced.rho([0.6])
+    with pytest.raises(DomainExit) as batch:
+        sliced.rhos(np.array([[0.1], [0.6], [0.2]]))
+    assert str(batch.value) == str(per_point.value)
+
+
+def test_empty_domain_is_unbounded():
+    base = pure_rotation()
+    bare = ParametricFamily(dim=2, nparams=1, evaluate=base.evaluate, name="bare")
+    assert bare.bounds == ((-np.inf, np.inf),)
+    thetas = np.array([[-40.0], [0.3], [40.0]])
+    assert np.array_equal(bare.rhos(thetas), _loop(base, thetas))
