@@ -190,15 +190,14 @@ def sm_channel_bound(
     operators."""
     base = canonical_kraus(chf, theta, rho0)
 
-    def aligned(t):
-        ops = canonical_kraus(chf, t, rho0)
-        if len(ops) != len(base):
-            raise NumericalError(
-                "canonical branch count changed across the differencing step"
-            )
-        return np.stack([_align_branch(u, ref, rho0) for u, ref in zip(ops, base)])
+    def aligned(thetas):
+        branches = [canonical_kraus(chf, t, rho0) for (t,) in thetas]
+        if any(len(ops) != len(base) for ops in branches):
+            raise NumericalError("canonical branch count changed across the differencing step")
+        return np.array([[_align_branch(u, ref, rho0) for u, ref in zip(ops, base)]
+                         for ops in branches])
 
-    der = central_difference(aligned, theta, h=h)
+    der = central_difference(aligned, theta, h=h)[0]
     return 4.0 * float(np.real(sum(np.trace(u @ rho0 @ u.conj().T) for u in der)))
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import FlatLikelihood, ValidationError
 from .families import ParametricFamily
 from .linalg import DEFAULT_H, eig_hermitian, sld_solve
-from .metrics import born_probabilities, classical_fisher, sld_information, validate_povm
+from .metrics import _measured_fisher, born_probabilities, sld_information, validate_povm
 
 
 def sld_optimal_povm(family: ParametricFamily, theta, h: float = DEFAULT_H) -> list[np.ndarray]:
@@ -211,9 +211,10 @@ def cramer_rao_experiment(
         hi = min(hi - 1e-6, theta_true + 0.4)
         interval = (lo, hi)
     likelihood = Likelihood(family, povm, interval)
-    fisher = float(classical_fisher(family, [theta_true], povm, h=h)[0, 0])
-    bound = float(sld_information(family, [theta_true], h=h)[0, 0])
-    p = _outcome_distribution(family, [theta_true], likelihood.elements)
+    theta = family.check_theta(theta_true)
+    fisher = float(_measured_fisher(family, theta, likelihood.elements, h)[0, 0])
+    bound = float(sld_information(family, theta, h=h)[0, 0])
+    p = _outcome_distribution(family, theta, likelihood.elements)
     estimates = np.array([
         likelihood.estimate(np.random.default_rng([seed, r]).multinomial(n, p))
         for r in range(reps)

@@ -137,17 +137,10 @@ class ParametricFamily:
         return np.asarray(self.evaluate_many(thetas), dtype=complex)
 
     def drho(self, theta, h: float = DEFAULT_H) -> np.ndarray:
-        """Tangents d(rho)/d(theta^l) via central differences, shape (p, d, d)."""
-        theta = self.check_theta(theta)
-        out = np.empty((self.nparams, self.dim, self.dim), dtype=complex)
-        for l in range(self.nparams):
-            def along(t, l=l):
-                th = theta.copy()
-                th[l] = t
-                return self.evaluate(th)
-
-            out[l] = central_difference(along, theta[l], h=h)
-        return out
+        """Tangents d(rho)/d(theta^l), shape (p, d, d): Richardson central
+        differences over one stacked evaluation of the 4p shifted points
+        (evaluate_many when the family has it)."""
+        return central_difference(self._evaluate_stack, self.check_theta(theta), h=h)
 
 
 @dataclass(frozen=True)
@@ -170,25 +163,19 @@ def tangent_data(family: ParametricFamily, theta, h: float = DEFAULT_H) -> Tange
     overlaps are zero by the deterministic gauge convention.
     """
     theta = family.check_theta(theta)
-    p_n, d = family.nparams, family.dim
     if family.spectral is not None:
+        def eigensystems(thetas):
+            # Row 0 of each point holds the eigenvalues, rows 1.. the frame.
+            return np.array([np.concatenate([sp.eigenvalues[None], sp.eigenvectors])
+                             for sp in map(family.spectral, thetas)])
+
         sp0 = family.spectral(theta)
-        w0 = sp0.eigenvectors
-        dp = np.empty((p_n, d))
-        overlaps = np.empty((p_n, d, d), dtype=complex)
-        for l in range(p_n):
-            def along(t, l=l):
-                th = theta.copy()
-                th[l] = t
-                sp = family.spectral(th)
-                return np.vstack([sp.eigenvalues, sp.eigenvectors])
+        d_stack = central_difference(eigensystems, theta, h=h)
+        overlaps = d_stack[:, 1:].conj().swapaxes(1, 2) @ sp0.eigenvectors
+        return TangentData(dp=np.real(d_stack[:, 0]), overlaps=overlaps,
+                           eigenvalues=np.asarray(sp0.eigenvalues, float))
 
-            # Row 0 differences the eigenvalues, rows 1.. the frame.
-            d_stack = central_difference(along, theta[l], h=h)
-            dp[l] = np.real(d_stack[0])
-            overlaps[l] = d_stack[1:].conj().T @ w0
-        return TangentData(dp=dp, overlaps=overlaps, eigenvalues=np.asarray(sp0.eigenvalues, float))
-
+    p_n, d = family.nparams, family.dim
     es = eig_hermitian(family.rho(theta))
     p = es.values
     v = es.vectors
@@ -386,37 +373,29 @@ def random_full_rank(d: int = 3, nparams: int = 1, seed: int = 0) -> ParametricF
     gens = [_random_hermitian(rng, d) for _ in range(nparams)]
 
     def probs(th):
-        q = lam + amp * np.sin(b @ th + phase)
-        return q / q.sum()
+        q = lam + amp * np.sin((b @ th[..., None])[..., 0] + phase)
+        return q / q.sum(axis=-1, keepdims=True)
 
     def frame(th):
-        return unitary(h0 + sum(t * g for t, g in zip(th, gens)))
+        return unitary(h0 + sum(th[..., l, None, None] * g for l, g in enumerate(gens)))
 
     def evaluate(th):
+        # One parameter vector (p,) or a stack (n, p).
+        th = np.asarray(th, dtype=float)
         v = frame(th)
-        rho = (v * probs(th)) @ v.conj().T
+        rho = (v * probs(th)[..., None, :]) @ v.conj().swapaxes(-1, -2)
         # The frame is unitary only to ~d eps; differencing would amplify the
         # resulting trace error past the traceless-tangent check.
-        return rho / np.real(np.trace(rho))
-
-    def evaluate_many(ths):
-        # evaluate's arithmetic on a stack, in the same order, so each state
-        # is the same bits. One broadcasting form could serve both, but its
-        # indexing overhead cut the points benchmark's ops/s by 8% (ten
-        # pairs, 2-vCPU x86 host), which evaluates one point at a time.
-        v = unitary(h0 + sum(ths[:, l, None, None] * g for l, g in enumerate(gens)))
-        q = lam + amp * np.sin((b @ ths[:, :, None])[:, :, 0] + phase)
-        q = q / q.sum(axis=1, keepdims=True)
-        rho = (v * q[:, None, :]) @ v.conj().swapaxes(1, 2)
-        return rho / np.real(np.trace(rho, axis1=1, axis2=2))[:, None, None]
+        return rho / np.real(np.trace(rho, axis1=-2, axis2=-1))[..., None, None]
 
     def spectral(th):
+        th = np.asarray(th, dtype=float)
         return SpectralPresentation(eigenvalues=probs(th), eigenvectors=frame(th))
 
     return ParametricFamily(
         dim=d, nparams=nparams, evaluate=evaluate, spectral=spectral,
         domain=((-math.inf, math.inf),) * nparams, name=f"random-full-rank-{d}-{seed}",
-        evaluate_many=evaluate_many,
+        evaluate_many=evaluate,
     )
 
 

@@ -2,9 +2,9 @@
 
 Gauged eigendecompositions, the symmetric-logarithmic-derivative solve,
 quantum relative entropy, unitaries generated by Hermitian matrices, and the
-Richardson central difference every derivative in the package goes through. Everything
-here is a pure function of its arguments; matrices are small (d <= 64) and
-dense.
+Richardson central difference every derivative in the package goes through,
+over one stack of shifted parameter vectors. Everything here is a pure
+function of its arguments; matrices are small (d <= 64) and dense.
 """
 
 from __future__ import annotations
@@ -131,16 +131,33 @@ def unitary(h: np.ndarray) -> np.ndarray:
     return (vecs * np.exp(-1j * vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
+# Steps +h, -h, +h/2, -h/2 of the four stencil blocks, in units of h (exact in binary).
+_STENCIL_STEPS = np.array([[1.0], [-1.0], [0.5], [-0.5]])
+
+
 def central_difference(
-    f: Callable[[float], np.ndarray],
-    t: float,
+    f: Callable[[np.ndarray], np.ndarray],
+    theta,
     h: float = DEFAULT_H,
 ) -> np.ndarray:
-    """Symmetric difference (f(t+h) - f(t-h)) / 2h with one Richardson step
-    combining (4 D_{h/2} - D_h) / 3. Evaluates f at t+h, t-h, t+h/2, t-h/2."""
+    """Partial derivatives of f at theta, shape (p, ...): symmetric differences
+    D_h = (f(theta + h e_l) - f(theta - h e_l)) / 2h with one Richardson step
+    (4 D_{h/2} - D_h) / 3.
+
+    f maps an (n, p) stack of parameter vectors to the (n, ...) stack of its
+    values. It is called once, on the 4p points theta +- h e_l, theta +- (h/2) e_l.
+    """
     if h <= 0.0:
         raise ValueError("step h must be positive")
-    d_h = (np.asarray(f(t + h)) - np.asarray(f(t - h))) / (2.0 * h)
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    p = theta.size
     hh = h / 2.0
-    d_hh = (np.asarray(f(t + hh)) - np.asarray(f(t - hh))) / (2.0 * hh)
+    shifted = np.empty((4, p, p))
+    shifted[...] = theta
+    # Row l of each block moves coordinate l: the stride p + 1 walks the diagonals.
+    shifted.reshape(4, p * p)[:, :: p + 1] += h * _STENCIL_STEPS
+    values = np.asarray(f(shifted.reshape(4 * p, p)))
+    values = values.reshape((4, p) + values.shape[1:])
+    d_h = (values[0] - values[1]) / (2.0 * h)
+    d_hh = (values[2] - values[3]) / (2.0 * hh)
     return (4.0 * d_hh - d_h) / 3.0

@@ -49,16 +49,11 @@ from .linalg import (
 
 @dataclass(frozen=True)
 class CFunction:
-    """Symmetric, (-1)-homogeneous coefficient c(x, y) with f(t) = 1/c(t, 1).
-
-    The constant multiplying the classical (diagonal) block is 1 for every
-    named information; the engine accepts other values.
-    """
+    """Symmetric, (-1)-homogeneous coefficient c(x, y) with f(t) = 1/c(t, 1)."""
 
     name: str
     c: Callable[[float, float], float]
     f: Callable[[float], float]
-    C: float = 1.0
     full_rank_required: bool = False
     singular_at_equal_args: bool = False
 
@@ -149,6 +144,34 @@ def born_probabilities(rho: np.ndarray, povm: Sequence[np.ndarray]) -> np.ndarra
     return np.clip(p, 0.0, None)
 
 
+def _fisher_sum(
+    p: np.ndarray, dp: np.ndarray, flow_error: Callable[[int], Exception]
+) -> np.ndarray:
+    """Sum of dp[:, i] dp[:, i]^T / p_i over the i with p_i > RANK_TOL.
+
+    An entry at or below RANK_TOL whose derivative exceeds 1e-9 raises
+    flow_error(i): probability would flow out of the support.
+    """
+    out = np.zeros((dp.shape[0], dp.shape[0]))
+    for i, pi in enumerate(p):
+        if pi > RANK_TOL:
+            out += np.outer(dp[:, i], dp[:, i]) / pi
+        elif np.max(np.abs(dp[:, i])) > 1e-9:
+            raise flow_error(i)
+    return out
+
+
+def _measured_fisher(
+    family: ParametricFamily, theta: np.ndarray, elements: np.ndarray, h: float
+) -> np.ndarray:
+    """classical_fisher for a checked theta and a validated, stacked POVM."""
+    p0 = born_probabilities(family.rho(theta), elements)
+    dp = np.real(np.einsum("lij,mji->lm", family.drho(theta, h=h), elements))
+    fisher = _fisher_sum(p0, dp, lambda m: VanishingProbabilityWithFlow(
+        f"outcome {m} has zero probability but nonzero derivative"))
+    return (fisher + fisher.T) / 2.0
+
+
 def classical_fisher(
     family: ParametricFamily,
     theta,
@@ -162,20 +185,7 @@ def classical_fisher(
     probability contribute zero only if their derivative also vanishes.
     """
     theta = family.check_theta(theta)
-    elements = validate_povm(povm, family.dim)
-    p0 = born_probabilities(family.rho(theta), elements)
-    dp = np.real(np.einsum("lij,mji->lm", family.drho(theta, h=h), elements))
-
-    fisher = np.zeros((family.nparams, family.nparams))
-    for m, p in enumerate(p0):
-        if p <= 1e-12:
-            if np.max(np.abs(dp[:, m])) > 1e-9:
-                raise VanishingProbabilityWithFlow(
-                    f"outcome {m} has zero probability but nonzero derivative"
-                )
-            continue
-        fisher += np.outer(dp[:, m], dp[:, m]) / p
-    return (fisher + fisher.T) / 2.0
+    return _measured_fisher(family, theta, validate_povm(povm, family.dim), h)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +202,7 @@ def mc_metric(
 
     In the eigenbasis of rho(theta), with tangents A^(k) = d rho / d theta^k:
 
-        M_kl = C sum_i A^(k)_ii A^(l)_ii / p_i
+        M_kl = sum_i A^(k)_ii A^(l)_ii / p_i
              + 2 sum_{j<m} c(p_j, p_m) Re(A^(k)_jm conj(A^(l)_jm)).
     """
     theta = family.check_theta(theta)
@@ -205,13 +215,9 @@ def mc_metric(
     v = es.vectors
     a = np.einsum("ij,ljk,km->lim", v.conj().T, tangents, v)
     diag = np.real(np.einsum("lii->li", a))
+    m_out = _fisher_sum(p, diag, lambda i: RankDeficient(
+        "tangent flows out of the support of the state"))
     d = family.dim
-    m_out = np.zeros((family.nparams, family.nparams))
-    for i in range(d):
-        if p[i] > RANK_TOL:
-            m_out += cf.C * np.outer(diag[:, i], diag[:, i]) / p[i]
-        elif np.max(np.abs(diag[:, i])) > 1e-9:
-            raise RankDeficient("tangent flows out of the support of the state")
     for j in range(d):
         for k in range(j + 1, d):
             coupling = a[:, j, k]
@@ -265,15 +271,8 @@ def rld_information(family: ParametricFamily, theta, h: float = DEFAULT_H) -> np
 
 
 def _classical_part(td: TangentData) -> np.ndarray:
-    p = np.clip(td.eigenvalues, 0.0, None)
-    n = td.dp.shape[0]
-    out = np.zeros((n, n))
-    for i, pi in enumerate(p):
-        if pi > RANK_TOL:
-            out += np.outer(td.dp[:, i], td.dp[:, i]) / pi
-        elif np.max(np.abs(td.dp[:, i])) > 1e-9:
-            raise RankDeficient("eigenvalue flow out of the support of the state")
-    return out
+    return _fisher_sum(np.clip(td.eigenvalues, 0.0, None), td.dp, lambda i: RankDeficient(
+        "eigenvalue flow out of the support of the state"))
 
 
 def _offdiag_part(td: TangentData) -> np.ndarray:

@@ -10,7 +10,7 @@ from qmetrics.errors import (
     UnknownFamily,
     ValidationError,
 )
-from qmetrics.channels import pushforward_family, random_tpcp
+from qmetrics.channels import depolarizing_channel, pushforward_family, random_tpcp
 from qmetrics.families import (
     REGISTRY_NAMES,
     ParametricFamily,
@@ -24,7 +24,9 @@ from qmetrics.families import (
     rot3_mixture,
     tangent_data,
     validate_density,
+    _random_hermitian,
 )
+from qmetrics.linalg import DEFAULT_H, unitary
 
 ALL_REGISTRY = [
     ("bloch3", {}, [0.5, 1.2, 0.5]),
@@ -189,6 +191,35 @@ def test_batched_states_equal_the_pointwise_loop_bit_for_bit(fam, box):
     assert np.array_equal(batch, _loop(fam, thetas))
 
 
+def _per_point_random_full_rank(d, nparams, seed, th):
+    # The one-point form of random_full_rank's arithmetic (b @ th, q.sum(),
+    # v.conj().T) on the same draws: its broadcasting evaluate and spectral
+    # must match it bit for bit.
+    rng = np.random.default_rng(seed)
+    c = float(rng.uniform(0.6, 1.4))
+    lam = np.exp(-c * np.arange(d))
+    lam = lam / lam.sum()
+    b = rng.uniform(0.5, 2.0, size=(d, nparams))
+    phase = rng.uniform(0.0, 2.0 * np.pi, size=d)
+    h0 = _random_hermitian(rng, d)
+    gens = [_random_hermitian(rng, d) for _ in range(nparams)]
+    q = lam + 0.004 * np.sin(b @ th + phase)
+    q = q / q.sum()
+    v = unitary(h0 + sum(t * g for t, g in zip(th, gens)))
+    rho = (v * q) @ v.conj().T
+    return q, v, rho / np.real(np.trace(rho))
+
+
+@pytest.mark.parametrize("d,p", [(d, p) for d in (2, 4, 8) for p in (1, 3)])
+def test_random_full_rank_broadcast_equals_its_per_point_arithmetic(d, p):
+    fam = random_full_rank(d=d, nparams=p, seed=30 + d)
+    for th in np.random.default_rng(d + p).uniform(-0.5, 0.5, size=(8, p)):
+        q, v, rho = _per_point_random_full_rank(d, p, 30 + d, th)
+        sp = fam.spectral(th)
+        assert np.array_equal(sp.eigenvalues, q) and np.array_equal(sp.eigenvectors, v)
+        assert np.array_equal(fam.rho(th), rho)
+
+
 def test_rhos_falls_back_to_the_loop_without_a_batch_form():
     base = random_full_rank(d=3, nparams=1, seed=4)
     thetas = np.linspace(-0.3, 0.3, 7)[:, None]
@@ -223,3 +254,63 @@ def test_empty_domain_is_unbounded():
     assert bare.bounds == ((-np.inf, np.inf),)
     thetas = np.array([[-40.0], [0.3], [40.0]])
     assert np.array_equal(bare.rhos(thetas), _loop(base, thetas))
+
+
+# The per-coordinate stencil that central_difference's single stacked call
+# replaced, kept as a reference: four calls of a function of one coordinate.
+def _scalar_stencil(f, t, h=DEFAULT_H):
+    d_h = (np.asarray(f(t + h)) - np.asarray(f(t - h))) / (2.0 * h)
+    hh = h / 2.0
+    d_hh = (np.asarray(f(t + hh)) - np.asarray(f(t - hh))) / (2.0 * hh)
+    return (4.0 * d_hh - d_h) / 3.0
+
+
+def _per_coordinate(f, theta):
+    def along(l):
+        def at(t):
+            th = theta.copy()
+            th[l] = t
+            return f(th)
+        return at
+
+    return [_scalar_stencil(along(l), theta[l]) for l in range(theta.size)]
+
+
+def _reference_drho(fam, theta):
+    return np.array(_per_coordinate(fam.evaluate, fam.check_theta(theta)), dtype=complex)
+
+
+def _reference_spectral_tangents(fam, theta):
+    theta = fam.check_theta(theta)
+    w0 = fam.spectral(theta).eigenvectors
+
+    def stacked(th):
+        sp = fam.spectral(th)
+        return np.vstack([sp.eigenvalues, sp.eigenvectors])
+
+    d_stacks = _per_coordinate(stacked, theta)
+    return (np.array([np.real(d[0]) for d in d_stacks]),
+            np.array([d[1:].conj().T @ w0 for d in d_stacks]))
+
+
+STENCIL_CASES = [
+    (bloch3(), [0.5, 1.2, 0.5]),
+    *((random_full_rank(d=d, nparams=p, seed=20 + d), [0.1, -0.2, 0.05][:p])
+      for d in (2, 4, 8) for p in (1, 3)),
+    (pushforward_family(depolarizing_channel(3, 0.6), random_full_rank(3, 2, seed=9)), [0.2, -0.1]),
+    (pushforward_family(random_tpcp(3, 2, seed=1), random_full_rank(3, 1, seed=4)), [0.3]),
+    (directional_family(bloch3(), [0.5, 0.8, 0.3], [1.0, 0.0, 0.0]), [0.1]),
+    (directional_family(random_full_rank(d=4, nparams=3, seed=2), [0.1, 0.2, -0.1],
+                        [0.3, 1.0, -0.5]), [0.2]),
+]
+
+
+@pytest.mark.parametrize("fam,theta", STENCIL_CASES,
+                         ids=[f"{f.name}-p{f.nparams}" for f, _ in STENCIL_CASES])
+def test_stacked_stencil_equals_the_per_coordinate_loops_bit_for_bit(fam, theta):
+    assert np.array_equal(fam.drho(theta), _reference_drho(fam, theta))
+    if fam.spectral is not None:
+        dp, overlaps = _reference_spectral_tangents(fam, theta)
+        td = tangent_data(fam, theta)
+        assert np.array_equal(td.dp, dp)
+        assert np.array_equal(td.overlaps, overlaps)

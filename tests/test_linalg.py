@@ -105,8 +105,27 @@ def test_relative_entropy_singular_support():
 
 
 def test_central_difference_accuracy():
-    d = central_difference(np.sin, 0.3, h=1e-4)
-    assert abs(d - np.cos(0.3)) < 1e-10
+    d = central_difference(lambda t: np.sin(t[:, 0]), [0.3], h=1e-4)
+    assert d.shape == (1,)
+    assert abs(d[0] - np.cos(0.3)) < 1e-10
+
+    stacks = []
+
+    def f(thetas):
+        # f(x, y) = (sin x cos y, x^2 y): one call on the whole stencil.
+        stacks.append(thetas.copy())
+        x, y = thetas.T
+        return np.stack([np.sin(x) * np.cos(y), x * x * y], axis=-1)
+
+    x, y = 0.4, -1.1
+    d = central_difference(f, np.array([x, y]), h=1e-4)
+    expected = [[np.cos(x) * np.cos(y), 2 * x * y], [-np.sin(x) * np.sin(y), x * x]]
+    assert d.shape == (2, 2)
+    assert np.max(np.abs(d - expected)) < 1e-10
+    assert len(stacks) == 1 and stacks[0].shape == (8, 2)
+    assert np.all(np.count_nonzero(stacks[0] != [x, y], axis=1) == 1)
+    with pytest.raises(ValueError):
+        central_difference(f, [x, y], h=0.0)
 
 
 def test_unitary_matches_closed_form_rotation():

@@ -159,6 +159,9 @@ def test_engine_matches_score_route(seed, d):
     a = mc_metric(fam, theta, CF_SLD)
     b = sld_information(fam, theta)
     assert np.max(np.abs(a - b)) < 1e-8
+    # The engine's 2(x+y)/(x-y)^2 coefficient is the oracle for the overlap form of cl.
+    cl = c_l_information(fam, theta)
+    assert np.max(np.abs(mc_metric(fam, theta, CF_CL) - cl)) <= 1e-8 * np.max(np.abs(cl))
 
 
 @settings(deadline=None, max_examples=15)
