@@ -53,8 +53,8 @@ def validate_density(rho: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
 class SpectralPresentation:
     """Eigenvalues p_i and a gauged orthonormal eigenvector frame |w_i> (columns)."""
 
-    eigenvalues: np.ndarray   # (d,)
-    eigenvectors: np.ndarray  # (d, d), columns
+    eigenvalues: np.ndarray   # (d,); (n, d) from spectral_many
+    eigenvectors: np.ndarray  # (d, d), columns; (n, d, d) from spectral_many
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
@@ -69,7 +69,10 @@ class ParametricFamily:
     parameter is unconstrained, and an empty domain leaves every parameter
     unconstrained. evaluate_many, when given, maps an (n, p) stack of
     parameters to the (n, d, d) stack of states evaluate gives one by one.
-    Families are immutable value objects.
+    spectral_many, when given, maps an (n, p) stack to one SpectralPresentation
+    with eigenvalues (n, d) and eigenvectors (n, d, d), equal bit for bit to
+    the presentations spectral gives one by one; it is only given together
+    with spectral. Families are immutable value objects.
     """
 
     dim: int
@@ -79,6 +82,7 @@ class ParametricFamily:
     domain: tuple = ()
     name: str = ""
     evaluate_many: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    spectral_many: Optional[Callable[[np.ndarray], SpectralPresentation]] = None
 
     @property
     def bounds(self) -> tuple:
@@ -86,9 +90,10 @@ class ParametricFamily:
         return self.domain or ((-math.inf, math.inf),) * self.nparams
 
     @cached_property
-    def _limits(self) -> np.ndarray:
-        """The bounds as a (2, p) array of lower and upper limits."""
-        return np.array(self.bounds, dtype=float).T
+    def _limits(self) -> tuple:
+        """The bounds as a pair of (p,) arrays of lower and upper limits."""
+        lo, hi = np.array(self.bounds, dtype=float).T
+        return lo, hi
 
     def _inside(self, thetas: np.ndarray) -> np.ndarray:
         """Whether each parameter vector (the last axis) lies in the open domain."""
@@ -107,20 +112,14 @@ class ParametricFamily:
             raise ValidationError(
                 f"family {self.name!r} takes {self.nparams} parameters, got {theta.shape}"
             )
-        if not self.in_domain(theta):
+        if not self._inside(theta):
             raise self._domain_error(theta)
         return theta
 
-    def rho(self, theta) -> np.ndarray:
-        return np.asarray(self.evaluate(self.check_theta(theta)), dtype=complex)
-
-    def rhos(self, thetas) -> np.ndarray:
-        """States at an (n, p) stack of parameters, shape (n, d, d).
-
-        The whole stack is checked against the domain before anything is
-        evaluated, raising what rho raises for the first bad point. Uses
-        evaluate_many when the family has it, else evaluates point by point.
-        """
+    def check_thetas(self, thetas) -> np.ndarray:
+        """An (n, p) stack of parameters, checked as a whole against the
+        domain before anything is evaluated: raises what check_theta raises
+        for the first bad point."""
         thetas = np.asarray(thetas, dtype=float)
         if thetas.ndim != 2 or thetas.shape[1] != self.nparams:
             raise ValidationError(
@@ -129,12 +128,32 @@ class ParametricFamily:
         outside = np.flatnonzero(~self._inside(thetas))
         if outside.size:
             raise self._domain_error(thetas[outside[0]])
-        return self._evaluate_stack(thetas)
+        return thetas
+
+    def rho(self, theta) -> np.ndarray:
+        return np.asarray(self.evaluate(self.check_theta(theta)), dtype=complex)
+
+    def rhos(self, thetas) -> np.ndarray:
+        """States at an (n, p) stack of parameters, shape (n, d, d).
+
+        The stack is checked by check_thetas. Uses evaluate_many when the
+        family has it, else evaluates point by point.
+        """
+        return self._evaluate_stack(self.check_thetas(thetas))
 
     def _evaluate_stack(self, thetas: np.ndarray) -> np.ndarray:
         if self.evaluate_many is None:
             return np.array([self.evaluate(theta) for theta in thetas], dtype=complex)
         return np.asarray(self.evaluate_many(thetas), dtype=complex)
+
+    def _spectral_stack(self, thetas: np.ndarray) -> SpectralPresentation:
+        """Presentations at an (n, p) stack: spectral_many when the family
+        has it, else spectral point by point, stacked."""
+        if self.spectral_many is not None:
+            return self.spectral_many(thetas)
+        sps = [self.spectral(theta) for theta in thetas]
+        return SpectralPresentation(eigenvalues=np.array([sp.eigenvalues for sp in sps]),
+                                    eigenvectors=np.array([sp.eigenvectors for sp in sps]))
 
     def drho(self, theta, h: float = DEFAULT_H) -> np.ndarray:
         """Tangents d(rho)/d(theta^l), shape (p, d, d): Richardson central
@@ -152,6 +171,24 @@ class TangentData:
     eigenvalues: np.ndarray  # (d,) at the evaluation point
 
 
+def spectral_tangents(family: ParametricFamily, thetas: np.ndarray, h: float = DEFAULT_H):
+    """Differenced spectral presentation at an (n, p) stack of checked points.
+
+    Returns dp (n, p, d), overlaps (n, p, d, d) and the eigenvalues (n, d) at
+    the points, from one stacked presentation of the points and one of all
+    4np stencil points (spectral_many when the family has it).
+    """
+    def eigensystems(shifted):
+        # Row 0 of each point holds the eigenvalues, rows 1.. the frame.
+        sp = family._spectral_stack(shifted)
+        return np.concatenate([sp.eigenvalues[:, None], sp.eigenvectors], axis=1)
+
+    sp0 = family._spectral_stack(thetas)
+    d_stack = central_difference(eigensystems, thetas, h=h)
+    overlaps = d_stack[:, :, 1:].conj().swapaxes(-1, -2) @ sp0.eigenvectors[:, None]
+    return np.real(d_stack[:, :, 0]), overlaps, sp0.eigenvalues
+
+
 def tangent_data(family: ParametricFamily, theta, h: float = DEFAULT_H) -> TangentData:
     """Eigenvalue derivatives and eigenvector-derivative overlaps at theta.
 
@@ -164,16 +201,9 @@ def tangent_data(family: ParametricFamily, theta, h: float = DEFAULT_H) -> Tange
     """
     theta = family.check_theta(theta)
     if family.spectral is not None:
-        def eigensystems(thetas):
-            # Row 0 of each point holds the eigenvalues, rows 1.. the frame.
-            return np.array([np.concatenate([sp.eigenvalues[None], sp.eigenvectors])
-                             for sp in map(family.spectral, thetas)])
-
-        sp0 = family.spectral(theta)
-        d_stack = central_difference(eigensystems, theta, h=h)
-        overlaps = d_stack[:, 1:].conj().swapaxes(1, 2) @ sp0.eigenvectors
-        return TangentData(dp=np.real(d_stack[:, 0]), overlaps=overlaps,
-                           eigenvalues=np.asarray(sp0.eigenvalues, float))
+        dp, overlaps, eigenvalues = spectral_tangents(family, theta[None], h=h)
+        return TangentData(dp=dp[0], overlaps=overlaps[0],
+                           eigenvalues=np.asarray(eigenvalues[0], float))
 
     p_n, d = family.nparams, family.dim
     es = eig_hermitian(family.rho(theta))
@@ -356,11 +386,15 @@ def _random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
 
 
 def random_full_rank(d: int = 3, nparams: int = 1, seed: int = 0) -> ParametricFamily:
-    """Smooth random full-rank family with a closed-form spectral presentation.
+    """Smooth random family with a closed-form spectral presentation.
 
-    Spectrum is geometric (bounded away from zero and from degeneracy) with a
-    small smooth wiggle; the frame is the unitary exp(-i (H0 + sum_l t_l G_l)).
-    Deterministic per seed.
+    The spectrum is a normalised geometric sequence exp(-c k) plus a smooth
+    wiggle of amplitude 0.004 in each eigenvalue; the frame is the unitary
+    exp(-i (H0 + sum_l t_l G_l)). For d <= 4 the spectrum stays positive and
+    non-degenerate. For d >= 5 the smallest geometric eigenvalue can fall
+    below the wiggle, so the state can have a non-positive eigenvalue.
+    evaluate and spectral broadcast over a stack of parameters and serve as
+    evaluate_many and spectral_many. Deterministic per seed.
     """
     rng = np.random.default_rng(seed)
     c = float(rng.uniform(0.6, 1.4))
@@ -395,7 +429,7 @@ def random_full_rank(d: int = 3, nparams: int = 1, seed: int = 0) -> ParametricF
     return ParametricFamily(
         dim=d, nparams=nparams, evaluate=evaluate, spectral=spectral,
         domain=((-math.inf, math.inf),) * nparams, name=f"random-full-rank-{d}-{seed}",
-        evaluate_many=evaluate,
+        evaluate_many=evaluate, spectral_many=spectral,
     )
 
 

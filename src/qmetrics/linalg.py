@@ -132,7 +132,7 @@ def unitary(h: np.ndarray) -> np.ndarray:
 
 
 # Steps +h, -h, +h/2, -h/2 of the four stencil blocks, in units of h (exact in binary).
-_STENCIL_STEPS = np.array([[1.0], [-1.0], [0.5], [-0.5]])
+_STENCIL_STEPS = np.array([1.0, -1.0, 0.5, -0.5])[:, None, None]
 
 
 def central_difference(
@@ -146,18 +146,22 @@ def central_difference(
 
     f maps an (n, p) stack of parameter vectors to the (n, ...) stack of its
     values. It is called once, on the 4p points theta +- h e_l, theta +- (h/2) e_l.
+    An (n, p) stack of base points gives shape (n, p, ...) from one call of f
+    on all 4np shifted points; a single point is the stack n = 1.
     """
     if h <= 0.0:
         raise ValueError("step h must be positive")
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    p = theta.size
+    theta = np.asarray(theta, dtype=float)
+    thetas = np.atleast_2d(theta)
+    n, p = thetas.shape
     hh = h / 2.0
-    shifted = np.empty((4, p, p))
-    shifted[...] = theta
-    # Row l of each block moves coordinate l: the stride p + 1 walks the diagonals.
-    shifted.reshape(4, p * p)[:, :: p + 1] += h * _STENCIL_STEPS
-    values = np.asarray(f(shifted.reshape(4 * p, p)))
-    values = values.reshape((4, p) + values.shape[1:])
+    shifted = np.empty((4, n, p, p))
+    shifted[...] = thetas[:, None, :]
+    # Row l of each point moves coordinate l: the stride p + 1 walks the diagonals.
+    shifted.reshape(4, n, p * p)[..., :: p + 1] += h * _STENCIL_STEPS
+    values = np.asarray(f(shifted.reshape(4 * n * p, p)))
+    values = values.reshape((4, n, p) + values.shape[1:])
     d_h = (values[0] - values[1]) / (2.0 * h)
     d_hh = (values[2] - values[3]) / (2.0 * hh)
-    return (4.0 * d_hh - d_h) / 3.0
+    partials = (4.0 * d_hh - d_h) / 3.0
+    return partials if theta.ndim == 2 else partials[0]

@@ -62,15 +62,20 @@ def sandwich_suite(n_families: int = 200, seed: int = 42) -> dict:
     }
 
 
-def gauge_suite(n_families: int = 20, n_gauges: int = 50, seed: int = 42) -> dict:
+def gauge_suite(
+    n_families: int = 20, n_gauges: int = 50, seed: int = 42, family_seed_base: int | None = None
+) -> dict:
     """Minimizing gauge closes the gap to the invariant lower bound on
-    one-parameter families; random gauges never go below it."""
+    one-parameter families; random gauges never go below it. Family i has
+    seed family_seed_base + i (default seed * 7000)."""
     rng = np.random.default_rng(seed)
+    if family_seed_base is None:
+        family_seed_base = seed * 7_000
     worst_gap = 0.0
     worst_violation = 0.0
     for i in range(n_families):
         d = 2 + i % 3
-        fam = random_full_rank(d=d, nparams=1, seed=seed * 7_000 + i)
+        fam = random_full_rank(d=d, nparams=1, seed=family_seed_base + i)
         # Smooth random phase perturbation so the starting gauge is generic.
         a = rng.uniform(-1.0, 1.0, size=d)
         b = rng.uniform(0.5, 2.0, size=d)
@@ -177,14 +182,19 @@ def crlb_suite(seed: int = 42, n: int = 10_000, reps: int = 500) -> dict:
     }
 
 
-def kmb_limit_suite(n_families: int = 10, seed: int = 42) -> dict:
+def kmb_limit_suite(
+    n_families: int = 10, seed: int = 42, family_seed_base: int | None = None
+) -> dict:
     """Relative entropy curvature converges to the logarithmic-mean
-    information with an O(eps) error (error ratio across a decade in [5, 20])."""
+    information with an O(eps) error (error ratio across a decade in [5, 20]).
+    Family i has seed family_seed_base + i (default seed * 17000)."""
     rng = np.random.default_rng(seed)
+    if family_seed_base is None:
+        family_seed_base = seed * 17_000
     ratios = []
     for i in range(n_families):
         d = 2 + i % 3
-        fam = random_full_rank(d=d, nparams=1, seed=seed * 17_000 + i)
+        fam = random_full_rank(d=d, nparams=1, seed=family_seed_base + i)
         t0 = float(rng.uniform(-0.2, 0.2))
         h_kmb = float(kmb_information(fam, [t0])[0, 0])
         errs = {}
@@ -201,15 +211,20 @@ def kmb_limit_suite(n_families: int = 10, seed: int = 42) -> dict:
     }
 
 
-def achievability_suite(n_families: int = 50, seed: int = 42) -> dict:
+def achievability_suite(
+    n_families: int = 50, seed: int = 42, family_seed_base: int | None = None
+) -> dict:
     """The score-diagonalizing measurement attains the quantum bound on
-    one-parameter families, with vanishing attainment-condition residual."""
+    one-parameter families, with vanishing attainment-condition residual.
+    Family i has seed family_seed_base + i (default seed * 23000)."""
     rng = np.random.default_rng(seed)
+    if family_seed_base is None:
+        family_seed_base = seed * 23_000
     worst_gap = 0.0
     worst_residual = 0.0
     for i in range(n_families):
         d = 2 + i % 3
-        fam = random_full_rank(d=d, nparams=1, seed=seed * 23_000 + i)
+        fam = random_full_rank(d=d, nparams=1, seed=family_seed_base + i)
         theta = np.array([float(rng.uniform(-0.2, 0.2))])
         povm = sld_optimal_povm(fam, theta)
         f = float(classical_fisher(fam, theta, povm)[0, 0])

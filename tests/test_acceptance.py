@@ -21,20 +21,16 @@ from qmetrics import (
     c_l_decomposition,
     c_l_information,
     c_upsilon_states,
-    classical_fisher,
     depolarizing_channel,
     diagonal_simplex,
-    equality_condition_residual,
     f_function_scan,
     integrability_test,
-    minimizing_gauge_1p,
     pure_rotation,
     pushforward_family,
     random_full_rank,
     random_pure,
     rot3_mixture,
     sld_information,
-    sld_optimal_povm,
 )
 from qmetrics import verify
 
@@ -107,63 +103,27 @@ def test_criterion_04_engine_equivalence_on_200_families():
 
 
 def test_criterion_05_optimal_measurement_achievability():
-    worst_gap, worst_res = 0.0, 0.0
-    rng = np.random.default_rng(42)
-    for i in range(50):
-        fam = random_full_rank(d=2 + i % 3, nparams=1, seed=5_000_000 + i)
-        theta = np.array([float(rng.uniform(-0.2, 0.2))])
-        povm = sld_optimal_povm(fam, theta)
-        f = classical_fisher(fam, theta, povm)[0, 0]
-        h = sld_information(fam, theta)[0, 0]
-        worst_gap = max(worst_gap, abs(f - h))
-        worst_res = max(worst_res, equality_condition_residual(fam, theta, povm))
+    # The achievability suite on 50 families with seeds 5 000 000 + i.
+    report = verify.achievability_suite(seed=42, family_seed_base=5_000_000)
+    worst_gap, worst_res = report["worst_fisher_gap"], report["worst_equality_residual"]
     verdict(5, "optimal measurement attains the bound",
             worst_gap < 1e-6 and worst_res <= 1e-7,
             f"max Fisher gap {worst_gap:.2e}, max equality residual {worst_res:.2e}")
 
 
 def test_criterion_06_relative_entropy_hessian_limit():
-    from qmetrics import kmb_information, relative_entropy
-
-    rng = np.random.default_rng(42)
-    ratios = []
-    for i in range(10):
-        fam = random_full_rank(d=2 + i % 3, nparams=1, seed=6_000_000 + i)
-        t0 = float(rng.uniform(-0.2, 0.2))
-        k = kmb_information(fam, [t0])[0, 0]
-        errs = []
-        for eps in (1e-2, 1e-3):
-            d = relative_entropy(fam.rho([t0]), fam.rho([t0 + eps]))
-            errs.append(abs(2 * d / eps**2 - k))
-        ratios.append(errs[0] / errs[1])
+    # The kmb-limit suite on 10 families with seeds 6 000 000 + i.
+    ratios = verify.kmb_limit_suite(seed=42, family_seed_base=6_000_000)["error_ratios"]
     ok = all(5.0 <= r <= 20.0 for r in ratios)
     verdict(6, "O(eps) curvature error", ok,
             f"error ratios across a decade in [{min(ratios):.1f}, {max(ratios):.1f}]")
 
 
 def test_criterion_07_gauge_minimization():
-    rng = np.random.default_rng(42)
-    worst_gap, worst_violation = 0.0, 0.0
-    for i in range(20):
-        d = 2 + i % 3
-        fam = random_full_rank(d=d, nparams=1, seed=7_000_000 + i)
-        a, b, c = (rng.uniform(-1, 1, d), rng.uniform(0.5, 2, d), rng.uniform(0, 2 * math.pi, d))
-        perturbed = apply_gauge(
-            fam, PhaseAssignment.from_callable(lambda th, a=a, b=b, c=c: a * np.sin(b * th[0] + c))
-        )
-        pa = minimizing_gauge_1p(perturbed, -0.5, 0.5, steps=512)
-        t = np.array([0.0])
-        cl = c_l_information(fam, t)[0, 0]
-        cu_min = c_upsilon_states(apply_gauge(perturbed, pa), t)[0, 0]
-        worst_gap = max(worst_gap, abs(cu_min - cl))
-        for _ in range(50):
-            a2, b2, c2 = (rng.uniform(-1, 1, d), rng.uniform(0.5, 2, d),
-                          rng.uniform(0, 2 * math.pi, d))
-            gauged = apply_gauge(
-                fam, PhaseAssignment.from_callable(
-                    lambda th, a=a2, b=b2, c=c2: a * np.sin(b * th[0] + c))
-            )
-            worst_violation = min(worst_violation, c_upsilon_states(gauged, t)[0, 0] - cl)
+    # The gauge suite on 20 families with seeds 7 000 000 + i and 50 random
+    # gauges each, evaluated at its grid midpoint t = 0.
+    report = verify.gauge_suite(seed=42, family_seed_base=7_000_000)
+    worst_gap, worst_violation = report["worst_minimized_gap"], report["worst_lower_violation"]
     verdict(7, "minimizing gauge closes the gap",
             worst_gap <= 1e-6 and worst_violation >= -1e-9,
             f"max minimized gap {worst_gap:.2e}, worst random-gauge margin {worst_violation:.2e}")

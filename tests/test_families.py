@@ -213,10 +213,13 @@ def _per_point_random_full_rank(d, nparams, seed, th):
 @pytest.mark.parametrize("d,p", [(d, p) for d in (2, 4, 8) for p in (1, 3)])
 def test_random_full_rank_broadcast_equals_its_per_point_arithmetic(d, p):
     fam = random_full_rank(d=d, nparams=p, seed=30 + d)
-    for th in np.random.default_rng(d + p).uniform(-0.5, 0.5, size=(8, p)):
+    thetas = np.random.default_rng(d + p).uniform(-0.5, 0.5, size=(8, p))
+    batch = fam.spectral_many(thetas)
+    for i, th in enumerate(thetas):
         q, v, rho = _per_point_random_full_rank(d, p, 30 + d, th)
         sp = fam.spectral(th)
         assert np.array_equal(sp.eigenvalues, q) and np.array_equal(sp.eigenvectors, v)
+        assert np.array_equal(batch.eigenvalues[i], q) and np.array_equal(batch.eigenvectors[i], v)
         assert np.array_equal(fam.rho(th), rho)
 
 
@@ -246,6 +249,18 @@ def test_rhos_checks_the_whole_stack_like_rho():
     with pytest.raises(DomainExit) as batch:
         sliced.rhos(np.array([[0.1], [0.6], [0.2]]))
     assert str(batch.value) == str(per_point.value)
+
+
+@pytest.mark.parametrize("fam", [bloch3(), random_full_rank(d=3, nparams=3, seed=1)],
+                         ids=["bounded", "unbounded"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_theta_is_out_of_domain(fam, bad):
+    theta = [0.5, 0.2, bad]
+    message = f"theta {[0.5, 0.2, bad]} outside domain of {fam.name!r}"
+    for call in (fam.check_theta, fam.rho, lambda th: fam.rhos([th])):
+        with pytest.raises(ParamOutOfDomain) as err:
+            call(theta)
+        assert str(err.value) == message
 
 
 def test_empty_domain_is_unbounded():

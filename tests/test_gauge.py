@@ -1,17 +1,21 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmetrics.errors import MissingGauge, ValidationError
+from qmetrics.errors import MissingGauge, NonImaginaryOverlap, ParamOutOfDomain, ValidationError
 from qmetrics.families import (
     ParametricFamily,
     SpectralPresentation,
     bloch3,
+    diagonal_simplex,
+    directional_family,
     pure_rotation,
     random_full_rank,
+    rot3_mixture,
 )
 from qmetrics.gauge import (
     PhaseAssignment,
@@ -20,6 +24,7 @@ from qmetrics.gauge import (
     minimizing_gauge_1p,
     zero_gauge,
 )
+from qmetrics.linalg import DEFAULT_H
 from qmetrics.metrics import c_l_information, c_upsilon_states, sld_information
 
 
@@ -145,3 +150,140 @@ def test_pure_rotation_already_minimal():
     fam = pure_rotation()
     t = [0.3]
     assert abs(c_upsilon_states(fam, t)[0, 0] - c_l_information(fam, t)[0, 0]) < 1e-10
+
+
+# The per-point scan that the stacked blocks replaced, kept as a reference: at
+# each grid point the one-parameter stencil over four one-point presentations,
+# then the overlap with the frame at the point.
+def _reference_scan(family, theta0, theta1, steps, h=DEFAULT_H):
+    grid = np.linspace(theta0, theta1, steps + 1)
+
+    def frame(t):
+        return family.spectral(np.array([t])).eigenvectors
+
+    diag = np.empty((grid.size, family.dim), dtype=complex)
+    for i, t in enumerate(grid):
+        d_h = (frame(t + h) - frame(t - h)) / (2.0 * h)
+        hh = h / 2.0
+        d_hh = (frame(t + hh) - frame(t - hh)) / (2.0 * hh)
+        dw = (4.0 * d_hh - d_h) / 3.0
+        diag[i] = np.diagonal(dw.conj().T @ frame(t))
+    integrand = np.imag(diag)
+    areas = np.diff(grid)[:, None] * (integrand[1:] + integrand[:-1]) / 2.0
+    return grid, np.vstack([np.zeros((1, family.dim)), np.cumsum(areas, axis=0)]).T
+
+
+def _perturbed(d, seed):
+    rng = np.random.default_rng(seed)
+    return apply_gauge(random_full_rank(d=d, nparams=1, seed=seed),
+                       sin_gauge(rng.uniform(-1, 1, d), rng.uniform(0.5, 2, d),
+                                 rng.uniform(0, 2 * math.pi, d)))
+
+
+def _sampled(d, seed):
+    grid = np.linspace(-0.6, 0.6, 41)
+    rng = np.random.default_rng(seed)
+    samples = np.sin(np.outer(rng.uniform(0.5, 2, d), grid) + rng.uniform(0, 2 * math.pi, (d, 1)))
+    return apply_gauge(random_full_rank(d=d, nparams=1, seed=seed),
+                       PhaseAssignment.from_samples(grid, samples))
+
+
+SCANS = [
+    *((_perturbed(d, 50 + d), 512) for d in (2, 3, 4)),
+    *((_perturbed(3, 60), steps) for steps in (1, 63, 64, 65)),
+    (_sampled(3, 61), 200),
+    (rot3_mixture(0.1), 65),
+    (pure_rotation(), 64),
+    (directional_family(bloch3(), [0.5, 0.8, 0.3], [0.0, 1.0, 0.7]), 130),
+]
+
+
+@pytest.mark.parametrize("fam,steps", SCANS,
+                         ids=[f"{f.name}-{steps}" for f, steps in SCANS])
+def test_blocked_scan_equals_the_per_point_scan_bit_for_bit(fam, steps):
+    # The scan runs first: run second, its uninitialised buffer could reuse
+    # the reference's memory and hide a grid point no block filled.
+    pa = minimizing_gauge_1p(fam, -0.5, 0.5, steps=steps)
+    grid, samples = _reference_scan(fam, -0.5, 0.5, steps)
+    assert np.array_equal(pa.grid, grid)
+    assert np.array_equal(pa.samples, samples)
+
+
+def test_presented_families_keep_their_batch_form_under_a_gauge():
+    assert _perturbed(3, 1).spectral_many is not None
+    assert apply_gauge(rot3_mixture(0.1), zero_gauge(3)).spectral_many is None
+    fam = _sampled(4, 2)
+    thetas = np.linspace(-0.4, 0.4, 9)[:, None]
+    batch = fam.spectral_many(thetas)
+    for i, th in enumerate(thetas):
+        sp = fam.spectral(th)
+        assert np.array_equal(batch.eigenvalues[i], sp.eigenvalues)
+        assert np.array_equal(batch.eigenvectors[i], sp.eigenvectors)
+
+
+def test_scan_makes_no_one_point_presentation_on_a_batched_family():
+    base = random_full_rank(d=3, nparams=1, seed=5)
+    calls = {"spectral": 0, "spectral_many": 0}
+
+    def spectral(th):
+        calls["spectral"] += 1
+        return base.spectral(th)
+
+    def spectral_many(ths):
+        calls["spectral_many"] += 1
+        return base.spectral_many(ths)
+
+    counted = replace(base, spectral=spectral, spectral_many=spectral_many)
+    minimizing_gauge_1p(apply_gauge(counted, zero_gauge(3)), -0.5, 0.5, steps=512)
+    # 513 grid points in 9 blocks: one presentation of each block and one of its stencil.
+    assert calls == {"spectral": 0, "spectral_many": 18}
+
+
+def test_scan_leaving_the_domain_raises_the_per_point_error():
+    fam = diagonal_simplex()
+    with pytest.raises(ParamOutOfDomain) as per_point:
+        fam.check_theta([1.0])
+    with pytest.raises(ParamOutOfDomain) as scan:
+        minimizing_gauge_1p(fam, -0.5, 1.5, steps=8)
+    assert str(scan.value) == str(per_point.value) == "theta [1.0] outside domain of 'diagonal-simplex'"
+
+
+def test_scan_rejects_a_frame_that_is_not_orthonormal():
+    # The frame (1 + t) I has Re<w_k'|w_k> = 1 + t.
+    def spectral(th):
+        return SpectralPresentation(eigenvalues=np.array([0.6, 0.4]),
+                                    eigenvectors=(1.0 + th[0]) * np.eye(2, dtype=complex))
+
+    def spectral_many(ths):
+        return SpectralPresentation(eigenvalues=np.tile([0.6, 0.4], (len(ths), 1)),
+                                    eigenvectors=(1.0 + ths[:, 0, None, None]) * np.eye(2, dtype=complex))
+
+    loop = ParametricFamily(dim=2, nparams=1, evaluate=lambda th: np.diag([0.6, 0.4]),
+                            spectral=spectral, name="stretched")
+    for fam in (loop, replace(loop, spectral_many=spectral_many)):
+        with pytest.raises(NonImaginaryOverlap):
+            minimizing_gauge_1p(fam, -0.5, 0.5, steps=100)
+
+
+BAD_PHASES = {
+    "too-short": PhaseAssignment.from_callable(lambda th: np.zeros(2)),
+    "column": PhaseAssignment.from_callable(lambda th: np.zeros((3, 1))),
+    "one-entry": PhaseAssignment.from_callable(lambda th: np.zeros(1)),
+    "two-level-samples": PhaseAssignment.from_samples(np.linspace(-1, 1, 5), np.zeros((2, 5))),
+}
+
+
+@pytest.mark.parametrize("name", BAD_PHASES)
+@pytest.mark.parametrize("base", [random_full_rank(d=3, nparams=1, seed=3), rot3_mixture(0.1)],
+                         ids=["batched", "per-point"])
+def test_misshaped_phases_raise_a_validation_error(name, base):
+    gauged = apply_gauge(base, BAD_PHASES[name])
+    with pytest.raises(ValidationError, match=r"expected \(3,\)"):
+        gauged.spectral(np.array([0.1]))
+    if gauged.spectral_many is not None:
+        with pytest.raises(ValidationError, match=r"expected \(3,\)"):
+            gauged.spectral_many(np.array([[0.1], [0.2]]))
+    with pytest.raises(ValidationError, match=r"expected \(3,\)"):
+        c_upsilon_states(gauged, [0.1])
+    with pytest.raises(ValidationError, match=r"expected \(3,\)"):
+        minimizing_gauge_1p(gauged, -0.5, 0.5, steps=8)

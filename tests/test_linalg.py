@@ -124,6 +124,15 @@ def test_central_difference_accuracy():
     assert np.max(np.abs(d - expected)) < 1e-10
     assert len(stacks) == 1 and stacks[0].shape == (8, 2)
     assert np.all(np.count_nonzero(stacks[0] != [x, y], axis=1) == 1)
+
+    # A stack of base points: one call on all 4np shifted points, and each
+    # row equal bit for bit to the one-point call.
+    base = np.array([[x, y], [0.1, 2.0], [-0.7, 0.3]])
+    stacked = central_difference(f, base, h=1e-4)
+    assert len(stacks) == 2 and stacks[1].shape == (24, 2)
+    assert stacked.shape == (3, 2, 2)
+    for row, point in zip(stacked, base):
+        assert np.array_equal(row, central_difference(f, point, h=1e-4))
     with pytest.raises(ValueError):
         central_difference(f, [x, y], h=0.0)
 

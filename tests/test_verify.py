@@ -31,3 +31,15 @@ def test_suites_deterministic_per_seed():
     a = verify.kmb_limit_suite(n_families=3, seed=5)
     b = verify.kmb_limit_suite(n_families=3, seed=5)
     assert a == b
+
+
+def test_family_seed_base_defaults_to_the_suites_own_seeds():
+    # Family i of a suite has seed seed * k + i unless a base is given.
+    assert (verify.kmb_limit_suite(n_families=3, seed=5)
+            == verify.kmb_limit_suite(n_families=3, seed=5, family_seed_base=85_000))
+    assert (verify.achievability_suite(n_families=3, seed=5)
+            == verify.achievability_suite(n_families=3, seed=5, family_seed_base=115_000))
+    assert (verify.gauge_suite(n_families=1, n_gauges=2, seed=5)
+            == verify.gauge_suite(n_families=1, n_gauges=2, seed=5, family_seed_base=35_000))
+    assert (verify.kmb_limit_suite(n_families=3, seed=5)
+            != verify.kmb_limit_suite(n_families=3, seed=5, family_seed_base=6_000_000))
