@@ -3,9 +3,9 @@
 Connects the information matrices to operational meaning: the projective
 measurement built from the score operator attains the quantum bound, sampled
 outcomes feed a maximum-likelihood estimator (a 256-point grid scored from a
-log-Born table tabulated once per family, POVM and interval, then
-golden-section refinement), and a Monte Carlo harness compares empirical
-variance against 1/(N F).
+log-Born table tabulated once per family, POVM and interval, then nested
+sub-grids, one stacked family evaluation each), and a Monte Carlo harness
+compares empirical variance against 1/(N F).
 """
 
 from __future__ import annotations
@@ -75,20 +75,36 @@ def _outcome_distribution(family: ParametricFamily, theta, elements: np.ndarray)
     return p / p.sum()
 
 
+def _check_count(name: str, value, least: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def sample_outcomes(
     family: ParametricFamily, theta_true, povm, n: int, seed=0
 ) -> np.ndarray:
-    """Multinomial outcome counts for n repeated measurements; deterministic
-    per seed (an int or a sequence of ints for derived streams)."""
+    """Multinomial outcome counts for n >= 0 repeated measurements;
+    deterministic per seed (an int or a sequence of ints for derived streams)."""
+    n = _check_count("n", n, 0)
     p = _outcome_distribution(family, theta_true, validate_povm(povm, family.dim))
     return np.random.default_rng(seed).multinomial(n, p)
 
 
 GRID_POINTS = 256
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-# The fewest golden-section steps whose bracket is no wider than that of 60
-# ternary steps: the smallest k with _INV_PHI**k <= (2/3)**60, which is 51.
-GOLDEN_STEPS = math.ceil(60 * math.log(2.0 / 3.0) / math.log(_INV_PHI))
+# Points per refinement level, chosen by timing (random_full_rank d=4); the
+# fewest levels whose bracket, shrunk by 2 / (REFINE_POINTS - 1) per level, is
+# no wider than that of 60 ternary steps: k with (1/8)**k <= (2/3)**60, so 12.
+REFINE_POINTS = 17
+REFINE_LEVELS = math.ceil(60 * math.log(2.0 / 3.0) / math.log(2.0 / (REFINE_POINTS - 1)))
+
+
+def _best_cells(points: np.ndarray, values: np.ndarray, mid: float) -> tuple[float, float]:
+    """The two cells of evenly spaced points around the best-scoring one, ties
+    broken toward mid; one cell when the best is the first or last point."""
+    candidates = np.flatnonzero(values >= values.max())
+    best = int(candidates[np.argmin(np.abs(points[candidates] - mid))])
+    return points[max(best - 1, 0)], points[min(best + 1, points.size - 1)]
 
 
 class Likelihood:
@@ -109,8 +125,12 @@ class Likelihood:
         self.elements = validate_povm(povm, family.dim)
         self.grid = np.linspace(lo, hi, GRID_POINTS)
         self.mid = (lo + hi) / 2.0
+        self.log_born = self._log_born(self.grid, self.elements)
+
+    def _log_born(self, ts: np.ndarray, elements: np.ndarray) -> np.ndarray:
+        """Log Born table (n, m) of n parameter values, -inf at probability 0."""
         with np.errstate(divide="ignore"):
-            self.log_born = np.log(born_probabilities(family.rhos(self.grid[:, None]), self.elements))
+            return np.log(born_probabilities(self.family.rhos(ts[:, None]), elements))
 
     def _grid_scores(self, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Mask of the outcomes counted at least once, their counts, and the
@@ -128,37 +148,21 @@ class Likelihood:
         c = counts[counted]
         return counted, c, self.log_born[:, counted] @ c
 
-    def _loglik(self, t: float, counted: np.ndarray, c: np.ndarray) -> float:
-        q = born_probabilities(self.family.rho([t]), self.elements)[counted]
-        if np.any(q <= 0.0):
-            return -math.inf
-        return float(np.log(q) @ c)
-
     def estimate(self, counts) -> float:
-        """Maximum-likelihood estimate: the best grid point, ties broken
-        toward the interval midpoint, refined by golden-section search on the
-        two grid cells around it."""
+        """Maximum-likelihood estimate: from the two grid cells around the
+        best grid point (ties toward the interval midpoint), each of
+        REFINE_LEVELS levels scores REFINE_POINTS evenly spaced points of the
+        bracket and keeps the two cells around the best (ties toward the
+        bracket midpoint). Returns the final bracket's midpoint."""
         counted, c, values = self._grid_scores(counts)
         finite = values[np.isfinite(values)]
         if finite.size == 0 or float(finite.max() - finite.min()) < 1e-12:
             raise FlatLikelihood("likelihood does not vary across the search grid")
-        candidates = np.flatnonzero(values >= values.max())
-        best = int(candidates[np.argmin(np.abs(self.grid[candidates] - self.mid))])
-        a = self.grid[max(best - 1, 0)]
-        b = self.grid[min(best + 1, self.grid.size - 1)]
-        x1 = b - _INV_PHI * (b - a)
-        x2 = a + _INV_PHI * (b - a)
-        f1 = self._loglik(x1, counted, c)
-        f2 = self._loglik(x2, counted, c)
-        for _ in range(GOLDEN_STEPS):
-            if f1 < f2:
-                a, x1, f1 = x1, x2, f2
-                x2 = a + _INV_PHI * (b - a)
-                f2 = self._loglik(x2, counted, c)
-            else:
-                b, x2, f2 = x2, x1, f1
-                x1 = b - _INV_PHI * (b - a)
-                f1 = self._loglik(x1, counted, c)
+        a, b = _best_cells(self.grid, values, self.mid)
+        elements = self.elements[counted]
+        for _ in range(REFINE_LEVELS):
+            ts = np.linspace(a, b, REFINE_POINTS)
+            a, b = _best_cells(ts, self._log_born(ts, elements) @ c, (a + b) / 2.0)
         return (a + b) / 2.0
 
 
@@ -166,9 +170,9 @@ def mle_1p(family: ParametricFamily, povm, counts, interval) -> float:
     """Maximum-likelihood estimate over a search interval.
 
     Dense 256-point grid, ties breaking toward the interval midpoint, then
-    51 golden-section steps on the two grid cells around the best point,
-    which leave a bracket no wider than 60 ternary steps would. Counts must
-    be finite and non-negative, one per POVM element.
+    12 levels of 17-point sub-grids, starting from the two grid cells around
+    the best point, which leave a bracket no wider than 60 ternary steps
+    would. Counts must be finite and non-negative, one per POVM element.
     """
     return Likelihood(family, povm, interval).estimate(counts)
 
@@ -200,10 +204,12 @@ def cramer_rao_experiment(
     Replication r uses an RNG stream derived from (seed, r), so results are
     deterministic regardless of evaluation order; replicate r equals
     mle_1p on sample_outcomes(..., seed=[seed, r]). All replicates share one
-    Likelihood and one sampling distribution.
+    Likelihood and one sampling distribution. n and reps are integers >= 1.
     """
     if family.nparams != 1:
         raise ValidationError("estimation harness is one-parameter")
+    n = _check_count("n", n, 1)
+    reps = _check_count("reps", reps, 1)
     theta_true = float(np.atleast_1d(theta_true)[0])
     if interval is None:
         lo, hi = family.bounds[0]

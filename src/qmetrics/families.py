@@ -345,8 +345,10 @@ def pure_rotation() -> ParametricFamily:
         return np.array([[c, -s], [s, c]], dtype=complex)
 
     def evaluate(th):
-        w = frame(float(th[0]))[:, 0]
-        return np.outer(w, w.conj())
+        # One parameter vector (1,) or a stack (n, 1).
+        t = np.asarray(th, dtype=float)[..., 0]
+        w = np.stack([np.cos(t), np.sin(t)], axis=-1)
+        return (w[..., :, None] * w[..., None, :]).astype(complex)
 
     def spectral(th):
         return SpectralPresentation(
@@ -355,7 +357,7 @@ def pure_rotation() -> ParametricFamily:
 
     return ParametricFamily(
         dim=2, nparams=1, evaluate=evaluate, spectral=spectral,
-        domain=((-math.inf, math.inf),), name="pure-rotation",
+        domain=((-math.inf, math.inf),), name="pure-rotation", evaluate_many=evaluate,
     )
 
 
@@ -363,8 +365,12 @@ def diagonal_simplex() -> ParametricFamily:
     """Commuting family diag((1+t)/2, (1-t)/2)."""
 
     def evaluate(th):
-        t = float(th[0])
-        return np.diag([(1 + t) / 2, (1 - t) / 2]).astype(complex)
+        # One parameter vector (1,) or a stack (n, 1).
+        t = np.asarray(th, dtype=float)[..., 0]
+        out = np.zeros(t.shape + (2, 2), dtype=complex)
+        out[..., 0, 0] = (1 + t) / 2
+        out[..., 1, 1] = (1 - t) / 2
+        return out
 
     def spectral(th):
         t = float(th[0])
@@ -375,7 +381,7 @@ def diagonal_simplex() -> ParametricFamily:
 
     return ParametricFamily(
         dim=2, nparams=1, evaluate=evaluate, spectral=spectral,
-        domain=((-1.0, 1.0),), name="diagonal-simplex",
+        domain=((-1.0, 1.0),), name="diagonal-simplex", evaluate_many=evaluate,
     )
 
 

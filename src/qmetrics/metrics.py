@@ -38,7 +38,6 @@ from .linalg import (
     HERM_TOL,
     RANK_TOL,
     eig_hermitian,
-    herm_defect,
     sld_solve,
 )
 
@@ -95,25 +94,32 @@ C_FUNCTIONS = {cf.name: cf for cf in (CF_SLD, CF_KMB, CF_RLD, CF_CL)}
 
 
 def validate_povm(povm: Sequence[np.ndarray], dim: int | None = None) -> np.ndarray:
-    """Check a POVM and return its elements stacked, shape (m, d, d)."""
+    """Check a POVM and return its elements stacked, shape (m, d, d).
+
+    Hermiticity and positivity are checked on the whole stack at once; the
+    error raised is that of the first failing element.
+    """
     elements = [np.asarray(m, dtype=complex) for m in povm]
     if not elements:
         raise ValidationError("POVM must have at least one element")
     d = elements[0].shape[0]
     if dim is not None and d != dim:
         raise ValidationError(f"POVM dimension {d} does not match state dimension {dim}")
-    total = np.zeros((d, d), dtype=complex)
-    for m in elements:
-        if m.shape != (d, d):
-            raise ValidationError(f"POVM element has shape {m.shape}, expected ({d}, {d})")
-        if herm_defect(m) > HERM_TOL:
-            raise NotHermitian("POVM element is not Hermitian")
-        if float(np.linalg.eigvalsh((m + m.conj().T) / 2).min()) < -1e-10:
-            raise ValidationError("POVM element is not positive semidefinite")
-        total += m
-    if np.max(np.abs(total - np.eye(d))) > 1e-9:
+    shaped = next((i for i, m in enumerate(elements) if m.shape != (d, d)), len(elements))
+    stack = np.array(elements[:shaped]).reshape(shaped, d, d)
+    adjoint = stack.conj().swapaxes(-1, -2)
+    not_hermitian = np.abs(stack - adjoint).max(axis=(-2, -1)) > HERM_TOL
+    not_psd = np.linalg.eigvalsh((stack + adjoint) / 2).min(axis=-1) < -1e-10
+    failing = np.flatnonzero(not_hermitian | not_psd)
+    if failing.size and not_hermitian[failing[0]]:
+        raise NotHermitian("POVM element is not Hermitian")
+    if failing.size:
+        raise ValidationError("POVM element is not positive semidefinite")
+    if shaped < len(elements):
+        raise ValidationError(f"POVM element has shape {elements[shaped].shape}, expected ({d}, {d})")
+    if np.max(np.abs(stack.sum(axis=0) - np.eye(d))) > 1e-9:
         raise ValidationError("POVM elements do not sum to the identity")
-    return np.array(elements)
+    return stack
 
 
 def random_povm(d: int, n_outcomes: int, seed: int = 0) -> list[np.ndarray]:

@@ -141,6 +141,17 @@ def test_estimate_multiparameter_needs_direction(capsys):
     assert "direction" in err
 
 
+@pytest.mark.parametrize("bad", [("--n", "-5"), ("--n", "0"), ("--reps", "0"), ("--reps", "-2")])
+def test_estimate_bad_counts_exit_2(capsys, bad):
+    code, out, err = run(
+        capsys, "estimate", "--family", "bloch3", "--direction", "1,0,0", "--at", "0.5,0.8,0.3",
+        "--theta-true", "0", *bad,
+    )
+    assert code == 2
+    assert out == ""
+    assert bad[0][2:] in err
+
+
 def test_output_file(tmp_path, capsys):
     path = tmp_path / "out.json"
     code, out, _ = run(

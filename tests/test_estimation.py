@@ -5,6 +5,8 @@ import pytest
 
 from qmetrics.errors import FlatLikelihood, ValidationError
 from qmetrics.estimation import (
+    REFINE_LEVELS,
+    REFINE_POINTS,
     Likelihood,
     cramer_rao_experiment,
     equality_condition_residual,
@@ -113,6 +115,21 @@ def test_experiment_requires_one_parameter():
         cramer_rao_experiment(bloch3(), 0.5, basis_povm(2), n=10, reps=2)
 
 
+@pytest.mark.parametrize("n,reps", [(-5, 4), (0, 4), (2.5, 4), (True, 4), (100, 0), (100, -2),
+                                    (100, 3.0)])
+def test_experiment_rejects_bad_sample_and_replicate_counts(n, reps):
+    fam = radial_slice()
+    with pytest.raises(ValidationError):
+        cramer_rao_experiment(fam, 0.0, basis_povm(2), n=n, reps=reps, interval=(-0.4, 0.4))
+
+
+def test_sampling_rejects_a_negative_count():
+    fam = diagonal_simplex()
+    with pytest.raises(ValidationError):
+        sample_outcomes(fam, [0.2], basis_povm(2), -1)
+    assert np.array_equal(sample_outcomes(fam, [0.2], basis_povm(2), np.int64(0)), [0, 0])
+
+
 def ternary_mle(family, povm, counts, interval):
     """Reference: the grid + 60-step ternary-search estimator with the
     per-element Born formula tr(rho M), as it stood before the golden-section
@@ -150,6 +167,10 @@ def ternary_mle(family, povm, counts, interval):
 
 def _estimation_cases():
     yield radial_slice(), 0.0, (-0.4, 0.4)
+    # The truth lies below (above) the interval: the best grid point is the
+    # first (last) one, and refinement starts from a one-cell bracket.
+    yield radial_slice(), 0.0, (0.05, 0.45)
+    yield radial_slice(), 0.0, (-0.45, -0.05)
     rng = np.random.default_rng(2024)
     for d in (2, 3, 4):
         for k in range(2):
@@ -166,6 +187,48 @@ def test_estimates_match_the_ternary_reference():
             est = likelihood.estimate(counts)
             assert est == mle_1p(fam, povm, counts, interval)
             assert abs(est - ternary_mle(fam, povm, counts, interval)) < 1e-7, fam.name
+
+
+def test_edge_cases_start_from_a_one_cell_bracket():
+    for fam, theta, interval in list(_estimation_cases())[1:3]:
+        povm = sld_optimal_povm(fam, [theta])
+        likelihood = Likelihood(fam, povm, interval)
+        counts = sample_outcomes(fam, [theta], povm, 10_000, seed=[7, 0])
+        best = int(np.argmax(likelihood._grid_scores(counts)[2]))
+        assert best in (0, likelihood.grid.size - 1)
+        assert abs(likelihood.estimate(counts) - likelihood.grid[best]) < 1e-12
+
+
+def test_ties_on_a_likelihood_plateau_break_toward_the_midpoint():
+    # The state is constant for |t| <= 0.1, so balanced counts tie on the
+    # whole plateau: every level keeps the point nearest its bracket's
+    # midpoint, and the estimate stays at the grid point nearest 0.
+    base = diagonal_simplex()
+    fam = ParametricFamily(
+        dim=2, nparams=1, domain=base.domain, name="plateau",
+        evaluate=lambda th: base.evaluate(np.sign(th) * np.maximum(np.abs(th) - 0.1, 0.0)),
+    )
+    likelihood = Likelihood(fam, basis_povm(2), (-0.4, 0.4))
+    assert abs(likelihood.estimate([500, 500])) <= 0.4 / 255 + 1e-12
+
+
+def test_refinement_makes_one_stacked_evaluation_per_level():
+    base = random_full_rank(d=3, nparams=1, seed=9)
+    calls = []
+
+    def evaluate(th):
+        calls.append(np.shape(th))
+        return base.evaluate(th)
+
+    fam = ParametricFamily(dim=3, nparams=1, evaluate=evaluate, evaluate_many=evaluate,
+                           domain=base.domain, name="counted")
+    povm = sld_optimal_povm(base, [0.1])
+    likelihood = Likelihood(fam, povm, (-0.3, 0.5))
+    counts = sample_outcomes(base, [0.1], povm, 10_000, seed=3)
+    calls.clear()
+    assert likelihood.estimate(counts) == mle_1p(base, povm, counts, (-0.3, 0.5))
+    assert calls == [(REFINE_POINTS, 1)] * REFINE_LEVELS
+    assert REFINE_LEVELS == 12
 
 
 def test_replicates_are_mle_of_their_own_stream():

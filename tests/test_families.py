@@ -173,6 +173,8 @@ def _loop(fam, thetas):
 
 BATCHED = [
     (bloch3(), [(0.05, 0.95), (-7.0, 7.0), (-7.0, 7.0)]),
+    (diagonal_simplex(), [(-0.95, 0.95)]),
+    (pure_rotation(), [(-7.0, 7.0)]),
     *((random_full_rank(d=d, nparams=p, seed=3 + d), [(-0.5, 0.5)] * p)
       for d in (2, 4, 8) for p in (1, 3)),
     (directional_family(bloch3(), [0.5, 0.8, 0.3], [1.0, 0.0, 0.0]), [(-0.4, 0.4)]),

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qmetrics.errors import (
     MissingGauge,
+    NotHermitian,
     RankDeficient,
     UnknownMetric,
     ValidationError,
@@ -108,6 +109,18 @@ def test_validate_povm_rejects_bad_sets():
         validate_povm([eye, eye], 2)  # sums to 2I
     with pytest.raises(ValidationError):
         validate_povm([], 2)
+    # The stacked checks raise the error of the first failing element.
+    not_psd = np.diag([1.5, -0.5]).astype(complex)
+    not_hermitian = np.array([[0.0, 1.0], [0.0, 1.0]], dtype=complex)
+    with pytest.raises(ValidationError, match="not positive semidefinite") as err:
+        validate_povm([not_psd, not_hermitian], 2)
+    assert not isinstance(err.value, NotHermitian)
+    with pytest.raises(NotHermitian, match="not Hermitian"):
+        validate_povm([not_hermitian, not_psd], 2)
+    with pytest.raises(NotHermitian):
+        validate_povm([not_hermitian, np.eye(3)], 2)
+    with pytest.raises(ValidationError, match=r"shape \(3, 3\)"):
+        validate_povm([np.eye(2), np.eye(3), not_hermitian], 2)
 
 
 def test_born_probabilities_normalized():
