@@ -58,8 +58,9 @@ class ChannelFamily:
 
 
 def apply_channel(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
+    """The channel applied to a state (d, d) or to each state of a stack (..., d, d)."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (ch.dim, ch.dim):
+    if rho.shape[-2:] != (ch.dim, ch.dim):
         raise DimensionMismatch(
             f"channel dimension {ch.dim} does not match state shape {rho.shape}"
         )
@@ -217,12 +218,14 @@ def induced_state_family(
     d = chf.dim
     base_ops = canonical_kraus(chf, base_theta, rho0)
 
+    # canonical_kraus takes one theta at a time, so both callables loop over
+    # the points of a stack.
     def evaluate(th):
-        t = float(np.atleast_1d(th)[0])
-        return apply_channel(chf.evaluate(t), rho0)
+        ts = np.asarray(th, dtype=float)[..., 0]
+        states = [apply_channel(chf.evaluate(float(t)), rho0) for t in ts.ravel()]
+        return np.reshape(states, ts.shape + (d, d))
 
-    def spectral(th):
-        t = float(np.atleast_1d(th)[0])
+    def present(t):
         ops = canonical_kraus(chf, t, rho0)
         if len(ops) != len(base_ops):
             raise NumericalError("canonical branch count changed across the family")
@@ -239,7 +242,13 @@ def induced_state_family(
             q, _ = np.linalg.qr(np.concatenate([frame, np.eye(d, dtype=complex)], axis=1))
             frame = np.concatenate([frame, q[:, len(cols):d]], axis=1)
             probs += [0.0] * (d - len(cols))
-        return SpectralPresentation(eigenvalues=np.array(probs), eigenvectors=frame)
+        return np.array(probs), frame
+
+    def spectral(th):
+        ts = np.asarray(th, dtype=float)[..., 0]
+        probs, frames = zip(*(present(float(t)) for t in ts.ravel()))
+        return SpectralPresentation(eigenvalues=np.reshape(probs, ts.shape + (d,)),
+                                    eigenvectors=np.reshape(frames, ts.shape + (d, d)))
 
     return ParametricFamily(
         dim=d, nparams=1, evaluate=evaluate, spectral=spectral,

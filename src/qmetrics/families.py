@@ -53,12 +53,12 @@ def validate_density(rho: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
 class SpectralPresentation:
     """Eigenvalues p_i and a gauged orthonormal eigenvector frame |w_i> (columns)."""
 
-    eigenvalues: np.ndarray   # (d,); (n, d) from spectral_many
-    eigenvectors: np.ndarray  # (d, d), columns; (n, d, d) from spectral_many
+    eigenvalues: np.ndarray   # (d,); (n, d) for a stack of points
+    eigenvectors: np.ndarray  # (d, d), columns; (n, d, d) for a stack
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
+        return (v * self.eigenvalues[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -67,12 +67,12 @@ class ParametricFamily:
 
     domain holds per-parameter (lo, hi) bounds; infinite bounds mean the
     parameter is unconstrained, and an empty domain leaves every parameter
-    unconstrained. evaluate_many, when given, maps an (n, p) stack of
-    parameters to the (n, d, d) stack of states evaluate gives one by one.
-    spectral_many, when given, maps an (n, p) stack to one SpectralPresentation
-    with eigenvalues (n, d) and eigenvectors (n, d, d), equal bit for bit to
-    the presentations spectral gives one by one; it is only given together
-    with spectral. Families are immutable value objects.
+    unconstrained. evaluate and spectral broadcast over a stack of points:
+    evaluate maps a (p,) parameter vector to a (d, d) state and an (n, p)
+    stack to the (n, d, d) stack of states; spectral maps (p,) to one
+    SpectralPresentation and (n, p) to one with eigenvalues (n, d) and
+    eigenvectors (n, d, d). Row i of a stack equals the one-point result at
+    row i of the parameters bit for bit. Families are immutable value objects.
     """
 
     dim: int
@@ -81,8 +81,6 @@ class ParametricFamily:
     spectral: Optional[Callable[[np.ndarray], SpectralPresentation]] = None
     domain: tuple = ()
     name: str = ""
-    evaluate_many: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    spectral_many: Optional[Callable[[np.ndarray], SpectralPresentation]] = None
 
     @property
     def bounds(self) -> tuple:
@@ -134,32 +132,28 @@ class ParametricFamily:
         return np.asarray(self.evaluate(self.check_theta(theta)), dtype=complex)
 
     def rhos(self, thetas) -> np.ndarray:
-        """States at an (n, p) stack of parameters, shape (n, d, d).
-
-        The stack is checked by check_thetas. Uses evaluate_many when the
-        family has it, else evaluates point by point.
-        """
+        """States at an (n, p) stack of parameters, shape (n, d, d), from one
+        evaluate call on the stack checked by check_thetas."""
         return self._evaluate_stack(self.check_thetas(thetas))
 
     def _evaluate_stack(self, thetas: np.ndarray) -> np.ndarray:
-        if self.evaluate_many is None:
-            return np.array([self.evaluate(theta) for theta in thetas], dtype=complex)
-        return np.asarray(self.evaluate_many(thetas), dtype=complex)
-
-    def _spectral_stack(self, thetas: np.ndarray) -> SpectralPresentation:
-        """Presentations at an (n, p) stack: spectral_many when the family
-        has it, else spectral point by point, stacked."""
-        if self.spectral_many is not None:
-            return self.spectral_many(thetas)
-        sps = [self.spectral(theta) for theta in thetas]
-        return SpectralPresentation(eigenvalues=np.array([sp.eigenvalues for sp in sps]),
-                                    eigenvectors=np.array([sp.eigenvectors for sp in sps]))
+        states = np.asarray(self.evaluate(thetas), dtype=complex)
+        return _stack_of(self, "evaluate", states, (len(thetas), self.dim, self.dim))
 
     def drho(self, theta, h: float = DEFAULT_H) -> np.ndarray:
         """Tangents d(rho)/d(theta^l), shape (p, d, d): Richardson central
-        differences over one stacked evaluation of the 4p shifted points
-        (evaluate_many when the family has it)."""
+        differences over one stacked evaluation of the 4p shifted points."""
         return central_difference(self._evaluate_stack, self.check_theta(theta), h=h)
+
+
+def _stack_of(family: ParametricFamily, what: str, array: np.ndarray, shape: tuple) -> np.ndarray:
+    """array, unless a family callable gave a stack of the wrong shape."""
+    if array.shape != shape:
+        raise ValidationError(
+            f"family {family.name!r}: {what} gives shape {array.shape} for a stack "
+            f"of {shape[0]} points, expected {shape}"
+        )
+    return array
 
 
 @dataclass(frozen=True)
@@ -176,17 +170,23 @@ def spectral_tangents(family: ParametricFamily, thetas: np.ndarray, h: float = D
 
     Returns dp (n, p, d), overlaps (n, p, d, d) and the eigenvalues (n, d) at
     the points, from one stacked presentation of the points and one of all
-    4np stencil points (spectral_many when the family has it).
+    4np stencil points.
     """
-    def eigensystems(shifted):
-        # Row 0 of each point holds the eigenvalues, rows 1.. the frame.
-        sp = family._spectral_stack(shifted)
-        return np.concatenate([sp.eigenvalues[:, None], sp.eigenvectors], axis=1)
+    def presentation(points):
+        sp = family.spectral(points)
+        n, d = len(points), family.dim
+        return (_stack_of(family, "spectral eigenvalues", np.asarray(sp.eigenvalues), (n, d)),
+                _stack_of(family, "spectral eigenvectors", np.asarray(sp.eigenvectors), (n, d, d)))
 
-    sp0 = family._spectral_stack(thetas)
+    def eigensystems(points):
+        # Row 0 of each point holds the eigenvalues, rows 1.. the frame.
+        values, frames = presentation(points)
+        return np.concatenate([values[:, None], frames], axis=1)
+
+    values0, frames0 = presentation(thetas)
     d_stack = central_difference(eigensystems, thetas, h=h)
-    overlaps = d_stack[:, :, 1:].conj().swapaxes(-1, -2) @ sp0.eigenvectors[:, None]
-    return np.real(d_stack[:, :, 0]), overlaps, sp0.eigenvalues
+    overlaps = d_stack[:, :, 1:].conj().swapaxes(-1, -2) @ frames0[:, None]
+    return np.real(d_stack[:, :, 0]), overlaps, values0
 
 
 def tangent_data(family: ParametricFamily, theta, h: float = DEFAULT_H) -> TangentData:
@@ -241,27 +241,20 @@ def directional_family(family: ParametricFamily, theta, v, h: float = DEFAULT_H)
         if not family.in_domain(theta + t * v):
             raise DomainExit("segment leaves the family domain")
 
-    def evaluate(tv):
-        # One t of shape (1,) or a stack (n, 1).
+    def along(tv):
+        # One t of shape (1,) or a stack (n, 1), to the points of the family.
         th = theta + np.asarray(tv, dtype=float) * v
         if not family._inside(th).all():
             raise DomainExit("segment leaves the family domain")
-        return family.evaluate(th) if th.ndim == 1 else family._evaluate_stack(th)
-
-    spectral = None
-    if family.spectral is not None:
-        def spectral(tv, _sp=family.spectral):
-            t = float(np.atleast_1d(tv)[0])
-            return _sp(theta + t * v)
+        return th
 
     return ParametricFamily(
         dim=family.dim,
         nparams=1,
-        evaluate=evaluate,
-        spectral=spectral,
+        evaluate=lambda tv: family.evaluate(along(tv)),
+        spectral=None if family.spectral is None else lambda tv: family.spectral(along(tv)),
         domain=((-math.inf, math.inf),),
         name=f"{family.name}@dir",
-        evaluate_many=evaluate,
     )
 
 
@@ -278,24 +271,17 @@ def bloch3() -> ParametricFamily:
     """
 
     def evaluate(th):
-        # One parameter vector (3,) or a stack (n, 3).
         r, t, phi = np.asarray(th, dtype=float).T
         z, off = r * np.cos(t), r * np.sin(t)
-        out = np.empty(np.shape(r) + (2, 2), dtype=complex)
-        out[..., 0, 0] = 1 + z
-        out[..., 0, 1] = off * np.exp(-1j * phi)
-        out[..., 1, 0] = off * np.exp(1j * phi)
-        out[..., 1, 1] = 1 - z
-        return 0.5 * out
+        return 0.5 * _matrices(1 + z, off * np.exp(-1j * phi), off * np.exp(1j * phi), 1 - z)
 
     def spectral(th):
-        r, t, phi = th
-        c, s = math.cos(t / 2), math.sin(t / 2)
+        r, t, phi = np.asarray(th, dtype=float).T
+        c, s = np.cos(t / 2), np.sin(t / 2)
         em, ep = np.exp(-1j * phi / 2), np.exp(1j * phi / 2)
-        w = np.array([[c * em, s * em], [s * ep, -c * ep]], dtype=complex)
         return SpectralPresentation(
-            eigenvalues=np.array([(1 + r) / 2, (1 - r) / 2]),
-            eigenvectors=w,
+            eigenvalues=np.stack([(1 + r) / 2, (1 - r) / 2], axis=-1),
+            eigenvectors=_matrices(c * em, s * em, s * ep, -c * ep),
         )
 
     return ParametricFamily(
@@ -305,8 +291,19 @@ def bloch3() -> ParametricFamily:
         spectral=spectral,
         domain=((0.0, 1.0), (-math.inf, math.inf), (-math.inf, math.inf)),
         name="bloch3",
-        evaluate_many=evaluate,
     )
+
+
+def _matrices(a, b, c, d) -> np.ndarray:
+    """The complex 2x2 matrices [[a, b], [c, d]] over the broadcast shape of the entries."""
+    out = np.empty(np.broadcast(a, b, c, d).shape + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = a, b, c, d
+    return out
+
+
+def _constant(values: np.ndarray, th) -> np.ndarray:
+    """values, repeated over the points of a (p,) vector or an (n, p) stack."""
+    return np.broadcast_to(values, np.shape(th)[:-1] + values.shape).copy()
 
 
 def rot3_mixture(epsilon: float = 0.1) -> ParametricFamily:
@@ -316,20 +313,20 @@ def rot3_mixture(epsilon: float = 0.1) -> ParametricFamily:
     if not (0.0 < epsilon < 1.0 / 3.0):
         raise ParamOutOfDomain(f"epsilon must lie in (0, 1/3), got {epsilon}")
 
-    def frame(t):
-        c, s = math.cos(t), math.sin(t)
-        return np.array(
-            [[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]], dtype=complex
-        )
+    def frame(th):
+        t = np.asarray(th, dtype=float)[..., 0]
+        v = _constant(np.eye(3, dtype=complex), th)
+        v[..., 1:, 1:] = _matrices(np.cos(t), -np.sin(t), np.sin(t), np.cos(t))
+        return v
 
     p = np.array([1.0 - 2.0 * epsilon, epsilon, epsilon])
 
     def evaluate(th):
-        v = frame(float(th[0]))
-        return (v * p) @ v.conj().T
+        v = frame(th)
+        return (v * p) @ v.conj().swapaxes(-1, -2)
 
     def spectral(th):
-        return SpectralPresentation(eigenvalues=p.copy(), eigenvectors=frame(float(th[0])))
+        return SpectralPresentation(eigenvalues=_constant(p, th), eigenvectors=frame(th))
 
     return ParametricFamily(
         dim=3, nparams=1, evaluate=evaluate, spectral=spectral,
@@ -340,24 +337,21 @@ def rot3_mixture(epsilon: float = 0.1) -> ParametricFamily:
 def pure_rotation() -> ParametricFamily:
     """Rank-1 family |w(t)><w(t)| with w = (cos t, sin t)."""
 
-    def frame(t):
-        c, s = math.cos(t), math.sin(t)
-        return np.array([[c, -s], [s, c]], dtype=complex)
-
     def evaluate(th):
-        # One parameter vector (1,) or a stack (n, 1).
         t = np.asarray(th, dtype=float)[..., 0]
         w = np.stack([np.cos(t), np.sin(t)], axis=-1)
         return (w[..., :, None] * w[..., None, :]).astype(complex)
 
     def spectral(th):
+        t = np.asarray(th, dtype=float)[..., 0]
         return SpectralPresentation(
-            eigenvalues=np.array([1.0, 0.0]), eigenvectors=frame(float(th[0]))
+            eigenvalues=_constant(np.array([1.0, 0.0]), th),
+            eigenvectors=_matrices(np.cos(t), -np.sin(t), np.sin(t), np.cos(t)),
         )
 
     return ParametricFamily(
         dim=2, nparams=1, evaluate=evaluate, spectral=spectral,
-        domain=((-math.inf, math.inf),), name="pure-rotation", evaluate_many=evaluate,
+        domain=((-math.inf, math.inf),), name="pure-rotation",
     )
 
 
@@ -365,23 +359,19 @@ def diagonal_simplex() -> ParametricFamily:
     """Commuting family diag((1+t)/2, (1-t)/2)."""
 
     def evaluate(th):
-        # One parameter vector (1,) or a stack (n, 1).
         t = np.asarray(th, dtype=float)[..., 0]
-        out = np.zeros(t.shape + (2, 2), dtype=complex)
-        out[..., 0, 0] = (1 + t) / 2
-        out[..., 1, 1] = (1 - t) / 2
-        return out
+        return _matrices((1 + t) / 2, 0.0, 0.0, (1 - t) / 2)
 
     def spectral(th):
-        t = float(th[0])
+        t = np.asarray(th, dtype=float)[..., 0]
         return SpectralPresentation(
-            eigenvalues=np.array([(1 + t) / 2, (1 - t) / 2]),
-            eigenvectors=np.eye(2, dtype=complex),
+            eigenvalues=np.stack([(1 + t) / 2, (1 - t) / 2], axis=-1),
+            eigenvectors=_constant(np.eye(2, dtype=complex), th),
         )
 
     return ParametricFamily(
         dim=2, nparams=1, evaluate=evaluate, spectral=spectral,
-        domain=((-1.0, 1.0),), name="diagonal-simplex", evaluate_many=evaluate,
+        domain=((-1.0, 1.0),), name="diagonal-simplex",
     )
 
 
@@ -389,6 +379,11 @@ def _random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
     x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     h = (x + x.conj().T) / 2.0
     return h / max(np.linalg.norm(h, 2), 1e-12)
+
+
+def _rotating_frame(h0: np.ndarray, gens: list) -> Callable[[np.ndarray], np.ndarray]:
+    """th -> exp(-i (H0 + sum_l t_l G_l)) at a (p,) vector or an (n, p) stack."""
+    return lambda th: unitary(h0 + sum(th[..., l, None, None] * g for l, g in enumerate(gens)))
 
 
 def random_full_rank(d: int = 3, nparams: int = 1, seed: int = 0) -> ParametricFamily:
@@ -399,8 +394,7 @@ def random_full_rank(d: int = 3, nparams: int = 1, seed: int = 0) -> ParametricF
     exp(-i (H0 + sum_l t_l G_l)). For d <= 4 the spectrum stays positive and
     non-degenerate. For d >= 5 the smallest geometric eigenvalue can fall
     below the wiggle, so the state can have a non-positive eigenvalue.
-    evaluate and spectral broadcast over a stack of parameters and serve as
-    evaluate_many and spectral_many. Deterministic per seed.
+    Deterministic per seed.
     """
     rng = np.random.default_rng(seed)
     c = float(rng.uniform(0.6, 1.4))
@@ -411,16 +405,13 @@ def random_full_rank(d: int = 3, nparams: int = 1, seed: int = 0) -> ParametricF
     amp = 0.004
     h0 = _random_hermitian(rng, d)
     gens = [_random_hermitian(rng, d) for _ in range(nparams)]
+    frame = _rotating_frame(h0, gens)
 
     def probs(th):
         q = lam + amp * np.sin((b @ th[..., None])[..., 0] + phase)
         return q / q.sum(axis=-1, keepdims=True)
 
-    def frame(th):
-        return unitary(h0 + sum(th[..., l, None, None] * g for l, g in enumerate(gens)))
-
     def evaluate(th):
-        # One parameter vector (p,) or a stack (n, p).
         th = np.asarray(th, dtype=float)
         v = frame(th)
         rho = (v * probs(th)[..., None, :]) @ v.conj().swapaxes(-1, -2)
@@ -435,7 +426,6 @@ def random_full_rank(d: int = 3, nparams: int = 1, seed: int = 0) -> ParametricF
     return ParametricFamily(
         dim=d, nparams=nparams, evaluate=evaluate, spectral=spectral,
         domain=((-math.inf, math.inf),) * nparams, name=f"random-full-rank-{d}-{seed}",
-        evaluate_many=evaluate, spectral_many=spectral,
     )
 
 
@@ -444,20 +434,21 @@ def random_pure(d: int = 3, nparams: int = 1, seed: int = 0) -> ParametricFamily
     rng = np.random.default_rng(seed)
     h0 = _random_hermitian(rng, d)
     gens = [_random_hermitian(rng, d) for _ in range(nparams)]
+    frame = _rotating_frame(h0, gens)
     p = np.zeros(d)
     p[0] = 1.0
 
-    def frame(th):
-        return unitary(h0 + sum(t * g for t, g in zip(th, gens)))
-
     def evaluate(th):
-        psi = frame(th)[:, 0]
-        # Normalised because the frame is unitary only to ~d eps (see above).
-        psi = psi / np.linalg.norm(psi)
-        return np.outer(psi, psi.conj())
+        psi = frame(np.asarray(th, dtype=float))[..., :, 0]
+        # Normalised because the frame is unitary only to ~d eps (see above);
+        # sqrt(re.re + im.im) is the sum np.linalg.norm forms for one vector.
+        re, im = psi.real[..., None, :], psi.imag[..., None, :]
+        psi = psi / np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0]
+        return psi[..., :, None] * psi.conj()[..., None, :]
 
     def spectral(th):
-        return SpectralPresentation(eigenvalues=p.copy(), eigenvectors=frame(th))
+        th = np.asarray(th, dtype=float)
+        return SpectralPresentation(eigenvalues=_constant(p, th), eigenvectors=frame(th))
 
     return ParametricFamily(
         dim=d, nparams=nparams, evaluate=evaluate, spectral=spectral,

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import MissingGauge, NonImaginaryOverlap, ValidationError
+from .errors import DomainExit, MissingGauge, NonImaginaryOverlap, ValidationError
 from .families import ParametricFamily, SpectralPresentation, spectral_tangents, tangent_data
 from .linalg import DEFAULT_H
 
@@ -29,9 +29,10 @@ _SCAN_BLOCK = 64
 class PhaseAssignment:
     """Per-eigenvector phase functions alpha_k(theta), in radians.
 
-    Either a closed-form callable theta -> (d,) array, or samples on a
-    one-parameter grid interpolated linearly (only the local slope of alpha
-    enters any metric, so linear interpolation suffices).
+    Either a closed-form callable theta -> (d,) array, or samples on an
+    increasing one-parameter grid interpolated linearly (only the local slope
+    of alpha enters any metric, so linear interpolation suffices); sampled
+    phases raise DomainExit outside the grid.
     """
 
     func: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -48,12 +49,19 @@ class PhaseAssignment:
         samples = np.asarray(samples, dtype=float)
         if samples.ndim != 2 or samples.shape[1] != grid.size:
             raise ValidationError("samples must have shape (d, len(grid))")
+        if not np.all(np.diff(grid) > 0):  # np.interp needs an increasing grid
+            raise ValidationError("sample grid must be strictly increasing")
         return cls(grid=grid, samples=samples)
 
     def alphas(self, theta) -> np.ndarray:
         if self.func is not None:
             return np.asarray(self.func(np.atleast_1d(np.asarray(theta, float))), dtype=float)
         t = float(np.atleast_1d(np.asarray(theta, float))[0])
+        if not self.grid[0] <= t <= self.grid[-1]:
+            # np.interp would clamp t and give the phases a slope of zero there.
+            raise DomainExit(
+                f"theta {t} outside the sampled phase grid [{self.grid[0]}, {self.grid[-1]}]"
+            )
         return np.array([np.interp(t, self.grid, row) for row in self.samples])
 
 
@@ -64,9 +72,9 @@ def zero_gauge(d: int) -> PhaseAssignment:
 def apply_gauge(family: ParametricFamily, pa: PhaseAssignment) -> ParametricFamily:
     """Re-phase the eigenvector frame of a presented family; rho is unchanged.
 
-    The re-phased family has a spectral_many when the family has one. The
-    phases are still taken point by point, since a phase callable maps one
-    theta to a (d,) array; any other shape raises ValidationError.
+    The re-phased spectral broadcasts like the family's. The phases are still
+    taken point by point, since a phase callable maps one theta to a (d,)
+    array; any other shape raises ValidationError.
     """
     if family.spectral is None:
         raise MissingGauge("family supplies no spectral presentation to re-gauge")
@@ -82,23 +90,14 @@ def apply_gauge(family: ParametricFamily, pa: PhaseAssignment) -> ParametricFami
 
     def spectral(th, _sp=family.spectral):
         sp = _sp(th)
+        th = np.asarray(th, dtype=float)
+        a = np.array([phases(row) for row in th.reshape(-1, family.nparams)])
         return SpectralPresentation(
             eigenvalues=sp.eigenvalues,
-            eigenvectors=sp.eigenvectors * np.exp(1j * phases(th))[None, :],
+            eigenvectors=sp.eigenvectors * np.exp(1j * a.reshape(th.shape[:-1] + (1, -1))),
         )
 
-    spectral_many = None
-    if family.spectral_many is not None:
-        def spectral_many(ths, _spm=family.spectral_many):
-            sp = _spm(ths)
-            a = np.array([phases(th) for th in ths])
-            return SpectralPresentation(
-                eigenvalues=sp.eigenvalues,
-                eigenvectors=sp.eigenvectors * np.exp(1j * a)[:, None, :],
-            )
-
-    return replace(family, spectral=spectral, spectral_many=spectral_many,
-                   name=f"{family.name}+gauge")
+    return replace(family, spectral=spectral, name=f"{family.name}+gauge")
 
 
 def minimizing_gauge_1p(

@@ -96,8 +96,9 @@ C_FUNCTIONS = {cf.name: cf for cf in (CF_SLD, CF_KMB, CF_RLD, CF_CL)}
 def validate_povm(povm: Sequence[np.ndarray], dim: int | None = None) -> np.ndarray:
     """Check a POVM and return its elements stacked, shape (m, d, d).
 
-    Hermiticity and positivity are checked on the whole stack at once; the
-    error raised is that of the first failing element.
+    Non-finite entries are rejected first. Hermiticity and positivity are
+    checked on the whole stack at once; the error raised is that of the first
+    failing element.
     """
     elements = [np.asarray(m, dtype=complex) for m in povm]
     if not elements:
@@ -107,6 +108,8 @@ def validate_povm(povm: Sequence[np.ndarray], dim: int | None = None) -> np.ndar
         raise ValidationError(f"POVM dimension {d} does not match state dimension {dim}")
     shaped = next((i for i, m in enumerate(elements) if m.shape != (d, d)), len(elements))
     stack = np.array(elements[:shaped]).reshape(shaped, d, d)
+    if not np.isfinite(stack).all():  # NaN would pass every comparison below
+        raise ValidationError("POVM element has a non-finite entry")
     adjoint = stack.conj().swapaxes(-1, -2)
     not_hermitian = np.abs(stack - adjoint).max(axis=(-2, -1)) > HERM_TOL
     not_psd = np.linalg.eigvalsh((stack + adjoint) / 2).min(axis=-1) < -1e-10

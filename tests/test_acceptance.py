@@ -178,17 +178,22 @@ def test_criterion_11_integrability_obstruction():
     dev = abs(abs(values[(0, 1, 2)]) - expected)
     fail_ok = (not rep.passed) and dev < 1e-6
 
+    def rotation(t, i, j):
+        r = np.broadcast_to(np.eye(3), np.shape(t) + (3, 3)).copy()
+        r[..., i, i] = r[..., j, j] = np.cos(t)
+        r[..., i, j], r[..., j, i] = -np.sin(t), np.sin(t)
+        return r
+
     def real_frame(th):
-        a, b = float(th[0]), float(th[1])
-        ra = np.array([[math.cos(a), -math.sin(a), 0], [math.sin(a), math.cos(a), 0], [0, 0, 1.0]])
-        rb = np.array([[1.0, 0, 0], [0, math.cos(b), -math.sin(b)], [0, math.sin(b), math.cos(b)]])
-        return (ra @ rb).astype(complex)
+        th = np.asarray(th, dtype=float)
+        return (rotation(th[..., 0], 0, 1) @ rotation(th[..., 1], 1, 2)).astype(complex)
 
     p = np.array([0.5, 0.3, 0.2])
     real_fam = ParametricFamily(
         dim=3, nparams=2,
-        evaluate=lambda th: (real_frame(th) * p) @ real_frame(th).conj().T,
-        spectral=lambda th: SpectralPresentation(eigenvalues=p.copy(), eigenvectors=real_frame(th)),
+        evaluate=lambda th: (real_frame(th) * p) @ real_frame(th).conj().swapaxes(-1, -2),
+        spectral=lambda th: SpectralPresentation(eigenvalues=np.broadcast_to(p, np.shape(th)[:-1] + (3,)),
+                                                 eigenvectors=real_frame(th)),
         domain=((-math.inf, math.inf),) * 2, name="real-frame",
     )
     pass_ok = integrability_test(real_fam, np.array([0.4, 0.7])).passed

@@ -66,6 +66,19 @@ def test_apply_channel_dimension_check():
     ch = depolarizing_channel(2, 0.5)
     with pytest.raises(DimensionMismatch):
         apply_channel(ch, np.eye(3) / 3)
+    with pytest.raises(DimensionMismatch):
+        apply_channel(ch, np.tile(np.eye(3) / 3, (4, 1, 1)))
+    with pytest.raises(DimensionMismatch):
+        apply_channel(ch, np.full(2, 0.5))
+
+
+def test_apply_channel_on_a_stack_equals_state_by_state_bit_for_bit():
+    ch = random_tpcp(3, kraus_count=3, seed=2)
+    states = random_full_rank(d=3, nparams=1, seed=3).rhos(np.linspace(-0.5, 0.5, 12)[:, None])
+    out = apply_channel(ch, states)
+    assert out.shape == (12, 3, 3)
+    assert np.array_equal(out, np.array([apply_channel(ch, rho) for rho in states]))
+    assert np.array_equal(apply_channel(ch, states.reshape(3, 4, 3, 3)), out.reshape(3, 4, 3, 3))
 
 
 def test_pushforward_evaluates_composed_family():

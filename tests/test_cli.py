@@ -112,6 +112,17 @@ def test_gauge_min_reports_closed_gap(capsys):
     assert abs(data["cupsilon_after"] - data["cl"]) < 1e-6
 
 
+@pytest.mark.parametrize("eval_at", ["0.5", "0.6"])
+def test_gauge_min_outside_the_sampled_grid_exits_2(capsys, eval_at):
+    # At the grid's end the stencil leaves the samples; beyond it so does the point.
+    code, out, err = run(
+        capsys, "gauge-min", "--family", "random-full-rank", "--params", '{"d": 3, "seed": 5}',
+        "--theta0", "-0.5", "--theta1", "0.5", "--eval-at", eval_at,
+    )
+    assert code == 2 and out == ""
+    assert "outside the sampled phase grid [-0.5, 0.5]" in err
+
+
 def test_channel_bound(capsys):
     code, out, _ = run(capsys, "channel-bound", "--channel-family", "rotation-z", "--theta", "0.7")
     assert code == 0

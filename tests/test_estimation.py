@@ -220,8 +220,7 @@ def test_refinement_makes_one_stacked_evaluation_per_level():
         calls.append(np.shape(th))
         return base.evaluate(th)
 
-    fam = ParametricFamily(dim=3, nparams=1, evaluate=evaluate, evaluate_many=evaluate,
-                           domain=base.domain, name="counted")
+    fam = ParametricFamily(dim=3, nparams=1, evaluate=evaluate, domain=base.domain, name="counted")
     povm = sld_optimal_povm(base, [0.1])
     likelihood = Likelihood(fam, povm, (-0.3, 0.5))
     counts = sample_outcomes(base, [0.1], povm, 10_000, seed=3)

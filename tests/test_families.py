@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,10 +12,18 @@ from qmetrics.errors import (
     UnknownFamily,
     ValidationError,
 )
-from qmetrics.channels import depolarizing_channel, pushforward_family, random_tpcp
+from qmetrics.channels import (
+    ChannelFamily,
+    KrausChannel,
+    depolarizing_channel,
+    induced_state_family,
+    pushforward_family,
+    random_tpcp,
+)
 from qmetrics.families import (
     REGISTRY_NAMES,
     ParametricFamily,
+    SpectralPresentation,
     bloch3,
     diagonal_simplex,
     directional_family,
@@ -22,10 +32,12 @@ from qmetrics.families import (
     random_full_rank,
     random_pure,
     rot3_mixture,
+    spectral_tangents,
     tangent_data,
     validate_density,
     _random_hermitian,
 )
+from qmetrics.gauge import PhaseAssignment, apply_gauge
 from qmetrics.linalg import DEFAULT_H, unitary
 
 ALL_REGISTRY = [
@@ -111,8 +123,9 @@ def test_degenerate_family_without_presentation_raises():
     # A tangent that couples two exactly degenerate eigenvalues cannot be
     # resolved by perturbation theory without a supplied presentation.
     def evaluate(th):
-        m = np.diag([0.5, 0.25, 0.25]).astype(complex)
-        m[1, 2] = m[2, 1] = 0.1 * float(th[0])
+        t = np.asarray(th, dtype=float)[..., 0]
+        m = np.broadcast_to(np.diag([0.5, 0.25, 0.25]).astype(complex), t.shape + (3, 3)).copy()
+        m[..., 1, 2] = m[..., 2, 1] = 0.1 * t
         return m
 
     blind = ParametricFamily(dim=3, nparams=1, evaluate=evaluate, name="split")
@@ -171,26 +184,60 @@ def _loop(fam, thetas):
     return np.array([fam.rho(t) for t in thetas])
 
 
-BATCHED = [
+def _two_branch_channels():
+    g1 = _random_hermitian(np.random.default_rng(1), 2)
+    g2 = _random_hermitian(np.random.default_rng(2), 2)
+    c, s = np.cos(0.6), np.sin(0.6)
+    return ChannelFamily(dim=2, name="two-branch", evaluate=lambda t: KrausChannel(
+        operators=(c * unitary(t * g1), s * unitary((0.4 + 0.7 * t) * g2))))
+
+
+def _sampled_gauge(d, seed):
+    grid = np.linspace(-0.6, 0.6, 41)
+    rng = np.random.default_rng(seed)
+    samples = np.sin(np.outer(rng.uniform(0.5, 2, d), grid) + rng.uniform(0, 2 * np.pi, (d, 1)))
+    return PhaseAssignment.from_samples(grid, samples)
+
+
+# Every library constructor, with a box of parameters inside its domain.
+CONTRACT = [
     (bloch3(), [(0.05, 0.95), (-7.0, 7.0), (-7.0, 7.0)]),
-    (diagonal_simplex(), [(-0.95, 0.95)]),
+    (rot3_mixture(0.1), [(-7.0, 7.0)]),
     (pure_rotation(), [(-7.0, 7.0)]),
+    (diagonal_simplex(), [(-0.95, 0.95)]),
     *((random_full_rank(d=d, nparams=p, seed=3 + d), [(-0.5, 0.5)] * p)
       for d in (2, 4, 8) for p in (1, 3)),
+    *((random_pure(d, p, seed=5), [(-0.5, 0.5)] * p) for d, p in ((3, 1), (4, 2))),
+    (pushforward_family(depolarizing_channel(3, 0.6), random_full_rank(3, 2, seed=9)),
+     [(-0.5, 0.5)] * 2),
+    (pushforward_family(random_tpcp(3, 2, seed=1), random_full_rank(3, 1, seed=4)), [(-0.5, 0.5)]),
+    (induced_state_family(_two_branch_channels(), np.array([1.0, 1.0]), 0.3), [(-0.5, 0.5)]),
     (directional_family(bloch3(), [0.5, 0.8, 0.3], [1.0, 0.0, 0.0]), [(-0.4, 0.4)]),
     (directional_family(random_full_rank(d=4, nparams=3, seed=2), [0.1, 0.2, -0.1],
                         [0.3, 1.0, -0.5]), [(-0.4, 0.4)]),
+    (apply_gauge(random_full_rank(d=3, nparams=1, seed=1), PhaseAssignment.from_callable(
+        lambda th: np.array([0.4, -0.8, 0.2]) * np.sin(np.array([1.0, 2.0, 0.5]) * th[0]))),
+     [(-0.5, 0.5)]),
+    (apply_gauge(random_full_rank(d=4, nparams=1, seed=2), _sampled_gauge(4, 2)), [(-0.5, 0.5)]),
 ]
 
 
-@pytest.mark.parametrize("fam,box", BATCHED, ids=[f"{f.name}-p{f.nparams}" for f, _ in BATCHED])
-def test_batched_states_equal_the_pointwise_loop_bit_for_bit(fam, box):
-    assert fam.evaluate_many is not None
+@pytest.mark.parametrize("fam,box", CONTRACT, ids=[f"{f.name}-p{f.nparams}" for f, _ in CONTRACT])
+def test_stacked_calls_equal_point_by_point_calls_bit_for_bit(fam, box):
     lo, hi = np.array(box).T
     thetas = np.random.default_rng(0).uniform(lo, hi, size=(64, fam.nparams))
     batch = fam.rhos(thetas)
     assert batch.shape == (64, fam.dim, fam.dim)
     assert np.array_equal(batch, _loop(fam, thetas))
+    if fam.spectral is not None:
+        sp = fam.spectral(thetas)
+        assert sp.eigenvalues.shape == (64, fam.dim)
+        assert sp.eigenvectors.shape == (64, fam.dim, fam.dim)
+        for i, th in enumerate(thetas):
+            one = fam.spectral(th)
+            assert np.array_equal(sp.eigenvalues[i], one.eigenvalues)
+            assert np.array_equal(sp.eigenvectors[i], one.eigenvectors)
+        assert np.allclose(sp.reconstruct(), batch, atol=1e-10)
 
 
 def _per_point_random_full_rank(d, nparams, seed, th):
@@ -216,7 +263,7 @@ def _per_point_random_full_rank(d, nparams, seed, th):
 def test_random_full_rank_broadcast_equals_its_per_point_arithmetic(d, p):
     fam = random_full_rank(d=d, nparams=p, seed=30 + d)
     thetas = np.random.default_rng(d + p).uniform(-0.5, 0.5, size=(8, p))
-    batch = fam.spectral_many(thetas)
+    batch = fam.spectral(thetas)
     for i, th in enumerate(thetas):
         q, v, rho = _per_point_random_full_rank(d, p, 30 + d, th)
         sp = fam.spectral(th)
@@ -225,13 +272,34 @@ def test_random_full_rank_broadcast_equals_its_per_point_arithmetic(d, p):
         assert np.array_equal(fam.rho(th), rho)
 
 
-def test_rhos_falls_back_to_the_loop_without_a_batch_form():
-    base = random_full_rank(d=3, nparams=1, seed=4)
-    thetas = np.linspace(-0.3, 0.3, 7)[:, None]
-    for fam in (rot3_mixture(0.1), random_pure(3, 1, seed=5),
-                pushforward_family(random_tpcp(3, 2, seed=1), base)):
-        assert fam.evaluate_many is None
-        assert np.array_equal(fam.rhos(thetas), _loop(fam, thetas))
+@pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+def test_random_pure_stacked_norm_equals_numpy_norm(d):
+    # The one-point arithmetic: the first frame column over np.linalg.norm.
+    rng = np.random.default_rng(d)
+    h0 = _random_hermitian(rng, d)
+    gens = [_random_hermitian(rng, d) for _ in range(2)]
+    fam = random_pure(d, 2, seed=d)
+    for th in np.random.default_rng(7).uniform(-0.5, 0.5, size=(16, 2)):
+        psi = unitary(h0 + sum(t * g for t, g in zip(th, gens)))[:, 0]
+        psi = psi / np.linalg.norm(psi)
+        assert np.array_equal(fam.rho(th), np.outer(psi, psi.conj()))
+
+
+def test_a_stack_of_the_wrong_shape_raises_a_validation_error_naming_the_family():
+    # One-point callables that do not broadcast: on a stack they give one matrix.
+    fam = ParametricFamily(dim=2, nparams=1, name="per-point", evaluate=lambda th: np.diag([0.6, 0.4]),
+                           spectral=lambda th: SpectralPresentation(np.array([0.6, 0.4]), np.eye(2)))
+    assert np.array_equal(fam.rho([0.1]), np.diag([0.6, 0.4]))
+    expected = r"'per-point': evaluate gives shape \(2, 2\) for a stack of 4 points, expected \(4, 2, 2\)"
+    with pytest.raises(ValidationError, match=expected):
+        fam.drho([0.1])
+    with pytest.raises(ValidationError, match=r"'per-point': evaluate gives shape \(2, 2\)"):
+        fam.rhos([[0.1], [0.2]])
+    with pytest.raises(ValidationError, match=r"'per-point': spectral eigenvalues gives shape \(2,\)"):
+        tangent_data(fam, [0.1])
+    with pytest.raises(ValidationError, match=r"'per-point': spectral eigenvectors"):
+        spectral_tangents(replace(fam, spectral=lambda th: SpectralPresentation(
+            np.tile([0.6, 0.4], (len(th), 1)), np.eye(2))), np.array([[0.1]]))
 
 
 def test_rhos_checks_the_whole_stack_like_rho():
@@ -251,6 +319,8 @@ def test_rhos_checks_the_whole_stack_like_rho():
     with pytest.raises(DomainExit) as batch:
         sliced.rhos(np.array([[0.1], [0.6], [0.2]]))
     assert str(batch.value) == str(per_point.value)
+    with pytest.raises(DomainExit):
+        sliced.spectral(np.array([[0.1], [0.6], [0.2]]))
 
 
 @pytest.mark.parametrize("fam", [bloch3(), random_full_rank(d=3, nparams=3, seed=1)],

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmetrics.errors import MissingGauge, NonImaginaryOverlap, ParamOutOfDomain, ValidationError
+from qmetrics.errors import (
+    DomainExit,
+    MissingGauge,
+    NonImaginaryOverlap,
+    ParamOutOfDomain,
+    ValidationError,
+)
 from qmetrics.families import (
     ParametricFamily,
     SpectralPresentation,
@@ -98,6 +104,11 @@ def test_phase_assignment_sample_interpolation():
     assert np.allclose(a, [0.25, -0.5], atol=0.05)  # piecewise linear
     with pytest.raises(ValidationError):
         PhaseAssignment.from_samples(grid, samples[:, :3])
+    with pytest.raises(ValidationError, match="strictly increasing"):
+        PhaseAssignment.from_samples(grid[::-1], samples)
+    # A scan from theta0 > theta1 used to return phases np.interp could not read.
+    with pytest.raises(ValidationError, match="strictly increasing"):
+        minimizing_gauge_1p(random_full_rank(d=3, nparams=1, seed=5), 0.5, -0.5, steps=64)
 
 
 def test_integrability_obstruction_on_two_level_family():
@@ -114,21 +125,26 @@ def test_integrability_obstruction_on_two_level_family():
 def test_real_frame_family_passes_integrability():
     # Two-parameter family with a real rotating frame: all obstruction
     # entries vanish, so a globally minimizing gauge exists.
+    def rotation(t, i, j):
+        r = np.broadcast_to(np.eye(3), np.shape(t) + (3, 3)).copy()
+        r[..., i, i] = r[..., j, j] = np.cos(t)
+        r[..., i, j], r[..., j, i] = -np.sin(t), np.sin(t)
+        return r
+
     def frame(th):
-        a, b = float(th[0]), float(th[1])
-        ra = np.array([[math.cos(a), -math.sin(a), 0], [math.sin(a), math.cos(a), 0], [0, 0, 1.0]])
-        rb = np.array([[1.0, 0, 0], [0, math.cos(b), -math.sin(b)], [0, math.sin(b), math.cos(b)]])
-        return (ra @ rb).astype(complex)
+        th = np.asarray(th, dtype=float)
+        return (rotation(th[..., 0], 0, 1) @ rotation(th[..., 1], 1, 2)).astype(complex)
 
     p = np.array([0.5, 0.3, 0.2])
 
     def evaluate(th):
         v = frame(th)
-        return (v * p) @ v.conj().T
+        return (v * p) @ v.conj().swapaxes(-1, -2)
 
     fam = ParametricFamily(
         dim=3, nparams=2, evaluate=evaluate,
-        spectral=lambda th: SpectralPresentation(eigenvalues=p.copy(), eigenvectors=frame(th)),
+        spectral=lambda th: SpectralPresentation(eigenvalues=np.broadcast_to(p, np.shape(th)[:-1] + (3,)),
+                                                 eigenvectors=frame(th)),
         domain=((-math.inf, math.inf),) * 2, name="real-frame",
     )
     rep = integrability_test(fam, np.array([0.4, 0.7]))
@@ -209,34 +225,18 @@ def test_blocked_scan_equals_the_per_point_scan_bit_for_bit(fam, steps):
     assert np.array_equal(pa.samples, samples)
 
 
-def test_presented_families_keep_their_batch_form_under_a_gauge():
-    assert _perturbed(3, 1).spectral_many is not None
-    assert apply_gauge(rot3_mixture(0.1), zero_gauge(3)).spectral_many is None
-    fam = _sampled(4, 2)
-    thetas = np.linspace(-0.4, 0.4, 9)[:, None]
-    batch = fam.spectral_many(thetas)
-    for i, th in enumerate(thetas):
-        sp = fam.spectral(th)
-        assert np.array_equal(batch.eigenvalues[i], sp.eigenvalues)
-        assert np.array_equal(batch.eigenvectors[i], sp.eigenvectors)
-
-
 def test_scan_makes_no_one_point_presentation_on_a_batched_family():
     base = random_full_rank(d=3, nparams=1, seed=5)
-    calls = {"spectral": 0, "spectral_many": 0}
+    calls = []
 
     def spectral(th):
-        calls["spectral"] += 1
+        calls.append(np.shape(th))
         return base.spectral(th)
 
-    def spectral_many(ths):
-        calls["spectral_many"] += 1
-        return base.spectral_many(ths)
-
-    counted = replace(base, spectral=spectral, spectral_many=spectral_many)
+    counted = replace(base, spectral=spectral)
     minimizing_gauge_1p(apply_gauge(counted, zero_gauge(3)), -0.5, 0.5, steps=512)
     # 513 grid points in 9 blocks: one presentation of each block and one of its stencil.
-    assert calls == {"spectral": 0, "spectral_many": 18}
+    assert calls == [(64, 1), (256, 1)] * 8 + [(1, 1), (4, 1)]
 
 
 def test_scan_leaving_the_domain_raises_the_per_point_error():
@@ -251,18 +251,14 @@ def test_scan_leaving_the_domain_raises_the_per_point_error():
 def test_scan_rejects_a_frame_that_is_not_orthonormal():
     # The frame (1 + t) I has Re<w_k'|w_k> = 1 + t.
     def spectral(th):
-        return SpectralPresentation(eigenvalues=np.array([0.6, 0.4]),
-                                    eigenvectors=(1.0 + th[0]) * np.eye(2, dtype=complex))
+        t = np.asarray(th, dtype=float)[..., 0]
+        return SpectralPresentation(eigenvalues=np.broadcast_to([0.6, 0.4], t.shape + (2,)),
+                                    eigenvectors=(1.0 + t[..., None, None]) * np.eye(2, dtype=complex))
 
-    def spectral_many(ths):
-        return SpectralPresentation(eigenvalues=np.tile([0.6, 0.4], (len(ths), 1)),
-                                    eigenvectors=(1.0 + ths[:, 0, None, None]) * np.eye(2, dtype=complex))
-
-    loop = ParametricFamily(dim=2, nparams=1, evaluate=lambda th: np.diag([0.6, 0.4]),
-                            spectral=spectral, name="stretched")
-    for fam in (loop, replace(loop, spectral_many=spectral_many)):
-        with pytest.raises(NonImaginaryOverlap):
-            minimizing_gauge_1p(fam, -0.5, 0.5, steps=100)
+    fam = ParametricFamily(dim=2, nparams=1, spectral=spectral, name="stretched",
+                           evaluate=lambda th: np.broadcast_to(np.diag([0.6, 0.4]), np.shape(th)[:-1] + (2, 2)))
+    with pytest.raises(NonImaginaryOverlap):
+        minimizing_gauge_1p(fam, -0.5, 0.5, steps=100)
 
 
 BAD_PHASES = {
@@ -275,15 +271,29 @@ BAD_PHASES = {
 
 @pytest.mark.parametrize("name", BAD_PHASES)
 @pytest.mark.parametrize("base", [random_full_rank(d=3, nparams=1, seed=3), rot3_mixture(0.1)],
-                         ids=["batched", "per-point"])
+                         ids=["random-full-rank", "rot3-mixture"])
 def test_misshaped_phases_raise_a_validation_error(name, base):
     gauged = apply_gauge(base, BAD_PHASES[name])
     with pytest.raises(ValidationError, match=r"expected \(3,\)"):
         gauged.spectral(np.array([0.1]))
-    if gauged.spectral_many is not None:
-        with pytest.raises(ValidationError, match=r"expected \(3,\)"):
-            gauged.spectral_many(np.array([[0.1], [0.2]]))
+    with pytest.raises(ValidationError, match=r"expected \(3,\)"):
+        gauged.spectral(np.array([[0.1], [0.2]]))
     with pytest.raises(ValidationError, match=r"expected \(3,\)"):
         c_upsilon_states(gauged, [0.1])
     with pytest.raises(ValidationError, match=r"expected \(3,\)"):
         minimizing_gauge_1p(gauged, -0.5, 0.5, steps=8)
+
+
+@pytest.mark.parametrize("t", [0.5, 0.6])
+def test_sampled_gauge_outside_its_grid_raises_domain_exit(t):
+    # Clamped samples used to give the phases a slope of zero past the grid:
+    # at 0.5 the stencil leaves the grid, at 0.6 the point itself does.
+    fam = random_full_rank(d=3, nparams=1, seed=5)
+    pa = minimizing_gauge_1p(fam, -0.5, 0.5, steps=512)
+    with pytest.raises(DomainExit, match=r"outside the sampled phase grid \[-0.5, 0.5\]"):
+        c_upsilon_states(apply_gauge(fam, pa), [t])
+    assert np.array_equal(pa.alphas([0.5]), pa.samples[:, -1])
+    with pytest.raises(DomainExit):
+        pa.alphas([0.5 + DEFAULT_H / 2])
+    with pytest.raises(DomainExit):
+        pa.alphas([np.nan])

@@ -121,6 +121,10 @@ def test_validate_povm_rejects_bad_sets():
         validate_povm([not_hermitian, np.eye(3)], 2)
     with pytest.raises(ValidationError, match=r"shape \(3, 3\)"):
         validate_povm([np.eye(2), np.eye(3), not_hermitian], 2)
+    one = np.diag([0.0, 1.0]).astype(complex)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match="non-finite"):
+            validate_povm([np.array([[bad, 0.0], [0.0, 0.0]]), one], 2)
 
 
 def test_born_probabilities_normalized():
