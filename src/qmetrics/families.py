@@ -157,6 +157,27 @@ def _stack_of(family: ParametricFamily, what: str, array: np.ndarray, shape: tup
 
 
 @dataclass(frozen=True)
+class GaugedSpectral:
+    """The spectral presentation of a re-phased family: the base presentation
+    with column k of its frame multiplied by exp(i alpha_k(theta)).
+
+    phases maps an (n, p) stack of points to the (n, d) real phases. The base
+    and the phases stay apart so that tangents can difference each on its own
+    (see spectral_tangents) instead of differencing the complex product.
+    """
+
+    base: Callable[[np.ndarray], SpectralPresentation]
+    phases: Callable[[np.ndarray], np.ndarray]
+
+    def __call__(self, th) -> SpectralPresentation:
+        sp = self.base(th)
+        th = np.asarray(th, dtype=float)
+        a = self.phases(th.reshape(-1, th.shape[-1])).reshape(th.shape[:-1] + (1, -1))
+        return SpectralPresentation(eigenvalues=sp.eigenvalues,
+                                    eigenvectors=sp.eigenvectors * np.exp(1j * a))
+
+
+@dataclass(frozen=True)
 class TangentData:
     """dp[l, i] = dp_i/dtheta^l; overlaps[l, j, k] = <dw_j/dtheta^l | w_k>."""
 
@@ -170,10 +191,16 @@ def spectral_tangents(family: ParametricFamily, thetas: np.ndarray, h: float = D
 
     Returns dp (n, p, d), overlaps (n, p, d, d) and the eigenvalues (n, d) at
     the points, from one stacked presentation of the points and one of all
-    4np stencil points.
+    4np stencil points. A GaugedSpectral presentation differences its base
+    frame, and its phases alpha as real functions, through
+    <d(e^{i a_j} w_j)|e^{i a_k} w_k> = e^{i(a_k - a_j)} O_jk - i delta_jk da_k,
+    so its frame is never differenced across the complex phase factors.
     """
+    gauged = family.spectral if isinstance(family.spectral, GaugedSpectral) else None
+    spectral = family.spectral if gauged is None else gauged.base
+
     def presentation(points):
-        sp = family.spectral(points)
+        sp = spectral(points)
         n, d = len(points), family.dim
         return (_stack_of(family, "spectral eigenvalues", np.asarray(sp.eigenvalues), (n, d)),
                 _stack_of(family, "spectral eigenvectors", np.asarray(sp.eigenvectors), (n, d, d)))
@@ -186,6 +213,12 @@ def spectral_tangents(family: ParametricFamily, thetas: np.ndarray, h: float = D
     values0, frames0 = presentation(thetas)
     d_stack = central_difference(eigensystems, thetas, h=h)
     overlaps = d_stack[:, :, 1:].conj().swapaxes(-1, -2) @ frames0[:, None]
+    if gauged is not None:
+        a = gauged.phases(thetas)
+        slopes = central_difference(gauged.phases, thetas, h=h)
+        overlaps = overlaps * np.exp(1j * (a[:, None, None, :] - a[:, None, :, None]))
+        diag = np.arange(family.dim)
+        overlaps[..., diag, diag] -= 1j * slopes
     return np.real(d_stack[:, :, 0]), overlaps, values0
 
 
@@ -194,10 +227,12 @@ def tangent_data(family: ParametricFamily, theta, h: float = DEFAULT_H) -> Tange
 
     With a spectral presentation the frame is differenced directly, so the
     result reflects the family's own gauge (phases are taken as supplied; the
-    closed-form presentations used here are smooth by construction). Without
-    one, eigenvalue derivatives come from first-order perturbation theory,
-    off-diagonal overlaps from <w_j|drho|w_k> / (p_j - p_k), and diagonal
-    overlaps are zero by the deterministic gauge convention.
+    closed-form presentations used here are smooth by construction); a
+    re-phased presentation differences its base frame and its real phases
+    apart (see spectral_tangents). Without one, eigenvalue derivatives come
+    from first-order perturbation theory, off-diagonal overlaps from
+    <w_j|drho|w_k> / (p_j - p_k), and diagonal overlaps are zero by the
+    deterministic gauge convention.
     """
     theta = family.check_theta(theta)
     if family.spectral is not None:

@@ -2,21 +2,23 @@
 
 A phase assignment multiplies each eigenvector of a spectral presentation by
 exp(i alpha_k(theta)); the density matrix is unchanged but the gauge-dependent
-information is not. The one-parameter minimizing gauge integrates the
-(purely imaginary) diagonal overlaps so that they cancel; the multi-parameter
-integrability test checks whether such a gauge can exist at all.
+information is not. A re-phased family keeps its base presentation and its
+real phases apart (families.GaugedSpectral), so tangents and scans difference
+the phases as real functions, never through exp(i alpha) w. The one-parameter
+minimizing gauge integrates the (purely imaginary) diagonal overlaps so that
+they cancel; the multi-parameter integrability test checks whether such a
+gauge can exist at all.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DomainExit, MissingGauge, NonImaginaryOverlap, ValidationError
-from .families import ParametricFamily, SpectralPresentation, spectral_tangents, tangent_data
+from .families import GaugedSpectral, ParametricFamily, spectral_tangents, tangent_data
 from .linalg import DEFAULT_H
 
 # Grid points differenced per stacked presentation in minimizing_gauge_1p.
@@ -49,54 +51,71 @@ class PhaseAssignment:
         samples = np.asarray(samples, dtype=float)
         if samples.ndim != 2 or samples.shape[1] != grid.size:
             raise ValidationError("samples must have shape (d, len(grid))")
+        if not (np.isfinite(grid).all() and np.isfinite(samples).all()):
+            raise ValidationError("phase samples and their grid must be finite")
         if not np.all(np.diff(grid) > 0):  # np.interp needs an increasing grid
             raise ValidationError("sample grid must be strictly increasing")
         return cls(grid=grid, samples=samples)
 
     def alphas(self, theta) -> np.ndarray:
+        """Phases at one point, shape (d,). Samples also take an (n, 1) stack,
+        giving (n, d) from one interpolation per eigenvector."""
+        theta = np.atleast_1d(np.asarray(theta, float))
         if self.func is not None:
-            return np.asarray(self.func(np.atleast_1d(np.asarray(theta, float))), dtype=float)
-        t = float(np.atleast_1d(np.asarray(theta, float))[0])
-        if not self.grid[0] <= t <= self.grid[-1]:
+            return np.asarray(self.func(theta), dtype=float)
+        t = theta.reshape(-1, theta.shape[-1])[:, 0]
+        outside = ~((self.grid[0] <= t) & (t <= self.grid[-1]))
+        if outside.any():
             # np.interp would clamp t and give the phases a slope of zero there.
             raise DomainExit(
-                f"theta {t} outside the sampled phase grid [{self.grid[0]}, {self.grid[-1]}]"
+                f"theta {t[outside][0]} outside the sampled phase grid [{self.grid[0]}, {self.grid[-1]}]"
             )
-        return np.array([np.interp(t, self.grid, row) for row in self.samples])
+        a = np.stack([np.interp(t, self.grid, row) for row in self.samples], axis=-1)
+        return a if theta.ndim == 2 else a[0]
 
 
 def zero_gauge(d: int) -> PhaseAssignment:
     return PhaseAssignment.from_callable(lambda th: np.zeros(d))
 
 
+def _checked_phases(a: np.ndarray, theta: np.ndarray, d: int) -> np.ndarray:
+    if a.shape != (d,):
+        raise ValidationError(
+            f"phase assignment gives shape {a.shape} at theta {theta.tolist()}, expected ({d},)"
+        )
+    if not np.isfinite(a).all():
+        raise ValidationError(
+            f"phase assignment gives non-finite phases {a.tolist()} at theta {theta.tolist()}"
+        )
+    return a
+
+
 def apply_gauge(family: ParametricFamily, pa: PhaseAssignment) -> ParametricFamily:
     """Re-phase the eigenvector frame of a presented family; rho is unchanged.
 
-    The re-phased spectral broadcasts like the family's. The phases are still
-    taken point by point, since a phase callable maps one theta to a (d,)
-    array; any other shape raises ValidationError.
+    The result's spectral is a GaugedSpectral over the family's base
+    presentation; re-phasing a re-phased family adds the phases onto the same
+    base. Sampled phases are interpolated once per stack of points; a phase
+    callable is called once per point and must give d finite phases there,
+    or ValidationError is raised.
     """
     if family.spectral is None:
         raise MissingGauge("family supplies no spectral presentation to re-gauge")
+    d = family.dim
 
-    def phases(th):
-        a = pa.alphas(th)
-        if a.shape != (family.dim,):
-            raise ValidationError(
-                f"phase assignment gives shape {a.shape} at theta {np.asarray(th).tolist()}, "
-                f"expected ({family.dim},)"
-            )
-        return a
+    def phases(thetas):
+        if pa.func is None:  # samples are finite, and every row has their shape
+            a = pa.alphas(thetas)
+            _checked_phases(a[0], thetas[0], d)
+            return a
+        return np.array([_checked_phases(pa.alphas(t), t, d) for t in thetas])
 
-    def spectral(th, _sp=family.spectral):
-        sp = _sp(th)
-        th = np.asarray(th, dtype=float)
-        a = np.array([phases(row) for row in th.reshape(-1, family.nparams)])
-        return SpectralPresentation(
-            eigenvalues=sp.eigenvalues,
-            eigenvectors=sp.eigenvectors * np.exp(1j * a.reshape(th.shape[:-1] + (1, -1))),
-        )
-
+    spectral = family.spectral
+    if isinstance(spectral, GaugedSpectral):
+        inner = spectral.phases
+        spectral = GaugedSpectral(spectral.base, lambda th: inner(th) + phases(th))
+    else:
+        spectral = GaugedSpectral(spectral, phases)
     return replace(family, spectral=spectral, name=f"{family.name}+gauge")
 
 
@@ -112,7 +131,10 @@ def minimizing_gauge_1p(
     by composite trapezoid on a uniform grid.
 
     The whole grid is checked against the domain first; the overlaps are then
-    differenced from stacked presentations of blocks of grid points.
+    differenced from stacked presentations of blocks of grid points. A
+    re-phased family is scanned in its base frame: its phases a enter the
+    diagonal overlaps as -i a_k', whose integral is exactly a(t) - a(theta0),
+    so they are evaluated at the grid points only.
     """
     if family.nparams != 1:
         raise ValidationError("minimizing gauge is defined for one-parameter families")
@@ -120,6 +142,10 @@ def minimizing_gauge_1p(
         raise MissingGauge("minimizing gauge needs a spectral presentation")
     grid = np.linspace(theta0, theta1, steps + 1)
     thetas = family.check_thetas(grid[:, None])
+    gauged = family.spectral if isinstance(family.spectral, GaugedSpectral) else None
+    if gauged is not None:
+        phases = gauged.phases(thetas)
+        family = replace(family, spectral=gauged.base)
     diag = np.empty((grid.size, family.dim), dtype=complex)
     for start in range(0, grid.size, _SCAN_BLOCK):
         block = slice(start, start + _SCAN_BLOCK)
@@ -132,8 +158,10 @@ def minimizing_gauge_1p(
         )
     integrand = np.imag(diag)  # alpha_k' = Im<w_k'|w_k>
     areas = np.diff(grid)[:, None] * (integrand[1:] + integrand[:-1]) / 2.0
-    samples = np.vstack([np.zeros((1, family.dim)), np.cumsum(areas, axis=0)]).T
-    return PhaseAssignment.from_samples(grid, samples)
+    alphas = np.vstack([np.zeros((1, family.dim)), np.cumsum(areas, axis=0)])
+    if gauged is not None:
+        alphas -= phases - phases[0]
+    return PhaseAssignment.from_samples(grid, alphas.T)
 
 
 @dataclass(frozen=True)

@@ -219,6 +219,8 @@ CONTRACT = [
         lambda th: np.array([0.4, -0.8, 0.2]) * np.sin(np.array([1.0, 2.0, 0.5]) * th[0]))),
      [(-0.5, 0.5)]),
     (apply_gauge(random_full_rank(d=4, nparams=1, seed=2), _sampled_gauge(4, 2)), [(-0.5, 0.5)]),
+    (apply_gauge(apply_gauge(random_full_rank(d=3, nparams=1, seed=1), PhaseAssignment.from_callable(
+        lambda th: np.array([0.4, -0.8, 0.2]) * np.sin(th[0]))), _sampled_gauge(3, 4)), [(-0.5, 0.5)]),
 ]
 
 

@@ -14,6 +14,7 @@ from qmetrics.errors import (
     ValidationError,
 )
 from qmetrics.families import (
+    GaugedSpectral,
     ParametricFamily,
     SpectralPresentation,
     bloch3,
@@ -22,6 +23,7 @@ from qmetrics.families import (
     pure_rotation,
     random_full_rank,
     rot3_mixture,
+    tangent_data,
 )
 from qmetrics.gauge import (
     PhaseAssignment,
@@ -170,12 +172,16 @@ def test_pure_rotation_already_minimal():
 
 # The per-point scan that the stacked blocks replaced, kept as a reference: at
 # each grid point the one-parameter stencil over four one-point presentations,
-# then the overlap with the frame at the point.
+# then the overlap with the frame at the point. A re-phased family is scanned
+# in its base frame, and its phases' own integral a(grid) - a(theta0) is then
+# subtracted, phase by phase at each grid point.
 def _reference_scan(family, theta0, theta1, steps, h=DEFAULT_H):
     grid = np.linspace(theta0, theta1, steps + 1)
+    gauged = family.spectral if isinstance(family.spectral, GaugedSpectral) else None
+    spectral = family.spectral if gauged is None else gauged.base
 
     def frame(t):
-        return family.spectral(np.array([t])).eigenvectors
+        return spectral(np.array([t])).eigenvectors
 
     diag = np.empty((grid.size, family.dim), dtype=complex)
     for i, t in enumerate(grid):
@@ -186,7 +192,11 @@ def _reference_scan(family, theta0, theta1, steps, h=DEFAULT_H):
         diag[i] = np.diagonal(dw.conj().T @ frame(t))
     integrand = np.imag(diag)
     areas = np.diff(grid)[:, None] * (integrand[1:] + integrand[:-1]) / 2.0
-    return grid, np.vstack([np.zeros((1, family.dim)), np.cumsum(areas, axis=0)]).T
+    alphas = np.vstack([np.zeros((1, family.dim)), np.cumsum(areas, axis=0)])
+    if gauged is not None:
+        phases = np.array([gauged.phases(np.array([[t]]))[0] for t in grid])
+        alphas -= phases - phases[0]
+    return grid, alphas.T
 
 
 def _perturbed(d, seed):
@@ -227,16 +237,59 @@ def test_blocked_scan_equals_the_per_point_scan_bit_for_bit(fam, steps):
 
 def test_scan_makes_no_one_point_presentation_on_a_batched_family():
     base = random_full_rank(d=3, nparams=1, seed=5)
-    calls = []
+    calls, phase_calls = [], []
 
     def spectral(th):
         calls.append(np.shape(th))
         return base.spectral(th)
 
+    def phases(th):
+        phase_calls.append(np.shape(th))
+        return np.array([0.3, -0.2, 0.1]) * np.sin(th[0])
+
     counted = replace(base, spectral=spectral)
-    minimizing_gauge_1p(apply_gauge(counted, zero_gauge(3)), -0.5, 0.5, steps=512)
+    minimizing_gauge_1p(apply_gauge(counted, PhaseAssignment.from_callable(phases)),
+                        -0.5, 0.5, steps=512)
     # 513 grid points in 9 blocks: one presentation of each block and one of its stencil.
     assert calls == [(64, 1), (256, 1)] * 8 + [(1, 1), (4, 1)]
+    # The phases are taken at the grid points only, one point per call.
+    assert phase_calls == [(1,)] * 513
+
+
+def test_gauged_tangents_agree_with_the_differenced_rephased_frame():
+    # Differencing exp(i a) w as one complex frame is the route the exact phase
+    # identity replaced; away from kinks the two agree to the stencil's error.
+    for fam, t in [(_perturbed(3, 60), 0.1), (_perturbed(4, 54), -0.3), (_sampled(3, 61), 0.01),
+                   (apply_gauge(_perturbed(2, 52), sin_gauge(np.array([0.5, -1.0]),
+                                                              np.array([1.5, 0.7]),
+                                                              np.array([0.3, 0.9]))), 0.2)]:
+        framed = replace(fam, spectral=lambda th, sp=fam.spectral: sp(th))
+        exact, differenced = tangent_data(fam, [t]), tangent_data(framed, [t])
+        assert np.array_equal(exact.dp, differenced.dp)
+        assert np.max(np.abs(exact.overlaps - differenced.overlaps)) < 1e-9
+
+
+def test_rephasing_a_rephased_family_adds_the_phases_onto_one_base():
+    fam = random_full_rank(d=3, nparams=1, seed=7)
+    once = apply_gauge(fam, sin_gauge(np.array([0.4, -0.8, 0.2]), np.ones(3), np.zeros(3)))
+    twice = apply_gauge(once, zero_gauge(3))
+    assert twice.spectral.base is fam.spectral
+    assert np.array_equal(twice.spectral(np.array([0.3])).eigenvectors,
+                          once.spectral(np.array([0.3])).eigenvectors)
+
+
+def test_scan_through_a_kinked_sampled_gauge_returns_a_minimizing_gauge():
+    # Piecewise-linear phases with large slope changes at their nodes: the
+    # scan used to difference exp(i a) across a node and raise
+    # NonImaginaryOverlap on this orthonormal frame.
+    fam = random_full_rank(d=3, nparams=1, seed=61)
+    grid = np.linspace(-0.6, 0.6, 41)
+    samples = np.random.default_rng(61).uniform(-1.0, 1.0, (3, grid.size))
+    kinked = apply_gauge(fam, PhaseAssignment.from_samples(grid, samples))
+    pa = minimizing_gauge_1p(kinked, -0.5, 0.5, steps=200)
+    t = [pa.grid[100]]
+    gap = c_upsilon_states(apply_gauge(kinked, pa), t)[0, 0] - c_l_information(fam, t)[0, 0]
+    assert abs(gap) <= 1e-9
 
 
 def test_scan_leaving_the_domain_raises_the_per_point_error():
@@ -282,6 +335,25 @@ def test_misshaped_phases_raise_a_validation_error(name, base):
         c_upsilon_states(gauged, [0.1])
     with pytest.raises(ValidationError, match=r"expected \(3,\)"):
         minimizing_gauge_1p(gauged, -0.5, 0.5, steps=8)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_phases_raise_a_validation_error(bad):
+    # A NaN phase used to give cupsilon [[nan]]: NaN fails no `>` check.
+    gauged = apply_gauge(random_full_rank(d=3, nparams=1, seed=3),
+                         PhaseAssignment.from_callable(lambda th: np.array([0.1, bad, th[0]])))
+    with pytest.raises(ValidationError, match="non-finite phases"):
+        c_upsilon_states(gauged, [0.1])
+    with pytest.raises(ValidationError, match="non-finite phases"):
+        minimizing_gauge_1p(gauged, -0.5, 0.5, steps=8)
+    grid = np.linspace(-1.0, 1.0, 5)
+    samples = np.zeros((3, 5))
+    samples[1, 2] = bad
+    with pytest.raises(ValidationError, match="must be finite"):
+        PhaseAssignment.from_samples(grid, samples)
+    grid[-1] = bad
+    with pytest.raises(ValidationError, match="must be finite"):
+        PhaseAssignment.from_samples(grid, np.zeros((3, 5)))
 
 
 @pytest.mark.parametrize("t", [0.5, 0.6])
