@@ -31,6 +31,7 @@ from .estimation import (
     sld_optimal_povm,
 )
 from .families import (
+    FamilyPoint,
     ParametricFamily,
     SpectralPresentation,
     TangentData,
@@ -69,6 +70,7 @@ from .metrics import (
     c_upsilon_states,
     classical_fisher,
     evaluate_metric,
+    evaluate_metrics,
     f_function_scan,
     kmb_information,
     mc_metric,

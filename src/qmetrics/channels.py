@@ -21,7 +21,7 @@ from .errors import (
     NumericalError,
     ParamOutOfDomain,
 )
-from .families import ParametricFamily, SpectralPresentation
+from .families import GaugedSpectral, ParametricFamily, SpectralPresentation
 from .linalg import DEFAULT_H, RANK_TOL, central_difference, eig_hermitian, fix_phases
 from .metrics import evaluate_metric
 
@@ -116,7 +116,8 @@ def pushforward_family(ch: KrausChannel, family: ParametricFamily) -> Parametric
 
     A spectral presentation is carried through only for eigenbasis-preserving
     channels (eigenvalue_affine set); otherwise the gauge must be recomputed
-    downstream.
+    downstream. A re-phased presentation stays re-phased: the channel maps its
+    base presentation and leaves its phases as they are.
     """
     if ch.dim != family.dim:
         raise DimensionMismatch(
@@ -129,13 +130,17 @@ def pushforward_family(ch: KrausChannel, family: ParametricFamily) -> Parametric
     spectral = None
     if ch.eigenvalue_affine is not None and family.spectral is not None:
         a, b = ch.eigenvalue_affine
+        gauged = family.spectral if isinstance(family.spectral, GaugedSpectral) else None
 
-        def spectral(th, _sp=family.spectral):
+        def spectral(th, _sp=family.spectral if gauged is None else gauged.base):
             sp = _sp(th)
             return SpectralPresentation(
                 eigenvalues=a * sp.eigenvalues + b,
                 eigenvectors=sp.eigenvectors,
             )
+
+        if gauged is not None:
+            spectral = GaugedSpectral(spectral, gauged.phases)
 
     return ParametricFamily(
         dim=family.dim,
@@ -189,16 +194,16 @@ def sm_channel_bound(
     """Channel-level information bound 4 sum_k tr(U'_k rho0 U'_k^dagger) from
     Richardson central differences of the phase-aligned canonical Kraus
     operators."""
-    base = canonical_kraus(chf, theta, rho0)
 
     def aligned(thetas):
         branches = [canonical_kraus(chf, t, rho0) for (t,) in thetas]
+        base = branches[0]  # theta itself (see central_difference): the phase reference
         if any(len(ops) != len(base) for ops in branches):
             raise NumericalError("canonical branch count changed across the differencing step")
         return np.array([[_align_branch(u, ref, rho0) for u, ref in zip(ops, base)]
                          for ops in branches])
 
-    der = central_difference(aligned, theta, h=h)[0]
+    der = central_difference(aligned, theta, h=h)[1][0]
     return 4.0 * float(np.real(sum(np.trace(u @ rho0 @ u.conj().T) for u in der)))
 
 

@@ -17,12 +17,12 @@ import sys
 import numpy as np
 
 from . import channels, verify
-from .errors import NumericalError, QMetricsError, UnknownMetric, ValidationError
+from .errors import NumericalError, QMetricsError, ValidationError
 from .estimation import cramer_rao_experiment, sld_optimal_povm
 from .families import bloch3, directional_family, family_registry, rot3_mixture
 from .gauge import PhaseAssignment, apply_gauge, minimizing_gauge_1p, integrability_test
 from .linalg import unitary
-from .metrics import METRIC_NAMES, c_l_information, c_upsilon_states, evaluate_metric
+from .metrics import c_l_information, c_upsilon_states, evaluate_metrics
 
 DEFAULT_SEED = 42
 
@@ -79,10 +79,7 @@ def _cmd_metric(args) -> int:
     family = family_registry(args.family, _parse_params(args.params))
     theta = _parse_theta(args.theta)
     names = [m.strip() for m in args.metrics.split(",") if m.strip()]
-    for name in names:
-        if name not in METRIC_NAMES:
-            raise UnknownMetric(f"unknown metric {name!r}; known: {', '.join(METRIC_NAMES)}")
-    matrices = {name: evaluate_metric(family, theta, name) for name in names}
+    matrices = evaluate_metrics(family, theta, names)
     if args.format == "csv":
         p = family.nparams
         header = "metric," + ",".join(f"m{i}{j}" for i in range(p) for j in range(p))

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FlatLikelihood, ValidationError
-from .families import ParametricFamily
+from .families import FamilyPoint, ParametricFamily
 from .linalg import DEFAULT_H, eig_hermitian, sld_solve
-from .metrics import _measured_fisher, born_probabilities, sld_information, validate_povm
+from .metrics import _measured_fisher, _sld_information, born_probabilities, validate_povm
 
 
 def sld_optimal_povm(family: ParametricFamily, theta, h: float = DEFAULT_H) -> list[np.ndarray]:
@@ -27,10 +27,8 @@ def sld_optimal_povm(family: ParametricFamily, theta, h: float = DEFAULT_H) -> l
     projector. Attains the quantum information bound at theta."""
     if family.nparams != 1:
         raise ValidationError("optimal measurement construction is one-parameter")
-    rho = family.rho(theta)
-    drho = family.drho(theta, h=h)[0]
-    score = sld_solve(rho, drho)
-    es = eig_hermitian(score)
+    point = FamilyPoint(family, theta, h)
+    es = eig_hermitian(sld_solve(point.eig, point.drho)[0])
     povm = []
     start = 0
     for i in range(1, es.values.size + 1):
@@ -49,19 +47,17 @@ def equality_condition_residual(family: ParametricFamily, theta, povm, h: float 
     measured Fisher information equals the quantum bound.
     """
     elements = validate_povm(povm, family.dim)
-    rho = family.rho(theta)
-    drho = family.drho(theta, h=h)[0]
-    score = sld_solve(rho, drho)
+    point = FamilyPoint(family, theta, h)
+    score = sld_solve(point.eig, point.drho)[0]
 
-    def psd_sqrt(m):
-        es = eig_hermitian(m, check=False)
+    def psd_sqrt(es):
         vals = np.clip(es.values, 0.0, None)
         return (es.vectors * np.sqrt(vals)) @ es.vectors.conj().T
 
-    rho_sqrt = psd_sqrt(rho)
+    rho_sqrt = psd_sqrt(point.eig)
     worst = 0.0
     for m in elements:
-        m_sqrt = psd_sqrt(m)
+        m_sqrt = psd_sqrt(eig_hermitian(m, check=False))
         a = m_sqrt @ score @ rho_sqrt
         b = m_sqrt @ rho_sqrt
         bb = float(np.real(np.vdot(b, b)))
@@ -70,8 +66,8 @@ def equality_condition_residual(family: ParametricFamily, theta, povm, h: float 
     return worst
 
 
-def _outcome_distribution(family: ParametricFamily, theta, elements: np.ndarray) -> np.ndarray:
-    p = born_probabilities(family.rho(theta), elements)
+def _outcome_distribution(rho: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    p = born_probabilities(rho, elements)
     return p / p.sum()
 
 
@@ -87,7 +83,8 @@ def sample_outcomes(
     """Multinomial outcome counts for n >= 0 repeated measurements;
     deterministic per seed (an int or a sequence of ints for derived streams)."""
     n = _check_count("n", n, 0)
-    p = _outcome_distribution(family, theta_true, validate_povm(povm, family.dim))
+    elements = validate_povm(povm, family.dim)
+    p = _outcome_distribution(family.rho(theta_true), elements)
     return np.random.default_rng(seed).multinomial(n, p)
 
 
@@ -217,10 +214,10 @@ def cramer_rao_experiment(
         hi = min(hi - 1e-6, theta_true + 0.4)
         interval = (lo, hi)
     likelihood = Likelihood(family, povm, interval)
-    theta = family.check_theta(theta_true)
-    fisher = float(_measured_fisher(family, theta, likelihood.elements, h)[0, 0])
-    bound = float(sld_information(family, theta, h=h)[0, 0])
-    p = _outcome_distribution(family, theta, likelihood.elements)
+    point = FamilyPoint(family, theta_true, h)
+    fisher = float(_measured_fisher(point, likelihood.elements)[0, 0])
+    bound = float(_sld_information(point)[0, 0])
+    p = _outcome_distribution(point.rho, likelihood.elements)
     estimates = np.array([
         likelihood.estimate(np.random.default_rng([seed, r]).multinomial(n, p))
         for r in range(reps)

@@ -28,6 +28,7 @@ from .linalg import (
     DEFAULT_H,
     DEGEN_GAP,
     HERM_TOL,
+    EigenSystem,
     central_difference,
     eig_hermitian,
     herm_defect,
@@ -141,9 +142,8 @@ class ParametricFamily:
         return _stack_of(self, "evaluate", states, (len(thetas), self.dim, self.dim))
 
     def drho(self, theta, h: float = DEFAULT_H) -> np.ndarray:
-        """Tangents d(rho)/d(theta^l), shape (p, d, d): Richardson central
-        differences over one stacked evaluation of the 4p shifted points."""
-        return central_difference(self._evaluate_stack, self.check_theta(theta), h=h)
+        """Tangents d(rho)/d(theta^l), shape (p, d, d) (see FamilyPoint.drho)."""
+        return FamilyPoint(self, theta, h).drho
 
 
 def _stack_of(family: ParametricFamily, what: str, array: np.ndarray, shape: tuple) -> np.ndarray:
@@ -154,6 +154,29 @@ def _stack_of(family: ParametricFamily, what: str, array: np.ndarray, shape: tup
             f"of {shape[0]} points, expected {shape}"
         )
     return array
+
+
+def _stencil(family: ParametricFamily, f: Callable[[np.ndarray], np.ndarray],
+             thetas: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """central_difference of f at checked points of the family, after checking
+    every stencil point against the domain: a point within h of a finite bound
+    raises DomainExit instead of evaluating f outside the domain."""
+
+    def inside(points):
+        outside = np.flatnonzero(~family._inside(points))
+        if outside.size:
+            # Rows are the n points, then their shifted copies (see central_difference).
+            i = outside[0]
+            base = np.atleast_2d(thetas)
+            n, p = base.shape
+            origin = base[i if i < n else (i - n) // p % n]
+            raise DomainExit(
+                f"the difference stencil of {family.name!r} at theta {origin.tolist()} "
+                f"with step h={h} leaves the domain at {points[i].tolist()}"
+            )
+        return f(points)
+
+    return central_difference(inside, thetas, h=h)
 
 
 @dataclass(frozen=True)
@@ -190,82 +213,119 @@ def spectral_tangents(family: ParametricFamily, thetas: np.ndarray, h: float = D
     """Differenced spectral presentation at an (n, p) stack of checked points.
 
     Returns dp (n, p, d), overlaps (n, p, d, d) and the eigenvalues (n, d) at
-    the points, from one stacked presentation of the points and one of all
-    4np stencil points. A GaugedSpectral presentation differences its base
-    frame, and its phases alpha as real functions, through
-    <d(e^{i a_j} w_j)|e^{i a_k} w_k> = e^{i(a_k - a_j)} O_jk - i delta_jk da_k,
+    the points, from one stacked presentation of the points and their 4np
+    stencil points. A GaugedSpectral presentation differences its base
+    frame, and its phases alpha as real functions (one more stacked call),
+    through <d(e^{i a_j} w_j)|e^{i a_k} w_k> = e^{i(a_k - a_j)} O_jk - i delta_jk da_k,
     so its frame is never differenced across the complex phase factors.
     """
     gauged = family.spectral if isinstance(family.spectral, GaugedSpectral) else None
     spectral = family.spectral if gauged is None else gauged.base
 
-    def presentation(points):
-        sp = spectral(points)
-        n, d = len(points), family.dim
-        return (_stack_of(family, "spectral eigenvalues", np.asarray(sp.eigenvalues), (n, d)),
-                _stack_of(family, "spectral eigenvectors", np.asarray(sp.eigenvectors), (n, d, d)))
-
     def eigensystems(points):
         # Row 0 of each point holds the eigenvalues, rows 1.. the frame.
-        values, frames = presentation(points)
+        sp = spectral(points)
+        n, d = len(points), family.dim
+        values = _stack_of(family, "spectral eigenvalues", np.asarray(sp.eigenvalues), (n, d))
+        frames = _stack_of(family, "spectral eigenvectors", np.asarray(sp.eigenvectors), (n, d, d))
         return np.concatenate([values[:, None], frames], axis=1)
 
-    values0, frames0 = presentation(thetas)
-    d_stack = central_difference(eigensystems, thetas, h=h)
-    overlaps = d_stack[:, :, 1:].conj().swapaxes(-1, -2) @ frames0[:, None]
+    at, d_stack = _stencil(family, eigensystems, thetas, h)
+    overlaps = d_stack[:, :, 1:].conj().swapaxes(-1, -2) @ at[:, None, 1:]
     if gauged is not None:
-        a = gauged.phases(thetas)
-        slopes = central_difference(gauged.phases, thetas, h=h)
+        a, slopes = central_difference(gauged.phases, thetas, h=h)
         overlaps = overlaps * np.exp(1j * (a[:, None, None, :] - a[:, None, :, None]))
         diag = np.arange(family.dim)
         overlaps[..., diag, diag] -= 1j * slopes
-    return np.real(d_stack[:, :, 0]), overlaps, values0
+    return np.real(d_stack[:, :, 0]), overlaps, np.real(at[:, 0])
+
+
+class FamilyPoint:
+    """A family at one checked point, with what every metric there is built
+    from: rho and its tangents, rho's eigensystem and the tangent data.
+
+    Each is computed on first use and then kept by this object, which the
+    caller creates and drops; nothing is cached anywhere else. rho and drho
+    come from one evaluation of the point and its 4p Richardson stencil
+    points, all checked against the domain first.
+    """
+
+    def __init__(self, family: ParametricFamily, theta, h: float = DEFAULT_H):
+        self.family = family
+        self.theta = family.check_theta(theta)
+        self.h = h
+
+    @cached_property
+    def _state(self) -> tuple[np.ndarray, np.ndarray]:
+        return _stencil(self.family, self.family._evaluate_stack, self.theta, self.h)
+
+    @property
+    def rho(self) -> np.ndarray:
+        """The state, shape (d, d)."""
+        return self._state[0]
+
+    @property
+    def drho(self) -> np.ndarray:
+        """Tangents d(rho)/d(theta^l), shape (p, d, d)."""
+        return self._state[1]
+
+    @cached_property
+    def eig(self) -> EigenSystem:
+        """eig_hermitian of rho."""
+        return eig_hermitian(self.rho)
+
+    @cached_property
+    def tangent_data(self) -> TangentData:
+        """Eigenvalue derivatives and eigenvector-derivative overlaps.
+
+        With a spectral presentation the frame is differenced directly, so the
+        result reflects the family's own gauge (phases are taken as supplied;
+        the closed-form presentations used here are smooth by construction); a
+        re-phased presentation differences its base frame and its real phases
+        apart (see spectral_tangents). Without one, they come from rho's
+        eigensystem and tangents (see _perturbative_tangent_data).
+        """
+        if self.family.spectral is None:
+            return _perturbative_tangent_data(self.eig, self.drho)
+        dp, overlaps, eigenvalues = spectral_tangents(self.family, self.theta[None], h=self.h)
+        return TangentData(dp=dp[0], overlaps=overlaps[0], eigenvalues=eigenvalues[0])
 
 
 def tangent_data(family: ParametricFamily, theta, h: float = DEFAULT_H) -> TangentData:
-    """Eigenvalue derivatives and eigenvector-derivative overlaps at theta.
+    """Eigenvalue derivatives and eigenvector-derivative overlaps at theta
+    (see FamilyPoint.tangent_data)."""
+    return FamilyPoint(family, theta, h).tangent_data
 
-    With a spectral presentation the frame is differenced directly, so the
-    result reflects the family's own gauge (phases are taken as supplied; the
-    closed-form presentations used here are smooth by construction); a
-    re-phased presentation differences its base frame and its real phases
-    apart (see spectral_tangents). Without one, eigenvalue derivatives come
-    from first-order perturbation theory, off-diagonal overlaps from
-    <w_j|drho|w_k> / (p_j - p_k), and diagonal overlaps are zero by the
-    deterministic gauge convention.
+
+def _perturbative_tangent_data(es: EigenSystem, tangents: np.ndarray) -> TangentData:
+    """Tangent data from rho's eigensystem and its (p, d, d) tangents:
+    eigenvalue derivatives from first-order perturbation theory, off-diagonal
+    overlaps <w_j|drho|w_k> / (p_j - p_k), and diagonal overlaps zero by the
+    deterministic gauge convention. A degenerate pair (j, k) with coupling
+    raises DegeneracyUnresolved; the first such pair in row order is named.
     """
-    theta = family.check_theta(theta)
-    if family.spectral is not None:
-        dp, overlaps, eigenvalues = spectral_tangents(family, theta[None], h=h)
-        return TangentData(dp=dp[0], overlaps=overlaps[0],
-                           eigenvalues=np.asarray(eigenvalues[0], float))
-
-    p_n, d = family.nparams, family.dim
-    es = eig_hermitian(family.rho(theta))
     p = es.values
     v = es.vectors
-    tangents = family.drho(theta, h=h)
     a = np.einsum("ij,ljk,km->lim", v.conj().T, tangents, v)
     dp = np.real(np.einsum("lii->li", a))
-    overlaps = np.zeros((p_n, d, d), dtype=complex)
-    for j in range(d):
-        for k in range(d):
-            if j == k:
-                continue
-            gap = p[j] - p[k]
-            if abs(gap) < DEGEN_GAP:
-                if np.max(np.abs(a[:, j, k])) > 1e-8:
-                    raise DegeneracyUnresolved(
-                        f"eigenvalues {j},{k} degenerate with nonzero coupling and "
-                        "no spectral presentation supplied"
-                    )
-                continue
-            overlaps[:, j, k] = a[:, j, k] / gap
+    gap = p[:, None] - p[None, :]
+    degenerate = np.abs(gap) < DEGEN_GAP
+    coupled = degenerate & ~np.eye(p.size, dtype=bool) & (np.abs(a).max(axis=0) > 1e-8)
+    if coupled.any():
+        j, k = np.argwhere(coupled)[0]
+        raise DegeneracyUnresolved(
+            f"eigenvalues {j},{k} degenerate with nonzero coupling and "
+            "no spectral presentation supplied"
+        )
+    overlaps = np.where(degenerate, 0.0, a / np.where(degenerate, 1.0, gap))
     return TangentData(dp=dp, overlaps=overlaps, eigenvalues=p)
 
 
 def directional_family(family: ParametricFamily, theta, v, h: float = DEFAULT_H) -> ParametricFamily:
-    """One-parameter slice t -> rho(theta + t v) through a multi-parameter family."""
+    """One-parameter slice t -> rho(theta + t v) through a multi-parameter family.
+
+    A re-phased family's slice stays re-phased: its GaugedSpectral slices the
+    base presentation and the phases each along the same line."""
     theta = family.check_theta(theta)
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if v.shape != (family.nparams,):
@@ -283,11 +343,19 @@ def directional_family(family: ParametricFamily, theta, v, h: float = DEFAULT_H)
             raise DomainExit("segment leaves the family domain")
         return th
 
+    def sliced(fn):
+        return lambda tv: fn(along(tv))
+
+    spectral = family.spectral
+    if isinstance(spectral, GaugedSpectral):
+        spectral = GaugedSpectral(sliced(spectral.base), sliced(spectral.phases))
+    elif spectral is not None:
+        spectral = sliced(spectral)
     return ParametricFamily(
         dim=family.dim,
         nparams=1,
-        evaluate=lambda tv: family.evaluate(along(tv)),
-        spectral=None if family.spectral is None else lambda tv: family.spectral(along(tv)),
+        evaluate=sliced(family.evaluate),
+        spectral=spectral,
         domain=((-math.inf, math.inf),),
         name=f"{family.name}@dir",
     )

@@ -49,12 +49,9 @@ def fix_phases(vectors: np.ndarray) -> np.ndarray:
     so repeated decompositions of the same matrix agree bit for bit.
     """
     v = np.array(vectors, dtype=complex, copy=True)
-    for k in range(v.shape[1]):
-        i = int(np.argmax(np.abs(v[:, k])))
-        z = v[i, k]
-        a = abs(z)
-        if a > 0.0:
-            v[:, k] *= np.conj(z) / a
+    z = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    a = np.hypot(z.real, z.imag)  # abs of one complex number; np.abs can differ in the last bit
+    v *= np.divide(np.conj(z), a, out=np.ones_like(z), where=a > 0.0)
     return v
 
 
@@ -73,32 +70,35 @@ def eig_hermitian(m: np.ndarray, check: bool = True) -> EigenSystem:
     return EigenSystem(values=vals[order], vectors=fix_phases(vecs[:, order]))
 
 
-def sld_solve(rho: np.ndarray, drho: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Solve drho = (rho L + L rho) / 2 for the Hermitian score L.
+def sld_solve(es: EigenSystem, tangents: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
+    """Solve drho_l = (rho L_l + L_l rho) / 2 for the Hermitian scores L_l of a
+    (p, d, d) stack of tangents, given rho's eigensystem; shape (p, d, d).
 
     Works in the eigenbasis of rho: L_jk = 2 A_jk / (p_j + p_k) with A the
     tangent in that basis. Entries with p_j + p_k below rank_tol are set to
     zero; if the tangent has weight there, the score does not determine the
-    metric and UnsupportedTangent is raised.
+    metric and UnsupportedTangent is raised. Each tangent is checked in turn
+    (Hermitian, traceless, supported); the first failing check raises.
     """
-    drho = np.asarray(drho, dtype=complex)
-    if herm_defect(drho) > HERM_TOL:
-        raise NotHermitian("tangent matrix is not Hermitian")
-    if abs(np.trace(drho)) > HERM_TOL:
-        raise NotHermitian("tangent matrix is not traceless")
-    es = eig_hermitian(rho)
+    tangents = np.asarray(tangents, dtype=complex)
     p = np.clip(es.values, 0.0, None)
     v = es.vectors
-    a = v.conj().T @ drho @ v
+    a = v.conj().T @ tangents @ v
     denom = p[:, None] + p[None, :]
     off_support = denom <= rank_tol
-    if np.any(off_support) and np.max(np.abs(a[off_support])) > 1e-8:
-        raise UnsupportedTangent(
-            "tangent has weight outside the support of the state"
-        )
+    not_hermitian = np.abs(tangents - tangents.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) > HERM_TOL
+    not_traceless = np.abs(np.trace(tangents, axis1=-2, axis2=-1)) > HERM_TOL
+    unsupported = (np.abs(a) * off_support).max(axis=(-2, -1)) > 1e-8
+    failing = np.flatnonzero(not_hermitian | not_traceless | unsupported)
+    if failing.size and not_hermitian[failing[0]]:
+        raise NotHermitian("tangent matrix is not Hermitian")
+    if failing.size and not_traceless[failing[0]]:
+        raise NotHermitian("tangent matrix is not traceless")
+    if failing.size:
+        raise UnsupportedTangent("tangent has weight outside the support of the state")
     lam = np.where(off_support, 0.0, 2.0 * a / np.where(off_support, 1.0, denom))
     lam = v @ lam @ v.conj().T
-    return (lam + lam.conj().T) / 2.0
+    return (lam + lam.conj().swapaxes(-1, -2)) / 2.0
 
 
 def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -139,15 +139,19 @@ def central_difference(
     f: Callable[[np.ndarray], np.ndarray],
     theta,
     h: float = DEFAULT_H,
-) -> np.ndarray:
-    """Partial derivatives of f at theta, shape (p, ...): symmetric differences
-    D_h = (f(theta + h e_l) - f(theta - h e_l)) / 2h with one Richardson step
-    (4 D_{h/2} - D_h) / 3.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Value and partial derivatives of f at theta, shapes (...) and (p, ...):
+    symmetric differences D_h = (f(theta + h e_l) - f(theta - h e_l)) / 2h with
+    one Richardson step (4 D_{h/2} - D_h) / 3.
 
     f maps an (n, p) stack of parameter vectors to the (n, ...) stack of its
-    values. It is called once, on the 4p points theta +- h e_l, theta +- (h/2) e_l.
-    An (n, p) stack of base points gives shape (n, p, ...) from one call of f
-    on all 4np shifted points; a single point is the stack n = 1.
+    values. It is called once, on theta itself followed by the 4p points
+    theta +- h e_l, theta +- (h/2) e_l, so the value at theta comes from the
+    same call as the stencil. An (n, p) stack of base points gives shapes
+    (n, ...) and (n, p, ...) from one call of f on the n base points and all
+    4np shifted points; a single point is the stack n = 1. Row n + (s n + i) p + l
+    of f's argument is base point i with coordinate l moved by step s of
+    (+h, -h, +h/2, -h/2).
     """
     if h <= 0.0:
         raise ValueError("step h must be positive")
@@ -155,13 +159,15 @@ def central_difference(
     thetas = np.atleast_2d(theta)
     n, p = thetas.shape
     hh = h / 2.0
-    shifted = np.empty((4, n, p, p))
+    points = np.empty((n + 4 * n * p, p))
+    points[:n] = thetas
+    shifted = points[n:].reshape(4, n, p, p)
     shifted[...] = thetas[:, None, :]
     # Row l of each point moves coordinate l: the stride p + 1 walks the diagonals.
     shifted.reshape(4, n, p * p)[..., :: p + 1] += h * _STENCIL_STEPS
-    values = np.asarray(f(shifted.reshape(4 * n * p, p)))
-    values = values.reshape((4, n, p) + values.shape[1:])
+    values = np.asarray(f(points))
+    value, values = values[:n], values[n:].reshape((4, n, p) + values.shape[1:])
     d_h = (values[0] - values[1]) / (2.0 * h)
     d_hh = (values[2] - values[3]) / (2.0 * hh)
     partials = (4.0 * d_hh - d_h) / 3.0
-    return partials if theta.ndim == 2 else partials[0]
+    return (value, partials) if theta.ndim == 2 else (value[0], partials[0])

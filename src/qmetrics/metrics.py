@@ -11,6 +11,10 @@ The overlap-based informations come in a gauge-dependent flavour (needs the
 family's spectral presentation) and a gauge-invariant lower bound, plus the
 decomposition of the latter into classical Fisher of the spectrum and a
 weighted sum of pure-state informations.
+
+Every metric at a point is built from one families.FamilyPoint (rho, its
+tangents, its eigensystem, the tangent data); evaluate_metrics serves several
+metrics from one point, so the routes share those inputs, never a formula.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .errors import (
     ValidationError,
     VanishingProbabilityWithFlow,
 )
-from .families import ParametricFamily, TangentData, tangent_data
+from .families import FamilyPoint, ParametricFamily, TangentData, tangent_data
 from .linalg import (
     DEFAULT_H,
     DEGEN_GAP,
@@ -48,19 +52,22 @@ from .linalg import (
 
 @dataclass(frozen=True)
 class CFunction:
-    """Symmetric, (-1)-homogeneous coefficient c(x, y) with f(t) = 1/c(t, 1)."""
+    """Symmetric, (-1)-homogeneous coefficient c(x, y) with f(t) = 1/c(t, 1).
+
+    c works elementwise on arrays of x and y as well as on two numbers."""
 
     name: str
-    c: Callable[[float, float], float]
+    c: Callable[[np.ndarray, np.ndarray], np.ndarray]
     f: Callable[[float], float]
     full_rank_required: bool = False
     singular_at_equal_args: bool = False
 
 
-def _c_kmb(x: float, y: float) -> float:
-    if abs(x - y) <= 1e-9 * max(x, y):
-        return 1.0 / x
-    return (math.log(x) - math.log(y)) / (x - y)
+def _c_kmb(x, y):
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    diff = x - y
+    close = np.abs(diff) <= 1e-9 * np.maximum(x, y)
+    return np.where(close, 1.0 / x, (np.log(x) - np.log(y)) / np.where(close, 1.0, diff))
 
 
 def _f_kmb(t: float) -> float:
@@ -138,10 +145,18 @@ def random_povm(d: int, n_outcomes: int, seed: int = 0) -> list[np.ndarray]:
     return [inv_sqrt @ a @ inv_sqrt for a in raw]
 
 
+def _basis_stack(d: int) -> np.ndarray:
+    """The computational-basis projectors stacked, shape (d, d, d); a valid
+    POVM by construction, so callers in the library skip validate_povm."""
+    stack = np.zeros((d, d, d), dtype=complex)
+    i = np.arange(d)
+    stack[i, i, i] = 1.0
+    return stack
+
+
 def basis_povm(d: int) -> list[np.ndarray]:
     """Computational-basis projectors."""
-    eye = np.eye(d, dtype=complex)
-    return [np.outer(eye[:, i], eye[:, i].conj()) for i in range(d)]
+    return list(_basis_stack(d))
 
 
 def born_probabilities(rho: np.ndarray, povm: Sequence[np.ndarray]) -> np.ndarray:
@@ -153,38 +168,47 @@ def born_probabilities(rho: np.ndarray, povm: Sequence[np.ndarray]) -> np.ndarra
     return np.clip(p, 0.0, None)
 
 
+def _added_in_order(start: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """start + terms[..., 0] + terms[..., 1] + ..., added left to right (a
+    cumulative sum), so the result is bit for bit that of a loop over terms;
+    np.sum adds eight or more terms pairwise."""
+    return np.cumsum(np.concatenate([start[..., None], terms], axis=-1), axis=-1)[..., -1]
+
+
 def _fisher_sum(
     p: np.ndarray, dp: np.ndarray, flow_error: Callable[[int], Exception]
 ) -> np.ndarray:
     """Sum of dp[:, i] dp[:, i]^T / p_i over the i with p_i > RANK_TOL.
 
     An entry at or below RANK_TOL whose derivative exceeds 1e-9 raises
-    flow_error(i): probability would flow out of the support.
+    flow_error(i) for the first such i: probability would flow out of the
+    support.
     """
-    out = np.zeros((dp.shape[0], dp.shape[0]))
-    for i, pi in enumerate(p):
-        if pi > RANK_TOL:
-            out += np.outer(dp[:, i], dp[:, i]) / pi
-        elif np.max(np.abs(dp[:, i])) > 1e-9:
-            raise flow_error(i)
-    return out
+    support = p > RANK_TOL
+    flowing = ~support & (np.abs(dp).max(axis=0) > 1e-9)
+    if flowing.any():
+        raise flow_error(int(np.argmax(flowing)))
+    w = dp[:, support]
+    return _added_in_order(np.zeros((len(dp), len(dp))), w[:, None] * w[None] / p[support])
 
 
-def _measured_fisher(
-    family: ParametricFamily, theta: np.ndarray, elements: np.ndarray, h: float
-) -> np.ndarray:
-    """classical_fisher for a checked theta and a validated, stacked POVM."""
-    p0 = born_probabilities(family.rho(theta), elements)
-    dp = np.real(np.einsum("lij,mji->lm", family.drho(theta, h=h), elements))
-    fisher = _fisher_sum(p0, dp, lambda m: VanishingProbabilityWithFlow(
+def _measured_fisher(point: FamilyPoint, elements: np.ndarray) -> np.ndarray:
+    """Fisher information at a point for a validated, stacked POVM."""
+    p0 = born_probabilities(point.rho, elements)
+    dp = np.real(np.einsum("lij,mji->lm", point.drho, elements))
+    return _fisher_sum(p0, dp, lambda m: VanishingProbabilityWithFlow(
         f"outcome {m} has zero probability but nonzero derivative"))
-    return (fisher + fisher.T) / 2.0
+
+
+def _fisher(point: FamilyPoint, povm) -> np.ndarray:
+    d = point.family.dim
+    return _measured_fisher(point, _basis_stack(d) if povm is None else validate_povm(povm, d))
 
 
 def classical_fisher(
     family: ParametricFamily,
     theta,
-    povm: Sequence[np.ndarray],
+    povm: Sequence[np.ndarray] | None = None,
     h: float = DEFAULT_H,
 ) -> np.ndarray:
     """Fisher information matrix of the measured outcome distribution.
@@ -192,13 +216,42 @@ def classical_fisher(
     Born probabilities are linear in rho, so their derivatives are
     Re tr(drho_l M_m) from the state tangents; outcomes with vanishing
     probability contribute zero only if their derivative also vanishes.
+    A POVM passed in is validated; the default is the computational basis.
     """
-    theta = family.check_theta(theta)
-    return _measured_fisher(family, theta, validate_povm(povm, family.dim), h)
+    return _fisher(FamilyPoint(family, theta, h), povm)
 
 
 # ---------------------------------------------------------------------------
 # Generic coefficient-function engine
+
+
+def _mc_metric(point: FamilyPoint, cf: CFunction) -> np.ndarray:
+    es = point.eig
+    p = np.clip(es.values, 0.0, None)
+    if cf.full_rank_required and float(es.values.min()) < RANK_TOL:
+        raise RankDeficient(f"{cf.name} information requires a full-rank state")
+    v = es.vectors
+    a = np.einsum("ij,ljk,km->lim", v.conj().T, point.drho, v)
+    m_out = _fisher_sum(p, np.real(np.einsum("lii->li", a)), lambda i: RankDeficient(
+        "tangent flows out of the support of the state"))
+    # The pairs j < k in row order. Pairs off the support, and for a singular
+    # coefficient degenerate pairs, are skipped; the first of them with
+    # coupling raises.
+    off_support = p[:, None] + p <= RANK_TOL
+    skipped = off_support
+    if cf.singular_at_equal_args:
+        skipped = skipped | (np.abs(p[:, None] - p) < DEGEN_GAP)
+    upper = np.arange(p.size)[:, None] < np.arange(p.size)
+    failing = upper & skipped & (np.abs(a).max(axis=0) > 1e-8)
+    if failing.any():
+        j, k = np.argwhere(failing)[0]
+        if off_support[j, k]:
+            raise UnsupportedTangent("tangent has weight outside the support of the state")
+        raise DegeneracyUnresolved(f"{cf.name} coefficient diverges on the degenerate pair ({j},{k})")
+    j, k = np.nonzero(upper & ~skipped)
+    w = a[:, j, k]
+    m_out = _added_in_order(m_out, 2.0 * cf.c(p[j], p[k]) * np.real(w[:, None] * w[None].conj()))
+    return (m_out + m_out.T) / 2.0
 
 
 def mc_metric(
@@ -214,41 +267,18 @@ def mc_metric(
         M_kl = sum_i A^(k)_ii A^(l)_ii / p_i
              + 2 sum_{j<m} c(p_j, p_m) Re(A^(k)_jm conj(A^(l)_jm)).
     """
-    theta = family.check_theta(theta)
-    rho = family.rho(theta)
-    es = eig_hermitian(rho)
-    p = np.clip(es.values, 0.0, None)
-    if cf.full_rank_required and float(es.values.min()) < RANK_TOL:
-        raise RankDeficient(f"{cf.name} information requires a full-rank state")
-    tangents = family.drho(theta, h=h)
-    v = es.vectors
-    a = np.einsum("ij,ljk,km->lim", v.conj().T, tangents, v)
-    diag = np.real(np.einsum("lii->li", a))
-    m_out = _fisher_sum(p, diag, lambda i: RankDeficient(
-        "tangent flows out of the support of the state"))
-    d = family.dim
-    for j in range(d):
-        for k in range(j + 1, d):
-            coupling = a[:, j, k]
-            cmax = float(np.max(np.abs(coupling)))
-            if p[j] + p[k] <= RANK_TOL:
-                if cmax > 1e-8:
-                    raise UnsupportedTangent(
-                        "tangent has weight outside the support of the state"
-                    )
-                continue
-            if cf.singular_at_equal_args and abs(p[j] - p[k]) < DEGEN_GAP:
-                if cmax > 1e-8:
-                    raise DegeneracyUnresolved(
-                        f"{cf.name} coefficient diverges on the degenerate pair ({j},{k})"
-                    )
-                continue
-            m_out += 2.0 * cf.c(p[j], p[k]) * np.real(np.outer(coupling, coupling.conj()))
-    return (m_out + m_out.T) / 2.0
+    return _mc_metric(FamilyPoint(family, theta, h), cf)
 
 
 # ---------------------------------------------------------------------------
 # Named informations
+
+
+def _sld_information(point: FamilyPoint) -> np.ndarray:
+    scores = sld_solve(point.eig, point.drho)
+    m_out = np.real(np.trace((point.rho @ scores)[:, None] @ scores, axis1=-2, axis2=-1))
+    # Re tr(rho L_k L_l) for k <= l, mirrored below the diagonal: exactly symmetric.
+    return np.triu(m_out) + np.triu(m_out, 1).T
 
 
 def sld_information(family: ParametricFamily, theta, h: float = DEFAULT_H) -> np.ndarray:
@@ -258,17 +288,7 @@ def sld_information(family: ParametricFamily, theta, h: float = DEFAULT_H) -> np
     as mutual oracles in the test suite. Defined for pure states through the
     support-restricted score.
     """
-    theta = family.check_theta(theta)
-    rho = family.rho(theta)
-    tangents = family.drho(theta, h=h)
-    scores = [sld_solve(rho, t) for t in tangents]
-    n = family.nparams
-    m_out = np.empty((n, n))
-    for k in range(n):
-        for l in range(k, n):
-            val = float(np.real(np.trace(rho @ scores[k] @ scores[l])))
-            m_out[k, l] = m_out[l, k] = val
-    return m_out
+    return _sld_information(FamilyPoint(family, theta, h))
 
 
 def kmb_information(family: ParametricFamily, theta, h: float = DEFAULT_H) -> np.ndarray:
@@ -300,6 +320,13 @@ def _diag_part(td: TangentData) -> np.ndarray:
     return (out + out.T) / 2.0
 
 
+def _c_upsilon(point: FamilyPoint) -> np.ndarray:
+    if point.family.spectral is None:
+        raise MissingGauge("family supplies no spectral presentation (no gauge to use)")
+    td = point.tangent_data
+    return _classical_part(td) + _offdiag_part(td) + _diag_part(td)
+
+
 def c_upsilon_states(family: ParametricFamily, theta, h: float = DEFAULT_H) -> np.ndarray:
     """Gauge-dependent channel-derived information of a presented state family.
 
@@ -307,10 +334,12 @@ def c_upsilon_states(family: ParametricFamily, theta, h: float = DEFAULT_H) -> n
     eigenvector phase choice by design (the diagonal-overlap term is not
     gauge invariant).
     """
-    if family.spectral is None:
-        raise MissingGauge("family supplies no spectral presentation (no gauge to use)")
-    td = tangent_data(family, theta, h=h)
-    return _classical_part(td) + _offdiag_part(td) + _diag_part(td)
+    return _c_upsilon(FamilyPoint(family, theta, h))
+
+
+def _c_l(point: FamilyPoint) -> np.ndarray:
+    td = point.tangent_data
+    return _classical_part(td) + _offdiag_part(td)
 
 
 def c_l_information(family: ParametricFamily, theta, h: float = DEFAULT_H) -> np.ndarray:
@@ -320,8 +349,7 @@ def c_l_information(family: ParametricFamily, theta, h: float = DEFAULT_H) -> np
     whenever a spectral presentation is available; agrees with the engine
     route (coefficient 2(x+y)/(x-y)^2) on non-degenerate families.
     """
-    td = tangent_data(family, theta, h=h)
-    return _classical_part(td) + _offdiag_part(td)
+    return _c_l(FamilyPoint(family, theta, h))
 
 
 def c_l_decomposition(family: ParametricFamily, theta, h: float = DEFAULT_H):
@@ -372,6 +400,27 @@ class FScanReport:
     max_duality_defect: float
 
 
+def evaluate_metrics(
+    family: ParametricFamily,
+    theta,
+    names: Sequence[str],
+    povm: Sequence[np.ndarray] | None = None,
+    h: float = DEFAULT_H,
+) -> dict[str, np.ndarray]:
+    """Metrics by registry name at one point, as a dict name -> matrix.
+
+    Every name is checked before anything is computed. All metrics are served
+    from one FamilyPoint, so rho, its tangents, its eigensystem and the
+    tangent data are each computed at most once. The POVM is used by
+    "fisher" only and defaults to the computational basis.
+    """
+    for name in names:
+        if name not in _METRICS:
+            raise UnknownMetric(f"unknown metric {name!r}; known: {', '.join(METRIC_NAMES)}")
+    point = FamilyPoint(family, theta, h)
+    return {name: _METRICS[name](point, povm) for name in names}
+
+
 def evaluate_metric(
     family: ParametricFamily,
     theta,
@@ -379,24 +428,16 @@ def evaluate_metric(
     povm: Sequence[np.ndarray] | None = None,
     h: float = DEFAULT_H,
 ) -> np.ndarray:
-    """Dispatch a metric by its registry name (CLI and experiment entry point).
-
-    The POVM is used by "fisher" only and defaults to the computational basis.
-    """
-    metric = _METRICS.get(name)
-    if metric is None:
-        raise UnknownMetric(f"unknown metric {name!r}; known: {', '.join(METRIC_NAMES)}")
-    return metric(family, theta, povm, h)
+    """One metric by its registry name (see evaluate_metrics)."""
+    return evaluate_metrics(family, theta, [name], povm, h)[name]
 
 
 _METRICS = {
-    "fisher": lambda family, theta, povm, h: classical_fisher(
-        family, theta, basis_povm(family.dim) if povm is None else povm, h=h
-    ),
-    "sld": lambda family, theta, povm, h: sld_information(family, theta, h=h),
-    "kmb": lambda family, theta, povm, h: kmb_information(family, theta, h=h),
-    "rld": lambda family, theta, povm, h: rld_information(family, theta, h=h),
-    "cupsilon": lambda family, theta, povm, h: c_upsilon_states(family, theta, h=h),
-    "cl": lambda family, theta, povm, h: c_l_information(family, theta, h=h),
+    "fisher": _fisher,
+    "sld": lambda point, povm: _sld_information(point),
+    "kmb": lambda point, povm: _mc_metric(point, CF_KMB),
+    "rld": lambda point, povm: _mc_metric(point, CF_RLD),
+    "cupsilon": lambda point, povm: _c_upsilon(point),
+    "cl": lambda point, povm: _c_l(point),
 }
 METRIC_NAMES = tuple(_METRICS)

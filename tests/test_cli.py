@@ -53,6 +53,14 @@ def test_wrong_theta_length_exits_2(capsys):
     assert code == 2
 
 
+def test_stencil_leaving_the_domain_exits_2(capsys):
+    code, _, err = run(
+        capsys, "metric", "--family", "bloch3", "--theta", "0.9999999,0.7,0.2", "--metrics", "sld",
+    )
+    assert code == 2
+    assert "'bloch3' at theta [0.9999999, 0.7, 0.2] with step h=1e-05" in err
+
+
 def test_numerical_failure_exits_3(capsys):
     # full-rank-only information on a rank-1 family
     code, _, err = run(

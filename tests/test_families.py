@@ -292,7 +292,7 @@ def test_a_stack_of_the_wrong_shape_raises_a_validation_error_naming_the_family(
     fam = ParametricFamily(dim=2, nparams=1, name="per-point", evaluate=lambda th: np.diag([0.6, 0.4]),
                            spectral=lambda th: SpectralPresentation(np.array([0.6, 0.4]), np.eye(2)))
     assert np.array_equal(fam.rho([0.1]), np.diag([0.6, 0.4]))
-    expected = r"'per-point': evaluate gives shape \(2, 2\) for a stack of 4 points, expected \(4, 2, 2\)"
+    expected = r"'per-point': evaluate gives shape \(2, 2\) for a stack of 5 points, expected \(5, 2, 2\)"
     with pytest.raises(ValidationError, match=expected):
         fam.drho([0.1])
     with pytest.raises(ValidationError, match=r"'per-point': evaluate gives shape \(2, 2\)"):
@@ -302,6 +302,20 @@ def test_a_stack_of_the_wrong_shape_raises_a_validation_error_naming_the_family(
     with pytest.raises(ValidationError, match=r"'per-point': spectral eigenvectors"):
         spectral_tangents(replace(fam, spectral=lambda th: SpectralPresentation(
             np.tile([0.6, 0.4], (len(th), 1)), np.eye(2))), np.array([[0.1]]))
+
+
+def test_a_stencil_leaving_the_domain_raises_domain_exit():
+    # r + h > 1: the stencil would evaluate a state with a negative eigenvalue.
+    fam = bloch3()
+    theta = [0.9999999, 0.7, 0.2]
+    expected = r"'bloch3' at theta \[0\.9999999, 0\.7, 0\.2\] with step h=1e-05 leaves the domain"
+    for call in (fam.drho, lambda th: tangent_data(fam, th)):
+        with pytest.raises(DomainExit, match=expected):
+            call(theta)
+    inside = [1.0 - 2.0 * DEFAULT_H, 0.7, 0.2]
+    assert np.all(np.isfinite(fam.drho(inside)))
+    with pytest.raises(DomainExit, match=r"'diagonal-simplex' at theta \[-0\.999999\]"):
+        spectral_tangents(diagonal_simplex(), np.array([[0.0], [-0.999999]]))
 
 
 def test_rhos_checks_the_whole_stack_like_rho():

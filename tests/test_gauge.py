@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmetrics.channels import depolarizing_channel, pushforward_family
 from qmetrics.errors import (
     DomainExit,
     MissingGauge,
@@ -250,8 +251,8 @@ def test_scan_makes_no_one_point_presentation_on_a_batched_family():
     counted = replace(base, spectral=spectral)
     minimizing_gauge_1p(apply_gauge(counted, PhaseAssignment.from_callable(phases)),
                         -0.5, 0.5, steps=512)
-    # 513 grid points in 9 blocks: one presentation of each block and one of its stencil.
-    assert calls == [(64, 1), (256, 1)] * 8 + [(1, 1), (4, 1)]
+    # 513 grid points in 9 blocks: one presentation of each block with its stencil.
+    assert calls == [(320, 1)] * 8 + [(5, 1)]
     # The phases are taken at the grid points only, one point per call.
     assert phase_calls == [(1,)] * 513
 
@@ -278,18 +279,37 @@ def test_rephasing_a_rephased_family_adds_the_phases_onto_one_base():
                           once.spectral(np.array([0.3])).eigenvectors)
 
 
-def test_scan_through_a_kinked_sampled_gauge_returns_a_minimizing_gauge():
-    # Piecewise-linear phases with large slope changes at their nodes: the
-    # scan used to difference exp(i a) across a node and raise
-    # NonImaginaryOverlap on this orthonormal frame.
-    fam = random_full_rank(d=3, nparams=1, seed=61)
+def _kinked(fam):
+    # Piecewise-linear phases with large slope changes at their nodes.
     grid = np.linspace(-0.6, 0.6, 41)
     samples = np.random.default_rng(61).uniform(-1.0, 1.0, (3, grid.size))
-    kinked = apply_gauge(fam, PhaseAssignment.from_samples(grid, samples))
+    return apply_gauge(fam, PhaseAssignment.from_samples(grid, samples))
+
+
+def test_scan_through_a_kinked_sampled_gauge_returns_a_minimizing_gauge():
+    # The scan used to difference exp(i a) across a node and raise
+    # NonImaginaryOverlap on this orthonormal frame.
+    fam = random_full_rank(d=3, nparams=1, seed=61)
+    kinked = _kinked(fam)
     pa = minimizing_gauge_1p(kinked, -0.5, 0.5, steps=200)
     t = [pa.grid[100]]
     gap = c_upsilon_states(apply_gauge(kinked, pa), t)[0, 0] - c_l_information(fam, t)[0, 0]
     assert abs(gap) <= 1e-9
+
+
+@pytest.mark.parametrize("wrap", [
+    lambda fam: directional_family(fam, [0.0], [1.0]),
+    lambda fam: pushforward_family(depolarizing_channel(3, 0.5), fam),
+], ids=["slice", "pushforward"])
+def test_slices_and_pushforwards_of_a_rephased_family_stay_rephased(wrap):
+    # Wrapping the GaugedSpectral in a plain callable made the scan difference
+    # exp(i a) w across the kinks again and raise NonImaginaryOverlap.
+    wrapped = wrap(_kinked(random_full_rank(d=3, nparams=1, seed=61)))
+    assert isinstance(wrapped.spectral, GaugedSpectral)
+    pa = minimizing_gauge_1p(wrapped, -0.5, 0.5, steps=200)
+    t = [pa.grid[100]]
+    gap = c_upsilon_states(apply_gauge(wrapped, pa), t)[0, 0] - c_l_information(wrapped, t)[0, 0]
+    assert abs(gap) <= 1e-6
 
 
 def test_scan_leaving_the_domain_raises_the_per_point_error():

@@ -76,7 +76,7 @@ def test_sld_solve_residual(seed, d):
     rho = random_density(rng, d)
     t = random_hermitian(rng, d)
     t = t - np.trace(t).real * np.eye(d) / d  # traceless tangent
-    score = sld_solve(rho, t)
+    score = sld_solve(eig_hermitian(rho), t[None])[0]
     assert np.allclose((rho @ score + score @ rho) / 2, t, atol=1e-9)
     assert np.allclose(score, score.conj().T, atol=1e-12)
 
@@ -85,7 +85,30 @@ def test_sld_solve_rejects_off_support_tangent():
     rho = np.diag([1.0, 0.0]).astype(complex)
     bad = np.diag([-1.0, 1.0]).astype(complex)  # flows weight into the kernel
     with pytest.raises(UnsupportedTangent):
-        sld_solve(rho, bad)
+        sld_solve(eig_hermitian(rho), bad[None])
+
+
+def test_sld_solve_on_a_stack_solves_each_tangent_and_raises_the_first_failure():
+    rng = np.random.default_rng(5)
+    rho = random_density(rng, 3)
+    es = eig_hermitian(rho)
+    tangents = np.array([random_hermitian(rng, 3) for _ in range(4)])
+    tangents -= np.trace(tangents, axis1=1, axis2=2).real[:, None, None] * np.eye(3) / 3
+    scores = sld_solve(es, tangents)
+    for t, score in zip(tangents, scores):
+        assert np.allclose(score, sld_solve(es, t[None])[0], rtol=0, atol=1e-14)
+        assert np.allclose((rho @ score + score @ rho) / 2, t, atol=1e-9)
+    # Each tangent is checked in turn: Hermitian, then traceless, then supported.
+    traced = tangents[0] + np.eye(3)
+    skew = tangents[0] + np.triu(np.ones((3, 3)), 1)
+    with pytest.raises(NotHermitian, match="not traceless"):
+        sld_solve(es, [tangents[0], traced, skew])
+    with pytest.raises(NotHermitian, match="not Hermitian"):
+        sld_solve(es, [tangents[0], skew, traced])
+    pure = eig_hermitian(np.diag([1.0, 0.0]).astype(complex))
+    with pytest.raises(UnsupportedTangent):
+        sld_solve(pure, [[[0.0, 1.0], [1.0, 0.0]], np.diag([-1.0, 1.0]), np.ones((2, 2)) * 1j])
+    assert np.all(np.isfinite(sld_solve(pure, [[[0.0, 1.0], [1.0, 0.0]]])))
 
 
 @settings(deadline=None, max_examples=50)
@@ -105,8 +128,8 @@ def test_relative_entropy_singular_support():
 
 
 def test_central_difference_accuracy():
-    d = central_difference(lambda t: np.sin(t[:, 0]), [0.3], h=1e-4)
-    assert d.shape == (1,)
+    value, d = central_difference(lambda t: np.sin(t[:, 0]), [0.3], h=1e-4)
+    assert d.shape == (1,) and value == np.sin(0.3)
     assert abs(d[0] - np.cos(0.3)) < 1e-10
 
     stacks = []
@@ -118,21 +141,25 @@ def test_central_difference_accuracy():
         return np.stack([np.sin(x) * np.cos(y), x * x * y], axis=-1)
 
     x, y = 0.4, -1.1
-    d = central_difference(f, np.array([x, y]), h=1e-4)
+    value, d = central_difference(f, np.array([x, y]), h=1e-4)
     expected = [[np.cos(x) * np.cos(y), 2 * x * y], [-np.sin(x) * np.sin(y), x * x]]
     assert d.shape == (2, 2)
     assert np.max(np.abs(d - expected)) < 1e-10
-    assert len(stacks) == 1 and stacks[0].shape == (8, 2)
-    assert np.all(np.count_nonzero(stacks[0] != [x, y], axis=1) == 1)
+    # One call: the point itself, then its 4p stencil points.
+    assert len(stacks) == 1 and stacks[0].shape == (9, 2)
+    assert np.array_equal(stacks[0][0], [x, y]) and np.array_equal(value, f(stacks[0][:1])[0])
+    assert np.all(np.count_nonzero(stacks[0][1:] != [x, y], axis=1) == 1)
 
-    # A stack of base points: one call on all 4np shifted points, and each
-    # row equal bit for bit to the one-point call.
+    # A stack of base points: one call on the n points and all 4np shifted
+    # points, and each row equal bit for bit to the one-point call.
     base = np.array([[x, y], [0.1, 2.0], [-0.7, 0.3]])
-    stacked = central_difference(f, base, h=1e-4)
-    assert len(stacks) == 2 and stacks[1].shape == (24, 2)
-    assert stacked.shape == (3, 2, 2)
-    for row, point in zip(stacked, base):
-        assert np.array_equal(row, central_difference(f, point, h=1e-4))
+    values, stacked = central_difference(f, base, h=1e-4)
+    assert len(stacks) == 3 and stacks[2].shape == (27, 2)
+    assert np.array_equal(stacks[2][:3], base)
+    assert values.shape == (3, 2) and stacked.shape == (3, 2, 2)
+    for value, row, point in zip(values, stacked, base):
+        one_value, one_row = central_difference(f, point, h=1e-4)
+        assert np.array_equal(row, one_row) and np.array_equal(value, one_value)
     with pytest.raises(ValueError):
         central_difference(f, [x, y], h=0.0)
 

@@ -1,16 +1,22 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qmetrics.metrics
 from qmetrics.errors import (
+    DegeneracyUnresolved,
     MissingGauge,
     NotHermitian,
+    QMetricsError,
     RankDeficient,
     UnknownMetric,
+    UnsupportedTangent,
     ValidationError,
+    VanishingProbabilityWithFlow,
 )
 from qmetrics.families import (
     ParametricFamily,
@@ -21,10 +27,12 @@ from qmetrics.families import (
     random_pure,
     rot3_mixture,
 )
-from qmetrics.linalg import relative_entropy
+from qmetrics.linalg import DEGEN_GAP, RANK_TOL, eig_hermitian, relative_entropy
 from qmetrics.metrics import (
     C_FUNCTIONS,
     CF_CL,
+    CF_KMB,
+    CF_RLD,
     CF_SLD,
     METRIC_NAMES,
     basis_povm,
@@ -34,6 +42,7 @@ from qmetrics.metrics import (
     c_upsilon_states,
     classical_fisher,
     evaluate_metric,
+    evaluate_metrics,
     f_function_scan,
     kmb_information,
     mc_metric,
@@ -280,7 +289,223 @@ def test_evaluate_metric_dispatch():
         "cl": c_l_information(fam, theta),
     }
     assert set(METRIC_NAMES) == set(direct)
+    together = evaluate_metrics(fam, theta, METRIC_NAMES)
     for name in METRIC_NAMES:
         assert np.array_equal(evaluate_metric(fam, theta, name), direct[name])
+        assert np.array_equal(together[name], direct[name])
     with pytest.raises(UnknownMetric):
         evaluate_metric(fam, theta, "nope")
+    with pytest.raises(UnknownMetric):
+        evaluate_metrics(fam, [2.0, 0.0, 0.0], ["sld", "nope"])
+
+
+def _counted(family):
+    """family with its evaluate and spectral calls recorded by argument shape."""
+    calls = {"evaluate": [], "spectral": []}
+
+    def counting(name, fn):
+        def call(th):
+            calls[name].append(np.shape(th))
+            return fn(th)
+        return call
+
+    return replace(family, evaluate=counting("evaluate", family.evaluate),
+                   spectral=counting("spectral", family.spectral)), calls
+
+
+def test_one_stacked_family_evaluation_per_metric(monkeypatch):
+    eighs = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: eighs.append(np.shape(m)) or eigh(m))
+    fam, calls = _counted(bloch3())
+    theta = [0.5, 1.2, 0.5]
+    # bloch3's states and presentations are closed forms: every eigh is rho's.
+    for name in METRIC_NAMES:
+        evaluate_metric(fam, theta, name)
+    # fisher, sld, kmb and rld evaluate the point and its 12 stencil points in
+    # one call; cupsilon and cl present them in one call.
+    assert calls == {"evaluate": [(13, 3)] * 4, "spectral": [(13, 3)] * 2}
+    assert eighs == [(2, 2)] * 3
+
+    fam, calls = _counted(bloch3())
+    eighs.clear()
+    evaluate_metrics(fam, theta, METRIC_NAMES)
+    assert calls == {"evaluate": [(13, 3)], "spectral": [(13, 3)]}
+    assert eighs == [(2, 2)]
+
+
+def test_default_fisher_skips_povm_validation(monkeypatch):
+    fam, theta = random_full_rank(d=3, nparams=2, seed=4), [0.1, -0.2]
+    validated = []
+    validate = qmetrics.metrics.validate_povm
+    monkeypatch.setattr(qmetrics.metrics, "validate_povm",
+                        lambda *args: validated.append(1) or validate(*args))
+    default = classical_fisher(fam, theta)
+    assert validated == []
+    assert np.array_equal(default, classical_fisher(fam, theta, basis_povm(3)))
+    assert validated == [1]
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_basis_stack_equals_the_validated_basis_povm_bit_for_bit(d):
+    eye = np.eye(d, dtype=complex)
+    reference = validate_povm([np.outer(eye[:, i], eye[:, i].conj()) for i in range(d)])
+    stack = qmetrics.metrics._basis_stack(d)
+    assert stack.dtype == reference.dtype and stack.shape == reference.shape
+    assert stack.tobytes() == reference.tobytes()
+
+
+# -- the array engine against the pairwise loop it replaced -------------------
+
+
+def _scalar_c_kmb(x, y):
+    if abs(x - y) <= 1e-9 * max(x, y):
+        return 1.0 / x
+    return (math.log(x) - math.log(y)) / (x - y)
+
+
+def _reference_fisher_sum(p, dp, flow_error):
+    out = np.zeros((dp.shape[0], dp.shape[0]))
+    for i, pi in enumerate(p):
+        if pi > RANK_TOL:
+            out += np.outer(dp[:, i], dp[:, i]) / pi
+        elif np.max(np.abs(dp[:, i])) > 1e-9:
+            raise flow_error(i)
+    return out
+
+
+def test_fisher_sum_matches_its_loop_and_names_the_first_flowing_outcome():
+    def flow(i):
+        return VanishingProbabilityWithFlow(f"outcome {i}")
+
+    rng = np.random.default_rng(8)
+    for m in range(1, 17):
+        p = rng.dirichlet(np.ones(m))
+        dp = rng.normal(size=(3, m))
+        # np.sum would add eight or more terms pairwise, not in loop order.
+        assert np.array_equal(qmetrics.metrics._fisher_sum(p, dp, flow), _reference_fisher_sum(p, dp, flow))
+        p[rng.random(m) < 0.2] = 0.0
+        vanishing = np.flatnonzero(p == 0.0)
+        dp[:, vanishing[: len(vanishing) // 2]] = 0.0  # some vanishing outcomes do not flow
+        try:
+            reference = _reference_fisher_sum(p, dp, flow)
+        except VanishingProbabilityWithFlow as err:
+            with pytest.raises(VanishingProbabilityWithFlow, match=f"^{err}$"):
+                qmetrics.metrics._fisher_sum(p, dp, flow)
+            continue
+        assert np.array_equal(qmetrics.metrics._fisher_sum(p, dp, flow), reference)
+
+
+def _reference_mc_metric(family, theta, cf):
+    es = eig_hermitian(family.rho(theta))
+    p = np.clip(es.values, 0.0, None)
+    if cf.full_rank_required and float(es.values.min()) < RANK_TOL:
+        raise RankDeficient(f"{cf.name} information requires a full-rank state")
+    v = es.vectors
+    a = np.einsum("ij,ljk,km->lim", v.conj().T, family.drho(theta), v)
+    diag = np.real(np.einsum("lii->li", a))
+    m_out = _reference_fisher_sum(p, diag, lambda i: RankDeficient(
+        "tangent flows out of the support of the state"))
+    d = family.dim
+    for j in range(d):
+        for k in range(j + 1, d):
+            coupling = a[:, j, k]
+            cmax = float(np.max(np.abs(coupling)))
+            if p[j] + p[k] <= RANK_TOL:
+                if cmax > 1e-8:
+                    raise UnsupportedTangent("tangent has weight outside the support of the state")
+                continue
+            if cf.singular_at_equal_args and abs(p[j] - p[k]) < DEGEN_GAP:
+                if cmax > 1e-8:
+                    raise DegeneracyUnresolved(
+                        f"{cf.name} coefficient diverges on the degenerate pair ({j},{k})"
+                    )
+                continue
+            m_out += 2.0 * cf.c(p[j], p[k]) * np.real(np.outer(coupling, coupling.conj()))
+    return (m_out + m_out.T) / 2.0
+
+
+def _affine(rho0, x):
+    """One-parameter family rho0 + t x (not a state family away from t = 0)."""
+    rho0, x = np.asarray(rho0, dtype=complex), np.asarray(x, dtype=complex)
+    return ParametricFamily(dim=len(rho0), nparams=1, name="affine",
+                            evaluate=lambda th: rho0 + np.asarray(th)[..., 0, None, None] * x)
+
+
+def _sigma_y(d, *blocks):
+    """Hermitian d x d tangent with sigma_y on each (j, k) block."""
+    x = np.zeros((d, d), dtype=complex)
+    for j, k in blocks:
+        x[j, k], x[k, j] = -1j, 1j
+    return x
+
+
+ENGINE_CASES = [
+    *((random_full_rank(d=d, nparams=1 + seed % 3, seed=100 * d + seed),
+       np.random.default_rng(seed).uniform(-0.3, 0.3, 1 + seed % 3))
+      for d in (2, 3, 4, 8) for seed in range(4)),
+    # Two coupled zero eigenvalues: weight outside the support.
+    (_affine(np.diag([1.0, 0.0, 0.0]), _sigma_y(3, (1, 2))), [0.0]),
+    # Probability flowing into a zero eigenvalue.
+    (_affine(np.diag([0.5, 0.5, 0.0]), np.diag([0.0, -1.0, 1.0])), [0.0]),
+    # Two degenerate pairs, both coupled, and only the second one coupled.
+    (_affine(np.diag([0.3, 0.3, 0.2, 0.2]), _sigma_y(4, (0, 1), (2, 3))), [0.0]),
+    (_affine(np.diag([0.3, 0.3, 0.2, 0.2]), _sigma_y(4, (2, 3))), [0.0]),
+]
+
+
+@pytest.mark.parametrize("cf", [CF_KMB, CF_RLD, CF_SLD, CF_CL], ids=lambda cf: cf.name)
+def test_array_engine_matches_the_pairwise_loop(cf):
+    raised = []
+    for fam, theta in ENGINE_CASES:
+        try:
+            reference = _reference_mc_metric(fam, theta, cf)
+        except QMetricsError as err:
+            with pytest.raises(type(err)) as ours:
+                mc_metric(fam, theta, cf)
+            assert str(ours.value) == str(err)
+            raised.append(type(err).__name__)
+            continue
+        ours = mc_metric(fam, theta, cf)
+        if cf is CF_KMB:  # np.log in place of math.log may differ in the last bit
+            assert np.max(np.abs(ours - reference)) <= 1e-12 * np.max(np.abs(reference))
+        else:  # the same arithmetic in the same order
+            assert np.array_equal(ours, reference)
+    # The hand-made cases fail for every coefficient: off the support, flow
+    # out of it, and (for the singular cl coefficient) a degenerate pair.
+    assert len(raised) >= 2
+    if cf is CF_CL:
+        assert raised.count("DegeneracyUnresolved") == 2
+
+
+def test_degenerate_pair_error_names_the_first_coupled_pair():
+    both, second = ENGINE_CASES[-2][0], ENGINE_CASES[-1][0]
+    with pytest.raises(DegeneracyUnresolved, match=r"pair \(0,1\)"):
+        mc_metric(both, [0.0], CF_CL)
+    with pytest.raises(DegeneracyUnresolved, match=r"pair \(2,3\)"):
+        mc_metric(second, [0.0], CF_CL)
+
+
+@pytest.mark.parametrize("name", ["sld", "kmb", "rld", "cl"])
+def test_c_functions_work_elementwise(name):
+    cf = C_FUNCTIONS[name]
+    rng = np.random.default_rng(2)
+    x, y = rng.uniform(0.01, 1.0, (2, 200))
+    # KMB's coincident-argument branch |x - y| <= 1e-9 max(x, y), on and off its edge.
+    x = np.concatenate([x, [0.3, 0.3, 0.3, 0.7, 0.7]])
+    y = np.concatenate([y, [0.3, 0.3 * (1 + 5e-10), 0.3 * (1 + 2e-9), 0.7 * (1 - 1e-10), 0.7 * (1 - 1e-8)]])
+    if name == "cl":  # diverges on equal arguments
+        keep = np.abs(x - y) > 1e-3
+        x, y = x[keep], y[keep]
+    values = cf.c(x, y)
+    assert np.array_equal(values, [cf.c(a, b) for a, b in zip(x, y)])
+    if name == "kmb":
+        for a, b, value in zip(x, y, values):
+            # The log difference quotient amplifies a last-digit log difference by 1/|x - y|.
+            tol = 1e-15 * abs(value) + 4e-16 * max(abs(math.log(a)), 1.0) / max(abs(a - b), 1e-300)
+            assert abs(value - _scalar_c_kmb(a, b)) <= tol
+        # Inside the band the value is exactly 1/x; the difference quotient
+        # there rounds to something else for some of these pairs.
+        x = np.repeat([0.05, 0.3, 0.7, 0.93], 6)
+        y = x * (1 + np.tile([2e-10, 3e-10, 4.5e-10, 6e-10, 8e-10, 9.5e-10], 4))
+        assert np.array_equal(cf.c(x, y), 1.0 / x)
