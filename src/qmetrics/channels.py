@@ -10,7 +10,7 @@ of state families.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -20,8 +20,9 @@ from .errors import (
     GramNotPSD,
     NumericalError,
     ParamOutOfDomain,
+    ValidationError,
 )
-from .families import GaugedSpectral, ParametricFamily, SpectralPresentation
+from .families import ParametricFamily, SpectralPresentation
 from .linalg import DEFAULT_H, RANK_TOL, central_difference, eig_hermitian, fix_phases
 from .metrics import evaluate_metric
 
@@ -116,8 +117,9 @@ def pushforward_family(ch: KrausChannel, family: ParametricFamily) -> Parametric
 
     A spectral presentation is carried through only for eigenbasis-preserving
     channels (eigenvalue_affine set); otherwise the gauge must be recomputed
-    downstream. A re-phased presentation stays re-phased: the channel maps its
-    base presentation and leaves its phases as they are.
+    downstream. A re-phased family stays re-phased: the channel maps the
+    presentation's eigenvalues and the family's phases are passed on as they
+    are.
     """
     if ch.dim != family.dim:
         raise DimensionMismatch(
@@ -130,17 +132,10 @@ def pushforward_family(ch: KrausChannel, family: ParametricFamily) -> Parametric
     spectral = None
     if ch.eigenvalue_affine is not None and family.spectral is not None:
         a, b = ch.eigenvalue_affine
-        gauged = family.spectral if isinstance(family.spectral, GaugedSpectral) else None
 
-        def spectral(th, _sp=family.spectral if gauged is None else gauged.base):
-            sp = _sp(th)
-            return SpectralPresentation(
-                eigenvalues=a * sp.eigenvalues + b,
-                eigenvectors=sp.eigenvectors,
-            )
-
-        if gauged is not None:
-            spectral = GaugedSpectral(spectral, gauged.phases)
+        def spectral(th):
+            sp = family.spectral(th)
+            return replace(sp, eigenvalues=a * sp.eigenvalues + b)
 
     return ParametricFamily(
         dim=family.dim,
@@ -149,6 +144,7 @@ def pushforward_family(ch: KrausChannel, family: ParametricFamily) -> Parametric
         spectral=spectral,
         domain=family.domain,
         name=f"push({family.name})",
+        phases=None if spectral is None else family.phases,
     )
 
 
@@ -194,6 +190,8 @@ def sm_channel_bound(
     """Channel-level information bound 4 sum_k tr(U'_k rho0 U'_k^dagger) from
     Richardson central differences of the phase-aligned canonical Kraus
     operators."""
+    if not math.isfinite(theta):
+        raise ValidationError(f"channel parameter theta must be finite, got {theta}")
 
     def aligned(thetas):
         branches = [canonical_kraus(chf, t, rho0) for (t,) in thetas]

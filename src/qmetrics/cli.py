@@ -51,7 +51,10 @@ def _jsonify(obj):
 
 def _emit(payload, path=None, fmt="json"):
     if fmt == "json":
-        text = json.dumps(_jsonify(payload), indent=2, sort_keys=True) + "\n"
+        try:
+            text = json.dumps(_jsonify(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
+        except ValueError as exc:  # NaN or +-inf, which JSON cannot hold
+            raise NumericalError(f"output is not finite: {exc}") from exc
     else:
         text = payload  # already rendered
     if path:
@@ -62,7 +65,17 @@ def _emit(payload, path=None, fmt="json"):
 
 
 def _parse_theta(text: str) -> np.ndarray:
-    return np.array([float(x) for x in text.split(",") if x.strip() != ""])
+    try:
+        return np.array([float(x) for x in text.split(",") if x.strip() != ""])
+    except ValueError:
+        raise ValidationError(f"expected comma-separated numbers, got {text!r}") from None
+
+
+def _parse_interval(text: str) -> tuple[float, float]:
+    bounds = _parse_theta(text)
+    if bounds.shape != (2,) or not np.isfinite(bounds).all():
+        raise ValidationError(f"interval must be two finite numbers lo,hi, got {text!r}")
+    return float(bounds[0]), float(bounds[1])
 
 
 def _parse_params(text: str) -> dict:
@@ -264,10 +277,7 @@ def _cmd_estimate(args) -> int:
             )
         family = directional_family(family, _parse_theta(args.at), _parse_theta(args.direction))
     povm = sld_optimal_povm(family, [args.theta_true])
-    interval = None
-    if args.interval:
-        lo, hi = (float(x) for x in args.interval.split(","))
-        interval = (lo, hi)
+    interval = _parse_interval(args.interval) if args.interval else None
     report = cramer_rao_experiment(
         family, args.theta_true, povm, n=args.n, reps=args.reps, seed=args.seed,
         interval=interval,
@@ -367,6 +377,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ValidationError(f"seed must be non-negative, got {args.seed}")
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -74,6 +74,10 @@ class ParametricFamily:
     SpectralPresentation and (n, p) to one with eigenvalues (n, d) and
     eigenvectors (n, d, d). Row i of a stack equals the one-point result at
     row i of the parameters bit for bit. Families are immutable value objects.
+
+    phases, when set, maps an (n, p) stack to the (n, d) real phases alpha_k
+    that re-phase column k of spectral's frame by exp(i alpha_k); spectral
+    stays un-re-phased, so the two are differenced apart (spectral_tangents).
     """
 
     dim: int
@@ -82,6 +86,7 @@ class ParametricFamily:
     spectral: Optional[Callable[[np.ndarray], SpectralPresentation]] = None
     domain: tuple = ()
     name: str = ""
+    phases: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     @property
     def bounds(self) -> tuple:
@@ -98,9 +103,6 @@ class ParametricFamily:
         """Whether each parameter vector (the last axis) lies in the open domain."""
         lo, hi = self._limits
         return ((lo < thetas) & (thetas < hi)).all(axis=-1)
-
-    def in_domain(self, theta: np.ndarray) -> bool:
-        return bool(self._inside(np.atleast_1d(np.asarray(theta, dtype=float))))
 
     def _domain_error(self, theta: np.ndarray) -> ParamOutOfDomain:
         return ParamOutOfDomain(f"theta {theta.tolist()} outside domain of {self.name!r}")
@@ -180,27 +182,6 @@ def _stencil(family: ParametricFamily, f: Callable[[np.ndarray], np.ndarray],
 
 
 @dataclass(frozen=True)
-class GaugedSpectral:
-    """The spectral presentation of a re-phased family: the base presentation
-    with column k of its frame multiplied by exp(i alpha_k(theta)).
-
-    phases maps an (n, p) stack of points to the (n, d) real phases. The base
-    and the phases stay apart so that tangents can difference each on its own
-    (see spectral_tangents) instead of differencing the complex product.
-    """
-
-    base: Callable[[np.ndarray], SpectralPresentation]
-    phases: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, th) -> SpectralPresentation:
-        sp = self.base(th)
-        th = np.asarray(th, dtype=float)
-        a = self.phases(th.reshape(-1, th.shape[-1])).reshape(th.shape[:-1] + (1, -1))
-        return SpectralPresentation(eigenvalues=sp.eigenvalues,
-                                    eigenvectors=sp.eigenvectors * np.exp(1j * a))
-
-
-@dataclass(frozen=True)
 class TangentData:
     """dp[l, i] = dp_i/dtheta^l; overlaps[l, j, k] = <dw_j/dtheta^l | w_k>."""
 
@@ -214,17 +195,15 @@ def spectral_tangents(family: ParametricFamily, thetas: np.ndarray, h: float = D
 
     Returns dp (n, p, d), overlaps (n, p, d, d) and the eigenvalues (n, d) at
     the points, from one stacked presentation of the points and their 4np
-    stencil points. A GaugedSpectral presentation differences its base
-    frame, and its phases alpha as real functions (one more stacked call),
+    stencil points. A re-phased family's frame is differenced without its
+    phases, and the phases alpha as real functions (one more stacked call),
     through <d(e^{i a_j} w_j)|e^{i a_k} w_k> = e^{i(a_k - a_j)} O_jk - i delta_jk da_k,
     so its frame is never differenced across the complex phase factors.
     """
-    gauged = family.spectral if isinstance(family.spectral, GaugedSpectral) else None
-    spectral = family.spectral if gauged is None else gauged.base
 
     def eigensystems(points):
         # Row 0 of each point holds the eigenvalues, rows 1.. the frame.
-        sp = spectral(points)
+        sp = family.spectral(points)
         n, d = len(points), family.dim
         values = _stack_of(family, "spectral eigenvalues", np.asarray(sp.eigenvalues), (n, d))
         frames = _stack_of(family, "spectral eigenvectors", np.asarray(sp.eigenvectors), (n, d, d))
@@ -232,8 +211,8 @@ def spectral_tangents(family: ParametricFamily, thetas: np.ndarray, h: float = D
 
     at, d_stack = _stencil(family, eigensystems, thetas, h)
     overlaps = d_stack[:, :, 1:].conj().swapaxes(-1, -2) @ at[:, None, 1:]
-    if gauged is not None:
-        a, slopes = central_difference(gauged.phases, thetas, h=h)
+    if family.phases is not None:
+        a, slopes = central_difference(family.phases, thetas, h=h)
         overlaps = overlaps * np.exp(1j * (a[:, None, None, :] - a[:, None, :, None]))
         diag = np.arange(family.dim)
         overlaps[..., diag, diag] -= 1j * slopes
@@ -281,9 +260,9 @@ class FamilyPoint:
         With a spectral presentation the frame is differenced directly, so the
         result reflects the family's own gauge (phases are taken as supplied;
         the closed-form presentations used here are smooth by construction); a
-        re-phased presentation differences its base frame and its real phases
-        apart (see spectral_tangents). Without one, they come from rho's
-        eigensystem and tangents (see _perturbative_tangent_data).
+        re-phased family differences its frame and its real phases apart (see
+        spectral_tangents). Without one, they come from rho's eigensystem and
+        tangents (see _perturbative_tangent_data).
         """
         if self.family.spectral is None:
             return _perturbative_tangent_data(self.eig, self.drho)
@@ -321,20 +300,18 @@ def _perturbative_tangent_data(es: EigenSystem, tangents: np.ndarray) -> Tangent
     return TangentData(dp=dp, overlaps=overlaps, eigenvalues=p)
 
 
-def directional_family(family: ParametricFamily, theta, v, h: float = DEFAULT_H) -> ParametricFamily:
+def directional_family(family: ParametricFamily, theta, v) -> ParametricFamily:
     """One-parameter slice t -> rho(theta + t v) through a multi-parameter family.
 
-    A re-phased family's slice stays re-phased: its GaugedSpectral slices the
-    base presentation and the phases each along the same line."""
+    evaluate, spectral and phases are each sliced along the same line, so a
+    re-phased family's slice stays re-phased. Any point of the line outside
+    the family's domain raises DomainExit when it is evaluated."""
     theta = family.check_theta(theta)
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if v.shape != (family.nparams,):
         raise ValidationError(f"direction has shape {v.shape}, expected ({family.nparams},)")
     if not np.any(v != 0.0):
         raise ValidationError("direction vector must be nonzero")
-    for t in (-h, h):
-        if not family.in_domain(theta + t * v):
-            raise DomainExit("segment leaves the family domain")
 
     def along(tv):
         # One t of shape (1,) or a stack (n, 1), to the points of the family.
@@ -344,20 +321,16 @@ def directional_family(family: ParametricFamily, theta, v, h: float = DEFAULT_H)
         return th
 
     def sliced(fn):
-        return lambda tv: fn(along(tv))
+        return None if fn is None else lambda tv: fn(along(tv))
 
-    spectral = family.spectral
-    if isinstance(spectral, GaugedSpectral):
-        spectral = GaugedSpectral(sliced(spectral.base), sliced(spectral.phases))
-    elif spectral is not None:
-        spectral = sliced(spectral)
     return ParametricFamily(
         dim=family.dim,
         nparams=1,
         evaluate=sliced(family.evaluate),
-        spectral=spectral,
+        spectral=sliced(family.spectral),
         domain=((-math.inf, math.inf),),
         name=f"{family.name}@dir",
+        phases=sliced(family.phases),
     )
 
 
@@ -560,22 +533,38 @@ def random_pure(d: int = 3, nparams: int = 1, seed: int = 0) -> ParametricFamily
 
 
 _REGISTRY = {
-    "bloch3": lambda params: bloch3(),
-    "rot3-mixture": lambda params: rot3_mixture(float(params.get("epsilon", 0.1))),
-    "pure-rotation": lambda params: pure_rotation(),
-    "diagonal-simplex": lambda params: diagonal_simplex(),
-    "random-full-rank": lambda params: random_full_rank(
-        d=int(params.get("d", 3)),
-        nparams=int(params.get("nparams", 1)),
-        seed=int(params.get("seed", 0)),
+    "bloch3": lambda param: bloch3(),
+    "rot3-mixture": lambda param: rot3_mixture(param("epsilon", float, 0.1)),
+    "pure-rotation": lambda param: pure_rotation(),
+    "diagonal-simplex": lambda param: diagonal_simplex(),
+    "random-full-rank": lambda param: random_full_rank(
+        d=param("d", int, 3, least=1),
+        nparams=param("nparams", int, 1, least=1),
+        seed=param("seed", int, 0, least=0),
     ),
 }
 REGISTRY_NAMES = tuple(_REGISTRY)
 
 
 def family_registry(name: str, params: dict | None = None) -> ParametricFamily:
-    """Build a named family from a parameter dictionary (CLI entry point)."""
+    """Build a named family from a parameter dictionary (CLI entry point).
+
+    A parameter that does not convert to its type, or an integer below its
+    least value, raises ValidationError naming the family and the key."""
     build = _REGISTRY.get(name)
     if build is None:
         raise UnknownFamily(f"unknown family {name!r}; known: {', '.join(REGISTRY_NAMES)}")
-    return build(dict(params or {}))
+    params = dict(params or {})
+
+    def param(key, convert, default, least=None):
+        try:
+            value = convert(params.get(key, default))
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(
+                f"family {name!r}: parameter {key!r} must be {convert.__name__}, got {params[key]!r}"
+            ) from None
+        if least is not None and value < least:
+            raise ValidationError(f"family {name!r}: parameter {key!r} must be >= {least}, got {value}")
+        return value
+
+    return build(param)

@@ -2,23 +2,25 @@
 
 A phase assignment multiplies each eigenvector of a spectral presentation by
 exp(i alpha_k(theta)); the density matrix is unchanged but the gauge-dependent
-information is not. A re-phased family keeps its base presentation and its
-real phases apart (families.GaugedSpectral), so tangents and scans difference
-the phases as real functions, never through exp(i alpha) w. The one-parameter
-minimizing gauge integrates the (purely imaginary) diagonal overlaps so that
-they cancel; the multi-parameter integrability test checks whether such a
-gauge can exist at all.
+information is not. A re-phased family holds its real phases in the family's
+phases field, apart from its spectral presentation, so tangents and scans
+difference the phases as real functions, never through exp(i alpha) w. The
+one-parameter minimizing gauge integrates the (purely imaginary) diagonal
+overlaps so that they cancel; the multi-parameter integrability test checks
+whether such a gauge can exist at all.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DomainExit, MissingGauge, NonImaginaryOverlap, ValidationError
-from .families import GaugedSpectral, ParametricFamily, spectral_tangents, tangent_data
+from .families import ParametricFamily, spectral_tangents, tangent_data
 from .linalg import DEFAULT_H
 
 # Grid points differenced per stacked presentation in minimizing_gauge_1p.
@@ -93,11 +95,11 @@ def _checked_phases(a: np.ndarray, theta: np.ndarray, d: int) -> np.ndarray:
 def apply_gauge(family: ParametricFamily, pa: PhaseAssignment) -> ParametricFamily:
     """Re-phase the eigenvector frame of a presented family; rho is unchanged.
 
-    The result's spectral is a GaugedSpectral over the family's base
-    presentation; re-phasing a re-phased family adds the phases onto the same
-    base. Sampled phases are interpolated once per stack of points; a phase
-    callable is called once per point and must give d finite phases there,
-    or ValidationError is raised.
+    The result keeps the family's spectral and sets its phases; re-phasing a
+    re-phased family adds the phases onto the ones it has. Sampled phases are
+    interpolated once per stack of points; a phase callable is called once
+    per point and must give d finite phases there, or ValidationError is
+    raised.
     """
     if family.spectral is None:
         raise MissingGauge("family supplies no spectral presentation to re-gauge")
@@ -110,13 +112,9 @@ def apply_gauge(family: ParametricFamily, pa: PhaseAssignment) -> ParametricFami
             return a
         return np.array([_checked_phases(pa.alphas(t), t, d) for t in thetas])
 
-    spectral = family.spectral
-    if isinstance(spectral, GaugedSpectral):
-        inner = spectral.phases
-        spectral = GaugedSpectral(spectral.base, lambda th: inner(th) + phases(th))
-    else:
-        spectral = GaugedSpectral(spectral, phases)
-    return replace(family, spectral=spectral, name=f"{family.name}+gauge")
+    inner = family.phases
+    total = phases if inner is None else lambda th: inner(th) + phases(th)
+    return replace(family, phases=total, name=f"{family.name}+gauge")
 
 
 def minimizing_gauge_1p(
@@ -132,20 +130,20 @@ def minimizing_gauge_1p(
 
     The whole grid is checked against the domain first; the overlaps are then
     differenced from stacked presentations of blocks of grid points. A
-    re-phased family is scanned in its base frame: its phases a enter the
+    re-phased family is scanned without its phases a: they enter the
     diagonal overlaps as -i a_k', whose integral is exactly a(t) - a(theta0),
     so they are evaluated at the grid points only.
     """
     if family.nparams != 1:
         raise ValidationError("minimizing gauge is defined for one-parameter families")
+    if not isinstance(steps, numbers.Integral) or steps < 1:
+        raise ValidationError(f"steps must be an integer >= 1, got {steps!r}")
     if family.spectral is None:
         raise MissingGauge("minimizing gauge needs a spectral presentation")
     grid = np.linspace(theta0, theta1, steps + 1)
     thetas = family.check_thetas(grid[:, None])
-    gauged = family.spectral if isinstance(family.spectral, GaugedSpectral) else None
-    if gauged is not None:
-        phases = gauged.phases(thetas)
-        family = replace(family, spectral=gauged.base)
+    phases = None if family.phases is None else family.phases(thetas)
+    family = replace(family, phases=None)
     diag = np.empty((grid.size, family.dim), dtype=complex)
     for start in range(0, grid.size, _SCAN_BLOCK):
         block = slice(start, start + _SCAN_BLOCK)
@@ -159,7 +157,7 @@ def minimizing_gauge_1p(
     integrand = np.imag(diag)  # alpha_k' = Im<w_k'|w_k>
     areas = np.diff(grid)[:, None] * (integrand[1:] + integrand[:-1]) / 2.0
     alphas = np.vstack([np.zeros((1, family.dim)), np.cumsum(areas, axis=0)])
-    if gauged is not None:
+    if phases is not None:
         alphas -= phases - phases[0]
     return PhaseAssignment.from_samples(grid, alphas.T)
 
@@ -186,6 +184,8 @@ def integrability_test(
     overlap tensor by completeness of the frame, so only first derivatives
     are differenced.
     """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValidationError(f"tolerance must be finite and non-negative, got {tol}")
     td = tangent_data(family, theta, h=h)
     o = td.overlaps
     entries = []

@@ -17,7 +17,7 @@ from qmetrics.channels import (
     sm_channel_bound,
     unitary_channel,
 )
-from qmetrics.errors import DimensionMismatch, ParamOutOfDomain
+from qmetrics.errors import DimensionMismatch, ParamOutOfDomain, ValidationError
 from qmetrics.families import random_full_rank, rot3_mixture, validate_density
 from qmetrics.linalg import unitary
 from qmetrics.metrics import c_l_information, sld_information
@@ -148,6 +148,14 @@ def test_unitary_rotation_bound_is_one():
     _, rho0 = plus_state()
     for t in (0.0, 0.7, 1.9):
         assert abs(sm_channel_bound(chf, t, rho0) - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_channel_bound_rejects_a_non_finite_theta(bad):
+    # A NaN theta used to give a bound of NaN.
+    _, rho0 = plus_state()
+    with pytest.raises(ValidationError, match="must be finite"):
+        sm_channel_bound(rotation_z_family(), bad, rho0)
 
 
 def test_channel_bound_matches_induced_family_lower_bound():

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from qmetrics.cli import main
+from qmetrics.cli import _emit, main
+from qmetrics.errors import NumericalError
 
 
 def run(capsys, *argv):
@@ -181,3 +182,52 @@ def test_output_file(tmp_path, capsys):
     assert out == ""
     data = json.loads(path.read_text())
     assert "cl" in data["metrics"]
+
+
+_ESTIMATE = ("estimate", "--family", "diagonal-simplex", "--theta-true", "0.1",
+             "--n", "100", "--reps", "5")
+_GAUGE_MIN = ("gauge-min", "--family", "random-full-rank", "--theta0", "-0.5", "--theta1", "0.5")
+_RANDOM = ("metric", "--family", "random-full-rank", "--theta", "0.1", "--metrics", "sld",
+           "--params")
+
+MALFORMED = [
+    (("metric", "--family", "bloch3", "--theta", "abc", "--metrics", "sld"),
+     "expected comma-separated numbers, got 'abc'"),
+    (("gauge-min", "--family", "bloch3", "--at", "0.5,0.8,0.3", "--direction", "0,x,0",
+      "--theta0", "0", "--theta1", "0.1"), "expected comma-separated numbers, got '0,x,0'"),
+    ((*_ESTIMATE, "--interval", "0.1"), "interval must be two finite numbers lo,hi, got '0.1'"),
+    ((*_ESTIMATE, "--interval", "0.1,abc"), "expected comma-separated numbers, got '0.1,abc'"),
+    ((*_RANDOM, '{"d":"x"}'), "parameter 'd' must be int"),
+    (("metric", "--family", "rot3-mixture", "--theta", "0.1", "--metrics", "sld",
+      "--params", '{"epsilon":"a"}'), "parameter 'epsilon' must be float"),
+    ((*_RANDOM, '{"d":0}'), "parameter 'd' must be >= 1"),
+    ((*_RANDOM, '{"nparams":0}'), "parameter 'nparams' must be >= 1"),
+    ((*_RANDOM, '{"seed":-1}'), "parameter 'seed' must be >= 0"),
+    (("verify", "--suite", "sandwich", "--seed", "-1"), "seed must be non-negative"),
+    ((*_ESTIMATE, "--seed", "-1"), "seed must be non-negative"),
+    (("channel-bound", "--channel-family", "mixed-rotation", "--theta", "0.3", "--seed", "-1"),
+     "seed must be non-negative"),
+    ((*_GAUGE_MIN, "--steps", "-1"), "steps must be an integer >= 1, got -1"),
+    (("channel-bound", "--channel-family", "rotation-z", "--theta", "nan"), "theta must be finite"),
+    (("channel-bound", "--channel-family", "mixed-rotation", "--theta", "inf"),
+     "theta must be finite"),
+    (("gauge-check", "--family", "bloch3", "--theta", "0.5,1.2,0.5", "--tol", "nan"),
+     "tolerance must be finite and non-negative"),
+    (("gauge-check", "--family", "bloch3", "--theta", "0.5,1.2,0.5", "--tol", "-1"),
+     "tolerance must be finite and non-negative"),
+]
+
+
+@pytest.mark.parametrize("argv,message", MALFORMED, ids=[" ".join(a[:1] + a[-2:]) for a, _ in MALFORMED])
+def test_malformed_arguments_exit_2_with_an_error_line(capsys, argv, message):
+    # Each used to exit 1 with a traceback, or 0 with a NaN or a FAIL verdict.
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_emit_refuses_a_number_json_cannot_hold(capsys, bad):
+    with pytest.raises(NumericalError, match="not finite"):
+        _emit({"bound": bad})
+    assert capsys.readouterr().out == ""

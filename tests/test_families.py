@@ -39,6 +39,7 @@ from qmetrics.families import (
 )
 from qmetrics.gauge import PhaseAssignment, apply_gauge
 from qmetrics.linalg import DEFAULT_H, unitary
+from qmetrics.metrics import sld_information
 
 ALL_REGISTRY = [
     ("bloch3", {}, [0.5, 1.2, 0.5]),
@@ -73,6 +74,21 @@ def test_registry_cases_cover_every_name():
 def test_registry_rejects_unknown_name():
     with pytest.raises(UnknownFamily):
         family_registry("nope")
+
+
+@pytest.mark.parametrize("name,params,message", [
+    ("random-full-rank", {"d": "x"}, "parameter 'd' must be int, got 'x'"),
+    ("random-full-rank", {"d": None}, "parameter 'd' must be int, got None"),
+    ("random-full-rank", {"seed": float("inf")}, "parameter 'seed' must be int, got inf"),
+    ("rot3-mixture", {"epsilon": "a"}, "parameter 'epsilon' must be float, got 'a'"),
+    ("random-full-rank", {"d": 0}, "parameter 'd' must be >= 1, got 0"),
+    ("random-full-rank", {"nparams": 0}, "parameter 'nparams' must be >= 1, got 0"),
+    ("random-full-rank", {"seed": -1}, "parameter 'seed' must be >= 0, got -1"),
+])
+def test_registry_rejects_bad_parameters_naming_the_family_and_key(name, params, message):
+    with pytest.raises(ValidationError) as err:
+        family_registry(name, params)
+    assert str(err.value) == f"family {name!r}: {message}"
 
 
 def test_validate_density_rejects_bad_inputs():
@@ -158,6 +174,14 @@ def test_directional_family_slices():
         sliced.rho([0.6])  # r = 1.1 leaves the domain
 
 
+def test_a_slice_whose_stencil_leaves_the_domain_raises_when_evaluated():
+    # Constructing the slice checks only its anchor; the stencil at t = 0
+    # reaches r = 1 + 5e-6, and evaluating it there raises.
+    sliced = directional_family(bloch3(), [1 - 5e-6, 0.8, 0.3], [1.0, 0.0, 0.0])
+    with pytest.raises(DomainExit, match="segment leaves the family domain"):
+        sld_information(sliced, [0.0])
+
+
 def test_random_families_are_deterministic_per_seed():
     a = random_full_rank(d=3, nparams=1, seed=5)
     b = random_full_rank(d=3, nparams=1, seed=5)
@@ -240,6 +264,11 @@ def test_stacked_calls_equal_point_by_point_calls_bit_for_bit(fam, box):
             assert np.array_equal(sp.eigenvalues[i], one.eigenvalues)
             assert np.array_equal(sp.eigenvectors[i], one.eigenvectors)
         assert np.allclose(sp.reconstruct(), batch, atol=1e-10)
+    if fam.phases is not None:
+        a = fam.phases(thetas)
+        assert a.shape == (64, fam.dim)
+        for i, th in enumerate(thetas):
+            assert np.array_equal(a[i], fam.phases(th[None])[0])
 
 
 def _per_point_random_full_rank(d, nparams, seed, th):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmetrics.channels import depolarizing_channel, pushforward_family
+from qmetrics.channels import depolarizing_channel, pushforward_family, random_tpcp
 from qmetrics.errors import (
     DomainExit,
     MissingGauge,
@@ -15,7 +15,6 @@ from qmetrics.errors import (
     ValidationError,
 )
 from qmetrics.families import (
-    GaugedSpectral,
     ParametricFamily,
     SpectralPresentation,
     bloch3,
@@ -48,8 +47,17 @@ def test_apply_gauge_preserves_the_state():
                                         np.array([0.1, 0.2, 0.3])))
     for t in (-0.2, 0.0, 0.3):
         assert np.allclose(gauged.rho([t]), fam.rho([t]), atol=1e-12)
-        sp = gauged.spectral(np.array([t]))
+        sp = _rephased_frame(gauged).spectral(np.array([t]))
         assert np.allclose(sp.reconstruct(), fam.rho([t]), atol=1e-12)
+
+
+def test_apply_gauge_keeps_the_presentation_and_sets_the_phases():
+    fam = random_full_rank(d=3, nparams=1, seed=1)
+    pa = sin_gauge(np.array([0.4, -0.8, 0.2]), np.ones(3), np.zeros(3))
+    gauged = apply_gauge(fam, pa)
+    assert fam.phases is None
+    assert gauged.spectral is fam.spectral
+    assert np.array_equal(gauged.phases(np.array([[0.3]]))[0], pa.alphas([0.3]))
 
 
 def test_apply_gauge_requires_presentation():
@@ -99,6 +107,14 @@ def test_minimizing_gauge_requires_one_parameter():
         minimizing_gauge_1p(bloch3(), 0.0, 1.0)
 
 
+@pytest.mark.parametrize("steps", [-1, 0, 2.5])
+def test_minimizing_gauge_requires_a_positive_integer_step_count(steps):
+    # -1 used to fail in numpy with a zero-size reduction, 0 to return a
+    # one-point grid.
+    with pytest.raises(ValidationError, match="steps must be an integer >= 1"):
+        minimizing_gauge_1p(random_full_rank(d=3, nparams=1, seed=5), -0.5, 0.5, steps=steps)
+
+
 def test_phase_assignment_sample_interpolation():
     grid = np.linspace(0.0, 1.0, 5)
     samples = np.vstack([grid**2, -grid])
@@ -123,6 +139,13 @@ def test_integrability_obstruction_on_two_level_family():
     expected = math.sin(1.2) / 4.0
     assert abs(abs(values[(0, 1, 2)]) - expected) < 1e-6
     assert abs(abs(values[(1, 1, 2)]) - expected) < 1e-6
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+def test_integrability_test_rejects_a_bad_tolerance(tol):
+    # A NaN or negative tolerance used to give the verdict FAIL.
+    with pytest.raises(ValidationError, match="tolerance must be finite and non-negative"):
+        integrability_test(bloch3(), np.array([0.5, 1.2, 0.5]), tol=tol)
 
 
 def test_real_frame_family_passes_integrability():
@@ -178,11 +201,9 @@ def test_pure_rotation_already_minimal():
 # subtracted, phase by phase at each grid point.
 def _reference_scan(family, theta0, theta1, steps, h=DEFAULT_H):
     grid = np.linspace(theta0, theta1, steps + 1)
-    gauged = family.spectral if isinstance(family.spectral, GaugedSpectral) else None
-    spectral = family.spectral if gauged is None else gauged.base
 
     def frame(t):
-        return spectral(np.array([t])).eigenvectors
+        return family.spectral(np.array([t])).eigenvectors
 
     diag = np.empty((grid.size, family.dim), dtype=complex)
     for i, t in enumerate(grid):
@@ -194,8 +215,8 @@ def _reference_scan(family, theta0, theta1, steps, h=DEFAULT_H):
     integrand = np.imag(diag)
     areas = np.diff(grid)[:, None] * (integrand[1:] + integrand[:-1]) / 2.0
     alphas = np.vstack([np.zeros((1, family.dim)), np.cumsum(areas, axis=0)])
-    if gauged is not None:
-        phases = np.array([gauged.phases(np.array([[t]]))[0] for t in grid])
+    if family.phases is not None:
+        phases = np.array([family.phases(np.array([[t]]))[0] for t in grid])
         alphas -= phases - phases[0]
     return grid, alphas.T
 
@@ -257,6 +278,19 @@ def test_scan_makes_no_one_point_presentation_on_a_batched_family():
     assert phase_calls == [(1,)] * 513
 
 
+def _rephased_frame(family):
+    # The re-phased presentation as one complex frame, with column k of the
+    # frame multiplied by exp(i a_k), and no phases left apart.
+    def spectral(th):
+        sp = family.spectral(th)
+        th = np.asarray(th, dtype=float)
+        a = family.phases(th.reshape(-1, th.shape[-1])).reshape(th.shape[:-1] + (1, -1))
+        return SpectralPresentation(eigenvalues=sp.eigenvalues,
+                                    eigenvectors=sp.eigenvectors * np.exp(1j * a))
+
+    return replace(family, spectral=spectral, phases=None)
+
+
 def test_gauged_tangents_agree_with_the_differenced_rephased_frame():
     # Differencing exp(i a) w as one complex frame is the route the exact phase
     # identity replaced; away from kinks the two agree to the stencil's error.
@@ -264,8 +298,7 @@ def test_gauged_tangents_agree_with_the_differenced_rephased_frame():
                    (apply_gauge(_perturbed(2, 52), sin_gauge(np.array([0.5, -1.0]),
                                                               np.array([1.5, 0.7]),
                                                               np.array([0.3, 0.9]))), 0.2)]:
-        framed = replace(fam, spectral=lambda th, sp=fam.spectral: sp(th))
-        exact, differenced = tangent_data(fam, [t]), tangent_data(framed, [t])
+        exact, differenced = tangent_data(fam, [t]), tangent_data(_rephased_frame(fam), [t])
         assert np.array_equal(exact.dp, differenced.dp)
         assert np.max(np.abs(exact.overlaps - differenced.overlaps)) < 1e-9
 
@@ -274,9 +307,16 @@ def test_rephasing_a_rephased_family_adds_the_phases_onto_one_base():
     fam = random_full_rank(d=3, nparams=1, seed=7)
     once = apply_gauge(fam, sin_gauge(np.array([0.4, -0.8, 0.2]), np.ones(3), np.zeros(3)))
     twice = apply_gauge(once, zero_gauge(3))
-    assert twice.spectral.base is fam.spectral
-    assert np.array_equal(twice.spectral(np.array([0.3])).eigenvectors,
-                          once.spectral(np.array([0.3])).eigenvectors)
+    assert twice.spectral is once.spectral is fam.spectral
+    assert np.array_equal(twice.phases(np.array([[0.3]])), once.phases(np.array([[0.3]])))
+
+
+def test_a_pushforward_that_drops_the_presentation_drops_the_phases():
+    rephased = _perturbed(3, 60)
+    pushed = pushforward_family(random_tpcp(3, 2, seed=1), rephased)
+    assert pushed.spectral is None and pushed.phases is None
+    with pytest.raises(MissingGauge):
+        apply_gauge(pushed, zero_gauge(3))
 
 
 def _kinked(fam):
@@ -302,10 +342,10 @@ def test_scan_through_a_kinked_sampled_gauge_returns_a_minimizing_gauge():
     lambda fam: pushforward_family(depolarizing_channel(3, 0.5), fam),
 ], ids=["slice", "pushforward"])
 def test_slices_and_pushforwards_of_a_rephased_family_stay_rephased(wrap):
-    # Wrapping the GaugedSpectral in a plain callable made the scan difference
-    # exp(i a) w across the kinks again and raise NonImaginaryOverlap.
+    # Folding the phases into the frame made the scan difference exp(i a) w
+    # across the kinks again and raise NonImaginaryOverlap.
     wrapped = wrap(_kinked(random_full_rank(d=3, nparams=1, seed=61)))
-    assert isinstance(wrapped.spectral, GaugedSpectral)
+    assert wrapped.phases is not None
     pa = minimizing_gauge_1p(wrapped, -0.5, 0.5, steps=200)
     t = [pa.grid[100]]
     gap = c_upsilon_states(apply_gauge(wrapped, pa), t)[0, 0] - c_l_information(wrapped, t)[0, 0]
@@ -348,9 +388,9 @@ BAD_PHASES = {
 def test_misshaped_phases_raise_a_validation_error(name, base):
     gauged = apply_gauge(base, BAD_PHASES[name])
     with pytest.raises(ValidationError, match=r"expected \(3,\)"):
-        gauged.spectral(np.array([0.1]))
+        gauged.phases(np.array([[0.1]]))
     with pytest.raises(ValidationError, match=r"expected \(3,\)"):
-        gauged.spectral(np.array([[0.1], [0.2]]))
+        gauged.phases(np.array([[0.1], [0.2]]))
     with pytest.raises(ValidationError, match=r"expected \(3,\)"):
         c_upsilon_states(gauged, [0.1])
     with pytest.raises(ValidationError, match=r"expected \(3,\)"):
