@@ -23,7 +23,7 @@ from .errors import (
     ValidationError,
 )
 from .families import ParametricFamily, SpectralPresentation
-from .linalg import DEFAULT_H, RANK_TOL, central_difference, eig_hermitian, fix_phases
+from .linalg import RANK_TOL, central_difference, eig_hermitian, fix_phases
 from .metrics import evaluate_metric
 
 
@@ -162,7 +162,7 @@ def canonical_kraus(chf: ChannelFamily, theta: float, rho0: np.ndarray) -> list[
     for j in range(n):
         for k in range(n):
             gram[j, k] = np.trace(ops[j] @ rho0 @ ops[k].conj().T)
-    es = eig_hermitian((gram + gram.conj().T) / 2.0, check=False)
+    es = eig_hermitian(gram)
     if float(es.values.min()) < -1e-8:
         raise GramNotPSD(f"Gram matrix has eigenvalue {es.values.min():.3e}")
     u = fix_phases(es.vectors)
@@ -184,9 +184,7 @@ def _align_branch(candidate: np.ndarray, reference: np.ndarray, rho0: np.ndarray
     return candidate * (np.conj(z) / abs(z))
 
 
-def sm_channel_bound(
-    chf: ChannelFamily, theta: float, rho0: np.ndarray, h: float = DEFAULT_H
-) -> float:
+def sm_channel_bound(chf: ChannelFamily, theta: float, rho0: np.ndarray) -> float:
     """Channel-level information bound 4 sum_k tr(U'_k rho0 U'_k^dagger) from
     Richardson central differences of the phase-aligned canonical Kraus
     operators."""
@@ -201,7 +199,7 @@ def sm_channel_bound(
         return np.array([[_align_branch(u, ref, rho0) for u, ref in zip(ops, base)]
                          for ops in branches])
 
-    der = central_difference(aligned, theta, h=h)[1][0]
+    der = central_difference(aligned, theta)[1][0]
     return 4.0 * float(np.real(sum(np.trace(u @ rho0 @ u.conj().T) for u in der)))
 
 
@@ -271,13 +269,9 @@ class MonotonicityReport:
 
 
 def monotonicity_experiment(
-    family: ParametricFamily,
-    metric: str,
-    ch: KrausChannel,
-    theta,
-    h: float = DEFAULT_H,
+    family: ParametricFamily, metric: str, ch: KrausChannel, theta
 ) -> MonotonicityReport:
     """Evaluate a metric before and after pushing the family through a channel."""
-    before = evaluate_metric(family, theta, metric, h=h)
-    after = evaluate_metric(pushforward_family(ch, family), theta, metric, h=h)
+    before = evaluate_metric(family, theta, metric)
+    after = evaluate_metric(pushforward_family(ch, family), theta, metric)
     return MonotonicityReport(metric=metric, before=before, after=after)

@@ -17,17 +17,17 @@ import numpy as np
 
 from .errors import FlatLikelihood, ValidationError
 from .families import FamilyPoint, ParametricFamily
-from .linalg import DEFAULT_H, eig_hermitian, sld_solve
+from .linalg import eig_hermitian, sld_solve
 from .metrics import _measured_fisher, _sld_information, born_probabilities, validate_povm
 
 
-def sld_optimal_povm(family: ParametricFamily, theta, h: float = DEFAULT_H) -> list[np.ndarray]:
+def sld_optimal_povm(family: ParametricFamily, theta) -> list[np.ndarray]:
     """Projective POVM diagonalizing the score operator of a one-parameter
     family; eigenvalues within 1e-8 are merged into a single eigenspace
     projector. Attains the quantum information bound at theta."""
     if family.nparams != 1:
         raise ValidationError("optimal measurement construction is one-parameter")
-    point = FamilyPoint(family, theta, h)
+    point = FamilyPoint(family, theta)
     es = eig_hermitian(sld_solve(point.eig, point.drho)[0])
     povm = []
     start = 0
@@ -39,7 +39,7 @@ def sld_optimal_povm(family: ParametricFamily, theta, h: float = DEFAULT_H) -> l
     return povm
 
 
-def equality_condition_residual(family: ParametricFamily, theta, povm, h: float = DEFAULT_H) -> float:
+def equality_condition_residual(family: ParametricFamily, theta, povm) -> float:
     """Residual of the bound-attainment condition for each POVM element.
 
     For each element M, minimizes || M^(1/2) L rho^(1/2) - xi M^(1/2) rho^(1/2) ||_F
@@ -47,7 +47,7 @@ def equality_condition_residual(family: ParametricFamily, theta, povm, h: float 
     measured Fisher information equals the quantum bound.
     """
     elements = validate_povm(povm, family.dim)
-    point = FamilyPoint(family, theta, h)
+    point = FamilyPoint(family, theta)
     score = sld_solve(point.eig, point.drho)[0]
 
     def psd_sqrt(es):
@@ -57,7 +57,7 @@ def equality_condition_residual(family: ParametricFamily, theta, povm, h: float 
     rho_sqrt = psd_sqrt(point.eig)
     worst = 0.0
     for m in elements:
-        m_sqrt = psd_sqrt(eig_hermitian(m, check=False))
+        m_sqrt = psd_sqrt(eig_hermitian(m))
         a = m_sqrt @ score @ rho_sqrt
         b = m_sqrt @ rho_sqrt
         bb = float(np.real(np.vdot(b, b)))
@@ -194,14 +194,15 @@ def cramer_rao_experiment(
     reps: int,
     seed: int = 0,
     interval=None,
-    h: float = DEFAULT_H,
 ) -> EstimationReport:
     """Monte Carlo Cramer-Rao comparison for a one-parameter family.
 
     Replication r uses an RNG stream derived from (seed, r), so results are
     deterministic regardless of evaluation order; replicate r equals
     mle_1p on sample_outcomes(..., seed=[seed, r]). All replicates share one
-    Likelihood and one sampling distribution. n and reps are integers >= 1.
+    Likelihood and one sampling distribution. n and reps are integers >= 1,
+    and theta_true lies strictly inside the interval: otherwise every estimate
+    is pinned at an end of it and the variance measures the interval.
     """
     if family.nparams != 1:
         raise ValidationError("estimation harness is one-parameter")
@@ -214,7 +215,10 @@ def cramer_rao_experiment(
         hi = min(hi - 1e-6, theta_true + 0.4)
         interval = (lo, hi)
     likelihood = Likelihood(family, povm, interval)
-    point = FamilyPoint(family, theta_true, h)
+    lo, hi = likelihood.grid[0], likelihood.grid[-1]
+    if not lo < theta_true < hi:
+        raise ValidationError(f"theta_true {theta_true} must lie inside the interval ({lo}, {hi})")
+    point = FamilyPoint(family, theta_true)
     fisher = float(_measured_fisher(point, likelihood.elements)[0, 0])
     bound = float(_sld_information(point)[0, 0])
     p = _outcome_distribution(point.rho, likelihood.elements)

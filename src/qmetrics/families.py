@@ -36,16 +36,16 @@ from .linalg import (
 )
 
 
-def validate_density(rho: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
+def validate_density(rho: np.ndarray) -> np.ndarray:
     """Check Hermiticity, unit trace and positivity (within tolerance)."""
     rho = np.asarray(rho, dtype=complex)
-    if herm_defect(rho) > tol:
+    if herm_defect(rho) > HERM_TOL:
         raise NotHermitian(f"density matrix deviates from Hermitian by {herm_defect(rho):.3e}")
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > tol:
+    if abs(tr - 1.0) > HERM_TOL:
         raise ValidationError(f"density matrix trace is {tr}, expected 1")
     wmin = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2).min())
-    if wmin < -tol:
+    if wmin < -HERM_TOL:
         raise ValidationError(f"density matrix has negative eigenvalue {wmin:.3e}")
     return rho
 
@@ -143,9 +143,9 @@ class ParametricFamily:
         states = np.asarray(self.evaluate(thetas), dtype=complex)
         return _stack_of(self, "evaluate", states, (len(thetas), self.dim, self.dim))
 
-    def drho(self, theta, h: float = DEFAULT_H) -> np.ndarray:
+    def drho(self, theta) -> np.ndarray:
         """Tangents d(rho)/d(theta^l), shape (p, d, d) (see FamilyPoint.drho)."""
-        return FamilyPoint(self, theta, h).drho
+        return FamilyPoint(self, theta).drho
 
 
 def _stack_of(family: ParametricFamily, what: str, array: np.ndarray, shape: tuple) -> np.ndarray:
@@ -159,10 +159,10 @@ def _stack_of(family: ParametricFamily, what: str, array: np.ndarray, shape: tup
 
 
 def _stencil(family: ParametricFamily, f: Callable[[np.ndarray], np.ndarray],
-             thetas: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+             thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """central_difference of f at checked points of the family, after checking
-    every stencil point against the domain: a point within h of a finite bound
-    raises DomainExit instead of evaluating f outside the domain."""
+    every stencil point against the domain: a point within DEFAULT_H of a
+    finite bound raises DomainExit instead of evaluating f outside the domain."""
 
     def inside(points):
         outside = np.flatnonzero(~family._inside(points))
@@ -174,11 +174,11 @@ def _stencil(family: ParametricFamily, f: Callable[[np.ndarray], np.ndarray],
             origin = base[i if i < n else (i - n) // p % n]
             raise DomainExit(
                 f"the difference stencil of {family.name!r} at theta {origin.tolist()} "
-                f"with step h={h} leaves the domain at {points[i].tolist()}"
+                f"with step h={DEFAULT_H} leaves the domain at {points[i].tolist()}"
             )
         return f(points)
 
-    return central_difference(inside, thetas, h=h)
+    return central_difference(inside, thetas)
 
 
 @dataclass(frozen=True)
@@ -190,7 +190,7 @@ class TangentData:
     eigenvalues: np.ndarray  # (d,) at the evaluation point
 
 
-def spectral_tangents(family: ParametricFamily, thetas: np.ndarray, h: float = DEFAULT_H):
+def spectral_tangents(family: ParametricFamily, thetas: np.ndarray):
     """Differenced spectral presentation at an (n, p) stack of checked points.
 
     Returns dp (n, p, d), overlaps (n, p, d, d) and the eigenvalues (n, d) at
@@ -209,10 +209,10 @@ def spectral_tangents(family: ParametricFamily, thetas: np.ndarray, h: float = D
         frames = _stack_of(family, "spectral eigenvectors", np.asarray(sp.eigenvectors), (n, d, d))
         return np.concatenate([values[:, None], frames], axis=1)
 
-    at, d_stack = _stencil(family, eigensystems, thetas, h)
+    at, d_stack = _stencil(family, eigensystems, thetas)
     overlaps = d_stack[:, :, 1:].conj().swapaxes(-1, -2) @ at[:, None, 1:]
     if family.phases is not None:
-        a, slopes = central_difference(family.phases, thetas, h=h)
+        a, slopes = central_difference(family.phases, thetas)
         overlaps = overlaps * np.exp(1j * (a[:, None, None, :] - a[:, None, :, None]))
         diag = np.arange(family.dim)
         overlaps[..., diag, diag] -= 1j * slopes
@@ -229,14 +229,13 @@ class FamilyPoint:
     points, all checked against the domain first.
     """
 
-    def __init__(self, family: ParametricFamily, theta, h: float = DEFAULT_H):
+    def __init__(self, family: ParametricFamily, theta):
         self.family = family
         self.theta = family.check_theta(theta)
-        self.h = h
 
     @cached_property
     def _state(self) -> tuple[np.ndarray, np.ndarray]:
-        return _stencil(self.family, self.family._evaluate_stack, self.theta, self.h)
+        return _stencil(self.family, self.family._evaluate_stack, self.theta)
 
     @property
     def rho(self) -> np.ndarray:
@@ -266,14 +265,14 @@ class FamilyPoint:
         """
         if self.family.spectral is None:
             return _perturbative_tangent_data(self.eig, self.drho)
-        dp, overlaps, eigenvalues = spectral_tangents(self.family, self.theta[None], h=self.h)
+        dp, overlaps, eigenvalues = spectral_tangents(self.family, self.theta[None])
         return TangentData(dp=dp[0], overlaps=overlaps[0], eigenvalues=eigenvalues[0])
 
 
-def tangent_data(family: ParametricFamily, theta, h: float = DEFAULT_H) -> TangentData:
+def tangent_data(family: ParametricFamily, theta) -> TangentData:
     """Eigenvalue derivatives and eigenvector-derivative overlaps at theta
     (see FamilyPoint.tangent_data)."""
-    return FamilyPoint(family, theta, h).tangent_data
+    return FamilyPoint(family, theta).tangent_data
 
 
 def _perturbative_tangent_data(es: EigenSystem, tangents: np.ndarray) -> TangentData:
@@ -549,16 +548,21 @@ REGISTRY_NAMES = tuple(_REGISTRY)
 def family_registry(name: str, params: dict | None = None) -> ParametricFamily:
     """Build a named family from a parameter dictionary (CLI entry point).
 
-    A parameter that does not convert to its type, or an integer below its
-    least value, raises ValidationError naming the family and the key."""
+    A parameter that does not convert to its type (a bool never does, nor a
+    non-integral number to int), or an integer below its least value, raises
+    ValidationError naming the family and the key."""
     build = _REGISTRY.get(name)
     if build is None:
         raise UnknownFamily(f"unknown family {name!r}; known: {', '.join(REGISTRY_NAMES)}")
     params = dict(params or {})
 
     def param(key, convert, default, least=None):
+        raw = params.get(key, default)
         try:
-            value = convert(params.get(key, default))
+            value = convert(raw)
+            # int() would truncate 2.5 to 2 and read true as 1.
+            if isinstance(raw, bool) or (convert is int and not isinstance(raw, str) and value != raw):
+                raise ValueError
         except (TypeError, ValueError, OverflowError):
             raise ValidationError(
                 f"family {name!r}: parameter {key!r} must be {convert.__name__}, got {params[key]!r}"

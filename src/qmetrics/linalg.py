@@ -55,12 +55,12 @@ def fix_phases(vectors: np.ndarray) -> np.ndarray:
     return v
 
 
-def eig_hermitian(m: np.ndarray, check: bool = True) -> EigenSystem:
+def eig_hermitian(m: np.ndarray) -> EigenSystem:
     """Eigendecomposition of a Hermitian matrix with a deterministic gauge."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotHermitian(f"expected a square matrix, got shape {m.shape}")
-    if check and herm_defect(m) > HERM_TOL:
+    if herm_defect(m) > HERM_TOL:
         raise NotHermitian(f"matrix deviates from Hermitian by {herm_defect(m):.3e}")
     try:
         vals, vecs = np.linalg.eigh((m + m.conj().T) / 2.0)
@@ -70,12 +70,12 @@ def eig_hermitian(m: np.ndarray, check: bool = True) -> EigenSystem:
     return EigenSystem(values=vals[order], vectors=fix_phases(vecs[:, order]))
 
 
-def sld_solve(es: EigenSystem, tangents: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
+def sld_solve(es: EigenSystem, tangents: np.ndarray) -> np.ndarray:
     """Solve drho_l = (rho L_l + L_l rho) / 2 for the Hermitian scores L_l of a
     (p, d, d) stack of tangents, given rho's eigensystem; shape (p, d, d).
 
     Works in the eigenbasis of rho: L_jk = 2 A_jk / (p_j + p_k) with A the
-    tangent in that basis. Entries with p_j + p_k below rank_tol are set to
+    tangent in that basis. Entries with p_j + p_k below RANK_TOL are set to
     zero; if the tangent has weight there, the score does not determine the
     metric and UnsupportedTangent is raised. Each tangent is checked in turn
     (Hermitian, traceless, supported); the first failing check raises.
@@ -85,7 +85,7 @@ def sld_solve(es: EigenSystem, tangents: np.ndarray, rank_tol: float = RANK_TOL)
     v = es.vectors
     a = v.conj().T @ tangents @ v
     denom = p[:, None] + p[None, :]
-    off_support = denom <= rank_tol
+    off_support = denom <= RANK_TOL
     not_hermitian = np.abs(tangents - tangents.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) > HERM_TOL
     not_traceless = np.abs(np.trace(tangents, axis1=-2, axis2=-1)) > HERM_TOL
     unsupported = (np.abs(a) * off_support).max(axis=(-2, -1)) > 1e-8

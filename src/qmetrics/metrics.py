@@ -36,14 +36,7 @@ from .errors import (
     VanishingProbabilityWithFlow,
 )
 from .families import FamilyPoint, ParametricFamily, TangentData, tangent_data
-from .linalg import (
-    DEFAULT_H,
-    DEGEN_GAP,
-    HERM_TOL,
-    RANK_TOL,
-    eig_hermitian,
-    sld_solve,
-)
+from .linalg import DEGEN_GAP, HERM_TOL, RANK_TOL, eig_hermitian, sld_solve
 
 
 # ---------------------------------------------------------------------------
@@ -200,16 +193,8 @@ def _measured_fisher(point: FamilyPoint, elements: np.ndarray) -> np.ndarray:
         f"outcome {m} has zero probability but nonzero derivative"))
 
 
-def _fisher(point: FamilyPoint, povm) -> np.ndarray:
-    d = point.family.dim
-    return _measured_fisher(point, _basis_stack(d) if povm is None else validate_povm(povm, d))
-
-
 def classical_fisher(
-    family: ParametricFamily,
-    theta,
-    povm: Sequence[np.ndarray] | None = None,
-    h: float = DEFAULT_H,
+    family: ParametricFamily, theta, povm: Sequence[np.ndarray] | None = None
 ) -> np.ndarray:
     """Fisher information matrix of the measured outcome distribution.
 
@@ -218,7 +203,9 @@ def classical_fisher(
     probability contribute zero only if their derivative also vanishes.
     A POVM passed in is validated; the default is the computational basis.
     """
-    return _fisher(FamilyPoint(family, theta, h), povm)
+    point = FamilyPoint(family, theta)
+    d = family.dim
+    return _measured_fisher(point, _basis_stack(d) if povm is None else validate_povm(povm, d))
 
 
 # ---------------------------------------------------------------------------
@@ -254,12 +241,7 @@ def _mc_metric(point: FamilyPoint, cf: CFunction) -> np.ndarray:
     return (m_out + m_out.T) / 2.0
 
 
-def mc_metric(
-    family: ParametricFamily,
-    theta,
-    cf: CFunction,
-    h: float = DEFAULT_H,
-) -> np.ndarray:
+def mc_metric(family: ParametricFamily, theta, cf: CFunction) -> np.ndarray:
     """Information matrix from the eigenbasis quadratic form.
 
     In the eigenbasis of rho(theta), with tangents A^(k) = d rho / d theta^k:
@@ -267,7 +249,7 @@ def mc_metric(
         M_kl = sum_i A^(k)_ii A^(l)_ii / p_i
              + 2 sum_{j<m} c(p_j, p_m) Re(A^(k)_jm conj(A^(l)_jm)).
     """
-    return _mc_metric(FamilyPoint(family, theta, h), cf)
+    return _mc_metric(FamilyPoint(family, theta), cf)
 
 
 # ---------------------------------------------------------------------------
@@ -281,22 +263,22 @@ def _sld_information(point: FamilyPoint) -> np.ndarray:
     return np.triu(m_out) + np.triu(m_out, 1).T
 
 
-def sld_information(family: ParametricFamily, theta, h: float = DEFAULT_H) -> np.ndarray:
+def sld_information(family: ParametricFamily, theta) -> np.ndarray:
     """SLD information via the score-operator route: M_kl = Re tr(rho L_k L_l).
 
     Independent of mc_metric with the 2/(x+y) coefficient; the two are used
     as mutual oracles in the test suite. Defined for pure states through the
     support-restricted score.
     """
-    return _sld_information(FamilyPoint(family, theta, h))
+    return _sld_information(FamilyPoint(family, theta))
 
 
-def kmb_information(family: ParametricFamily, theta, h: float = DEFAULT_H) -> np.ndarray:
-    return mc_metric(family, theta, CF_KMB, h=h)
+def kmb_information(family: ParametricFamily, theta) -> np.ndarray:
+    return mc_metric(family, theta, CF_KMB)
 
 
-def rld_information(family: ParametricFamily, theta, h: float = DEFAULT_H) -> np.ndarray:
-    return mc_metric(family, theta, CF_RLD, h=h)
+def rld_information(family: ParametricFamily, theta) -> np.ndarray:
+    return mc_metric(family, theta, CF_RLD)
 
 
 def _classical_part(td: TangentData) -> np.ndarray:
@@ -327,14 +309,14 @@ def _c_upsilon(point: FamilyPoint) -> np.ndarray:
     return _classical_part(td) + _offdiag_part(td) + _diag_part(td)
 
 
-def c_upsilon_states(family: ParametricFamily, theta, h: float = DEFAULT_H) -> np.ndarray:
+def c_upsilon_states(family: ParametricFamily, theta) -> np.ndarray:
     """Gauge-dependent channel-derived information of a presented state family.
 
     Requires the family's spectral presentation; the result depends on the
     eigenvector phase choice by design (the diagonal-overlap term is not
     gauge invariant).
     """
-    return _c_upsilon(FamilyPoint(family, theta, h))
+    return _c_upsilon(FamilyPoint(family, theta))
 
 
 def _c_l(point: FamilyPoint) -> np.ndarray:
@@ -342,22 +324,22 @@ def _c_l(point: FamilyPoint) -> np.ndarray:
     return _classical_part(td) + _offdiag_part(td)
 
 
-def c_l_information(family: ParametricFamily, theta, h: float = DEFAULT_H) -> np.ndarray:
+def c_l_information(family: ParametricFamily, theta) -> np.ndarray:
     """Gauge-invariant lower bound among the gauge-dependent informations.
 
     Computed from the overlap form, which stays finite on degenerate spectra
     whenever a spectral presentation is available; agrees with the engine
     route (coefficient 2(x+y)/(x-y)^2) on non-degenerate families.
     """
-    return _c_l(FamilyPoint(family, theta, h))
+    return _c_l(FamilyPoint(family, theta))
 
 
-def c_l_decomposition(family: ParametricFamily, theta, h: float = DEFAULT_H):
+def c_l_decomposition(family: ParametricFamily, theta):
     """Split the lower-bound information into (classical Fisher of the
     spectrum, weighted sum of pure-state SLD informations of the frame)."""
     if family.spectral is None:
         raise MissingGauge("decomposition needs a spectral presentation")
-    td = tangent_data(family, theta, h=h)
+    td = tangent_data(family, theta)
     classical = _classical_part(td)
     p = np.clip(td.eigenvalues, 0.0, None)
     o = td.overlaps
@@ -400,44 +382,32 @@ class FScanReport:
     max_duality_defect: float
 
 
-def evaluate_metrics(
-    family: ParametricFamily,
-    theta,
-    names: Sequence[str],
-    povm: Sequence[np.ndarray] | None = None,
-    h: float = DEFAULT_H,
-) -> dict[str, np.ndarray]:
+def evaluate_metrics(family: ParametricFamily, theta, names: Sequence[str]) -> dict[str, np.ndarray]:
     """Metrics by registry name at one point, as a dict name -> matrix.
 
     Every name is checked before anything is computed. All metrics are served
     from one FamilyPoint, so rho, its tangents, its eigensystem and the
-    tangent data are each computed at most once. The POVM is used by
-    "fisher" only and defaults to the computational basis.
+    tangent data are each computed at most once. "fisher" measures in the
+    computational basis (classical_fisher takes any POVM).
     """
     for name in names:
         if name not in _METRICS:
             raise UnknownMetric(f"unknown metric {name!r}; known: {', '.join(METRIC_NAMES)}")
-    point = FamilyPoint(family, theta, h)
-    return {name: _METRICS[name](point, povm) for name in names}
+    point = FamilyPoint(family, theta)
+    return {name: _METRICS[name](point) for name in names}
 
 
-def evaluate_metric(
-    family: ParametricFamily,
-    theta,
-    name: str,
-    povm: Sequence[np.ndarray] | None = None,
-    h: float = DEFAULT_H,
-) -> np.ndarray:
+def evaluate_metric(family: ParametricFamily, theta, name: str) -> np.ndarray:
     """One metric by its registry name (see evaluate_metrics)."""
-    return evaluate_metrics(family, theta, [name], povm, h)[name]
+    return evaluate_metrics(family, theta, [name])[name]
 
 
 _METRICS = {
-    "fisher": _fisher,
-    "sld": lambda point, povm: _sld_information(point),
-    "kmb": lambda point, povm: _mc_metric(point, CF_KMB),
-    "rld": lambda point, povm: _mc_metric(point, CF_RLD),
-    "cupsilon": lambda point, povm: _c_upsilon(point),
-    "cl": lambda point, povm: _c_l(point),
+    "fisher": lambda point: _measured_fisher(point, _basis_stack(point.family.dim)),
+    "sld": _sld_information,
+    "kmb": lambda point: _mc_metric(point, CF_KMB),
+    "rld": lambda point: _mc_metric(point, CF_RLD),
+    "cupsilon": _c_upsilon,
+    "cl": _c_l,
 }
 METRIC_NAMES = tuple(_METRICS)

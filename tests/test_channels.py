@@ -17,7 +17,7 @@ from qmetrics.channels import (
     sm_channel_bound,
     unitary_channel,
 )
-from qmetrics.errors import DimensionMismatch, ParamOutOfDomain, ValidationError
+from qmetrics.errors import DimensionMismatch, NotHermitian, ParamOutOfDomain, ValidationError
 from qmetrics.families import random_full_rank, rot3_mixture, validate_density
 from qmetrics.linalg import unitary
 from qmetrics.metrics import c_l_information, sld_information
@@ -141,6 +141,16 @@ def test_canonical_kraus_diagonalizes_gram():
     assert np.allclose(out, ref, atol=1e-10)
     probs = np.real(np.diag(gram))
     assert abs(probs.sum() - 1.0) < 1e-10
+
+
+def test_canonical_kraus_rejects_a_non_hermitian_reference_state():
+    # Its Gram matrix is not Hermitian; it used to be symmetrized without a check.
+    chf = ChannelFamily(dim=2, evaluate=lambda t: random_tpcp(2, 3, seed=9), name="c")
+    rho0 = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
+    with pytest.raises(NotHermitian, match="deviates from Hermitian"):
+        canonical_kraus(chf, 0.0, rho0)
+    with pytest.raises(NotHermitian, match="deviates from Hermitian"):
+        sm_channel_bound(chf, 0.0, rho0)
 
 
 def test_unitary_rotation_bound_is_one():

@@ -197,7 +197,10 @@ MALFORMED = [
       "--theta0", "0", "--theta1", "0.1"), "expected comma-separated numbers, got '0,x,0'"),
     ((*_ESTIMATE, "--interval", "0.1"), "interval must be two finite numbers lo,hi, got '0.1'"),
     ((*_ESTIMATE, "--interval", "0.1,abc"), "expected comma-separated numbers, got '0.1,abc'"),
+    ((*_ESTIMATE, "--interval", "0.3,0.5"), "theta_true 0.1 must lie inside the interval"),
     ((*_RANDOM, '{"d":"x"}'), "parameter 'd' must be int"),
+    ((*_RANDOM, '{"d":2.5}'), "parameter 'd' must be int, got 2.5"),
+    ((*_RANDOM, '{"d":true}'), "parameter 'd' must be int, got True"),
     (("metric", "--family", "rot3-mixture", "--theta", "0.1", "--metrics", "sld",
       "--params", '{"epsilon":"a"}'), "parameter 'epsilon' must be float"),
     ((*_RANDOM, '{"d":0}'), "parameter 'd' must be >= 1"),

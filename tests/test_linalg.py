@@ -1,3 +1,4 @@
+import inspect
 import os
 import subprocess
 import sys
@@ -162,6 +163,25 @@ def test_central_difference_accuracy():
         assert np.array_equal(row, one_row) and np.array_equal(value, one_value)
     with pytest.raises(ValueError):
         central_difference(f, [x, y], h=0.0)
+
+
+def test_only_central_difference_takes_a_step_and_no_export_an_idle_option():
+    # The step is the constant DEFAULT_H everywhere above central_difference.
+    exported = [v for k, v in vars(qmetrics).items() if callable(v) and not k.startswith("_")
+                and v.__module__ != "qmetrics.errors"]  # exceptions have no signature
+    methods = [m for cls in exported if isinstance(cls, type)
+               for k, m in vars(cls).items() if inspect.isfunction(m) and not k.startswith("_")]
+    assert len(exported) > 40 and qmetrics.ParametricFamily.drho in methods
+
+    def params(fn):
+        return set(inspect.signature(fn).parameters)
+
+    assert [fn.__qualname__ for fn in exported + methods if "h" in params(fn)] == []
+    assert "povm" not in params(qmetrics.evaluate_metric) | params(qmetrics.evaluate_metrics)
+    assert "povm" in params(qmetrics.classical_fisher)
+    for fn in (qmetrics.eig_hermitian, qmetrics.sld_solve, qmetrics.validate_density):
+        assert not params(fn) & {"check", "rank_tol", "tol"}, fn.__name__
+    assert "h" in params(central_difference)
 
 
 def test_unitary_matches_closed_form_rotation():
