@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FlatLikelihood, ValidationError
-from .families import FamilyPoint, ParametricFamily
+from .families import ParametricFamily
 from .linalg import eig_hermitian, sld_solve
 from .metrics import _measured_fisher, _sld_information, born_probabilities, validate_povm
 
@@ -27,7 +27,7 @@ def sld_optimal_povm(family: ParametricFamily, theta) -> list[np.ndarray]:
     projector. Attains the quantum information bound at theta."""
     if family.nparams != 1:
         raise ValidationError("optimal measurement construction is one-parameter")
-    point = FamilyPoint(family, theta)
+    point = family.point(theta)
     es = eig_hermitian(sld_solve(point.eig, point.drho)[0])
     povm = []
     start = 0
@@ -47,7 +47,7 @@ def equality_condition_residual(family: ParametricFamily, theta, povm) -> float:
     measured Fisher information equals the quantum bound.
     """
     elements = validate_povm(povm, family.dim)
-    point = FamilyPoint(family, theta)
+    point = family.point(theta)
     score = sld_solve(point.eig, point.drho)[0]
 
     def psd_sqrt(es):
@@ -201,14 +201,18 @@ def cramer_rao_experiment(
     deterministic regardless of evaluation order; replicate r equals
     mle_1p on sample_outcomes(..., seed=[seed, r]). All replicates share one
     Likelihood and one sampling distribution. n and reps are integers >= 1,
-    and theta_true lies strictly inside the interval: otherwise every estimate
-    is pinned at an end of it and the variance measures the interval.
+    theta_true is one number (shape () or (1,)) and lies strictly inside the
+    interval: otherwise every estimate is pinned at an end of it and the
+    variance measures the interval.
     """
     if family.nparams != 1:
         raise ValidationError("estimation harness is one-parameter")
     n = _check_count("n", n, 1)
     reps = _check_count("reps", reps, 1)
-    theta_true = float(np.atleast_1d(theta_true)[0])
+    theta = np.asarray(theta_true, dtype=float)
+    if theta.shape not in ((), (1,)):
+        raise ValidationError(f"theta_true must be one number, got shape {theta.shape}")
+    theta_true = theta.item()
     if interval is None:
         lo, hi = family.bounds[0]
         lo = max(lo + 1e-6, theta_true - 0.4)
@@ -218,7 +222,7 @@ def cramer_rao_experiment(
     lo, hi = likelihood.grid[0], likelihood.grid[-1]
     if not lo < theta_true < hi:
         raise ValidationError(f"theta_true {theta_true} must lie inside the interval ({lo}, {hi})")
-    point = FamilyPoint(family, theta_true)
+    point = family.point(theta_true)
     fisher = float(_measured_fisher(point, likelihood.elements)[0, 0])
     bound = float(_sld_information(point)[0, 0])
     p = _outcome_distribution(point.rho, likelihood.elements)

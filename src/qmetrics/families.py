@@ -143,9 +143,21 @@ class ParametricFamily:
         states = np.asarray(self.evaluate(thetas), dtype=complex)
         return _stack_of(self, "evaluate", states, (len(thetas), self.dim, self.dim))
 
+    def point(self, theta) -> "FamilyPoint":
+        """The family at theta, checked once. The family keeps what its last
+        point computed: asked again at a theta with the same bytes once
+        checked (so -0.0 and 0.0 differ), it gives a point that shares it. A
+        replaced, gauged or sliced family is a new object and starts empty."""
+        theta = self.check_theta(theta)
+        key = theta.tobytes()
+        last = self.__dict__.get("_point")
+        if last is None or last[0] != key:
+            last = self.__dict__["_point"] = (key, {})
+        return FamilyPoint(self, theta, last[1])
+
     def drho(self, theta) -> np.ndarray:
-        """Tangents d(rho)/d(theta^l), shape (p, d, d) (see FamilyPoint.drho)."""
-        return FamilyPoint(self, theta).drho
+        """Tangents d(rho)/d(theta^l), shape (p, d, d), read-only (see FamilyPoint.drho)."""
+        return self.point(theta).drho
 
 
 def _stack_of(family: ParametricFamily, what: str, array: np.ndarray, shape: tuple) -> np.ndarray:
@@ -219,23 +231,39 @@ def spectral_tangents(family: ParametricFamily, thetas: np.ndarray):
     return np.real(d_stack[:, :, 0]), overlaps, np.real(at[:, 0])
 
 
+def _read_only(*arrays: np.ndarray) -> None:
+    for array in arrays:
+        array.flags.writeable = False
+
+
 class FamilyPoint:
     """A family at one checked point, with what every metric there is built
     from: rho and its tangents, rho's eigensystem and the tangent data.
 
-    Each is computed on first use and then kept by this object, which the
-    caller creates and drops; nothing is cached anywhere else. rho and drho
-    come from one evaluation of the point and its 4p Richardson stencil
-    points, all checked against the domain first.
+    Made by ParametricFamily.point, which checks theta and keeps the parts of
+    the family's last point, so the per-name metric calls at one theta share
+    them. Each part is computed on first use and kept; a part whose
+    computation raises is not kept, so it raises again on the next use. The
+    arrays the point hands out are read-only, since later callers share them.
+    rho and drho come from one evaluation of the point and its 4p Richardson
+    stencil points, all checked against the domain first.
     """
 
-    def __init__(self, family: ParametricFamily, theta):
+    __slots__ = ("family", "theta", "__dict__")
+
+    def __init__(self, family: ParametricFamily, theta: np.ndarray, parts: dict):
         self.family = family
-        self.theta = family.check_theta(theta)
+        self.theta = theta
+        # The cached properties keep each part in the family's parts dict,
+        # which holds nothing that refers back to the family: no reference
+        # cycle, so a dropped family and its parts are freed at once.
+        self.__dict__ = parts
 
     @cached_property
     def _state(self) -> tuple[np.ndarray, np.ndarray]:
-        return _stencil(self.family, self.family._evaluate_stack, self.theta)
+        rho, drho = _stencil(self.family, self.family._evaluate_stack, self.theta)
+        _read_only(rho, drho)
+        return rho, drho
 
     @property
     def rho(self) -> np.ndarray:
@@ -250,7 +278,9 @@ class FamilyPoint:
     @cached_property
     def eig(self) -> EigenSystem:
         """eig_hermitian of rho."""
-        return eig_hermitian(self.rho)
+        es = eig_hermitian(self.rho)
+        _read_only(es.values, es.vectors)
+        return es
 
     @cached_property
     def tangent_data(self) -> TangentData:
@@ -264,15 +294,18 @@ class FamilyPoint:
         tangents (see _perturbative_tangent_data).
         """
         if self.family.spectral is None:
-            return _perturbative_tangent_data(self.eig, self.drho)
-        dp, overlaps, eigenvalues = spectral_tangents(self.family, self.theta[None])
-        return TangentData(dp=dp[0], overlaps=overlaps[0], eigenvalues=eigenvalues[0])
+            td = _perturbative_tangent_data(self.eig, self.drho)
+        else:
+            dp, overlaps, eigenvalues = spectral_tangents(self.family, self.theta[None])
+            td = TangentData(dp=dp[0], overlaps=overlaps[0], eigenvalues=eigenvalues[0])
+        _read_only(td.dp, td.overlaps, td.eigenvalues)
+        return td
 
 
 def tangent_data(family: ParametricFamily, theta) -> TangentData:
     """Eigenvalue derivatives and eigenvector-derivative overlaps at theta
     (see FamilyPoint.tangent_data)."""
-    return FamilyPoint(family, theta).tangent_data
+    return family.point(theta).tangent_data
 
 
 def _perturbative_tangent_data(es: EigenSystem, tangents: np.ndarray) -> TangentData:

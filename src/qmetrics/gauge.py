@@ -129,6 +129,7 @@ def minimizing_gauge_1p(
     presented family: alpha_k(t) = integral of Im<w_k'|w_k> from theta0 to t,
     by composite trapezoid on a uniform grid.
 
+    theta0 < theta1 must both be finite, checked before the grid is built.
     The whole grid is checked against the domain first; the overlaps are then
     differenced from stacked presentations of blocks of grid points. A
     re-phased family is scanned without its phases a: they enter the
@@ -139,6 +140,10 @@ def minimizing_gauge_1p(
         raise ValidationError("minimizing gauge is defined for one-parameter families")
     if not isinstance(steps, numbers.Integral) or steps < 1:
         raise ValidationError(f"steps must be an integer >= 1, got {steps!r}")
+    if not (math.isfinite(theta0) and math.isfinite(theta1) and theta0 < theta1):
+        raise ValidationError(
+            f"scan interval must be finite and strictly increasing, got theta0={theta0}, theta1={theta1}"
+        )
     if family.spectral is None:
         raise MissingGauge("minimizing gauge needs a spectral presentation")
     grid = np.linspace(theta0, theta1, steps + 1)

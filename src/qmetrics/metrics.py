@@ -12,9 +12,10 @@ family's spectral presentation) and a gauge-invariant lower bound, plus the
 decomposition of the latter into classical Fisher of the spectrum and a
 weighted sum of pure-state informations.
 
-Every metric at a point is built from one families.FamilyPoint (rho, its
-tangents, its eigensystem, the tangent data); evaluate_metrics serves several
-metrics from one point, so the routes share those inputs, never a formula.
+Every metric at a point is built from the family's families.FamilyPoint
+there (rho, its tangents, its eigensystem, the tangent data). A family keeps
+its last point, so evaluate_metrics and per-name calls at one theta alike
+compute each of those once; the routes share those inputs, never a formula.
 """
 
 from __future__ import annotations
@@ -203,7 +204,7 @@ def classical_fisher(
     probability contribute zero only if their derivative also vanishes.
     A POVM passed in is validated; the default is the computational basis.
     """
-    point = FamilyPoint(family, theta)
+    point = family.point(theta)
     d = family.dim
     return _measured_fisher(point, _basis_stack(d) if povm is None else validate_povm(povm, d))
 
@@ -249,7 +250,7 @@ def mc_metric(family: ParametricFamily, theta, cf: CFunction) -> np.ndarray:
         M_kl = sum_i A^(k)_ii A^(l)_ii / p_i
              + 2 sum_{j<m} c(p_j, p_m) Re(A^(k)_jm conj(A^(l)_jm)).
     """
-    return _mc_metric(FamilyPoint(family, theta), cf)
+    return _mc_metric(family.point(theta), cf)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +271,7 @@ def sld_information(family: ParametricFamily, theta) -> np.ndarray:
     as mutual oracles in the test suite. Defined for pure states through the
     support-restricted score.
     """
-    return _sld_information(FamilyPoint(family, theta))
+    return _sld_information(family.point(theta))
 
 
 def kmb_information(family: ParametricFamily, theta) -> np.ndarray:
@@ -316,7 +317,7 @@ def c_upsilon_states(family: ParametricFamily, theta) -> np.ndarray:
     eigenvector phase choice by design (the diagonal-overlap term is not
     gauge invariant).
     """
-    return _c_upsilon(FamilyPoint(family, theta))
+    return _c_upsilon(family.point(theta))
 
 
 def _c_l(point: FamilyPoint) -> np.ndarray:
@@ -331,7 +332,7 @@ def c_l_information(family: ParametricFamily, theta) -> np.ndarray:
     whenever a spectral presentation is available; agrees with the engine
     route (coefficient 2(x+y)/(x-y)^2) on non-degenerate families.
     """
-    return _c_l(FamilyPoint(family, theta))
+    return _c_l(family.point(theta))
 
 
 def c_l_decomposition(family: ParametricFamily, theta):
@@ -393,7 +394,7 @@ def evaluate_metrics(family: ParametricFamily, theta, names: Sequence[str]) -> d
     for name in names:
         if name not in _METRICS:
             raise UnknownMetric(f"unknown metric {name!r}; known: {', '.join(METRIC_NAMES)}")
-    point = FamilyPoint(family, theta)
+    point = family.point(theta)
     return {name: _METRICS[name](point) for name in names}
 
 

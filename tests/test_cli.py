@@ -211,6 +211,8 @@ MALFORMED = [
     (("channel-bound", "--channel-family", "mixed-rotation", "--theta", "0.3", "--seed", "-1"),
      "seed must be non-negative"),
     ((*_GAUGE_MIN, "--steps", "-1"), "steps must be an integer >= 1, got -1"),
+    (("gauge-min", "--family", "random-full-rank", "--theta0", "0.5", "--theta1", "-0.5"),
+     "scan interval must be finite and strictly increasing"),
     (("channel-bound", "--channel-family", "rotation-z", "--theta", "nan"), "theta must be finite"),
     (("channel-bound", "--channel-family", "mixed-rotation", "--theta", "inf"),
      "theta must be finite"),

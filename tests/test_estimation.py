@@ -123,6 +123,22 @@ def test_experiment_rejects_bad_sample_and_replicate_counts(n, reps):
         cramer_rao_experiment(fam, 0.0, basis_povm(2), n=n, reps=reps, interval=(-0.4, 0.4))
 
 
+@pytest.mark.parametrize("theta", [[0.1, 0.7], [[0.1]], np.zeros((1, 1))])
+def test_experiment_rejects_a_theta_that_is_not_one_number(theta):
+    # [0.1, 0.7] used to run at 0.1 and report theta_true 0.1.
+    with pytest.raises(ValidationError, match="theta_true must be one number"):
+        cramer_rao_experiment(diagonal_simplex(), theta, basis_povm(2), n=100, reps=3)
+
+
+def test_experiment_takes_theta_as_a_number_or_a_one_vector():
+    fam, povm = diagonal_simplex(), basis_povm(2)
+    reports = [cramer_rao_experiment(fam, theta, povm, n=100, reps=3, seed=2)
+               for theta in (0.1, [0.1], np.array(0.1))]
+    for report in reports:
+        assert report.theta_true == 0.1
+        assert np.array_equal(report.estimates, reports[0].estimates)
+
+
 def test_sampling_rejects_a_negative_count():
     fam = diagonal_simplex()
     with pytest.raises(ValidationError):

@@ -115,6 +115,18 @@ def test_minimizing_gauge_requires_a_positive_integer_step_count(steps):
         minimizing_gauge_1p(random_full_rank(d=3, nparams=1, seed=5), -0.5, 0.5, steps=steps)
 
 
+@pytest.mark.parametrize("theta0,theta1", [(0.5, -0.5), (0.5, 0.5), (math.nan, 0.5),
+                                           (-0.5, math.inf), (-math.inf, 0.5)])
+def test_minimizing_gauge_rejects_a_bad_interval_before_presenting_anything(theta0, theta1):
+    # A decreasing interval used to scan the whole grid before it raised.
+    base = random_full_rank(d=3, nparams=1, seed=5)
+    calls = []
+    counted = replace(base, spectral=lambda th: calls.append(np.shape(th)) or base.spectral(th))
+    with pytest.raises(ValidationError, match="scan interval must be finite and strictly increasing"):
+        minimizing_gauge_1p(counted, theta0, theta1, steps=4000)
+    assert calls == []
+
+
 def test_phase_assignment_sample_interpolation():
     grid = np.linspace(0.0, 1.0, 5)
     samples = np.vstack([grid**2, -grid])

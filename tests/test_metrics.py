@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 import qmetrics.metrics
 from qmetrics.errors import (
     DegeneracyUnresolved,
+    DomainExit,
     MissingGauge,
     NotHermitian,
     QMetricsError,
@@ -27,6 +30,7 @@ from qmetrics.families import (
     random_pure,
     rot3_mixture,
 )
+from qmetrics.gauge import apply_gauge, zero_gauge
 from qmetrics.linalg import DEGEN_GAP, RANK_TOL, eig_hermitian, relative_entropy
 from qmetrics.metrics import (
     C_FUNCTIONS,
@@ -322,16 +326,73 @@ def test_one_stacked_family_evaluation_per_metric(monkeypatch):
     # bloch3's states and presentations are closed forms: every eigh is rho's.
     for name in METRIC_NAMES:
         evaluate_metric(fam, theta, name)
-    # fisher, sld, kmb and rld evaluate the point and its 12 stencil points in
-    # one call; cupsilon and cl present them in one call.
-    assert calls == {"evaluate": [(13, 3)] * 4, "spectral": [(13, 3)] * 2}
-    assert eighs == [(2, 2)] * 3
+    # The per-name calls share the family's last point: one evaluate of the
+    # point and its 12 stencil points, one presentation of them, one eigh.
+    assert calls == {"evaluate": [(13, 3)], "spectral": [(13, 3)]}
+    assert eighs == [(2, 2)]
 
     fam, calls = _counted(bloch3())
     eighs.clear()
     evaluate_metrics(fam, theta, METRIC_NAMES)
     assert calls == {"evaluate": [(13, 3)], "spectral": [(13, 3)]}
     assert eighs == [(2, 2)]
+
+
+def test_another_theta_recomputes_and_minus_zero_is_another_theta():
+    fam, calls = _counted(bloch3())
+    plus, minus = [0.5, 1.2, 0.0], [0.5, 1.2, -0.0]
+    for theta, evaluations in ((plus, 1), (plus, 1), (minus, 2), (minus, 2), (plus, 3)):
+        sld_information(fam, theta)
+        assert len(calls["evaluate"]) == evaluations
+    assert fam.point(minus).eig is fam.point(np.array(minus)).eig
+    assert fam.point(plus).eig is not fam.point(minus).eig
+
+
+def test_a_replaced_or_gauged_family_has_its_own_point():
+    fam, calls = _counted(bloch3())
+    theta = [0.5, 1.2, 0.5]
+    c_l_information(fam, theta)
+    for other in (replace(fam), apply_gauge(fam, zero_gauge(2))):
+        assert other.point(theta).tangent_data is not fam.point(theta).tangent_data
+    assert calls["spectral"] == [(13, 3)] * 3
+
+
+def test_a_point_whose_stencil_leaves_the_domain_raises_on_every_call():
+    fam, calls = _counted(bloch3())
+    theta = [0.9999999, 0.7, 0.2]
+    for _ in range(2):
+        for name in METRIC_NAMES:
+            with pytest.raises(DomainExit, match="leaves the domain"):
+                evaluate_metric(fam, theta, name)
+    assert calls == {"evaluate": [], "spectral": []}
+
+
+def test_a_dropped_family_is_freed_without_the_cycle_collector():
+    fam = random_full_rank(d=3, nparams=2, seed=1)
+    for name in METRIC_NAMES:
+        evaluate_metric(fam, [0.1, -0.2], name)
+    family_ref = weakref.ref(fam)
+    gc.disable()
+    try:
+        del fam
+        assert family_ref() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("fam", [random_full_rank(d=3, nparams=2, seed=1),
+                                 replace(random_full_rank(d=3, nparams=2, seed=1), spectral=None)],
+                         ids=["presented", "perturbative"])
+def test_the_arrays_a_point_shares_are_read_only(fam):
+    theta = [0.1, -0.2]
+    point = fam.point(theta)
+    td = point.tangent_data
+    shared = (point.rho, point.drho, point.eig.values, point.eig.vectors,
+              td.dp, td.overlaps, td.eigenvalues, fam.drho(theta))
+    for array in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0.0
+    assert fam.drho(theta) is point.drho and fam.point(theta).eig is point.eig
 
 
 def test_default_fisher_skips_povm_validation(monkeypatch):
