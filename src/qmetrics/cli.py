@@ -88,6 +88,14 @@ def _parse_params(text: str) -> dict:
     return params
 
 
+def _sliced_family(args):
+    """The named family, sliced along --direction through --at when a direction is given."""
+    family = family_registry(args.family, _parse_params(args.params))
+    if args.direction:
+        family = directional_family(family, _parse_theta(args.at), _parse_theta(args.direction))
+    return family
+
+
 def _cmd_metric(args) -> int:
     family = family_registry(args.family, _parse_params(args.params))
     theta = _parse_theta(args.theta)
@@ -180,9 +188,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gauge_min(args) -> int:
-    family = family_registry(args.family, _parse_params(args.params))
-    if args.direction:
-        family = directional_family(family, _parse_theta(args.at), _parse_theta(args.direction))
+    family = _sliced_family(args)
     pa = minimizing_gauge_1p(family, args.theta0, args.theta1, steps=args.steps)
     t_eval = np.array([args.eval_at if args.eval_at is not None else (args.theta0 + args.theta1) / 2])
     before = float(c_upsilon_states(family, t_eval)[0, 0])
@@ -269,13 +275,11 @@ def _cmd_channel_bound(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    family = family_registry(args.family, _parse_params(args.params))
+    family = _sliced_family(args)
     if family.nparams > 1:
-        if not args.direction:
-            raise ValidationError(
-                "multi-parameter family: provide --direction (and --at) for a one-parameter slice"
-            )
-        family = directional_family(family, _parse_theta(args.at), _parse_theta(args.direction))
+        raise ValidationError(
+            "multi-parameter family: provide --direction (and --at) for a one-parameter slice"
+        )
     povm = sld_optimal_povm(family, [args.theta_true])
     interval = _parse_interval(args.interval) if args.interval else None
     report = cramer_rao_experiment(

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import FlatLikelihood, ValidationError
 from .families import ParametricFamily
-from .linalg import eig_hermitian, sld_solve
-from .metrics import _measured_fisher, _sld_information, born_probabilities, validate_povm
+from .linalg import eig_hermitian
+from .metrics import _measured_fisher, born_probabilities, sld_information, validate_povm
 
 
 def sld_optimal_povm(family: ParametricFamily, theta) -> list[np.ndarray]:
@@ -27,8 +27,7 @@ def sld_optimal_povm(family: ParametricFamily, theta) -> list[np.ndarray]:
     projector. Attains the quantum information bound at theta."""
     if family.nparams != 1:
         raise ValidationError("optimal measurement construction is one-parameter")
-    point = family.point(theta)
-    es = eig_hermitian(sld_solve(point.eig, point.drho)[0])
+    es = eig_hermitian(family.point(theta).scores[0])
     povm = []
     start = 0
     for i in range(1, es.values.size + 1):
@@ -44,11 +43,13 @@ def equality_condition_residual(family: ParametricFamily, theta, povm) -> float:
 
     For each element M, minimizes || M^(1/2) L rho^(1/2) - xi M^(1/2) rho^(1/2) ||_F
     over real xi and returns the largest residual. Near zero implies the
-    measured Fisher information equals the quantum bound.
+    measured Fisher information equals the quantum bound. One parameter only.
     """
+    if family.nparams != 1:
+        raise ValidationError("equality condition residual is one-parameter")
     elements = validate_povm(povm, family.dim)
     point = family.point(theta)
-    score = sld_solve(point.eig, point.drho)[0]
+    score = point.scores[0]
 
     def psd_sqrt(es):
         vals = np.clip(es.values, 0.0, None)
@@ -203,7 +204,8 @@ def cramer_rao_experiment(
     Likelihood and one sampling distribution. n and reps are integers >= 1,
     theta_true is one number (shape () or (1,)) and lies strictly inside the
     interval: otherwise every estimate is pinned at an end of it and the
-    variance measures the interval.
+    variance measures the interval. A measurement without Fisher information
+    at theta_true (1 / (N F) undefined) raises before any replicate runs.
     """
     if family.nparams != 1:
         raise ValidationError("estimation harness is one-parameter")
@@ -224,7 +226,9 @@ def cramer_rao_experiment(
         raise ValidationError(f"theta_true {theta_true} must lie inside the interval ({lo}, {hi})")
     point = family.point(theta_true)
     fisher = float(_measured_fisher(point, likelihood.elements)[0, 0])
-    bound = float(_sld_information(point)[0, 0])
+    bound = float(sld_information(family, theta_true)[0, 0])
+    if fisher <= 0.0:
+        raise ValidationError(f"the measurement has no Fisher information at theta_true {theta_true}")
     p = _outcome_distribution(point.rho, likelihood.elements)
     estimates = np.array([
         likelihood.estimate(np.random.default_rng([seed, r]).multinomial(n, p))

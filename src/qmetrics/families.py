@@ -32,6 +32,7 @@ from .linalg import (
     central_difference,
     eig_hermitian,
     herm_defect,
+    sld_solve,
     unitary,
 )
 
@@ -238,7 +239,7 @@ def _read_only(*arrays: np.ndarray) -> None:
 
 class FamilyPoint:
     """A family at one checked point, with what every metric there is built
-    from: rho and its tangents, rho's eigensystem and the tangent data.
+    from: rho, its tangents and eigensystem, the SLD scores, the tangent data.
 
     Made by ParametricFamily.point, which checks theta and keeps the parts of
     the family's last point, so the per-name metric calls at one theta share
@@ -281,6 +282,13 @@ class FamilyPoint:
         es = eig_hermitian(self.rho)
         _read_only(es.values, es.vectors)
         return es
+
+    @cached_property
+    def scores(self) -> np.ndarray:
+        """SLD scores L_l of the tangents, shape (p, d, d) (see linalg.sld_solve)."""
+        scores = sld_solve(self.eig, self.drho)
+        _read_only(scores)
+        return scores
 
     @cached_property
     def tangent_data(self) -> TangentData:

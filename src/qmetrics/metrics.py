@@ -12,10 +12,12 @@ family's spectral presentation) and a gauge-invariant lower bound, plus the
 decomposition of the latter into classical Fisher of the spectrum and a
 weighted sum of pure-state informations.
 
-Every metric at a point is built from the family's families.FamilyPoint
-there (rho, its tangents, its eigensystem, the tangent data). A family keeps
-its last point, so evaluate_metrics and per-name calls at one theta alike
-compute each of those once; the routes share those inputs, never a formula.
+Each information has one implementation: its public (family, theta)
+function, which the name registry behind evaluate_metrics maps to directly.
+Each builds on the family's families.FamilyPoint at theta (rho, its tangents,
+its eigensystem, the SLD scores, the tangent data). A family keeps its last
+point, so the calls at one theta compute each of those once; the routes
+share those inputs, never a formula.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from .errors import (
     ValidationError,
     VanishingProbabilityWithFlow,
 )
-from .families import FamilyPoint, ParametricFamily, TangentData, tangent_data
-from .linalg import DEGEN_GAP, HERM_TOL, RANK_TOL, eig_hermitian, sld_solve
+from .families import FamilyPoint, ParametricFamily, TangentData
+from .linalg import DEGEN_GAP, HERM_TOL, RANK_TOL, eig_hermitian
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +215,15 @@ def classical_fisher(
 # Generic coefficient-function engine
 
 
-def _mc_metric(point: FamilyPoint, cf: CFunction) -> np.ndarray:
+def mc_metric(family: ParametricFamily, theta, cf: CFunction) -> np.ndarray:
+    """Information matrix from the eigenbasis quadratic form.
+
+    In the eigenbasis of rho(theta), with tangents A^(k) = d rho / d theta^k:
+
+        M_kl = sum_i A^(k)_ii A^(l)_ii / p_i
+             + 2 sum_{j<m} c(p_j, p_m) Re(A^(k)_jm conj(A^(l)_jm)).
+    """
+    point = family.point(theta)
     es = point.eig
     p = np.clip(es.values, 0.0, None)
     if cf.full_rank_required and float(es.values.min()) < RANK_TOL:
@@ -242,26 +252,8 @@ def _mc_metric(point: FamilyPoint, cf: CFunction) -> np.ndarray:
     return (m_out + m_out.T) / 2.0
 
 
-def mc_metric(family: ParametricFamily, theta, cf: CFunction) -> np.ndarray:
-    """Information matrix from the eigenbasis quadratic form.
-
-    In the eigenbasis of rho(theta), with tangents A^(k) = d rho / d theta^k:
-
-        M_kl = sum_i A^(k)_ii A^(l)_ii / p_i
-             + 2 sum_{j<m} c(p_j, p_m) Re(A^(k)_jm conj(A^(l)_jm)).
-    """
-    return _mc_metric(family.point(theta), cf)
-
-
 # ---------------------------------------------------------------------------
 # Named informations
-
-
-def _sld_information(point: FamilyPoint) -> np.ndarray:
-    scores = sld_solve(point.eig, point.drho)
-    m_out = np.real(np.trace((point.rho @ scores)[:, None] @ scores, axis1=-2, axis2=-1))
-    # Re tr(rho L_k L_l) for k <= l, mirrored below the diagonal: exactly symmetric.
-    return np.triu(m_out) + np.triu(m_out, 1).T
 
 
 def sld_information(family: ParametricFamily, theta) -> np.ndarray:
@@ -271,7 +263,11 @@ def sld_information(family: ParametricFamily, theta) -> np.ndarray:
     as mutual oracles in the test suite. Defined for pure states through the
     support-restricted score.
     """
-    return _sld_information(family.point(theta))
+    point = family.point(theta)
+    scores = point.scores
+    m_out = np.real(np.trace((point.rho @ scores)[:, None] @ scores, axis1=-2, axis2=-1))
+    # Re tr(rho L_k L_l) for k <= l, mirrored below the diagonal: exactly symmetric.
+    return np.triu(m_out) + np.triu(m_out, 1).T
 
 
 def kmb_information(family: ParametricFamily, theta) -> np.ndarray:
@@ -289,10 +285,8 @@ def _classical_part(td: TangentData) -> np.ndarray:
 
 def _offdiag_part(td: TangentData) -> np.ndarray:
     p = np.clip(td.eigenvalues, 0.0, None)
-    d = p.size
-    weights = np.triu(p[:, None] + p[None, :], k=1)
     o = td.overlaps
-    out = 4.0 * np.real(np.einsum("ajk,bjk,jk->ab", o, o.conj(), np.triu(np.ones((d, d)), 1) * weights))
+    out = 4.0 * np.real(np.einsum("ajk,bjk,jk->ab", o, o.conj(), np.triu(p[:, None] + p, 1)))
     return (out + out.T) / 2.0
 
 
@@ -303,13 +297,6 @@ def _diag_part(td: TangentData) -> np.ndarray:
     return (out + out.T) / 2.0
 
 
-def _c_upsilon(point: FamilyPoint) -> np.ndarray:
-    if point.family.spectral is None:
-        raise MissingGauge("family supplies no spectral presentation (no gauge to use)")
-    td = point.tangent_data
-    return _classical_part(td) + _offdiag_part(td) + _diag_part(td)
-
-
 def c_upsilon_states(family: ParametricFamily, theta) -> np.ndarray:
     """Gauge-dependent channel-derived information of a presented state family.
 
@@ -317,12 +304,11 @@ def c_upsilon_states(family: ParametricFamily, theta) -> np.ndarray:
     eigenvector phase choice by design (the diagonal-overlap term is not
     gauge invariant).
     """
-    return _c_upsilon(family.point(theta))
-
-
-def _c_l(point: FamilyPoint) -> np.ndarray:
+    point = family.point(theta)  # theta is checked before the presentation
+    if family.spectral is None:
+        raise MissingGauge("family supplies no spectral presentation (no gauge to use)")
     td = point.tangent_data
-    return _classical_part(td) + _offdiag_part(td)
+    return _classical_part(td) + _offdiag_part(td) + _diag_part(td)
 
 
 def c_l_information(family: ParametricFamily, theta) -> np.ndarray:
@@ -332,34 +318,32 @@ def c_l_information(family: ParametricFamily, theta) -> np.ndarray:
     whenever a spectral presentation is available; agrees with the engine
     route (coefficient 2(x+y)/(x-y)^2) on non-degenerate families.
     """
-    return _c_l(family.point(theta))
+    td = family.point(theta).tangent_data
+    return _classical_part(td) + _offdiag_part(td)
 
 
 def c_l_decomposition(family: ParametricFamily, theta):
     """Split the lower-bound information into (classical Fisher of the
     spectrum, weighted sum of pure-state SLD informations of the frame)."""
+    point = family.point(theta)  # theta is checked before the presentation
     if family.spectral is None:
         raise MissingGauge("decomposition needs a spectral presentation")
-    td = tangent_data(family, theta)
-    classical = _classical_part(td)
+    td = point.tangent_data
     p = np.clip(td.eigenvalues, 0.0, None)
     o = td.overlaps
     # Pure-state information of |w_i>: 4 Re(<dw_i|dw_i> - <dw_i|w_i><w_i|dw_i>),
-    # with <dw_i|dw_i> expanded over the complete frame.
-    gram = np.einsum("aij,bij->abi", o, o.conj())
-    o_diag = np.einsum("ljj->lj", o)
-    pure = 4.0 * np.real(
-        np.einsum("abi,i->ab", gram, p) - np.einsum("ai,bi,i->ab", o_diag, o_diag.conj(), p)
-    )
-    pure = (pure + pure.T) / 2.0
-    return classical, pure
+    # with <dw_i|dw_i> expanded over the complete frame. The second term,
+    # weighted by p_i and summed over i, is _diag_part.
+    frame = 4.0 * np.real(np.einsum("aij,bij,i->ab", o, o.conj(), p))
+    return _classical_part(td), (frame + frame.T) / 2.0 - _diag_part(td)
 
 
 def f_function_scan(cf: CFunction, grid) -> "FScanReport":
-    """Evaluate f on a positive grid; report monotonicity and self-duality."""
+    """Evaluate f on a finite positive grid; report monotonicity and self-duality."""
     grid = np.asarray(grid, dtype=float)
-    if grid.size < 2 or np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
-        raise ValidationError("grid must be ascending and strictly positive")
+    # NaN fails no comparison, and f(inf) or f(1/inf) gives a NaN defect that max() drops.
+    if grid.size < 2 or not np.isfinite(grid).all() or np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
+        raise ValidationError("grid must be finite, ascending and strictly positive")
     values = np.array([cf.f(t) for t in grid])
     nondecreasing = bool(np.all(np.diff(values) >= -1e-12))
     duality = float(max(abs(cf.f(t) - t * cf.f(1.0 / t)) for t in grid))
@@ -386,16 +370,18 @@ class FScanReport:
 def evaluate_metrics(family: ParametricFamily, theta, names: Sequence[str]) -> dict[str, np.ndarray]:
     """Metrics by registry name at one point, as a dict name -> matrix.
 
-    Every name is checked before anything is computed. All metrics are served
-    from one FamilyPoint, so rho, its tangents, its eigensystem and the
-    tangent data are each computed at most once. "fisher" measures in the
-    computational basis (classical_fisher takes any POVM).
+    At least one name must be given; every name is checked before anything
+    is computed. Each name calls its public function with (family, theta),
+    and those share the family's point there: rho, its tangents, its
+    eigensystem, the SLD scores and the tangent data are each computed at
+    most once. "fisher" measures in the computational basis.
     """
+    if not names:
+        raise ValidationError(f"no metric names given; known: {', '.join(METRIC_NAMES)}")
     for name in names:
         if name not in _METRICS:
             raise UnknownMetric(f"unknown metric {name!r}; known: {', '.join(METRIC_NAMES)}")
-    point = family.point(theta)
-    return {name: _METRICS[name](point) for name in names}
+    return {name: _METRICS[name](family, theta) for name in names}
 
 
 def evaluate_metric(family: ParametricFamily, theta, name: str) -> np.ndarray:
@@ -404,11 +390,11 @@ def evaluate_metric(family: ParametricFamily, theta, name: str) -> np.ndarray:
 
 
 _METRICS = {
-    "fisher": lambda point: _measured_fisher(point, _basis_stack(point.family.dim)),
-    "sld": _sld_information,
-    "kmb": lambda point: _mc_metric(point, CF_KMB),
-    "rld": lambda point: _mc_metric(point, CF_RLD),
-    "cupsilon": _c_upsilon,
-    "cl": _c_l,
+    "fisher": classical_fisher,
+    "sld": sld_information,
+    "kmb": kmb_information,
+    "rld": rld_information,
+    "cupsilon": c_upsilon_states,
+    "cl": c_l_information,
 }
 METRIC_NAMES = tuple(_METRICS)

@@ -161,6 +161,19 @@ def test_estimate_multiparameter_needs_direction(capsys):
     assert "direction" in err
 
 
+def test_estimate_slices_a_one_parameter_family_along_its_direction(capsys):
+    # --direction was ignored on a one-parameter family; the slice t -> 0.5 t
+    # of diag((1+t)/2, (1-t)/2) has Fisher information 0.25 / (1 - (0.5 t)^2).
+    code, out, _ = run(
+        capsys, "estimate", "--family", "diagonal-simplex", "--direction", "0.5", "--at", "0",
+        "--theta-true", "0.2", "--n", "100", "--reps", "2", "--interval=-0.4,0.4",
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert abs(data["fisher"] - 0.25 / 0.99) < 1e-9
+    assert abs(data["sld_bound"] - 0.25 / 0.99) < 1e-9
+
+
 @pytest.mark.parametrize("bad", [("--n", "-5"), ("--n", "0"), ("--reps", "0"), ("--reps", "-2")])
 def test_estimate_bad_counts_exit_2(capsys, bad):
     code, out, err = run(
@@ -193,11 +206,14 @@ _RANDOM = ("metric", "--family", "random-full-rank", "--theta", "0.1", "--metric
 MALFORMED = [
     (("metric", "--family", "bloch3", "--theta", "abc", "--metrics", "sld"),
      "expected comma-separated numbers, got 'abc'"),
+    (("metric", "--family", "bloch3", "--theta", "0.5,1,0", "--metrics", ","),
+     "no metric names given"),
     (("gauge-min", "--family", "bloch3", "--at", "0.5,0.8,0.3", "--direction", "0,x,0",
       "--theta0", "0", "--theta1", "0.1"), "expected comma-separated numbers, got '0,x,0'"),
     ((*_ESTIMATE, "--interval", "0.1"), "interval must be two finite numbers lo,hi, got '0.1'"),
     ((*_ESTIMATE, "--interval", "0.1,abc"), "expected comma-separated numbers, got '0.1,abc'"),
     ((*_ESTIMATE, "--interval", "0.3,0.5"), "theta_true 0.1 must lie inside the interval"),
+    ((*_ESTIMATE, "--direction", "5", "--at", "9"), "theta [9.0] outside domain of 'diagonal-simplex'"),
     ((*_RANDOM, '{"d":"x"}'), "parameter 'd' must be int"),
     ((*_RANDOM, '{"d":2.5}'), "parameter 'd' must be int, got 2.5"),
     ((*_RANDOM, '{"d":true}'), "parameter 'd' must be int, got True"),

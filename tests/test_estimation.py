@@ -3,6 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import qmetrics.estimation
+import qmetrics.families
+import qmetrics.linalg
+import qmetrics.metrics
 from qmetrics.errors import FlatLikelihood, ValidationError
 from qmetrics.estimation import (
     REFINE_LEVELS,
@@ -49,6 +53,12 @@ def test_optimal_povm_attains_quantum_bound():
 def test_optimal_povm_requires_one_parameter():
     with pytest.raises(ValidationError):
         sld_optimal_povm(bloch3(), [0.5, 0.8, 0.3])
+
+
+def test_equality_residual_requires_one_parameter():
+    # It used to read parameter 0 only and return 0.84 here.
+    with pytest.raises(ValidationError, match="one-parameter"):
+        equality_condition_residual(bloch3(), [0.5, 1.2, 0.5], basis_povm(2))
 
 
 def test_random_povm_has_nonzero_equality_residual():
@@ -108,6 +118,27 @@ def test_cramer_rao_experiment_small_run():
         fam, 0.0, povm, n=2_000, reps=40, seed=7, interval=(-0.4, 0.4)
     )
     assert np.array_equal(report.estimates, again.estimates)
+
+
+def test_one_score_solve_per_point(monkeypatch):
+    solves = []
+    solve = qmetrics.linalg.sld_solve
+    for module in (qmetrics.linalg, qmetrics.families, qmetrics.metrics, qmetrics.estimation):
+        if hasattr(module, "sld_solve"):
+            monkeypatch.setattr(module, "sld_solve", lambda *args: solves.append(1) or solve(*args))
+    fam = radial_slice()
+    povm = sld_optimal_povm(fam, [0.1])
+    report = cramer_rao_experiment(fam, 0.1, povm, n=100, reps=2, interval=(-0.3, 0.3))
+    assert solves == [1]
+    assert report.sld_bound == sld_information(fam, [0.1])[0, 0]
+
+
+def test_experiment_without_fisher_information_raises_before_any_replicate(monkeypatch):
+    # The basis measurement of |w(0)> = (1, 0) has zero Fisher information;
+    # 1 / (n F) raised a bare ZeroDivisionError after the replicates.
+    monkeypatch.setattr(Likelihood, "estimate", lambda self, counts: pytest.fail("replicate ran"))
+    with pytest.raises(ValidationError, match="has no Fisher information at theta_true 0.0"):
+        cramer_rao_experiment(pure_rotation(), 0.0, basis_povm(2), n=100, reps=3)
 
 
 def test_experiment_requires_one_parameter():

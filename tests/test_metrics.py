@@ -14,6 +14,7 @@ from qmetrics.errors import (
     DomainExit,
     MissingGauge,
     NotHermitian,
+    ParamOutOfDomain,
     QMetricsError,
     RankDeficient,
     UnknownMetric,
@@ -92,6 +93,14 @@ def test_f_scan_lower_bound_coefficient_is_non_monotone():
     assert abs(cf.f(1e-6) - 0.5) < 1e-5
     assert cf.f(1.0) == 0.0
     assert rep.self_dual
+
+
+@pytest.mark.parametrize("grid", [[0.5, 1.0, math.inf], [0.5, math.nan, 1.0]])
+def test_f_scan_rejects_a_non_finite_grid(grid):
+    # [0.5, 1.0, inf] reported self_dual with defect 0.0 (its NaN defect was
+    # dropped by max), and a NaN point passed the ascending check.
+    with pytest.raises(ValidationError, match="finite"):
+        f_function_scan(CF_SLD, grid)
 
 
 def test_c_function_ordering_pointwise():
@@ -247,6 +256,12 @@ def test_gauge_dependent_information_requires_presentation():
     )
     with pytest.raises(MissingGauge):
         c_upsilon_states(blind, [0.5, 1.2, 0.5])
+    with pytest.raises(MissingGauge):
+        c_l_decomposition(blind, [0.5, 1.2, 0.5])
+    # theta is checked before the presentation
+    for needs_gauge in (c_upsilon_states, c_l_decomposition):
+        with pytest.raises(ParamOutOfDomain):
+            needs_gauge(blind, [2.0, 1.2, 0.5])
     # the invariant lower bound still works
     cl = c_l_information(blind, [0.5, 1.2, 0.5])
     assert np.allclose(cl, np.diag([1 / 0.75, 1.0, math.sin(1.2) ** 2]), atol=1e-6)
@@ -301,6 +316,21 @@ def test_evaluate_metric_dispatch():
         evaluate_metric(fam, theta, "nope")
     with pytest.raises(UnknownMetric):
         evaluate_metrics(fam, [2.0, 0.0, 0.0], ["sld", "nope"])
+    with pytest.raises(ParamOutOfDomain):
+        evaluate_metrics(fam, [2.0, 0.0, 0.0], ["sld"])
+
+
+def test_every_registry_name_maps_to_a_public_function():
+    for fn in qmetrics.metrics._METRICS.values():
+        assert not fn.__name__.startswith("_")
+        assert getattr(qmetrics.metrics, fn.__name__) is fn
+
+
+@pytest.mark.parametrize("theta", [[0.5, 1.2, 0.5], [2.0, 0.0, 0.0]])
+def test_an_empty_metric_list_is_a_validation_error(theta):
+    # An empty list gave {} (and would check nothing once each name checks theta).
+    with pytest.raises(ValidationError, match="no metric names given"):
+        evaluate_metrics(bloch3(), theta, [])
 
 
 def _counted(family):
@@ -387,7 +417,7 @@ def test_the_arrays_a_point_shares_are_read_only(fam):
     theta = [0.1, -0.2]
     point = fam.point(theta)
     td = point.tangent_data
-    shared = (point.rho, point.drho, point.eig.values, point.eig.vectors,
+    shared = (point.rho, point.drho, point.eig.values, point.eig.vectors, point.scores,
               td.dp, td.overlaps, td.eigenvalues, fam.drho(theta))
     for array in shared:
         with pytest.raises(ValueError, match="read-only"):
