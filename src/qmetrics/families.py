@@ -344,14 +344,20 @@ def directional_family(family: ParametricFamily, theta, v) -> ParametricFamily:
     """One-parameter slice t -> rho(theta + t v) through a multi-parameter family.
 
     evaluate, spectral and phases are each sliced along the same line, so a
-    re-phased family's slice stays re-phased. Any point of the line outside
-    the family's domain raises DomainExit when it is evaluated."""
+    re-phased family's slice stays re-phased. The slice's domain is the open
+    t-interval on which theta + t v stays inside the family's box; a point
+    that rounding still carries out of the box raises DomainExit when it is
+    evaluated."""
     theta = family.check_theta(theta)
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if v.shape != (family.nparams,):
         raise ValidationError(f"direction has shape {v.shape}, expected ({family.nparams},)")
-    if not np.any(v != 0.0):
+    moving = v != 0.0
+    if not np.any(moving):
         raise ValidationError("direction vector must be nonzero")
+    # t at which each moving coordinate meets its lower and its upper bound.
+    ends = (np.stack(family._limits)[:, moving] - theta[moving]) / v[moving]
+    t_domain = (float(ends.min(axis=0).max()), float(ends.max(axis=0).min()))
 
     def along(tv):
         # One t of shape (1,) or a stack (n, 1), to the points of the family.
@@ -368,7 +374,7 @@ def directional_family(family: ParametricFamily, theta, v) -> ParametricFamily:
         nparams=1,
         evaluate=sliced(family.evaluate),
         spectral=sliced(family.spectral),
-        domain=((-math.inf, math.inf),),
+        domain=(t_domain,),
         name=f"{family.name}@dir",
         phases=sliced(family.phases),
     )

@@ -12,6 +12,7 @@ whether such a gauge can exist at all.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -190,14 +191,10 @@ def integrability_test(family: ParametricFamily, theta, tol: float = 1e-6) -> In
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValidationError(f"tolerance must be finite and non-negative, got {tol}")
-    td = tangent_data(family, theta)
-    o = td.overlaps
-    entries = []
-    n = family.nparams
-    for j in range(family.dim):
-        for l in range(n):
-            for k in range(l + 1, n):
-                inner = complex(np.sum(o[l, j, :] * np.conj(o[k, j, :])))
-                entries.append((j, l, k, float(np.imag(inner))))
+    o = tangent_data(family, theta).overlaps
+    # imag[l, k, j] = Im sum_m o[l, j, m] conj(o[k, j, m]) = Im<dw_j/dtheta^l | dw_j/dtheta^k>
+    imag = np.imag((o[:, None] * o.conj()[None]).sum(-1))
+    pairs = list(itertools.combinations(range(family.nparams), 2))
+    entries = tuple((j, l, k, float(imag[l, k, j])) for j in range(family.dim) for l, k in pairs)
     passed = all(abs(e[3]) <= tol for e in entries)
-    return IntegrabilityReport(entries=tuple(entries), tolerance=tol, passed=passed)
+    return IntegrabilityReport(entries=entries, tolerance=tol, passed=passed)

@@ -1,8 +1,10 @@
-"""Seeded property suites.
+"""Seeded property suites and the worked-example tables.
 
 Each suite returns a plain dict with a `passed` flag and the worst observed
 margins, so the CLI can emit it as JSON and the test suite can assert on it.
-Sizes and seeds are fixed so CI runs are deterministic.
+Sizes and seeds are fixed so CI runs are deterministic. Each example returns
+its table as a dict with a `rows` list; the CLI prints it and the acceptance
+tests check its rows against the closed forms.
 """
 
 from __future__ import annotations
@@ -240,6 +242,59 @@ def achievability_suite(
         "passed": passed,
     }
 
+
+def bloch3_gauges_example() -> dict:
+    """The gauge-dependent information of the two-level family in two gauges,
+    the plain half-angle frame and the frame re-phased by -phi/2, on 18 points
+    (r, theta, phi = 0.5). Closed forms: diag(1/(1-r^2), 1, 1) and
+    diag(1/(1-r^2), 1, 2 + 2 r cos(theta)); max_deviation is the largest
+    entrywise distance from them."""
+    fam = bloch3()
+    shifted = apply_gauge(
+        fam, PhaseAssignment.from_callable(lambda th: np.array([-th[2] / 2, -th[2] / 2]))
+    )
+    rows = []
+    worst = 0.0
+    for r in [0.1 * k for k in range(1, 10)]:
+        for t in (0.3, 1.2):
+            theta = np.array([r, t, 0.5])
+            plain = c_upsilon_states(fam, theta)
+            alt = c_upsilon_states(shifted, theta)
+            ref_plain = np.diag([1.0 / (1.0 - r * r), 1.0, 1.0])
+            ref_alt = np.diag([1.0 / (1.0 - r * r), 1.0, 2.0 + 2.0 * r * math.cos(t)])
+            worst = max(
+                worst,
+                float(np.max(np.abs(plain - ref_plain))),
+                float(np.max(np.abs(alt - ref_alt))),
+            )
+            rows.append(
+                {"r": r, "theta": t, "phi": 0.5, "plain_gauge": plain, "shifted_gauge": alt}
+            )
+    return {"rows": rows, "max_deviation": worst}
+
+
+def depolarize_cl_example() -> dict:
+    """The invariant lower bound of the three-level rotation mixture before
+    and after the depolarizing channel of strength r, at theta = 0.3. It rises
+    by the expected (1 - r)(8/3 - 8 epsilon): the bound is not monotone."""
+    rows = []
+    theta = np.array([0.3])
+    for eps in (0.05, 0.1, 0.2):
+        fam = rot3_mixture(eps)
+        before = float(c_l_information(fam, theta)[0, 0])
+        for r in (0.2, 0.5, 0.8, 1.0):
+            pushed = pushforward_family(depolarizing_channel(3, r), fam)
+            after = float(c_l_information(pushed, theta)[0, 0])
+            rows.append({"epsilon": eps, "r": r, "before": before, "after": after,
+                         "delta": after - before,
+                         "expected_delta": (1.0 - r) * (8.0 / 3.0 - 8.0 * eps)})
+    return {"rows": rows}
+
+
+EXAMPLES = {
+    "bloch3-gauges": bloch3_gauges_example,
+    "depolarize-cl": depolarize_cl_example,
+}
 
 SUITES = {
     "sandwich": sandwich_suite,

@@ -14,19 +14,14 @@ import pytest
 from qmetrics import (
     C_FUNCTIONS,
     ParametricFamily,
-    PhaseAssignment,
     SpectralPresentation,
-    apply_gauge,
     bloch3,
     c_l_decomposition,
     c_l_information,
-    c_upsilon_states,
-    depolarizing_channel,
     diagonal_simplex,
     f_function_scan,
     integrability_test,
     pure_rotation,
-    pushforward_family,
     random_full_rank,
     random_pure,
     rot3_mixture,
@@ -42,43 +37,36 @@ def verdict(num, label, ok, detail):
 
 def test_criterion_01_two_gauges_of_the_two_level_family():
     start = time.perf_counter()
-    fam = bloch3()
-    shifted = apply_gauge(
-        fam, PhaseAssignment.from_callable(lambda th: np.array([-th[2] / 2, -th[2] / 2]))
-    )
+    rows = verify.EXAMPLES["bloch3-gauges"]()["rows"]
     worst = 0.0
-    for r in [0.1 * k for k in range(1, 10)]:
-        for t in (0.3, 1.2):
-            theta = np.array([r, t, 0.5])
-            plain = c_upsilon_states(fam, theta)
-            ref_plain = np.diag([1 / (1 - r * r), 1.0, 1.0])
-            alt_pp = c_upsilon_states(shifted, theta)[2, 2]
-            ref_pp = 2 + 2 * r * math.cos(t)
-            worst = max(worst, float(np.max(np.abs(plain - ref_plain))), abs(alt_pp - ref_pp))
+    for row in rows:
+        r, t = row["r"], row["theta"]
+        ref_plain = np.diag([1 / (1 - r * r), 1.0, 1.0])
+        ref_pp = 2 + 2 * r * math.cos(t)
+        worst = max(worst, float(np.max(np.abs(row["plain_gauge"] - ref_plain))),
+                    abs(row["shifted_gauge"][2, 2] - ref_pp))
     elapsed = time.perf_counter() - start
-    verdict(1, "gauge pair closed forms", worst < 1e-6 and elapsed < 5.0,
-            f"max deviation {worst:.2e} over 18 grid points in {elapsed:.2f}s")
+    verdict(1, "gauge pair closed forms", len(rows) == 18 and worst < 1e-6 and elapsed < 5.0,
+            f"max deviation {worst:.2e} over {len(rows)} grid points in {elapsed:.2f}s")
 
 
 def test_criterion_02_depolarized_mixture_lower_bound():
     start = time.perf_counter()
+    rows = verify.EXAMPLES["depolarize-cl"]()["rows"]
     worst = 0.0
     deltas_positive = True
-    for eps in (0.05, 0.1, 0.2):
-        fam = rot3_mixture(eps)
-        theta = np.array([0.3])
-        before = c_l_information(fam, theta)[0, 0]
-        worst = max(worst, abs(before - 8 * eps))
-        for r in (0.2, 0.5, 0.8):
-            pushed = pushforward_family(depolarizing_channel(3, r), fam)
-            after = c_l_information(pushed, theta)[0, 0]
-            worst = max(worst, abs(after - (8 * r * eps + 8 * (1 - r) / 3)))
-            delta = after - before
+    for row in rows:
+        eps, r, delta = row["epsilon"], row["r"], row["delta"]
+        worst = max(worst, abs(row["before"] - 8 * eps),
+                    abs(row["after"] - (8 * r * eps + 8 * (1 - r) / 3)),
+                    abs(delta - (1 - r) * (8 / 3 - 8 * eps)),
+                    abs(row["expected_delta"] - (1 - r) * (8 / 3 - 8 * eps)))
+        if r < 1:
             deltas_positive &= delta > 0
-            worst = max(worst, abs(delta - (1 - r) * (8 / 3 - 8 * eps)))
     elapsed = time.perf_counter() - start
-    verdict(2, "depolarized mixture values", worst < 1e-6 and deltas_positive and elapsed < 2.0,
-            f"max deviation {worst:.2e}, all deltas positive, {elapsed:.2f}s")
+    verdict(2, "depolarized mixture values",
+            len(rows) == 12 and worst < 1e-6 and deltas_positive and elapsed < 2.0,
+            f"max deviation {worst:.2e}, all deltas positive for r < 1, {elapsed:.2f}s")
 
 
 @functools.cache

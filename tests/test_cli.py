@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qmetrics import verify
 from qmetrics.cli import _emit, main
 from qmetrics.errors import NumericalError
 
@@ -96,6 +97,14 @@ def test_verify_suite_exit_codes(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("failed", [False, np.False_], ids=["bool", "numpy-bool"])
+def test_a_failing_suite_exits_1_with_its_report(capsys, monkeypatch, failed):
+    monkeypatch.setitem(verify.SUITES, "kmb-limit", lambda seed: {"seed": seed, "passed": failed})
+    code, out, err = run(capsys, "verify", "--suite", "kmb-limit", "--seed", "3")
+    assert code == 1 and err == ""
+    assert json.loads(out) == {"seed": 3, "passed": False}
+
+
 def test_verify_output_is_deterministic(capsys):
     _, out1, _ = run(capsys, "verify", "--suite", "kmb-limit", "--seed", "42")
     _, out2, _ = run(capsys, "verify", "--suite", "kmb-limit", "--seed", "42")
@@ -138,6 +147,17 @@ def test_channel_bound(capsys):
     assert abs(json.loads(out)["bound"] - 1.0) < 1e-6
 
 
+def test_channel_bound_reference_states(capsys):
+    code, out, _ = run(capsys, "channel-bound", "--channel-family", "rotation-z", "--theta", "0.7",
+                       "--rho0", "zero")
+    assert code == 0
+    assert abs(json.loads(out)["bound"]) < 1e-6  # |0> is fixed by a z rotation
+    with pytest.raises(SystemExit) as exc:
+        main(["channel-bound", "--channel-family", "rotation-z", "--theta", "0.7", "--rho0", "bogus"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
 def test_estimate_small(capsys, monkeypatch):
     monkeypatch.setenv("QML_SEED", "7")
     code, out, _ = run(
@@ -172,6 +192,17 @@ def test_estimate_slices_a_one_parameter_family_along_its_direction(capsys):
     data = json.loads(out)
     assert abs(data["fisher"] - 0.25 / 0.99) < 1e-9
     assert abs(data["sld_bound"] - 0.25 / 0.99) < 1e-9
+
+
+def test_estimate_default_interval_stays_inside_the_slice(capsys):
+    # The slice t -> 0.9 + t of diagonal-simplex has domain (-1.9, 0.1); its
+    # default interval used to reach t = 0.45, outside the base family.
+    code, out, err = run(
+        capsys, "estimate", "--family", "diagonal-simplex", "--direction", "1", "--at", "0.9",
+        "--theta-true", "0.05", "--n", "100", "--reps", "2",
+    )
+    assert code == 0, err
+    assert all(-0.35 <= t < 0.1 for t in json.loads(out)["estimates"])
 
 
 @pytest.mark.parametrize("bad", [("--n", "-5"), ("--n", "0"), ("--reps", "0"), ("--reps", "-2")])
@@ -223,6 +254,7 @@ MALFORMED = [
     ((*_RANDOM, '{"nparams":0}'), "parameter 'nparams' must be >= 1"),
     ((*_RANDOM, '{"seed":-1}'), "parameter 'seed' must be >= 0"),
     (("verify", "--suite", "sandwich", "--seed", "-1"), "seed must be non-negative"),
+    (("QML_SEED=abc", "verify", "--suite", "kmb-limit"), "seed must be an integer, got 'abc'"),
     ((*_ESTIMATE, "--seed", "-1"), "seed must be non-negative"),
     (("channel-bound", "--channel-family", "mixed-rotation", "--theta", "0.3", "--seed", "-1"),
      "seed must be non-negative"),
@@ -240,8 +272,12 @@ MALFORMED = [
 
 
 @pytest.mark.parametrize("argv,message", MALFORMED, ids=[" ".join(a[:1] + a[-2:]) for a, _ in MALFORMED])
-def test_malformed_arguments_exit_2_with_an_error_line(capsys, argv, message):
+def test_malformed_arguments_exit_2_with_an_error_line(capsys, monkeypatch, argv, message):
     # Each used to exit 1 with a traceback, or 0 with a NaN or a FAIL verdict.
+    # Leading NAME=value items set the environment, as in a shell.
+    while "=" in argv[0]:
+        monkeypatch.setenv(*argv[0].split("=", 1))
+        argv = argv[1:]
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and message in err

@@ -170,15 +170,17 @@ def test_directional_family_slices():
     assert np.allclose(sliced.rho([0.1]), fam.rho([0.6, 0.8, 0.3]))
     with pytest.raises(ValidationError):
         directional_family(fam, [0.5, 0.8, 0.3], [0.0, 0.0, 0.0])
-    with pytest.raises(DomainExit):
+    assert sliced.domain == ((-0.5, 0.5),)  # 0 < r < 1
+    assert directional_family(fam, [0.5, 0.8, 0.3], [-2.0, 1.0, 0.0]).domain == ((-0.25, 0.25),)
+    with pytest.raises(ParamOutOfDomain, match=r"theta \[0.6\] outside domain of 'bloch3@dir'"):
         sliced.rho([0.6])  # r = 1.1 leaves the domain
 
 
 def test_a_slice_whose_stencil_leaves_the_domain_raises_when_evaluated():
-    # Constructing the slice checks only its anchor; the stencil at t = 0
-    # reaches r = 1 + 5e-6, and evaluating it there raises.
+    # The slice's domain ends at t = 5e-6; the stencil at t = 0 reaches
+    # t = 1e-5 (r = 1 + 5e-6), and evaluating it there raises.
     sliced = directional_family(bloch3(), [1 - 5e-6, 0.8, 0.3], [1.0, 0.0, 0.0])
-    with pytest.raises(DomainExit, match="segment leaves the family domain"):
+    with pytest.raises(DomainExit, match=r"stencil of 'bloch3@dir' at theta \[0.0\] .* leaves the domain"):
         sld_information(sliced, [0.0])
 
 
@@ -359,12 +361,12 @@ def test_rhos_checks_the_whole_stack_like_rho():
         fam.rhos(thetas[:, :2])
 
     sliced = directional_family(fam, [0.5, 0.8, 0.3], [1.0, 0.0, 0.0])
-    with pytest.raises(DomainExit) as per_point:
+    with pytest.raises(ParamOutOfDomain) as per_point:
         sliced.rho([0.6])
-    with pytest.raises(DomainExit) as batch:
+    with pytest.raises(ParamOutOfDomain) as batch:
         sliced.rhos(np.array([[0.1], [0.6], [0.2]]))
     assert str(batch.value) == str(per_point.value)
-    with pytest.raises(DomainExit):
+    with pytest.raises(DomainExit):  # unchecked, the line itself leaves the base domain
         sliced.spectral(np.array([[0.1], [0.6], [0.2]]))
 
 

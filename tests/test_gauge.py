@@ -22,6 +22,7 @@ from qmetrics.families import (
     directional_family,
     pure_rotation,
     random_full_rank,
+    random_pure,
     rot3_mixture,
     tangent_data,
 )
@@ -151,6 +152,22 @@ def test_integrability_obstruction_on_two_level_family():
     expected = math.sin(1.2) / 4.0
     assert abs(abs(values[(0, 1, 2)]) - expected) < 1e-6
     assert abs(abs(values[(1, 1, 2)]) - expected) < 1e-6
+
+
+@pytest.mark.parametrize("fam,theta", [
+    (bloch3(), [0.5, 1.2, 0.5]),
+    (random_full_rank(d=4, nparams=3, seed=2), [0.1, -0.2, 0.05]),
+    (random_full_rank(d=6, nparams=2, seed=0), [0.1, 0.1]),
+    (random_pure(3, 3, seed=3), [0.1, 0.1, 0.1]),
+], ids=["bloch3", "full-rank-d4", "full-rank-d6", "pure-d3"])
+def test_integrability_entries_equal_the_per_entry_loop(fam, theta):
+    # The reference: one overlap sum per (j, l, k), in that order.
+    o = tangent_data(fam, theta).overlaps
+    expected = tuple(
+        (j, l, k, float(np.imag(complex(np.sum(o[l, j, :] * np.conj(o[k, j, :]))))))
+        for j in range(fam.dim) for l in range(fam.nparams) for k in range(l + 1, fam.nparams)
+    )
+    assert integrability_test(fam, theta).entries == expected
 
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
