@@ -119,7 +119,8 @@ def pushforward_family(ch: KrausChannel, family: ParametricFamily) -> Parametric
     channels (eigenvalue_affine set); otherwise the gauge must be recomputed
     downstream. A re-phased family stays re-phased: the channel maps the
     presentation's eigenvalues and the family's phases are passed on as they
-    are.
+    are. Exact tangents are mapped by the channel, which is linear, and an
+    affine map p -> a p + b scales the eigenvalue slopes by a.
     """
     if ch.dim != family.dim:
         raise DimensionMismatch(
@@ -135,7 +136,12 @@ def pushforward_family(ch: KrausChannel, family: ParametricFamily) -> Parametric
 
         def spectral(th):
             sp = family.spectral(th)
-            return replace(sp, eigenvalues=a * sp.eigenvalues + b)
+            slopes = sp.eigenvalue_slopes
+            return replace(sp, eigenvalues=a * sp.eigenvalues + b,
+                           eigenvalue_slopes=None if slopes is None else a * np.asarray(slopes))
+
+    def tangents(th):
+        return apply_channel(ch, family.tangents(th))
 
     return ParametricFamily(
         dim=family.dim,
@@ -145,6 +151,7 @@ def pushforward_family(ch: KrausChannel, family: ParametricFamily) -> Parametric
         domain=family.domain,
         name=f"push({family.name})",
         phases=None if spectral is None else family.phases,
+        tangents=None if family.tangents is None else tangents,
     )
 
 

@@ -4,13 +4,15 @@ A family maps a parameter vector theta to a density matrix, optionally with a
 closed-form spectral presentation (eigenvalues plus a *gauged* eigenvector
 frame, i.e. a chosen smooth phase section). Tangent data holds the eigenvalue
 derivatives dp_i/dtheta^l and the overlap tensor O^(l)_{jk} = <dw_j/dtheta^l | w_k>
-that all the metrics downstream are built from.
+that all the metrics downstream are built from. Every built-in family gives
+these derivatives exactly (its tangents and its presentation's slopes); any
+other family is differenced by the Richardson stencil.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -34,6 +36,7 @@ from .linalg import (
     herm_defect,
     sld_solve,
     unitary,
+    unitary_slopes,
 )
 
 
@@ -53,10 +56,13 @@ def validate_density(rho: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralPresentation:
-    """Eigenvalues p_i and a gauged orthonormal eigenvector frame |w_i> (columns)."""
+    """Eigenvalues p_i and a gauged orthonormal eigenvector frame |w_i> (columns),
+    optionally with their exact slopes dp_i/dtheta^l and d|w_i>/dtheta^l."""
 
     eigenvalues: np.ndarray   # (d,); (n, d) for a stack of points
     eigenvectors: np.ndarray  # (d, d), columns; (n, d, d) for a stack
+    eigenvalue_slopes: Optional[np.ndarray] = None   # (p, d); (n, p, d) for a stack
+    eigenvector_slopes: Optional[np.ndarray] = None  # (p, d, d); (n, p, d, d) for a stack
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
@@ -79,6 +85,13 @@ class ParametricFamily:
     phases, when set, maps an (n, p) stack to the (n, d) real phases alpha_k
     that re-phase column k of spectral's frame by exp(i alpha_k); spectral
     stays un-re-phased, so the two are differenced apart (spectral_tangents).
+
+    tangents, when set, gives the exact tangents d(rho)/d(theta^l): (p, d, d)
+    at a (p,) vector, (n, p, d, d) for an (n, p) stack. A family that sets it
+    should also give its presentation's slopes (SpectralPresentation's
+    eigenvalue_slopes and eigenvector_slopes), which are read only then.
+    Without tangents, every derivative comes from the Richardson stencil
+    (linalg.central_difference), which stays the oracle of the exact route.
     """
 
     dim: int
@@ -88,6 +101,7 @@ class ParametricFamily:
     domain: tuple = ()
     name: str = ""
     phases: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    tangents: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     @property
     def bounds(self) -> tuple:
@@ -204,32 +218,45 @@ class TangentData:
 
 
 def spectral_tangents(family: ParametricFamily, thetas: np.ndarray):
-    """Differenced spectral presentation at an (n, p) stack of checked points.
+    """Spectral tangents at an (n, p) stack of checked points.
 
     Returns dp (n, p, d), overlaps (n, p, d, d) and the eigenvalues (n, d) at
-    the points, from one stacked presentation of the points and their 4np
-    stencil points. A re-phased family's frame is differenced without its
-    phases, and the phases alpha as real functions (one more stacked call),
-    through <d(e^{i a_j} w_j)|e^{i a_k} w_k> = e^{i(a_k - a_j)} O_jk - i delta_jk da_k,
+    the points. A family with tangents takes them from one stacked
+    presentation of the points and its slopes, with overlaps (dV)^dagger V.
+    Otherwise (or when that presentation carries no slopes) the presentation
+    is differenced: one stacked presentation of the points and their 4np
+    stencil points. A re-phased family's frame is taken without its phases,
+    and the phases alpha are differenced as real functions (one more stacked
+    call), through <d(e^{i a_j} w_j)|e^{i a_k} w_k> = e^{i(a_k - a_j)} O_jk - i delta_jk da_k,
     so its frame is never differenced across the complex phase factors.
     """
+    n, p, d = len(thetas), family.nparams, family.dim
 
     def eigensystems(points):
-        # Row 0 of each point holds the eigenvalues, rows 1.. the frame.
+        # Row 0 of each point holds the eigenvalues, rows 1.. the frame; and the presentation.
         sp = family.spectral(points)
-        n, d = len(points), family.dim
-        values = _stack_of(family, "spectral eigenvalues", np.asarray(sp.eigenvalues), (n, d))
-        frames = _stack_of(family, "spectral eigenvectors", np.asarray(sp.eigenvectors), (n, d, d))
-        return np.concatenate([values[:, None], frames], axis=1)
+        values = _stack_of(family, "spectral eigenvalues", np.asarray(sp.eigenvalues), (len(points), d))
+        frames = _stack_of(family, "spectral eigenvectors", np.asarray(sp.eigenvectors), (len(points), d, d))
+        return np.concatenate([values[:, None], frames], axis=1), sp
 
-    at, d_stack = _stencil(family, eigensystems, thetas)
-    overlaps = d_stack[:, :, 1:].conj().swapaxes(-1, -2) @ at[:, None, 1:]
+    sp = None
+    if family.tangents is not None:
+        at, sp = eigensystems(thetas)
+    if sp is None or sp.eigenvalue_slopes is None or sp.eigenvector_slopes is None:
+        at, d_stack = _stencil(family, lambda points: eigensystems(points)[0], thetas)
+        dp, d_frames = np.real(d_stack[:, :, 0]), d_stack[:, :, 1:]
+    else:
+        dp = _stack_of(family, "spectral eigenvalue slopes",
+                       np.asarray(sp.eigenvalue_slopes, dtype=float), (n, p, d))
+        d_frames = _stack_of(family, "spectral eigenvector slopes",
+                             np.asarray(sp.eigenvector_slopes, dtype=complex), (n, p, d, d))
+    overlaps = d_frames.conj().swapaxes(-1, -2) @ at[:, None, 1:]
     if family.phases is not None:
         a, slopes = central_difference(family.phases, thetas)
         overlaps = overlaps * np.exp(1j * (a[:, None, None, :] - a[:, None, :, None]))
         diag = np.arange(family.dim)
         overlaps[..., diag, diag] -= 1j * slopes
-    return np.real(d_stack[:, :, 0]), overlaps, np.real(at[:, 0])
+    return dp, overlaps, np.real(at[:, 0])
 
 
 def _read_only(*arrays: np.ndarray) -> None:
@@ -246,8 +273,10 @@ class FamilyPoint:
     them. Each part is computed on first use and kept; a part whose
     computation raises is not kept, so it raises again on the next use. The
     arrays the point hands out are read-only, since later callers share them.
-    rho and drho come from one evaluation of the point and its 4p Richardson
-    stencil points, all checked against the domain first.
+    rho comes from one evaluation of the point. drho comes from the family's
+    tangents when it has them, at the point alone; otherwise rho and drho
+    come from one evaluation of the point and its 4p Richardson stencil
+    points, all checked against the domain first.
     """
 
     __slots__ = ("family", "theta", "__dict__")
@@ -262,7 +291,14 @@ class FamilyPoint:
 
     @cached_property
     def _state(self) -> tuple[np.ndarray, np.ndarray]:
-        rho, drho = _stencil(self.family, self.family._evaluate_stack, self.theta)
+        family = self.family
+        if family.tangents is None:
+            rho, drho = _stencil(family, family._evaluate_stack, self.theta)
+        else:
+            rho = family._evaluate_stack(self.theta[None])[0]
+            shape = (1, family.nparams, family.dim, family.dim)
+            drho = _stack_of(family, "tangents", np.asarray(
+                family.tangents(self.theta[None]), dtype=complex), shape)[0]
         _read_only(rho, drho)
         return rho, drho
 
@@ -284,6 +320,14 @@ class FamilyPoint:
         return es
 
     @cached_property
+    def drho_eigenbasis(self) -> np.ndarray:
+        """The tangents in rho's eigenbasis, V^dagger drho_l V, shape (p, d, d)."""
+        v = self.eig.vectors
+        a = np.einsum("ij,ljk,km->lim", v.conj().T, self.drho, v)
+        _read_only(a)
+        return a
+
+    @cached_property
     def scores(self) -> np.ndarray:
         """SLD scores L_l of the tangents, shape (p, d, d) (see linalg.sld_solve)."""
         scores = sld_solve(self.eig, self.drho)
@@ -294,15 +338,16 @@ class FamilyPoint:
     def tangent_data(self) -> TangentData:
         """Eigenvalue derivatives and eigenvector-derivative overlaps.
 
-        With a spectral presentation the frame is differenced directly, so the
-        result reflects the family's own gauge (phases are taken as supplied;
-        the closed-form presentations used here are smooth by construction); a
-        re-phased family differences its frame and its real phases apart (see
+        With a spectral presentation they come from the frame itself (its
+        exact slopes, or else the frame differenced), so the result reflects
+        the family's own gauge (phases are taken as supplied; the closed-form
+        presentations used here are smooth by construction); a re-phased
+        family takes its frame and its real phases apart (see
         spectral_tangents). Without one, they come from rho's eigensystem and
         tangents (see _perturbative_tangent_data).
         """
         if self.family.spectral is None:
-            td = _perturbative_tangent_data(self.eig, self.drho)
+            td = _perturbative_tangent_data(self.eig.values, self.drho_eigenbasis)
         else:
             dp, overlaps, eigenvalues = spectral_tangents(self.family, self.theta[None])
             td = TangentData(dp=dp[0], overlaps=overlaps[0], eigenvalues=eigenvalues[0])
@@ -316,16 +361,14 @@ def tangent_data(family: ParametricFamily, theta) -> TangentData:
     return family.point(theta).tangent_data
 
 
-def _perturbative_tangent_data(es: EigenSystem, tangents: np.ndarray) -> TangentData:
-    """Tangent data from rho's eigensystem and its (p, d, d) tangents:
-    eigenvalue derivatives from first-order perturbation theory, off-diagonal
-    overlaps <w_j|drho|w_k> / (p_j - p_k), and diagonal overlaps zero by the
-    deterministic gauge convention. A degenerate pair (j, k) with coupling
-    raises DegeneracyUnresolved; the first such pair in row order is named.
+def _perturbative_tangent_data(p: np.ndarray, a: np.ndarray) -> TangentData:
+    """Tangent data from rho's eigenvalues p and its (p, d, d) tangents a in
+    rho's eigenbasis: eigenvalue derivatives from first-order perturbation
+    theory, off-diagonal overlaps <w_j|drho|w_k> / (p_j - p_k), and diagonal
+    overlaps zero by the deterministic gauge convention. A degenerate pair
+    (j, k) with coupling raises DegeneracyUnresolved; the first such pair in
+    row order is named.
     """
-    p = es.values
-    v = es.vectors
-    a = np.einsum("ij,ljk,km->lim", v.conj().T, tangents, v)
     dp = np.real(np.einsum("lii->li", a))
     gap = p[:, None] - p[None, :]
     degenerate = np.abs(gap) < DEGEN_GAP
@@ -343,8 +386,9 @@ def _perturbative_tangent_data(es: EigenSystem, tangents: np.ndarray) -> Tangent
 def directional_family(family: ParametricFamily, theta, v) -> ParametricFamily:
     """One-parameter slice t -> rho(theta + t v) through a multi-parameter family.
 
-    evaluate, spectral and phases are each sliced along the same line, so a
-    re-phased family's slice stays re-phased. The slice's domain is the open
+    evaluate, spectral, phases and tangents are each sliced along the same
+    line, so a re-phased family's slice stays re-phased; the tangents and the
+    presentation's slopes are contracted with v. The slice's domain is the open
     t-interval on which theta + t v stays inside the family's box; a point
     that rounding still carries out of the box raises DomainExit when it is
     evaluated."""
@@ -369,14 +413,30 @@ def directional_family(family: ParametricFamily, theta, v) -> ParametricFamily:
     def sliced(fn):
         return None if fn is None else lambda tv: fn(along(tv))
 
+    def along_v(slopes, matrix_ndim):
+        # sum_l v_l slopes_l over the parameter axis, kept as the one axis of t.
+        if slopes is None:
+            return None
+        weights = v.reshape((-1,) + (1,) * matrix_ndim)
+        return (weights * slopes).sum(axis=-1 - matrix_ndim, keepdims=True)
+
+    def spectral(tv):
+        sp = family.spectral(along(tv))
+        return replace(sp, eigenvalue_slopes=along_v(sp.eigenvalue_slopes, 1),
+                       eigenvector_slopes=along_v(sp.eigenvector_slopes, 2))
+
+    def tangents(tv):
+        return along_v(family.tangents(along(tv)), 2)
+
     return ParametricFamily(
         dim=family.dim,
         nparams=1,
         evaluate=sliced(family.evaluate),
-        spectral=sliced(family.spectral),
+        spectral=None if family.spectral is None else spectral,
         domain=(t_domain,),
         name=f"{family.name}@dir",
         phases=sliced(family.phases),
+        tangents=None if family.tangents is None else tangents,
     )
 
 
@@ -384,12 +444,51 @@ def directional_family(family: ParametricFamily, theta, v) -> ParametricFamily:
 # Built-in families
 
 
+def _exact(spectral: Callable[[np.ndarray], SpectralPresentation]) -> dict:
+    """The spectral and tangents fields of a built-in family rho = V P V^dagger
+    from its presentation with slopes: tangents dV P V^dagger + V dP V^dagger + V P dV^dagger.
+
+    The presentation of the last stack asked for is kept, read-only, so a
+    point's tangents and its presentation come from one computation."""
+    last = [None]
+
+    def presented(th):
+        th = np.asarray(th, dtype=float)
+        key = (th.shape, th.tobytes())
+        entry = last[0]
+        if entry is None or entry[0] != key:
+            sp = spectral(th)
+            _read_only(sp.eigenvalues, sp.eigenvectors, sp.eigenvalue_slopes, sp.eigenvector_slopes)
+            entry = last[0] = key, sp
+        return entry[1]
+
+    def tangents(th):
+        # (dV P + V dP / 2) V^dagger plus its adjoint: Hermitian by construction.
+        sp = presented(th)
+        v = sp.eigenvectors[..., None, :, :]
+        x = (sp.eigenvector_slopes * sp.eigenvalues[..., None, None, :]
+             + v * (sp.eigenvalue_slopes[..., None, :] / 2)) @ v.conj().swapaxes(-1, -2)
+        return x + x.conj().swapaxes(-1, -2)
+
+    return {"spectral": presented, "tangents": tangents}
+
+
+# bloch3's frame slopes along (r, theta, phi) are L_l V R_l: 0, V J and S V,
+# with J = [[0, 1/2], [-1/2, 0]] and S = diag(-i/2, i/2).
+_BLOCH3_LEFT = np.array([np.zeros((2, 2)), np.eye(2), np.diag([-0.5j, 0.5j])])
+_BLOCH3_RIGHT = np.array([np.eye(2), [[0.0, 0.5], [-0.5, 0.0]], np.eye(2)])
+# The rotation generator of the rotating families: d/dt R(t) = R(t) Z.
+_ROTATION = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
 def bloch3() -> ParametricFamily:
     """Two-level family rho(r, theta, phi) with the half-angle eigenvector frame.
 
     Eigenvalues (1+r)/2, (1-r)/2; frame
       w1 = (cos(t/2) e^{-i phi/2},  sin(t/2) e^{i phi/2}),
-      w2 = (sin(t/2) e^{-i phi/2}, -cos(t/2) e^{i phi/2}).
+      w2 = (sin(t/2) e^{-i phi/2}, -cos(t/2) e^{i phi/2}),
+    with its trigonometric slopes, so no derivative leaves the point: the
+    tangents exist up to the bound r -> 1.
     """
 
     def evaluate(th):
@@ -401,18 +500,21 @@ def bloch3() -> ParametricFamily:
         r, t, phi = np.asarray(th, dtype=float).T
         c, s = np.cos(t / 2), np.sin(t / 2)
         em, ep = np.exp(-1j * phi / 2), np.exp(1j * phi / 2)
+        frame = _matrices(c * em, s * em, s * ep, -c * ep)
         return SpectralPresentation(
             eigenvalues=np.stack([(1 + r) / 2, (1 - r) / 2], axis=-1),
-            eigenvectors=_matrices(c * em, s * em, s * ep, -c * ep),
+            eigenvectors=frame,
+            eigenvalue_slopes=_constant(np.array([[0.5, -0.5], [0.0, 0.0], [0.0, 0.0]]), th),
+            eigenvector_slopes=_BLOCH3_LEFT @ frame[..., None, :, :] @ _BLOCH3_RIGHT,
         )
 
     return ParametricFamily(
         dim=2,
         nparams=3,
         evaluate=evaluate,
-        spectral=spectral,
         domain=((0.0, 1.0), (-math.inf, math.inf), (-math.inf, math.inf)),
         name="bloch3",
+        **_exact(spectral),
     )
 
 
@@ -425,7 +527,9 @@ def _matrices(a, b, c, d) -> np.ndarray:
 
 def _constant(values: np.ndarray, th) -> np.ndarray:
     """values, repeated over the points of a (p,) vector or an (n, p) stack."""
-    return np.broadcast_to(values, np.shape(th)[:-1] + values.shape).copy()
+    out = np.empty(np.shape(th)[:-1] + values.shape, dtype=values.dtype)
+    out[...] = values
+    return out
 
 
 def rot3_mixture(epsilon: float = 0.1) -> ParametricFamily:
@@ -448,11 +552,16 @@ def rot3_mixture(epsilon: float = 0.1) -> ParametricFamily:
         return (v * p) @ v.conj().swapaxes(-1, -2)
 
     def spectral(th):
-        return SpectralPresentation(eigenvalues=_constant(p, th), eigenvectors=frame(th))
+        v = frame(th)
+        slopes = np.zeros_like(v)
+        slopes[..., 1:, 1:] = v[..., 1:, 1:] @ _ROTATION
+        return SpectralPresentation(eigenvalues=_constant(p, th), eigenvectors=v,
+                                    eigenvalue_slopes=_constant(np.zeros((1, 3)), th),
+                                    eigenvector_slopes=slopes[..., None, :, :])
 
     return ParametricFamily(
-        dim=3, nparams=1, evaluate=evaluate, spectral=spectral,
-        domain=((-math.inf, math.inf),), name="rot3-mixture",
+        dim=3, nparams=1, evaluate=evaluate,
+        domain=((-math.inf, math.inf),), name="rot3-mixture", **_exact(spectral),
     )
 
 
@@ -466,14 +575,17 @@ def pure_rotation() -> ParametricFamily:
 
     def spectral(th):
         t = np.asarray(th, dtype=float)[..., 0]
+        frame = _matrices(np.cos(t), -np.sin(t), np.sin(t), np.cos(t))
         return SpectralPresentation(
             eigenvalues=_constant(np.array([1.0, 0.0]), th),
-            eigenvectors=_matrices(np.cos(t), -np.sin(t), np.sin(t), np.cos(t)),
+            eigenvectors=frame,
+            eigenvalue_slopes=_constant(np.zeros((1, 2)), th),
+            eigenvector_slopes=(frame @ _ROTATION)[..., None, :, :],
         )
 
     return ParametricFamily(
-        dim=2, nparams=1, evaluate=evaluate, spectral=spectral,
-        domain=((-math.inf, math.inf),), name="pure-rotation",
+        dim=2, nparams=1, evaluate=evaluate,
+        domain=((-math.inf, math.inf),), name="pure-rotation", **_exact(spectral),
     )
 
 
@@ -489,11 +601,13 @@ def diagonal_simplex() -> ParametricFamily:
         return SpectralPresentation(
             eigenvalues=np.stack([(1 + t) / 2, (1 - t) / 2], axis=-1),
             eigenvectors=_constant(np.eye(2, dtype=complex), th),
+            eigenvalue_slopes=_constant(np.array([[0.5, -0.5]]), th),
+            eigenvector_slopes=_constant(np.zeros((1, 2, 2), dtype=complex), th),
         )
 
     return ParametricFamily(
-        dim=2, nparams=1, evaluate=evaluate, spectral=spectral,
-        domain=((-1.0, 1.0),), name="diagonal-simplex",
+        dim=2, nparams=1, evaluate=evaluate,
+        domain=((-1.0, 1.0),), name="diagonal-simplex", **_exact(spectral),
     )
 
 
@@ -503,9 +617,10 @@ def _random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
     return h / max(np.linalg.norm(h, 2), 1e-12)
 
 
-def _rotating_frame(h0: np.ndarray, gens: list) -> Callable[[np.ndarray], np.ndarray]:
-    """th -> exp(-i (H0 + sum_l t_l G_l)) at a (p,) vector or an (n, p) stack."""
-    return lambda th: unitary(h0 + sum(th[..., l, None, None] * g for l, g in enumerate(gens)))
+def _generator(h0: np.ndarray, gens: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """th -> H0 + sum_l t_l G_l at a (p,) vector or an (n, p) stack; the
+    frame exp(-i (H0 + sum_l t_l G_l)) of the random families is its unitary."""
+    return lambda th: h0 + sum(th[..., l, None, None] * g for l, g in enumerate(gens))
 
 
 def random_full_rank(d: int = 3, nparams: int = 1, seed: int = 0) -> ParametricFamily:
@@ -516,6 +631,8 @@ def random_full_rank(d: int = 3, nparams: int = 1, seed: int = 0) -> ParametricF
     exp(-i (H0 + sum_l t_l G_l)). For d <= 4 the spectrum stays positive and
     non-degenerate. For d >= 5 the smallest geometric eigenvalue can fall
     below the wiggle, so the state can have a non-positive eigenvalue.
+    The presentation carries exact slopes: the wiggle's in closed form, and
+    the frame's from one eigh of H0 + sum_l t_l G_l (linalg.unitary_slopes).
     Deterministic per seed.
     """
     rng = np.random.default_rng(seed)
@@ -526,42 +643,53 @@ def random_full_rank(d: int = 3, nparams: int = 1, seed: int = 0) -> ParametricF
     phase = rng.uniform(0.0, 2.0 * math.pi, size=d)
     amp = 0.004
     h0 = _random_hermitian(rng, d)
-    gens = [_random_hermitian(rng, d) for _ in range(nparams)]
-    frame = _rotating_frame(h0, gens)
+    gens = np.array([_random_hermitian(rng, d) for _ in range(nparams)])
+    generator = _generator(h0, gens)
 
-    def probs(th):
-        q = lam + amp * np.sin((b @ th[..., None])[..., 0] + phase)
-        return q / q.sum(axis=-1, keepdims=True)
+    def spectrum(th):
+        # The normalised wiggled spectrum, the sines' arguments and the norm.
+        arg = (b @ th[..., None])[..., 0] + phase
+        q = lam + amp * np.sin(arg)
+        total = q.sum(axis=-1, keepdims=True)
+        return q / total, arg, total
 
     def evaluate(th):
         th = np.asarray(th, dtype=float)
-        v = frame(th)
-        rho = (v * probs(th)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+        v = unitary(generator(th))
+        rho = (v * spectrum(th)[0][..., None, :]) @ v.conj().swapaxes(-1, -2)
         # The frame is unitary only to ~d eps; differencing would amplify the
         # resulting trace error past the traceless-tangent check.
         return rho / np.real(np.trace(rho, axis1=-2, axis2=-1))[..., None, None]
 
     def spectral(th):
         th = np.asarray(th, dtype=float)
-        return SpectralPresentation(eigenvalues=probs(th), eigenvectors=frame(th))
+        p, arg, total = spectrum(th)
+        # d(q / sum q) = (dq - (q / sum q) sum dq) / sum q, with dq_l = amp cos(arg) b[:, l].
+        dq = amp * np.cos(arg)[..., None, :] * b.T
+        dp = (dq - p[..., None, :] * dq.sum(axis=-1, keepdims=True)) / total[..., None, :]
+        v, dv = unitary_slopes(generator(th), gens)
+        return SpectralPresentation(eigenvalues=p, eigenvectors=v,
+                                    eigenvalue_slopes=dp, eigenvector_slopes=dv)
 
     return ParametricFamily(
-        dim=d, nparams=nparams, evaluate=evaluate, spectral=spectral,
+        dim=d, nparams=nparams, evaluate=evaluate,
         domain=((-math.inf, math.inf),) * nparams, name=f"random-full-rank-{d}-{seed}",
+        **_exact(spectral),
     )
 
 
 def random_pure(d: int = 3, nparams: int = 1, seed: int = 0) -> ParametricFamily:
-    """Rank-1 family |psi(theta)><psi(theta)| carried by a random rotating frame."""
+    """Rank-1 family |psi(theta)><psi(theta)| carried by a random rotating
+    frame, with the frame's exact slopes (see random_full_rank)."""
     rng = np.random.default_rng(seed)
     h0 = _random_hermitian(rng, d)
-    gens = [_random_hermitian(rng, d) for _ in range(nparams)]
-    frame = _rotating_frame(h0, gens)
+    gens = np.array([_random_hermitian(rng, d) for _ in range(nparams)])
+    generator = _generator(h0, gens)
     p = np.zeros(d)
     p[0] = 1.0
 
     def evaluate(th):
-        psi = frame(np.asarray(th, dtype=float))[..., :, 0]
+        psi = unitary(generator(np.asarray(th, dtype=float)))[..., :, 0]
         # Normalised because the frame is unitary only to ~d eps (see above);
         # sqrt(re.re + im.im) is the sum np.linalg.norm forms for one vector.
         re, im = psi.real[..., None, :], psi.imag[..., None, :]
@@ -570,11 +698,15 @@ def random_pure(d: int = 3, nparams: int = 1, seed: int = 0) -> ParametricFamily
 
     def spectral(th):
         th = np.asarray(th, dtype=float)
-        return SpectralPresentation(eigenvalues=_constant(p, th), eigenvectors=frame(th))
+        v, dv = unitary_slopes(generator(th), gens)
+        return SpectralPresentation(eigenvalues=_constant(p, th), eigenvectors=v,
+                                    eigenvalue_slopes=_constant(np.zeros((nparams, d)), th),
+                                    eigenvector_slopes=dv)
 
     return ParametricFamily(
-        dim=d, nparams=nparams, evaluate=evaluate, spectral=spectral,
+        dim=d, nparams=nparams, evaluate=evaluate,
         domain=((-math.inf, math.inf),) * nparams, name=f"random-pure-{d}-{seed}",
+        **_exact(spectral),
     )
 
 

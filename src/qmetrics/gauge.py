@@ -23,9 +23,9 @@ import numpy as np
 from .errors import DomainExit, MissingGauge, NonImaginaryOverlap, ValidationError
 from .families import ParametricFamily, spectral_tangents, tangent_data
 
-# Grid points differenced per stacked presentation in minimizing_gauge_1p.
-# Blocks keep the scan's peak memory at the per-point level; stacking a whole
-# 513-point grid at once raised the gauge benchmark's peak RSS by about 9%.
+# Grid points per stacked presentation in minimizing_gauge_1p. Blocks keep
+# the scan's peak memory at the per-point level; stacking a whole 513-point
+# grid with its stencil at once raised the gauge benchmark's peak RSS by about 9%.
 _SCAN_BLOCK = 64
 
 
@@ -131,8 +131,9 @@ def minimizing_gauge_1p(
     by composite trapezoid on a uniform grid.
 
     theta0 < theta1 must both be finite, checked before the grid is built.
-    The whole grid is checked against the domain first; the overlaps are then
-    differenced from stacked presentations of blocks of grid points. A
+    The whole grid is checked against the domain first; the overlaps then
+    come from stacked presentations of blocks of grid points: their slopes
+    for a family with exact tangents, else the frames differenced. A
     re-phased family is scanned without its phases a: they enter the
     diagonal overlaps as -i a_k', whose integral is exactly a(t) - a(theta0),
     so they are evaluated at the grid points only.

@@ -1,9 +1,10 @@
 """Dense complex Hermitian kernel.
 
 Gauged eigendecompositions, the symmetric-logarithmic-derivative solve,
-quantum relative entropy, unitaries generated by Hermitian matrices, and the
-Richardson central difference every derivative in the package goes through,
-over one stack of shifted parameter vectors. Everything here is a pure
+quantum relative entropy, unitaries generated by Hermitian matrices with
+their exact derivatives, and the Richardson central difference that every
+derivative without a closed form goes through, over one stack of shifted
+parameter vectors. Everything here is a pure
 function of its arguments; matrices are small (d <= 64) and dense.
 """
 
@@ -129,6 +130,26 @@ def unitary(h: np.ndarray) -> np.ndarray:
     """
     vals, vecs = np.linalg.eigh(np.asarray(h, dtype=complex))
     return (vecs * np.exp(-1j * vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+
+
+def unitary_slopes(h: np.ndarray, gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp(-i h) and its derivatives d/dt exp(-i (h + t G_l)) at t = 0 along
+    each Hermitian generator of gens (p, d, d): shapes (d, d) and (p, d, d),
+    or (n, d, d) and (n, p, d, d) for a stack of h. The unitary is unitary(h)'s
+    bit for bit, from the same eigh.
+
+    With h = W diag(lam) W^dagger the derivative is W [(W^dagger G_l W) o Phi] W^dagger
+    (Daleckii-Krein), Phi_jk = (e^{-i lam_j} - e^{-i lam_k}) / (lam_j - lam_k) and
+    Phi_jj = -i e^{-i lam_j}, formed as -i e^{-i (lam_j + lam_k)/2} sinc((lam_j - lam_k)/2),
+    which has no cancellation on close eigenvalues.
+    """
+    vals, vecs = np.linalg.eigh(np.asarray(h, dtype=complex))
+    adj = vecs.conj().swapaxes(-1, -2)
+    u = (vecs * np.exp(-1j * vals)[..., None, :]) @ adj
+    mean = (vals[..., :, None] + vals[..., None, :]) / 2.0
+    phi = -1j * np.exp(-1j * mean) * np.sinc((vals[..., :, None] - vals[..., None, :]) / (2.0 * np.pi))
+    w, w_adj = vecs[..., None, :, :], adj[..., None, :, :]
+    return u, w @ ((w_adj @ gens @ w) * phi[..., None, :, :]) @ w_adj
 
 
 # Steps +h, -h, +h/2, -h/2 of the four stencil blocks, in units of h (exact in binary).

@@ -228,8 +228,7 @@ def mc_metric(family: ParametricFamily, theta, cf: CFunction) -> np.ndarray:
     p = np.clip(es.values, 0.0, None)
     if cf.full_rank_required and float(es.values.min()) < RANK_TOL:
         raise RankDeficient(f"{cf.name} information requires a full-rank state")
-    v = es.vectors
-    a = np.einsum("ij,ljk,km->lim", v.conj().T, point.drho, v)
+    a = point.drho_eigenbasis
     m_out = _fisher_sum(p, np.real(np.einsum("lii->li", a)), lambda i: RankDeficient(
         "tangent flows out of the support of the state"))
     # The pairs j < k in row order. Pairs off the support, and for a singular

@@ -1,12 +1,15 @@
 import json
 import math
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from qmetrics import verify
+from qmetrics import families, verify
 from qmetrics.cli import _emit, main
 from qmetrics.errors import NumericalError
+from qmetrics.families import bloch3
 
 
 def run(capsys, *argv):
@@ -55,12 +58,26 @@ def test_wrong_theta_length_exits_2(capsys):
     assert code == 2
 
 
-def test_stencil_leaving_the_domain_exits_2(capsys):
+def test_stencil_leaving_the_domain_exits_2(capsys, monkeypatch):
+    # The registry's bloch3 without its exact tangents: its stencil leaves the domain.
+    monkeypatch.setitem(families._REGISTRY, "bloch3", lambda param: replace(bloch3(), tangents=None))
     code, _, err = run(
         capsys, "metric", "--family", "bloch3", "--theta", "0.9999999,0.7,0.2", "--metrics", "sld",
     )
     assert code == 2
     assert "'bloch3' at theta [0.9999999, 0.7, 0.2] with step h=1e-05" in err
+
+
+def test_a_near_bound_point_with_exact_tangents_exits_0(capsys):
+    code, out, _ = run(
+        capsys, "metric", "--family", "bloch3", "--theta", "0.9999999,1,0", "--metrics", "sld",
+    )
+    assert code == 0
+    r, t = 0.9999999, 1.0
+    expected = [1.0 / (1.0 - r * r), r * r, (r * math.sin(t)) ** 2]
+    sld = np.array(json.loads(out)["metrics"]["sld"])
+    assert np.allclose(np.diag(sld), expected, rtol=1e-6, atol=0)
+    assert np.all(np.abs(sld - np.diag(np.diag(sld))) <= 1e-6 * np.sqrt(np.outer(expected, expected)))
 
 
 def test_numerical_failure_exits_3(capsys):

@@ -178,10 +178,14 @@ def test_directional_family_slices():
 
 def test_a_slice_whose_stencil_leaves_the_domain_raises_when_evaluated():
     # The slice's domain ends at t = 5e-6; the stencil at t = 0 reaches
-    # t = 1e-5 (r = 1 + 5e-6), and evaluating it there raises.
+    # t = 1e-5 (r = 1 + 5e-6), and evaluating it there raises. The stencil-only
+    # copy is the slice without its exact tangents.
     sliced = directional_family(bloch3(), [1 - 5e-6, 0.8, 0.3], [1.0, 0.0, 0.0])
     with pytest.raises(DomainExit, match=r"stencil of 'bloch3@dir' at theta \[0.0\] .* leaves the domain"):
-        sld_information(sliced, [0.0])
+        sld_information(replace(sliced, tangents=None), [0.0])
+    # With them nothing leaves the point: the radial SLD 1/(1 - r^2).
+    r = 1 - 5e-6
+    assert sld_information(sliced, [0.0])[0, 0] == pytest.approx(1.0 / (1.0 - r * r), rel=1e-6)
 
 
 def test_random_families_are_deterministic_per_seed():
@@ -266,11 +270,60 @@ def test_stacked_calls_equal_point_by_point_calls_bit_for_bit(fam, box):
             assert np.array_equal(sp.eigenvalues[i], one.eigenvalues)
             assert np.array_equal(sp.eigenvectors[i], one.eigenvectors)
         assert np.allclose(sp.reconstruct(), batch, atol=1e-10)
+        if fam.tangents is not None:
+            # Every exact-tangent family here presents with its slopes.
+            assert sp.eigenvalue_slopes.shape == (64, fam.nparams, fam.dim)
+            assert sp.eigenvector_slopes.shape == (64, fam.nparams, fam.dim, fam.dim)
+            for i, th in enumerate(thetas):
+                one = fam.spectral(th)
+                assert np.array_equal(sp.eigenvalue_slopes[i], one.eigenvalue_slopes)
+                assert np.array_equal(sp.eigenvector_slopes[i], one.eigenvector_slopes)
+    if fam.tangents is not None:
+        tangents = fam.tangents(thetas)
+        assert tangents.shape == (64, fam.nparams, fam.dim, fam.dim)
+        for i, th in enumerate(thetas):
+            assert np.array_equal(tangents[i], fam.tangents(th))
     if fam.phases is not None:
         a = fam.phases(thetas)
         assert a.shape == (64, fam.dim)
         for i, th in enumerate(thetas):
             assert np.array_equal(a[i], fam.phases(th[None])[0])
+
+
+# Every built-in constructor and composition that carries exact tangents.
+ORACLE = [
+    (bloch3(), [0.5, 1.2, 0.5]),
+    (rot3_mixture(0.1), [0.3]),
+    (pure_rotation(), [0.4]),
+    (diagonal_simplex(), [0.2]),
+    *((random_full_rank(d=d, nparams=p, seed=40 + d), [0.1, -0.2, 0.05][:p])
+      for d in (2, 3, 4, 8) for p in (1, 3)),
+    *((random_pure(d, p, seed=6), [0.2, -0.1][:p]) for d, p in ((3, 1), (4, 2))),
+    (directional_family(random_full_rank(d=4, nparams=3, seed=2), [0.1, 0.2, -0.1],
+                        [0.3, 1.0, -0.5]), [0.2]),
+    (pushforward_family(depolarizing_channel(3, 0.6), random_full_rank(3, 2, seed=9)), [0.2, -0.1]),
+    (pushforward_family(random_tpcp(3, 2, seed=1), random_full_rank(3, 1, seed=4)), [0.3]),
+    (apply_gauge(random_full_rank(d=3, nparams=1, seed=1), PhaseAssignment.from_callable(
+        lambda th: np.array([0.4, -0.8, 0.2]) * np.sin(np.array([1.0, 2.0, 0.5]) * th[0]))), [0.1]),
+]
+
+
+def _agree(exact, differenced):
+    # Within 1e-8 of the largest entry; 1e-12 absolute where the tangent
+    # vanishes (rot3_mixture's state does not move) and the stencil leaves noise.
+    return np.max(np.abs(exact - differenced)) <= 1e-8 * np.max(np.abs(differenced)) + 1e-12
+
+
+@pytest.mark.parametrize("fam,theta", ORACLE, ids=[f"{f.name}-p{f.nparams}" for f, _ in ORACLE])
+def test_exact_tangents_agree_with_the_stencil(fam, theta):
+    # The stencil is the oracle: the same family without its exact tangents.
+    stencil = replace(fam, tangents=None)
+    assert fam.tangents is not None
+    assert _agree(fam.drho(theta), stencil.drho(theta))
+    exact, differenced = tangent_data(fam, theta), tangent_data(stencil, theta)
+    assert np.array_equal(exact.eigenvalues, differenced.eigenvalues)
+    assert _agree(exact.dp, differenced.dp)
+    assert _agree(exact.overlaps, differenced.overlaps)
 
 
 def _per_point_random_full_rank(d, nparams, seed, th):
@@ -335,9 +388,44 @@ def test_a_stack_of_the_wrong_shape_raises_a_validation_error_naming_the_family(
             np.tile([0.6, 0.4], (len(th), 1)), np.eye(2))), np.array([[0.1]]))
 
 
+def test_a_built_in_family_keeps_its_last_presentation_read_only():
+    fam = random_full_rank(d=3, nparams=2, seed=1)
+    thetas = np.array([[0.1, -0.2]])
+    sp = fam.spectral(thetas)
+    assert fam.spectral(thetas.copy()) is sp  # the same stack: kept, not recomputed
+    with pytest.raises(ValueError):
+        sp.eigenvector_slopes[0, 0, 0, 0] = 1.0
+    # The tangents at the same stack read the kept presentation.
+    fam.tangents(thetas)
+    assert fam.spectral(thetas) is sp
+    # Another stack, even the same point unstacked, is presented anew.
+    assert fam.spectral(np.array([0.1, -0.2])) is not sp
+
+
+def test_a_presentation_without_slopes_is_differenced_and_wrong_shapes_raise():
+    base, theta = bloch3(), [0.5, 1.2, 0.5]
+
+    def bare(th):
+        sp = base.spectral(th)
+        return SpectralPresentation(sp.eigenvalues, sp.eigenvectors)
+
+    # Exact tangents, but a presentation without slopes: the frame is differenced.
+    no_slopes = replace(base, spectral=bare)
+    differenced = tangent_data(replace(base, tangents=None), theta)
+    assert np.array_equal(tangent_data(no_slopes, theta).overlaps, differenced.overlaps)
+    assert np.array_equal(no_slopes.drho(theta), base.drho(theta))
+    wrong = replace(base, spectral=lambda th: replace(base.spectral(th), eigenvalue_slopes=np.zeros((1, 2))))
+    with pytest.raises(ValidationError, match=r"'bloch3': spectral eigenvalue slopes gives shape \(1, 2\)"):
+        tangent_data(wrong, theta)
+    wrong = replace(base, tangents=lambda th: np.zeros((3, 2, 2)))
+    with pytest.raises(ValidationError, match=r"'bloch3': tangents gives shape \(3, 2, 2\) for a stack of 1"):
+        wrong.drho(theta)
+
+
 def test_a_stencil_leaving_the_domain_raises_domain_exit():
     # r + h > 1: the stencil would evaluate a state with a negative eigenvalue.
-    fam = bloch3()
+    # bloch3 without its exact tangents is differenced, as a user family is.
+    fam = replace(bloch3(), tangents=None)
     theta = [0.9999999, 0.7, 0.2]
     expected = r"'bloch3' at theta \[0\.9999999, 0\.7, 0\.2\] with step h=1e-05 leaves the domain"
     for call in (fam.drho, lambda th: tangent_data(fam, th)):
@@ -346,7 +434,21 @@ def test_a_stencil_leaving_the_domain_raises_domain_exit():
     inside = [1.0 - 2.0 * DEFAULT_H, 0.7, 0.2]
     assert np.all(np.isfinite(fam.drho(inside)))
     with pytest.raises(DomainExit, match=r"'diagonal-simplex' at theta \[-0\.999999\]"):
-        spectral_tangents(diagonal_simplex(), np.array([[0.0], [-0.999999]]))
+        spectral_tangents(replace(diagonal_simplex(), tangents=None), np.array([[0.0], [-0.999999]]))
+
+
+def test_exact_tangents_hold_up_to_the_bound():
+    # The same points with the exact tangents: their closed forms, no DomainExit.
+    r, t, phi = theta = [0.9999999, 0.7, 0.2]
+    drho = bloch3().drho(theta)
+    half = np.array([[np.cos(t), np.sin(t) * np.exp(-1j * phi)],
+                     [np.sin(t) * np.exp(1j * phi), -np.cos(t)]]) / 2
+    assert np.allclose(drho[0], half, rtol=0, atol=1e-15)
+    td = tangent_data(bloch3(), theta)
+    assert np.array_equal(td.dp, [[0.5, -0.5], [0.0, 0.0], [0.0, 0.0]])
+    dp, overlaps, values = spectral_tangents(diagonal_simplex(), np.array([[0.0], [-0.999999]]))
+    assert np.array_equal(dp, [[[0.5, -0.5]]] * 2) and not overlaps.any()
+    assert np.allclose(values[1], [5e-7, 0.9999995], rtol=1e-9, atol=0)
 
 
 def test_rhos_checks_the_whole_stack_like_rho():
@@ -427,7 +529,8 @@ def _reference_spectral_tangents(fam, theta):
             np.array([d[1:].conj().T @ w0 for d in d_stacks]))
 
 
-STENCIL_CASES = [
+# Each family without its exact tangents, so its stencil is what is compared.
+STENCIL_CASES = [(replace(f, tangents=None), theta) for f, theta in [
     (bloch3(), [0.5, 1.2, 0.5]),
     *((random_full_rank(d=d, nparams=p, seed=20 + d), [0.1, -0.2, 0.05][:p])
       for d in (2, 4, 8) for p in (1, 3)),
@@ -436,7 +539,7 @@ STENCIL_CASES = [
     (directional_family(bloch3(), [0.5, 0.8, 0.3], [1.0, 0.0, 0.0]), [0.1]),
     (directional_family(random_full_rank(d=4, nparams=3, seed=2), [0.1, 0.2, -0.1],
                         [0.3, 1.0, -0.5]), [0.2]),
-]
+]]
 
 
 @pytest.mark.parametrize("fam,theta", STENCIL_CASES,

@@ -224,9 +224,10 @@ def test_pure_rotation_already_minimal():
 
 
 # The per-point scan that the stacked blocks replaced, kept as a reference: at
-# each grid point the one-parameter stencil over four one-point presentations,
-# then the overlap with the frame at the point. A re-phased family is scanned
-# in its base frame, and its phases' own integral a(grid) - a(theta0) is then
+# each grid point the frame's slope (the one-point presentation's exact slope,
+# or else the one-parameter stencil over four one-point presentations), then
+# the overlap with the frame at the point. A re-phased family is scanned in
+# its base frame, and its phases' own integral a(grid) - a(theta0) is then
 # subtracted, phase by phase at each grid point.
 def _reference_scan(family, theta0, theta1, steps, h=DEFAULT_H):
     grid = np.linspace(theta0, theta1, steps + 1)
@@ -234,13 +235,17 @@ def _reference_scan(family, theta0, theta1, steps, h=DEFAULT_H):
     def frame(t):
         return family.spectral(np.array([t])).eigenvectors
 
-    diag = np.empty((grid.size, family.dim), dtype=complex)
-    for i, t in enumerate(grid):
+    def slope(t):
+        if family.tangents is not None:
+            return family.spectral(np.array([t])).eigenvector_slopes[0]
         d_h = (frame(t + h) - frame(t - h)) / (2.0 * h)
         hh = h / 2.0
         d_hh = (frame(t + hh) - frame(t - hh)) / (2.0 * hh)
-        dw = (4.0 * d_hh - d_h) / 3.0
-        diag[i] = np.diagonal(dw.conj().T @ frame(t))
+        return (4.0 * d_hh - d_h) / 3.0
+
+    diag = np.empty((grid.size, family.dim), dtype=complex)
+    for i, t in enumerate(grid):
+        diag[i] = np.diagonal(slope(t).conj().T @ frame(t))
     integrand = np.imag(diag)
     areas = np.diff(grid)[:, None] * (integrand[1:] + integrand[:-1]) / 2.0
     alphas = np.vstack([np.zeros((1, family.dim)), np.cumsum(areas, axis=0)])
@@ -275,9 +280,12 @@ SCANS = [
 ]
 
 
+@pytest.mark.parametrize("exact", [False, True], ids=["stencil", "exact"])
 @pytest.mark.parametrize("fam,steps", SCANS,
                          ids=[f"{f.name}-{steps}" for f, steps in SCANS])
-def test_blocked_scan_equals_the_per_point_scan_bit_for_bit(fam, steps):
+def test_blocked_scan_equals_the_per_point_scan_bit_for_bit(fam, steps, exact):
+    if not exact:
+        fam = replace(fam, tangents=None)
     # The scan runs first: run second, its uninitialised buffer could reuse
     # the reference's memory and hide a grid point no block filled.
     pa = minimizing_gauge_1p(fam, -0.5, 0.5, steps=steps)
@@ -286,8 +294,16 @@ def test_blocked_scan_equals_the_per_point_scan_bit_for_bit(fam, steps):
     assert np.array_equal(pa.samples, samples)
 
 
-def test_scan_makes_no_one_point_presentation_on_a_batched_family():
+@pytest.mark.parametrize("exact,blocks", [
+    # One presentation of each block with its stencil: 513 grid points in 9 blocks.
+    (False, [(320, 1)] * 8 + [(5, 1)]),
+    # One presentation of each block, with its slopes and no stencil points.
+    (True, [(64, 1)] * 8 + [(1, 1)]),
+], ids=["stencil", "exact"])
+def test_scan_makes_no_one_point_presentation_on_a_batched_family(exact, blocks):
     base = random_full_rank(d=3, nparams=1, seed=5)
+    if not exact:
+        base = replace(base, tangents=None)
     calls, phase_calls = [], []
 
     def spectral(th):
@@ -301,8 +317,7 @@ def test_scan_makes_no_one_point_presentation_on_a_batched_family():
     counted = replace(base, spectral=spectral)
     minimizing_gauge_1p(apply_gauge(counted, PhaseAssignment.from_callable(phases)),
                         -0.5, 0.5, steps=512)
-    # 513 grid points in 9 blocks: one presentation of each block with its stencil.
-    assert calls == [(320, 1)] * 8 + [(5, 1)]
+    assert calls == blocks
     # The phases are taken at the grid points only, one point per call.
     assert phase_calls == [(1,)] * 513
 
@@ -327,6 +342,8 @@ def test_gauged_tangents_agree_with_the_differenced_rephased_frame():
                    (apply_gauge(_perturbed(2, 52), sin_gauge(np.array([0.5, -1.0]),
                                                               np.array([1.5, 0.7]),
                                                               np.array([0.3, 0.9]))), 0.2)]:
+        # Both without the exact base tangents: the frame is differenced in both.
+        fam = replace(fam, tangents=None)
         exact, differenced = tangent_data(fam, [t]), tangent_data(_rephased_frame(fam), [t])
         assert np.array_equal(exact.dp, differenced.dp)
         assert np.max(np.abs(exact.overlaps - differenced.overlaps)) < 1e-9

@@ -17,6 +17,7 @@ from qmetrics.linalg import (
     relative_entropy,
     sld_solve,
     unitary,
+    unitary_slopes,
 )
 
 
@@ -197,6 +198,32 @@ def test_unitary_matches_scipy_expm(d):
     h = random_hermitian(np.random.default_rng(d), d)
     h = h / np.linalg.norm(h, 2)
     assert np.max(np.abs(unitary(h) - expm(-1j * h))) < 1e-13
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+def test_unitary_slopes_agree_with_the_differenced_unitary(d):
+    rng = np.random.default_rng(40 + d)
+    h = random_hermitian(rng, d)
+    gens = np.array([random_hermitian(rng, d) for _ in range(3)])
+    u, du = unitary_slopes(h, gens)
+    assert np.array_equal(u, unitary(h))
+    # The stencil along each generator is the oracle.
+    _, differenced = central_difference(lambda t: unitary(h + np.tensordot(t, gens, 1)), np.zeros(3))
+    assert np.max(np.abs(du - differenced)) < 1e-8
+
+
+def test_unitary_slopes_of_a_stack_equal_its_rows_and_hold_on_a_degenerate_spectrum():
+    rng = np.random.default_rng(3)
+    gens = np.array([random_hermitian(rng, 3) for _ in range(2)])
+    w = unitary(random_hermitian(rng, 3))
+    # An exactly degenerate pair: Phi_jk is -i e^{-i lam} there, not 0/0.
+    hs = np.array([random_hermitian(rng, 3), (w * [0.3, 0.3, -0.5]) @ w.conj().T])
+    u, du = unitary_slopes(hs, gens)
+    assert u.shape == (2, 3, 3) and du.shape == (2, 2, 3, 3)
+    for i, h in enumerate(hs):
+        assert np.array_equal(du[i], unitary_slopes(h, gens)[1])
+        _, differenced = central_difference(lambda t: unitary(h + np.tensordot(t, gens, 1)), np.zeros(2))
+        assert np.max(np.abs(du[i] - differenced)) < 1e-8
 
 
 def test_import_loads_no_scipy():

@@ -24,6 +24,8 @@ from qmetrics.errors import (
 )
 from qmetrics.families import (
     ParametricFamily,
+    SpectralPresentation,
+    _random_hermitian,
     bloch3,
     diagonal_simplex,
     pure_rotation,
@@ -32,7 +34,7 @@ from qmetrics.families import (
     rot3_mixture,
 )
 from qmetrics.gauge import apply_gauge, zero_gauge
-from qmetrics.linalg import DEGEN_GAP, RANK_TOL, eig_hermitian, relative_entropy
+from qmetrics.linalg import DEGEN_GAP, RANK_TOL, eig_hermitian, relative_entropy, unitary_slopes
 from qmetrics.metrics import (
     C_FUNCTIONS,
     CF_CL,
@@ -334,38 +336,63 @@ def test_an_empty_metric_list_is_a_validation_error(theta):
 
 
 def _counted(family):
-    """family with its evaluate and spectral calls recorded by argument shape."""
+    """family with its evaluate, spectral and (when it has them) tangents
+    calls recorded by argument shape."""
     calls = {"evaluate": [], "spectral": []}
 
     def counting(name, fn):
+        calls[name] = []
+
         def call(th):
             calls[name].append(np.shape(th))
             return fn(th)
         return call
 
+    exact = {} if family.tangents is None else {"tangents": counting("tangents", family.tangents)}
     return replace(family, evaluate=counting("evaluate", family.evaluate),
-                   spectral=counting("spectral", family.spectral)), calls
+                   spectral=counting("spectral", family.spectral), **exact), calls
 
 
-def test_one_stacked_family_evaluation_per_metric(monkeypatch):
+# bloch3 without its exact tangents: its derivatives come from the stencil.
+STENCIL_BLOCH3 = replace(bloch3(), tangents=None)
+
+
+@pytest.mark.parametrize("base,expected", [
+    # One evaluate of the point and its 12 stencil points, one presentation of them.
+    (STENCIL_BLOCH3, {"evaluate": [(13, 3)], "spectral": [(13, 3)]}),
+    # One evaluate of the point, one exact-tangent call, one presentation.
+    (bloch3(), {"evaluate": [(1, 3)], "spectral": [(1, 3)], "tangents": [(1, 3)]}),
+], ids=["stencil", "exact"])
+def test_one_stacked_family_evaluation_per_metric(monkeypatch, base, expected):
     eighs = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda m: eighs.append(np.shape(m)) or eigh(m))
-    fam, calls = _counted(bloch3())
+    fam, calls = _counted(base)
     theta = [0.5, 1.2, 0.5]
     # bloch3's states and presentations are closed forms: every eigh is rho's.
     for name in METRIC_NAMES:
         evaluate_metric(fam, theta, name)
-    # The per-name calls share the family's last point: one evaluate of the
-    # point and its 12 stencil points, one presentation of them, one eigh.
-    assert calls == {"evaluate": [(13, 3)], "spectral": [(13, 3)]}
+    # The per-name calls share the family's last point, and one eigh.
+    assert calls == expected
     assert eighs == [(2, 2)]
 
-    fam, calls = _counted(bloch3())
+    fam, calls = _counted(base)
     eighs.clear()
     evaluate_metrics(fam, theta, METRIC_NAMES)
-    assert calls == {"evaluate": [(13, 3)], "spectral": [(13, 3)]}
+    assert calls == expected
     assert eighs == [(2, 2)]
+
+
+def test_the_tangents_are_rotated_into_the_eigenbasis_once_per_point(monkeypatch):
+    # sld_solve rotates with @; every other rotation of drho is this einsum.
+    rotations = []
+    einsum = np.einsum
+    monkeypatch.setattr(np, "einsum", lambda spec, *ops, **kw: (
+        rotations.append(spec) if spec == "ij,ljk,km->lim" else None) or einsum(spec, *ops, **kw))
+    fam = replace(random_full_rank(d=3, nparams=2, seed=1), spectral=None)
+    for name in ("sld", "kmb", "rld", "cl"):
+        evaluate_metric(fam, [0.1, -0.2], name)
+    assert rotations == ["ij,ljk,km->lim"]
 
 
 def test_another_theta_recomputes_and_minus_zero_is_another_theta():
@@ -378,23 +405,38 @@ def test_another_theta_recomputes_and_minus_zero_is_another_theta():
     assert fam.point(plus).eig is not fam.point(minus).eig
 
 
-def test_a_replaced_or_gauged_family_has_its_own_point():
-    fam, calls = _counted(bloch3())
+@pytest.mark.parametrize("base,shape", [(STENCIL_BLOCH3, (13, 3)), (bloch3(), (1, 3))],
+                         ids=["stencil", "exact"])
+def test_a_replaced_or_gauged_family_has_its_own_point(base, shape):
+    fam, calls = _counted(base)
     theta = [0.5, 1.2, 0.5]
     c_l_information(fam, theta)
     for other in (replace(fam), apply_gauge(fam, zero_gauge(2))):
         assert other.point(theta).tangent_data is not fam.point(theta).tangent_data
-    assert calls["spectral"] == [(13, 3)] * 3
+    assert calls["spectral"] == [shape] * 3
 
 
 def test_a_point_whose_stencil_leaves_the_domain_raises_on_every_call():
-    fam, calls = _counted(bloch3())
+    fam, calls = _counted(STENCIL_BLOCH3)
     theta = [0.9999999, 0.7, 0.2]
     for _ in range(2):
         for name in METRIC_NAMES:
             with pytest.raises(DomainExit, match="leaves the domain"):
                 evaluate_metric(fam, theta, name)
     assert calls == {"evaluate": [], "spectral": []}
+
+
+def test_exact_tangents_give_the_near_bound_point_its_closed_forms():
+    # The same point with bloch3's exact tangents: nothing is evaluated off it.
+    fam, calls = _counted(bloch3())
+    r, t, _ = theta = [0.9999999, 0.7, 0.2]
+    out = evaluate_metrics(fam, theta, METRIC_NAMES)
+    for name, diag in (("sld", [1.0 / (1.0 - r * r), r * r, (r * np.sin(t)) ** 2]),
+                       ("cupsilon", [1.0 / (1.0 - r * r), 1.0, 1.0])):
+        # Within 1e-6 of sqrt(M_ii M_jj), the scale of entry (i, j) of a metric.
+        scale = np.sqrt(np.outer(diag, diag))
+        assert np.all(np.abs(out[name] - np.diag(diag)) <= 1e-6 * scale)
+    assert calls == {"evaluate": [(1, 3)], "spectral": [(1, 3)], "tangents": [(1, 3)]}
 
 
 def test_a_dropped_family_is_freed_without_the_cycle_collector():
@@ -600,3 +642,45 @@ def test_c_functions_work_elementwise(name):
         x = np.repeat([0.05, 0.3, 0.7, 0.93], 6)
         y = x * (1 + np.tile([2e-10, 3e-10, 4.5e-10, 6e-10, 8e-10, 9.5e-10], 4))
         assert np.array_equal(cf.c(x, y), 1.0 / x)
+
+
+def _close_pair(g, seed):
+    """A user family with frame exp(-i (H0 + t G)) and the constant spectrum
+    (0.45 + g/2, 0.45 - g/2, 0.1), with its exact tangents and the presentation
+    that carries its slopes."""
+    rng = np.random.default_rng(seed)
+    h0, gen = (_random_hermitian(rng, 3) for _ in range(2))
+    p = np.array([0.45 + g / 2, 0.45 - g / 2, 0.1])
+
+    def spectral(th):
+        th = np.asarray(th, dtype=float)
+        v, dv = unitary_slopes(h0 + th[..., :, None] * gen, gen[None])
+        return SpectralPresentation(eigenvalues=np.broadcast_to(p, v.shape[:-1]), eigenvectors=v,
+                                    eigenvalue_slopes=np.zeros(dv.shape[:-1]), eigenvector_slopes=dv)
+
+    def evaluate(th):
+        v = spectral(th).eigenvectors
+        return (v * p) @ v.conj().swapaxes(-1, -2)
+
+    def tangents(th):
+        sp = spectral(th)
+        x = (sp.eigenvector_slopes * p) @ sp.eigenvectors[..., None, :, :].conj().swapaxes(-1, -2)
+        return x + x.conj().swapaxes(-1, -2)
+
+    return ParametricFamily(dim=3, nparams=1, evaluate=evaluate, spectral=spectral,
+                            tangents=tangents, name=f"close-pair-{g}")
+
+
+@pytest.mark.parametrize("g", [1e-2, 1e-4, 1e-5])
+def test_exact_tangents_keep_the_perturbative_cl_of_a_close_pair(g):
+    # Without a presentation the overlaps are <w_j|drho|w_k> / g; the
+    # stencil's noise in drho (about 1e-10) is divided by g, exact tangents
+    # carry none. The presented C_L reads the frame's slopes directly.
+    for seed in range(5):
+        fam = _close_pair(g, seed)
+        presented = c_l_information(fam, [0.2])[0, 0]
+        perturbative = c_l_information(replace(fam, spectral=None), [0.2])[0, 0]
+        assert abs(perturbative - presented) <= 1e-9 * presented
+        if g == 1e-5:  # the stencil's error there is about 1e-5 relative
+            stencil = c_l_information(replace(fam, spectral=None, tangents=None), [0.2])[0, 0]
+            assert abs(stencil - presented) > 1e-8 * presented
