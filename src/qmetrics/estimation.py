@@ -3,8 +3,9 @@
 Connects the information matrices to operational meaning: the projective
 measurement built from the score operator attains the quantum bound, sampled
 outcomes feed a maximum-likelihood estimator (a 256-point grid scored from a
-log-Born table tabulated once per family, POVM and interval, then nested
-sub-grids, one stacked family evaluation each), and a Monte Carlo harness
+log-Born table tabulated once per family, POVM and interval, then safeguarded
+Fisher scoring from the multinomial score at one family point per step, with
+nested sub-grids where no score can be formed), and a Monte Carlo harness
 compares empirical variance against 1/(N F).
 """
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FlatLikelihood, ValidationError
+from .errors import DomainExit, FlatLikelihood, ValidationError
 from .families import ParametricFamily
 from .linalg import eig_hermitian
 from .metrics import _measured_fisher, born_probabilities, sld_information, validate_povm
@@ -90,19 +91,27 @@ def sample_outcomes(
 
 
 GRID_POINTS = 256
-# Points per refinement level, chosen by timing (random_full_rank d=4); the
-# fewest levels whose bracket, shrunk by 2 / (REFINE_POINTS - 1) per level, is
-# no wider than that of 60 ternary steps: k with (1/8)**k <= (2/3)**60, so 12.
+# Fisher scoring stops at a step no longer than SCORE_TOL * max(1, |t|), or
+# after SCORE_STEPS steps. Over 2400 seeded replicates (N = 10 000, bloch3
+# radial slices and random_full_rank d <= 4) the exact score took a median of
+# 3 steps and at most 7. The stencil's differencing noise moves its steps by
+# about 1e-11 near the root, so it took a median of 8 and at most 17.
+SCORE_TOL = 1e-12
+SCORE_STEPS = 24
+# The sub-grid fallback: points per level, chosen by timing (random_full_rank
+# d=4); the fewest levels whose bracket, shrunk by 2 / (REFINE_POINTS - 1) per
+# level, is no wider than that of 60 ternary steps: k with (1/8)**k <= (2/3)**60, so 12.
 REFINE_POINTS = 17
 REFINE_LEVELS = math.ceil(60 * math.log(2.0 / 3.0) / math.log(2.0 / (REFINE_POINTS - 1)))
 
 
-def _best_cells(points: np.ndarray, values: np.ndarray, mid: float) -> tuple[float, float]:
-    """The two cells of evenly spaced points around the best-scoring one, ties
-    broken toward mid; one cell when the best is the first or last point."""
+def _best_cells(points: np.ndarray, values: np.ndarray, mid: float) -> tuple[float, float, float]:
+    """The best-scoring of evenly spaced points, ties broken toward mid, and
+    the two cells around it: (a, best, b), with one cell when the best is the
+    first or last point."""
     candidates = np.flatnonzero(values >= values.max())
     best = int(candidates[np.argmin(np.abs(points[candidates] - mid))])
-    return points[max(best - 1, 0)], points[min(best + 1, points.size - 1)]
+    return points[max(best - 1, 0)], points[best], points[min(best + 1, points.size - 1)]
 
 
 class Likelihood:
@@ -146,21 +155,67 @@ class Likelihood:
         c = counts[counted]
         return counted, c, self.log_born[:, counted] @ c
 
+    def _score(self, t: float, elements: np.ndarray, c: np.ndarray) -> tuple[float, float] | None:
+        """The score g = sum_m c_m dp_m / p_m of the counted outcomes at t and
+        the information I = sum_m c_m (dp_m / p_m)^2, from one family point
+        (exact tangents, or the Richardson stencil). None where no scoring step
+        can be formed: I = 0 (a plateau, where no counted probability moves),
+        a counted outcome with probability 0, a non-finite g or I, or a stencil
+        leaving the domain. A g of exactly 0 with I > 0 is a root, not a plateau."""
+        try:
+            point = self.family.point([t])
+            rho, drho = point.rho, point.drho[0]
+        except DomainExit:
+            return None
+        p = born_probabilities(rho, elements)
+        if not np.all(p > 0.0):
+            return None
+        r = np.real(np.einsum("ij,mji->m", drho, elements)) / p
+        g, info = float(c @ r), float(c @ (r * r))
+        if not (math.isfinite(g) and 0.0 < info < math.inf):
+            return None
+        return g, info
+
     def estimate(self, counts) -> float:
-        """Maximum-likelihood estimate: from the two grid cells around the
-        best grid point (ties toward the interval midpoint), each of
-        REFINE_LEVELS levels scores REFINE_POINTS evenly spaced points of the
-        bracket and keeps the two cells around the best (ties toward the
-        bracket midpoint). Returns the final bracket's midpoint."""
+        """Maximum-likelihood estimate by safeguarded Fisher scoring.
+
+        Starts at the best grid point (ties toward the interval midpoint), in
+        the bracket of the two grid cells around it. Each step moves the end
+        of the bracket that the score g points away from to t and steps to
+        t + g / I (see _score), or to the bracket's midpoint when a step longer
+        than SCORE_TOL * max(1, |t|) leaves the bracket. The first step no
+        longer than that ends the search, inside the bracket, so a best grid
+        point at an end of the interval whose score points out is returned as
+        it is. Where no step can be formed, or after SCORE_STEPS steps,
+        REFINE_LEVELS levels of REFINE_POINTS-point sub-grids refine the
+        bracket (one stacked family evaluation each, keeping the two cells
+        around the best, ties toward the bracket midpoint) to its midpoint.
+        """
         counted, c, values = self._grid_scores(counts)
         finite = values[np.isfinite(values)]
         if finite.size == 0 or float(finite.max() - finite.min()) < 1e-12:
             raise FlatLikelihood("likelihood does not vary across the search grid")
-        a, b = _best_cells(self.grid, values, self.mid)
+        a, t, b = _best_cells(self.grid, values, self.mid)
         elements = self.elements[counted]
+        for _ in range(SCORE_STEPS):
+            score = self._score(t, elements, c)
+            if score is None:
+                break
+            g, info = score
+            if g > 0.0:
+                a = t
+            else:
+                b = t
+            tol = SCORE_TOL * max(1.0, abs(t))
+            new = t + g / info
+            if abs(new - t) > tol and not a < new < b:
+                new = (a + b) / 2.0
+            if abs(new - t) <= tol:
+                return min(max(new, a), b)
+            t = new
         for _ in range(REFINE_LEVELS):
             ts = np.linspace(a, b, REFINE_POINTS)
-            a, b = _best_cells(ts, self._log_born(ts, elements) @ c, (a + b) / 2.0)
+            a, _, b = _best_cells(ts, self._log_born(ts, elements) @ c, (a + b) / 2.0)
         return (a + b) / 2.0
 
 
@@ -168,9 +223,10 @@ def mle_1p(family: ParametricFamily, povm, counts, interval) -> float:
     """Maximum-likelihood estimate over a search interval.
 
     Dense 256-point grid, ties breaking toward the interval midpoint, then
-    12 levels of 17-point sub-grids, starting from the two grid cells around
-    the best point, which leave a bracket no wider than 60 ternary steps
-    would. Counts must be finite and non-negative, one per POVM element.
+    safeguarded Fisher scoring inside the two grid cells around the best
+    point, with nested sub-grids where the score cannot be formed (see
+    Likelihood.estimate). Counts must be finite and non-negative, one per
+    POVM element.
     """
     return Likelihood(family, povm, interval).estimate(counts)
 

@@ -295,10 +295,12 @@ class FamilyPoint:
         if family.tangents is None:
             rho, drho = _stencil(family, family._evaluate_stack, self.theta)
         else:
-            rho = family._evaluate_stack(self.theta[None])[0]
+            # Tangents first: a built-in family keeps the presentation they
+            # come from, and its evaluate reuses that frame (see _exact).
             shape = (1, family.nparams, family.dim, family.dim)
             drho = _stack_of(family, "tangents", np.asarray(
                 family.tangents(self.theta[None]), dtype=complex), shape)[0]
+            rho = family._evaluate_stack(self.theta[None])[0]
         _read_only(rho, drho)
         return rho, drho
 
@@ -444,23 +446,35 @@ def directional_family(family: ParametricFamily, theta, v) -> ParametricFamily:
 # Built-in families
 
 
-def _exact(spectral: Callable[[np.ndarray], SpectralPresentation]) -> dict:
+def _exact(spectral: Callable[[np.ndarray], SpectralPresentation],
+           evaluate: Optional[Callable[[np.ndarray, Optional[SpectralPresentation]], np.ndarray]] = None,
+           ) -> dict:
     """The spectral and tangents fields of a built-in family rho = V P V^dagger
     from its presentation with slopes: tangents dV P V^dagger + V dP V^dagger + V P dV^dagger.
 
     The presentation of the last stack asked for is kept, read-only, so a
-    point's tangents and its presentation come from one computation."""
+    point's tangents and its presentation come from one computation. evaluate,
+    when given, becomes the evaluate field: it is called with the stack and
+    the kept presentation when that is of the same stack (None otherwise), so
+    a state whose frame costs a decomposition takes it from there."""
     last = [None]
+
+    def kept(th):
+        entry = last[0]
+        return entry[1] if entry is not None and entry[0] == (th.shape, th.tobytes()) else None
 
     def presented(th):
         th = np.asarray(th, dtype=float)
-        key = (th.shape, th.tobytes())
-        entry = last[0]
-        if entry is None or entry[0] != key:
+        sp = kept(th)
+        if sp is None:
             sp = spectral(th)
             _read_only(sp.eigenvalues, sp.eigenvectors, sp.eigenvalue_slopes, sp.eigenvector_slopes)
-            entry = last[0] = key, sp
-        return entry[1]
+            last[0] = (th.shape, th.tobytes()), sp
+        return sp
+
+    def evaluated(th):
+        th = np.asarray(th, dtype=float)
+        return evaluate(th, kept(th))
 
     def tangents(th):
         # (dV P + V dP / 2) V^dagger plus its adjoint: Hermitian by construction.
@@ -470,7 +484,10 @@ def _exact(spectral: Callable[[np.ndarray], SpectralPresentation]) -> dict:
              + v * (sp.eigenvalue_slopes[..., None, :] / 2)) @ v.conj().swapaxes(-1, -2)
         return x + x.conj().swapaxes(-1, -2)
 
-    return {"spectral": presented, "tangents": tangents}
+    fields = {"spectral": presented, "tangents": tangents}
+    if evaluate is not None:
+        fields["evaluate"] = evaluated
+    return fields
 
 
 # bloch3's frame slopes along (r, theta, phi) are L_l V R_l: 0, V J and S V,
@@ -653,10 +670,14 @@ def random_full_rank(d: int = 3, nparams: int = 1, seed: int = 0) -> ParametricF
         total = q.sum(axis=-1, keepdims=True)
         return q / total, arg, total
 
-    def evaluate(th):
-        th = np.asarray(th, dtype=float)
-        v = unitary(generator(th))
-        rho = (v * spectrum(th)[0][..., None, :]) @ v.conj().swapaxes(-1, -2)
+    def evaluate(th, sp):
+        # The kept presentation's frame is unitary(generator(th))'s bits (see
+        # linalg.unitary_slopes) and its eigenvalues are spectrum(th)'s.
+        if sp is None:
+            v, p = unitary(generator(th)), spectrum(th)[0]
+        else:
+            v, p = sp.eigenvectors, sp.eigenvalues
+        rho = (v * p[..., None, :]) @ v.conj().swapaxes(-1, -2)
         # The frame is unitary only to ~d eps; differencing would amplify the
         # resulting trace error past the traceless-tangent check.
         return rho / np.real(np.trace(rho, axis1=-2, axis2=-1))[..., None, None]
@@ -672,9 +693,9 @@ def random_full_rank(d: int = 3, nparams: int = 1, seed: int = 0) -> ParametricF
                                     eigenvalue_slopes=dp, eigenvector_slopes=dv)
 
     return ParametricFamily(
-        dim=d, nparams=nparams, evaluate=evaluate,
+        dim=d, nparams=nparams,
         domain=((-math.inf, math.inf),) * nparams, name=f"random-full-rank-{d}-{seed}",
-        **_exact(spectral),
+        **_exact(spectral, evaluate),
     )
 
 
@@ -688,8 +709,8 @@ def random_pure(d: int = 3, nparams: int = 1, seed: int = 0) -> ParametricFamily
     p = np.zeros(d)
     p[0] = 1.0
 
-    def evaluate(th):
-        psi = unitary(generator(np.asarray(th, dtype=float)))[..., :, 0]
+    def evaluate(th, sp):
+        psi = (unitary(generator(th)) if sp is None else sp.eigenvectors)[..., :, 0]
         # Normalised because the frame is unitary only to ~d eps (see above);
         # sqrt(re.re + im.im) is the sum np.linalg.norm forms for one vector.
         re, im = psi.real[..., None, :], psi.imag[..., None, :]
@@ -704,9 +725,9 @@ def random_pure(d: int = 3, nparams: int = 1, seed: int = 0) -> ParametricFamily
                                     eigenvector_slopes=dv)
 
     return ParametricFamily(
-        dim=d, nparams=nparams, evaluate=evaluate,
+        dim=d, nparams=nparams,
         domain=((-math.inf, math.inf),) * nparams, name=f"random-pure-{d}-{seed}",
-        **_exact(spectral),
+        **_exact(spectral, evaluate),
     )
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,10 +8,9 @@ import qmetrics.estimation
 import qmetrics.families
 import qmetrics.linalg
 import qmetrics.metrics
-from qmetrics.errors import FlatLikelihood, ValidationError
+from qmetrics.errors import DomainExit, FlatLikelihood, ValidationError
 from qmetrics.estimation import (
-    REFINE_LEVELS,
-    REFINE_POINTS,
+    SCORE_STEPS,
     Likelihood,
     cramer_rao_experiment,
     equality_condition_residual,
@@ -259,22 +259,76 @@ def test_ties_on_a_likelihood_plateau_break_toward_the_midpoint():
     assert abs(likelihood.estimate([500, 500])) <= 0.4 / 255 + 1e-12
 
 
-def test_refinement_makes_one_stacked_evaluation_per_level():
+def test_refinement_scores_one_point_per_step():
+    # An exact-tangent family: each scoring step reads the tangents and the
+    # state at one point, and no sub-grid stack is evaluated.
     base = random_full_rank(d=3, nparams=1, seed=9)
     calls = []
 
-    def evaluate(th):
-        calls.append(np.shape(th))
-        return base.evaluate(th)
+    def counted(name, fn):
+        return lambda th: calls.append((name, np.shape(th))) or fn(th)
 
-    fam = ParametricFamily(dim=3, nparams=1, evaluate=evaluate, domain=base.domain, name="counted")
+    fam = replace(base, evaluate=counted("evaluate", base.evaluate),
+                  tangents=counted("tangents", base.tangents))
     povm = sld_optimal_povm(base, [0.1])
     likelihood = Likelihood(fam, povm, (-0.3, 0.5))
     counts = sample_outcomes(base, [0.1], povm, 10_000, seed=3)
     calls.clear()
     assert likelihood.estimate(counts) == mle_1p(base, povm, counts, (-0.3, 0.5))
-    assert calls == [(REFINE_POINTS, 1)] * REFINE_LEVELS
-    assert REFINE_LEVELS == 12
+    steps = len(calls) // 2
+    assert 1 <= steps <= SCORE_STEPS
+    assert calls == [("tangents", (1, 1)), ("evaluate", (1, 1))] * steps
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(31)
+    for r in rng.uniform(0.2, 0.8, size=2):
+        yield radial_slice(r), 0.0, (-0.15, 0.15)
+    for d in (2, 3, 4):
+        theta = float(rng.uniform(-0.2, 0.2))
+        yield random_full_rank(d=d, nparams=1, seed=500 + d), theta, (theta - 0.4, theta + 0.4)
+
+
+def _oracle_estimates():
+    """(family, POVM, interval, counts, estimate) for 5 replicates of each oracle case."""
+    for fam, theta, interval in _oracle_cases():
+        povm = sld_optimal_povm(fam, [theta])
+        likelihood = Likelihood(fam, povm, interval)
+        for r in range(5):
+            counts = sample_outcomes(fam, [theta], povm, 10_000, seed=[13, r])
+            yield fam, povm, interval, counts, likelihood.estimate(counts)
+
+
+def test_exact_and_stencil_scores_give_the_same_estimate():
+    for fam, povm, interval, counts, est in _oracle_estimates():
+        stencil = mle_1p(replace(fam, tangents=None), povm, counts, interval)
+        assert abs(est - stencil) < 1e-8, fam.name
+
+
+def test_scoring_agrees_with_the_sub_grid_fallback(monkeypatch):
+    for fam, povm, interval, counts, est in _oracle_estimates():
+        with monkeypatch.context() as m:
+            m.setattr(qmetrics.estimation, "SCORE_STEPS", 0)
+            fallback = mle_1p(fam, povm, counts, interval)
+        assert est != fallback
+        assert abs(est - fallback) < 1e-7, fam.name
+
+
+def test_a_stencil_leaving_the_domain_falls_back_to_sub_grids(monkeypatch):
+    # The truth lies in the last grid cell and the best grid point is the
+    # interval's upper end, 2e-6 below the domain bound 1: the stencil there
+    # (step 1e-5) leaves the domain, and the sub-grid levels refine instead.
+    fam = replace(diagonal_simplex(), tangents=None)
+    povm, interval = basis_povm(2), (0.5, 1.0 - 2e-6)
+    likelihood = Likelihood(fam, povm, interval)
+    counts = sample_outcomes(fam, [0.99999], povm, 10_000, seed=4)
+    assert int(np.argmax(likelihood._grid_scores(counts)[2])) == likelihood.grid.size - 1
+    with pytest.raises(DomainExit):
+        fam.point([likelihood.grid[-1]]).drho
+    est = likelihood.estimate(counts)
+    monkeypatch.setattr(qmetrics.estimation, "SCORE_STEPS", 0)
+    assert est == likelihood.estimate(counts)
+    assert likelihood.grid[-2] <= est <= likelihood.grid[-1]
 
 
 def test_replicates_are_mle_of_their_own_stream():

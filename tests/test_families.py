@@ -402,6 +402,22 @@ def test_a_built_in_family_keeps_its_last_presentation_read_only():
     assert fam.spectral(np.array([0.1, -0.2])) is not sp
 
 
+@pytest.mark.parametrize("build", [random_full_rank, random_pure])
+def test_a_fresh_point_decomposes_its_generator_once(build, monkeypatch):
+    # The state takes its frame from the presentation its tangents came from.
+    fam, theta = build(d=4, nparams=2, seed=5), np.array([0.3, -0.1])
+    shapes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: shapes.append(np.shape(m)) or eigh(m))
+    point = fam.point(theta)
+    point.rho, point.drho
+    assert shapes == [(1, 4, 4)]
+    monkeypatch.undo()
+    fresh = build(d=4, nparams=2, seed=5)
+    assert point.rho.tobytes() == fresh.evaluate(theta[None])[0].tobytes()
+    assert point.rho.tobytes() == fresh.rho(theta).tobytes()
+
+
 def test_a_presentation_without_slopes_is_differenced_and_wrong_shapes_raise():
     base, theta = bloch3(), [0.5, 1.2, 0.5]
 
