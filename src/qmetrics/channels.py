@@ -1,10 +1,11 @@
-"""Trace-preserving completely positive maps as Kraus operator sets.
+"""Trace-preserving completely positive maps as Kraus operator sets, acted on
+as one (K, d, d) stack of operators.
 
 Includes the depolarizing channel (generalized Pauli twirl realization),
 random channels for fuzzing monotonicity claims, canonical Kraus operators
 (the set whose Gram matrix against a reference state is diagonal), the
-channel-level information bound built from their derivatives, and pushforward
-of state families.
+channel-level information bound and the induced state family built from
+them, and pushforward of state families.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from .errors import (
     ParamOutOfDomain,
     ValidationError,
 )
-from .families import ParametricFamily, SpectralPresentation
-from .linalg import RANK_TOL, central_difference, eig_hermitian, fix_phases
+from .families import ParametricFamily, SpectralPresentation, validate_density
+from .linalg import HERM_TOL, RANK_TOL, central_difference, eig_hermitian, fix_phases
 from .metrics import evaluate_metric
 
 
@@ -44,9 +45,9 @@ class KrausChannel:
         return self.operators[0].shape[0]
 
     def tp_defect(self) -> float:
-        d = self.dim
-        total = sum(e.conj().T @ e for e in self.operators)
-        return float(np.max(np.abs(total - np.eye(d))))
+        ops = np.asarray(self.operators)
+        total = (ops.conj().swapaxes(-1, -2) @ ops).sum(axis=0)
+        return float(np.max(np.abs(total - np.eye(self.dim))))
 
 
 @dataclass(frozen=True)
@@ -65,16 +66,8 @@ def apply_channel(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"channel dimension {ch.dim} does not match state shape {rho.shape}"
         )
-    out = np.zeros_like(rho)
-    for e in ch.operators:
-        out += e @ rho @ e.conj().T
-    return out
-
-
-def _shift_clock(d: int) -> tuple[np.ndarray, np.ndarray]:
-    x = np.roll(np.eye(d, dtype=complex), 1, axis=0)
-    z = np.diag(np.exp(2j * math.pi * np.arange(d) / d))
-    return x, z
+    ops = np.asarray(ch.operators)
+    return (ops @ rho[..., None, :, :] @ ops.conj().swapaxes(-1, -2)).sum(axis=-3)
 
 
 def depolarizing_channel(d: int, r: float) -> KrausChannel:
@@ -83,18 +76,17 @@ def depolarizing_channel(d: int, r: float) -> KrausChannel:
     lo = -1.0 / (d * d - 1)
     if not (lo - 1e-12 <= r <= 1.0 + 1e-12):
         raise ParamOutOfDomain(f"depolarizing parameter {r} outside [{lo}, 1]")
-    x, z = _shift_clock(d)
-    w_id = r + (1.0 - r) / (d * d)
-    w_rest = (1.0 - r) / (d * d)
-    ops = [math.sqrt(max(w_id, 0.0)) * np.eye(d, dtype=complex)]
-    xa = np.eye(d, dtype=complex)
-    for a in range(d):
-        zb = np.eye(d, dtype=complex)
-        for b in range(d):
-            if (a, b) != (0, 0):
-                ops.append(math.sqrt(max(w_rest, 0.0)) * (xa @ zb))
-            zb = zb @ z
-        xa = xa @ x
+    x = np.roll(np.eye(d, dtype=complex), 1, axis=0)  # shift
+    z = np.diag(np.exp(2j * math.pi * np.arange(d) / d))  # clock
+    xs, zs = [np.eye(d, dtype=complex)], [np.eye(d, dtype=complex)]
+    for _ in range(d - 1):  # the powers as running products
+        xs.append(xs[-1] @ x)
+        zs.append(zs[-1] @ z)
+    weights = np.full(d * d, (1.0 - r) / (d * d))
+    weights[0] += r
+    # X^a Z^b for a, b < d in row-major order, X^0 Z^0 = I first
+    paulis = (np.array(xs)[:, None] @ np.array(zs)).reshape(d * d, d, d)
+    ops = np.sqrt(np.maximum(weights, 0.0))[:, None, None] * paulis
     return KrausChannel(operators=tuple(ops), eigenvalue_affine=(r, (1.0 - r) / d))
 
 
@@ -104,8 +96,7 @@ def random_tpcp(d: int, kraus_count: int, seed: int = 0) -> KrausChannel:
     rng = np.random.default_rng(seed)
     z = rng.normal(size=(kraus_count * d, d)) + 1j * rng.normal(size=(kraus_count * d, d))
     q, _ = np.linalg.qr(z)
-    ops = tuple(q[k * d:(k + 1) * d, :].copy() for k in range(kraus_count))
-    return KrausChannel(operators=ops)
+    return KrausChannel(operators=tuple(q.reshape(kraus_count, d, d)))
 
 
 def unitary_channel(u: np.ndarray) -> KrausChannel:
@@ -155,59 +146,62 @@ def pushforward_family(ch: KrausChannel, family: ParametricFamily) -> Parametric
     )
 
 
+def _reference_state(chf: ChannelFamily, rho0) -> np.ndarray:
+    rho0 = np.asarray(rho0, dtype=complex)
+    if rho0.shape != (chf.dim, chf.dim):
+        raise DimensionMismatch(
+            f"channel dimension {chf.dim} does not match reference state shape {rho0.shape}"
+        )
+    return validate_density(rho0)
+
+
+def _canonical(ch: KrausChannel, rho0: np.ndarray) -> np.ndarray:
+    """canonical_kraus as a (k, d, d) stack, rho0 taken as checked."""
+    ops = np.asarray(ch.operators)
+    gram = np.trace((ops @ rho0)[:, None] @ ops.conj().swapaxes(-1, -2), axis1=-2, axis2=-1)
+    es = eig_hermitian(gram)
+    if float(es.values.min()) < -1e-8:
+        raise GramNotPSD(f"Gram matrix has eigenvalue {es.values.min():.3e}")
+    coeffs = np.conj(fix_phases(es.vectors)[:, es.values > RANK_TOL])
+    # U_k = sum_j conj(u_jk) E_j, added over j in order
+    return (coeffs[:, :, None, None] * ops[:, None]).sum(axis=0)
+
+
 def canonical_kraus(chf: ChannelFamily, theta: float, rho0: np.ndarray) -> list[np.ndarray]:
-    """Kraus set with diagonal Gram matrix against rho0.
+    """Kraus set with diagonal Gram matrix against the density matrix rho0.
 
     Diagonalizes G_jk = tr(E_j rho0 E_k^dagger) and mixes the operators by the
     conjugated eigenvector matrix; branches with vanishing Gram eigenvalue are
     dropped. Phases are pinned by the deterministic eigenvector gauge.
     """
-    ch = chf.evaluate(theta)
-    ops = ch.operators
-    n = len(ops)
-    gram = np.empty((n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            gram[j, k] = np.trace(ops[j] @ rho0 @ ops[k].conj().T)
-    es = eig_hermitian(gram)
-    if float(es.values.min()) < -1e-8:
-        raise GramNotPSD(f"Gram matrix has eigenvalue {es.values.min():.3e}")
-    u = fix_phases(es.vectors)
-    out = []
-    for k in range(n):
-        if es.values[k] <= RANK_TOL:
-            continue
-        ups = sum(np.conj(u[j, k]) * ops[j] for j in range(n))
-        out.append(ups)
-    return out
+    return list(_canonical(chf.evaluate(theta), _reference_state(chf, rho0)))
 
 
-def _align_branch(candidate: np.ndarray, reference: np.ndarray, rho0: np.ndarray) -> np.ndarray:
-    """Multiply candidate by the unit phase making tr(candidate rho0 ref^dagger)
-    real non-negative (the free canonical-Kraus phase, fixed for differencing)."""
-    z = complex(np.trace(candidate @ rho0 @ reference.conj().T))
-    if abs(z) < 1e-14:
-        return candidate
-    return candidate * (np.conj(z) / abs(z))
+def _canonical_branches(chf: ChannelFamily, thetas, rho0: np.ndarray, reference=None):
+    """Canonical Kraus sets at the points thetas, an (n, k, d, d) stack, with the
+    unit phases making each tr(U_k rho0 R_k^dagger) real non-negative (fixed for
+    differencing); R is reference (k, d, d), else the first point's set."""
+    sets = [_canonical(chf.evaluate(float(t)), rho0) for t in np.ravel(thetas)]
+    reference = sets[0] if reference is None else reference
+    counts = sorted({len(ops) for ops in sets} | {len(reference)})
+    if len(counts) > 1:
+        raise NumericalError(f"canonical branch count changes across theta: {counts}")
+    ops = np.reshape(sets, (len(sets),) + reference.shape)
+    z = np.trace(ops @ rho0 @ reference.conj().swapaxes(-1, -2), axis1=-2, axis2=-1)
+    a = np.hypot(z.real, z.imag)  # abs of each overlap; np.abs can differ in the last bit
+    return ops * np.divide(np.conj(z), a, out=np.ones_like(z), where=a >= 1e-14)[..., None, None]
 
 
 def sm_channel_bound(chf: ChannelFamily, theta: float, rho0: np.ndarray) -> float:
     """Channel-level information bound 4 sum_k tr(U'_k rho0 U'_k^dagger) from
-    Richardson central differences of the phase-aligned canonical Kraus
-    operators."""
+    Richardson central differences of the canonical Kraus operators, their
+    phases aligned to the branches at theta."""
     if not math.isfinite(theta):
         raise ValidationError(f"channel parameter theta must be finite, got {theta}")
-
-    def aligned(thetas):
-        branches = [canonical_kraus(chf, t, rho0) for (t,) in thetas]
-        base = branches[0]  # theta itself (see central_difference): the phase reference
-        if any(len(ops) != len(base) for ops in branches):
-            raise NumericalError("canonical branch count changed across the differencing step")
-        return np.array([[_align_branch(u, ref, rho0) for u, ref in zip(ops, base)]
-                         for ops in branches])
-
-    der = central_difference(aligned, theta)[1][0]
-    return 4.0 * float(np.real(sum(np.trace(u @ rho0 @ u.conj().T) for u in der)))
+    rho0 = _reference_state(chf, rho0)
+    der = central_difference(lambda ts: _canonical_branches(chf, ts, rho0), theta)[1][0]
+    traces = np.trace(der @ rho0 @ der.conj().swapaxes(-1, -2), axis1=-2, axis2=-1)
+    return 4.0 * float(np.real(sum(traces)))  # summed over the branches in order
 
 
 def induced_state_family(
@@ -216,51 +210,51 @@ def induced_state_family(
     """State family theta -> channel_theta(|psi0><psi0|) presented in the
     canonical-Kraus gauge, phases aligned to the branches at base_theta.
 
-    The frame vectors are U_k |psi0> / sqrt(p_k); if fewer branches than the
-    dimension survive, the frame is completed deterministically with zero
-    eigenvalues.
+    psi0, a finite nonzero vector, is normalised. The frame vectors are
+    U_k |psi0> / sqrt(p_k); if fewer branches than the dimension survive, the
+    frame is completed deterministically with zero eigenvalues. States are
+    divided by their trace, which the channel must keep to HERM_TOL.
     """
+    if not math.isfinite(base_theta):
+        raise ValidationError(f"base theta must be finite, got {base_theta}")
+    d, name = chf.dim, f"induced({chf.name})"
     psi0 = np.asarray(psi0, dtype=complex)
+    if psi0.shape != (d,):
+        raise DimensionMismatch(f"channel dimension {d} does not match vector shape {psi0.shape}")
+    if not (np.isfinite(psi0).all() and psi0.any()):
+        raise ValidationError(f"reference vector must be finite and nonzero, got {psi0}")
     psi0 = psi0 / np.linalg.norm(psi0)
     rho0 = np.outer(psi0, psi0.conj())
-    d = chf.dim
-    base_ops = canonical_kraus(chf, base_theta, rho0)
+    base = _canonical(chf.evaluate(base_theta), rho0)
 
-    # canonical_kraus takes one theta at a time, so both callables loop over
-    # the points of a stack.
+    # chf.evaluate takes one theta at a time, so evaluate loops over the points.
     def evaluate(th):
         ts = np.asarray(th, dtype=float)[..., 0]
-        states = [apply_channel(chf.evaluate(float(t)), rho0) for t in ts.ravel()]
-        return np.reshape(states, ts.shape + (d, d))
-
-    def present(t):
-        ops = canonical_kraus(chf, t, rho0)
-        if len(ops) != len(base_ops):
-            raise NumericalError("canonical branch count changed across the family")
-        cols, probs = [], []
-        for k, ups in enumerate(ops):
-            ups = _align_branch(ups, base_ops[k], rho0)
-            vec = ups @ psi0
-            p = float(np.real(np.vdot(vec, vec)))
-            probs.append(p)
-            cols.append(vec / math.sqrt(p))
-        frame = np.stack(cols, axis=1)
-        if frame.shape[1] < d:
-            # complete with an orthonormal basis of the unused subspace
-            q, _ = np.linalg.qr(np.concatenate([frame, np.eye(d, dtype=complex)], axis=1))
-            frame = np.concatenate([frame, q[:, len(cols):d]], axis=1)
-            probs += [0.0] * (d - len(cols))
-        return np.array(probs), frame
+        states = np.reshape([apply_channel(chf.evaluate(float(t)), rho0) for t in ts.ravel()],
+                            ts.shape + (d, d))
+        traces = np.real(np.trace(states, axis1=-2, axis2=-1))[..., None, None]
+        if np.any(np.abs(traces - 1.0) > HERM_TOL):
+            raise ValidationError(f"{name}: the channel does not preserve trace at theta = {th}")
+        return states / traces
 
     def spectral(th):
         ts = np.asarray(th, dtype=float)[..., 0]
-        probs, frames = zip(*(present(float(t)) for t in ts.ravel()))
-        return SpectralPresentation(eigenvalues=np.reshape(probs, ts.shape + (d,)),
-                                    eigenvectors=np.reshape(frames, ts.shape + (d, d)))
+        vecs = _canonical_branches(chf, ts, rho0, base) @ psi0  # (n, k, d)
+        probs = np.real(np.sum(vecs.conj() * vecs, axis=-1))
+        frames = (vecs / np.sqrt(probs)[..., None]).swapaxes(-1, -2)
+        k = probs.shape[-1]
+        if k < d:
+            # complete with an orthonormal basis of the unused subspace
+            eye = np.broadcast_to(np.eye(d), frames.shape[:-1] + (d,))
+            q = np.linalg.qr(np.concatenate([frames, eye], axis=-1))[0]
+            frames = np.concatenate([frames, q[..., k:]], axis=-1)
+            probs = np.concatenate([probs, np.zeros(probs.shape[:-1] + (d - k,))], axis=-1)
+        return SpectralPresentation(eigenvalues=probs.reshape(ts.shape + (d,)),
+                                    eigenvectors=frames.reshape(ts.shape + (d, d)))
 
     return ParametricFamily(
         dim=d, nparams=1, evaluate=evaluate, spectral=spectral,
-        domain=((-math.inf, math.inf),), name=f"induced({chf.name})",
+        domain=((-math.inf, math.inf),), name=name,
     )
 
 

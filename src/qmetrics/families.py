@@ -41,8 +41,12 @@ from .linalg import (
 
 
 def validate_density(rho: np.ndarray) -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity (within tolerance)."""
+    """Check shape, finiteness, Hermiticity, unit trace and positivity (within tolerance)."""
     rho = np.asarray(rho, dtype=complex)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ValidationError(f"density matrix must be square, got shape {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise ValidationError("density matrix has non-finite entries")
     if herm_defect(rho) > HERM_TOL:
         raise NotHermitian(f"density matrix deviates from Hermitian by {herm_defect(rho):.3e}")
     tr = complex(np.trace(rho))

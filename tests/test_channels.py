@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qmetrics.channels import (
     ChannelFamily,
+    KrausChannel,
     apply_channel,
     canonical_kraus,
     depolarizing_channel,
@@ -17,10 +18,24 @@ from qmetrics.channels import (
     sm_channel_bound,
     unitary_channel,
 )
-from qmetrics.errors import DimensionMismatch, NotHermitian, ParamOutOfDomain, ValidationError
-from qmetrics.families import random_full_rank, rot3_mixture, validate_density
-from qmetrics.linalg import unitary
-from qmetrics.metrics import c_l_information, sld_information
+from qmetrics.cli import CHANNEL_FAMILIES
+from qmetrics.errors import (
+    DimensionMismatch,
+    NotHermitian,
+    NumericalError,
+    ParamOutOfDomain,
+    ValidationError,
+)
+from qmetrics.families import _random_hermitian, random_full_rank, rot3_mixture, validate_density
+from qmetrics.linalg import (
+    HERM_TOL,
+    RANK_TOL,
+    central_difference,
+    eig_hermitian,
+    fix_phases,
+    unitary,
+)
+from qmetrics.metrics import c_l_information, c_upsilon_states, evaluate_metrics, sld_information
 
 
 def plus_state():
@@ -183,8 +198,6 @@ def test_channel_bound_matches_induced_family_lower_bound():
     c, s = math.cos(0.6), math.sin(0.6)
 
     def evaluate(t):
-        from qmetrics.channels import KrausChannel
-
         return KrausChannel(operators=(c * unitary(t * g1), s * unitary((0.4 + 0.7 * t) * g2)))
 
     chf = ChannelFamily(dim=2, evaluate=evaluate, name="two-branch")
@@ -197,3 +210,230 @@ def test_channel_bound_matches_induced_family_lower_bound():
     # and the bound dominates the SLD information of the output family
     h = sld_information(induced, [t0])[0, 0]
     assert h <= bound + 1e-6
+
+
+# The per-operator forms that channels.py replaced with (K, d, d) stacks, kept
+# as the reference the stacked code reproduces bit for bit.
+
+
+def _apply_reference(ch, rho):
+    out = np.zeros_like(rho)
+    for e in ch.operators:
+        out += e @ rho @ e.conj().T
+    return out
+
+
+def _depolarizing_reference(d, r):
+    x = np.roll(np.eye(d, dtype=complex), 1, axis=0)
+    z = np.diag(np.exp(2j * math.pi * np.arange(d) / d))
+    ops = [math.sqrt(max(r + (1.0 - r) / (d * d), 0.0)) * np.eye(d, dtype=complex)]
+    xa = np.eye(d, dtype=complex)
+    for a in range(d):
+        zb = np.eye(d, dtype=complex)
+        for b in range(d):
+            if (a, b) != (0, 0):
+                ops.append(math.sqrt(max((1.0 - r) / (d * d), 0.0)) * (xa @ zb))
+            zb = zb @ z
+        xa = xa @ x
+    return ops
+
+
+def _canonical_reference(ch, rho0):
+    ops = ch.operators
+    n = len(ops)
+    gram = np.empty((n, n), dtype=complex)
+    for j in range(n):
+        for k in range(n):
+            gram[j, k] = np.trace(ops[j] @ rho0 @ ops[k].conj().T)
+    es = eig_hermitian(gram)
+    u = fix_phases(es.vectors)
+    return [sum(np.conj(u[j, k]) * ops[j] for j in range(n))
+            for k in range(n) if es.values[k] > RANK_TOL]
+
+
+def _align_branch(candidate, reference, rho0):
+    z = complex(np.trace(candidate @ rho0 @ reference.conj().T))
+    if abs(z) < 1e-14:
+        return candidate
+    return candidate * (np.conj(z) / abs(z))
+
+
+def _sm_bound_reference(chf, theta, rho0):
+    def aligned(thetas):
+        branches = [_canonical_reference(chf.evaluate(t), rho0) for (t,) in thetas]
+        return np.array([[_align_branch(u, ref, rho0) for u, ref in zip(ops, branches[0])]
+                         for ops in branches])
+
+    der = central_difference(aligned, theta)[1][0]
+    return 4.0 * float(np.real(sum(np.trace(u @ rho0 @ u.conj().T) for u in der)))
+
+
+def random_mixed_state(rng, d):
+    x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = x @ x.conj().T
+    return rho / np.trace(rho).real
+
+
+def drifting_family(ch, h):
+    """theta -> the channel with Kraus operators E_k exp(-i theta h)."""
+    return ChannelFamily(
+        dim=ch.dim, evaluate=lambda t: KrausChannel(tuple(e @ unitary(t * h) for e in ch.operators))
+    )
+
+
+def test_canonical_kraus_and_bound_equal_the_per_branch_reference_bit_for_bit():
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        d, k = int(rng.integers(2, 5)), int(rng.integers(1, 5))
+        chf = drifting_family(random_tpcp(d, k, seed=seed), _random_hermitian(rng, d))
+        rho0 = random_mixed_state(rng, d)
+        theta = float(rng.uniform(-1.0, 1.0))
+        ops, ref = canonical_kraus(chf, theta, rho0), _canonical_reference(chf.evaluate(theta), rho0)
+        assert len(ops) == len(ref) == k
+        assert all(np.array_equal(a, b) for a, b in zip(ops, ref))
+        assert sm_channel_bound(chf, theta, rho0) == _sm_bound_reference(chf, theta, rho0)
+
+
+def test_depolarizing_operators_equal_the_per_operator_reference_bit_for_bit():
+    for d in (2, 3, 4, 5):
+        for r in (1.0, 0.35, 0.0, -1.0 / (d * d - 1)):
+            ops = depolarizing_channel(d, r).operators
+            ref = _depolarizing_reference(d, r)
+            assert len(ops) == len(ref) == d * d
+            assert all(np.array_equal(a, b) for a, b in zip(ops, ref))
+
+
+def test_apply_channel_equals_the_operator_loop_bit_for_bit():
+    channels = [random_tpcp(d, k, seed=10 * d + k) for d in (2, 3, 4) for k in (1, 2, 3, 4)]
+    channels += [depolarizing_channel(3, r) for r in (-0.1, 0.35, 1.0)]  # K = 9
+    rng = np.random.default_rng(5)
+    for ch in channels:
+        states = np.array([random_mixed_state(rng, ch.dim) for _ in range(6)])
+        for rho in (states[0], states.reshape(2, 3, ch.dim, ch.dim)):
+            assert np.array_equal(apply_channel(ch, rho), _apply_reference(ch, rho))
+    assert len(channels[-1].operators) == 9
+
+
+def mixed_rotation():
+    return CHANNEL_FAMILIES["mixed-rotation"](0)
+
+
+@pytest.mark.parametrize("call", [canonical_kraus, sm_channel_bound])
+def test_reference_state_of_trace_two_is_rejected(call):
+    # sm_channel_bound used to return 4.99 for the identity.
+    with pytest.raises(ValidationError, match="trace"):
+        call(mixed_rotation(), 0.3, np.eye(2))
+
+
+@pytest.mark.parametrize("call", [canonical_kraus, sm_channel_bound])
+def test_reference_state_with_a_negative_eigenvalue_is_rejected(call):
+    # sm_channel_bound used to return 2.56 for it.
+    with pytest.raises(ValidationError, match="negative eigenvalue"):
+        call(mixed_rotation(), 0.3, np.diag([1.5, -0.5]))
+
+
+@pytest.mark.parametrize("call", [canonical_kraus, sm_channel_bound])
+def test_reference_state_of_the_wrong_size_is_rejected(call):
+    # It used to raise a raw numpy ValueError.
+    with pytest.raises(DimensionMismatch):
+        call(mixed_rotation(), 0.3, np.eye(3) / 3)
+
+
+@pytest.mark.parametrize("call", [canonical_kraus, sm_channel_bound])
+def test_reference_state_with_a_nan_entry_is_rejected(call):
+    # sm_channel_bound used to return 0.0 for it.
+    with pytest.raises(ValidationError, match="non-finite"):
+        call(mixed_rotation(), 0.3, np.array([[math.nan, 0.0], [0.0, 1.0]]))
+
+
+def test_reference_vector_of_the_wrong_size_is_rejected():
+    with pytest.raises(DimensionMismatch):
+        induced_state_family(mixed_rotation(), np.ones(3) / math.sqrt(3), 0.3)
+    with pytest.raises(DimensionMismatch):
+        induced_state_family(mixed_rotation(), np.eye(2) / 2, 0.3)
+
+
+@pytest.mark.parametrize("psi0", [np.zeros(2), np.array([math.nan, 1.0]), np.array([math.inf, 0.0])])
+def test_zero_or_non_finite_reference_vector_is_rejected(psi0):
+    # A zero vector used to build a family of NaN.
+    with pytest.raises(ValidationError, match="finite and nonzero"):
+        induced_state_family(mixed_rotation(), psi0, 0.3)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_induced_family_rejects_a_non_finite_base_theta(bad):
+    # A NaN base point used to leave every branch unaligned without an error.
+    with pytest.raises(ValidationError, match="must be finite"):
+        induced_state_family(mixed_rotation(), plus_state()[0], bad)
+
+
+def test_induced_family_presents_an_empty_stack():
+    for chf in (mixed_rotation(), rotation_z_family()):  # two branches, and one completed by QR
+        sp = induced_state_family(chf, plus_state()[0], 0.3).spectral(np.zeros((0, 1)))
+        assert sp.eigenvalues.shape == (0, 2) and sp.eigenvectors.shape == (0, 2, 2)
+
+
+def test_branch_count_change_raises_one_error_for_bound_and_family():
+    # The second branch has no weight at theta = 0 and some at theta != 0.
+    _, rho0 = plus_state()
+    g = np.diag([1.0, -1.0]).astype(complex)
+    chf = ChannelFamily(dim=2, evaluate=lambda t: KrausChannel(
+        (math.cos(t) * np.eye(2, dtype=complex), math.sin(t) * unitary(g))))
+    with pytest.raises(NumericalError, match="canonical branch count changes across theta"):
+        sm_channel_bound(chf, 0.0, rho0)
+    family = induced_state_family(chf, plus_state()[0], 0.0)
+    with pytest.raises(NumericalError, match="canonical branch count changes across theta"):
+        family.spectral(np.array([[0.0], [0.1]]))
+
+
+def test_induced_family_of_the_package_channel_has_traceless_tangents():
+    # seed 7, |+>, theta = 0.3: the differenced trace error of the eigh-built
+    # unitaries used to reach tr drho = -1.2e-10 and fail the SLD's check.
+    family = induced_state_family(CHANNEL_FAMILIES["mixed-rotation"](7), plus_state()[0], 0.3)
+    drho = family.point([0.3]).drho
+    assert abs(np.trace(drho[0])) < HERM_TOL
+    # every seed, both reference states, 9 base points: SLD and KMB exist
+    for seed in range(40):
+        chf = CHANNEL_FAMILIES["mixed-rotation"](seed)
+        for psi in (np.array([1.0, 1.0]), np.array([1.0, 0.0])):
+            for t in np.linspace(-1.0, 1.0, 9):
+                out = evaluate_metrics(induced_state_family(chf, psi, t), [t], ["sld", "kmb"])
+                assert all(np.isfinite(m).all() for m in out.values())
+
+
+def test_induced_family_rejects_a_channel_that_loses_trace():
+    lossy = ChannelFamily(dim=2, evaluate=lambda t: KrausChannel((0.9 * unitary(t * np.eye(2)),)))
+    family = induced_state_family(lossy, plus_state()[0], 0.0)
+    with pytest.raises(ValidationError, match="does not preserve trace"):
+        family.rho([0.1])
+
+
+def random_unitary_mixture(seed):
+    """A 3-level channel family of 2-3 weighted unitary branches exp(-i (a_k + b_k t) G_k),
+    with a random pure reference vector."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 4))
+    weights = np.sqrt(rng.dirichlet(np.ones(k)))
+    gens = [_random_hermitian(rng, 3) for _ in range(k)]
+    offsets, rates = rng.uniform(-1.0, 1.0, k), rng.uniform(0.5, 1.5, k)
+    psi = rng.normal(size=3) + 1j * rng.normal(size=3)
+
+    def evaluate(t):
+        return KrausChannel(tuple(w * unitary((a + b * t) * g)
+                                  for w, g, a, b in zip(weights, gens, offsets, rates)))
+
+    return ChannelFamily(dim=3, evaluate=evaluate, name=f"mixture{seed}"), psi
+
+
+def test_channel_bound_is_the_canonical_gauge_information_over_seeded_channels():
+    # Sarovar and Milburn's bound equals C_Upsilon and C_L of the induced
+    # family presented in the canonical gauge at its base point.
+    cases = [(CHANNEL_FAMILIES["mixed-rotation"](seed), plus_state()[0]) for seed in range(20)]
+    cases += [random_unitary_mixture(seed) for seed in range(20)]
+    for chf, psi in cases:
+        rho0 = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+        for t in (-0.7, 0.0, 0.3, 0.9):
+            bound = sm_channel_bound(chf, t, rho0)
+            family = induced_state_family(chf, psi, t)
+            for info in (c_upsilon_states(family, [t]), c_l_information(family, [t])):
+                assert abs(info[0, 0] - bound) <= 1e-8 * bound

@@ -96,6 +96,12 @@ def test_validate_density_rejects_bad_inputs():
         validate_density(np.diag([0.7, 0.7]))  # trace 1.4
     with pytest.raises(ValidationError):
         validate_density(np.diag([1.5, -0.5]))  # negative eigenvalue
+    # These used to pass, or fail with a raw numpy error.
+    with pytest.raises(ValidationError, match="non-finite"):
+        validate_density(np.diag([np.nan, 1.0]))
+    for shape in ((3,), (2, 3), (1, 2, 2)):
+        with pytest.raises(ValidationError, match="must be square"):
+            validate_density(np.ones(shape) / 2)
 
 
 def test_domain_checks():
