@@ -70,8 +70,11 @@ def _emit(payload, path=None):
         except ValueError as exc:  # NaN or +-inf, which JSON cannot hold
             raise NumericalError(f"output is not finite: {exc}") from exc
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write --out {path}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -103,7 +106,7 @@ def _parse_interval(text: str) -> tuple[float, float]:
 
 def _family(args):
     """The --family with its --params, sliced along --direction through --at
-    when the command takes a direction and one is given."""
+    when both are given (one without the other raises)."""
     try:
         params = json.loads(args.params or "{}")
     except json.JSONDecodeError as exc:
@@ -111,8 +114,11 @@ def _family(args):
     if not isinstance(params, dict):
         raise ValidationError("params must be a JSON object")
     family = family_registry(args.family, params)
-    if getattr(args, "direction", ""):
-        family = directional_family(family, _parse_theta(args.at), _parse_theta(args.direction))
+    at, direction = getattr(args, "at", ""), getattr(args, "direction", "")
+    if bool(at) != bool(direction):
+        raise ValidationError("--at and --direction go together: give both or neither")
+    if direction:
+        family = directional_family(family, _parse_theta(at), _parse_theta(direction))
     return family
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainExit, FlatLikelihood, ValidationError
+from .errors import DomainExit, FlatLikelihood, NoConvergence, ValidationError
 from .families import ParametricFamily
 from .linalg import eig_hermitian
 from .metrics import _measured_fisher, born_probabilities, sld_information, validate_povm
@@ -50,22 +50,22 @@ def equality_condition_residual(family: ParametricFamily, theta, povm) -> float:
         raise ValidationError("equality condition residual is one-parameter")
     elements = validate_povm(povm, family.dim)
     point = family.point(theta)
-    score = point.scores[0]
+    score, rho_sqrt = point.scores[0], _psd_sqrt(point.eig.values, point.eig.vectors)
+    try:  # validate_povm has made every check that eig_hermitian makes
+        m_sqrt = _psd_sqrt(*np.linalg.eigh((elements + elements.conj().swapaxes(-1, -2)) / 2.0))
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NoConvergence(str(exc)) from exc
+    a, b = m_sqrt @ score @ rho_sqrt, m_sqrt @ rho_sqrt
+    bb = np.sum(np.abs(b) ** 2, axis=(-2, -1))
+    ba = np.real(np.sum(b.conj() * a, axis=(-2, -1)))
+    xi = np.divide(ba, bb, out=np.zeros_like(bb), where=bb > 1e-14)
+    return float(np.linalg.norm(a - xi[:, None, None] * b, axis=(-2, -1)).max())
 
-    def psd_sqrt(es):
-        vals = np.clip(es.values, 0.0, None)
-        return (es.vectors * np.sqrt(vals)) @ es.vectors.conj().T
 
-    rho_sqrt = psd_sqrt(point.eig)
-    worst = 0.0
-    for m in elements:
-        m_sqrt = psd_sqrt(eig_hermitian(m))
-        a = m_sqrt @ score @ rho_sqrt
-        b = m_sqrt @ rho_sqrt
-        bb = float(np.real(np.vdot(b, b)))
-        xi = float(np.real(np.vdot(b, a))) / bb if bb > 1e-14 else 0.0
-        worst = max(worst, float(np.linalg.norm(a - xi * b)))
-    return worst
+def _psd_sqrt(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """V sqrt(max(values, 0)) V^dagger of an eigensystem, or of a stack of them."""
+    root = vectors * np.sqrt(np.clip(values, 0.0, None))[..., None, :]
+    return root @ vectors.conj().swapaxes(-1, -2)
 
 
 def _outcome_distribution(rho: np.ndarray, elements: np.ndarray) -> np.ndarray:

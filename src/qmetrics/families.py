@@ -553,61 +553,41 @@ def _constant(values: np.ndarray, th) -> np.ndarray:
     return out
 
 
+def _rotation_family(p, name: str) -> ParametricFamily:
+    """One-parameter family with the constant spectrum p over the frame that
+    rotates its last two eigenvectors by t; its state is V P V^dagger of the
+    presentation."""
+    p = np.asarray(p, dtype=float)
+
+    def spectral(th):
+        t = np.asarray(th, dtype=float)[..., 0]
+        v = _constant(np.eye(p.size, dtype=complex), th)
+        v[..., -2:, -2:] = _matrices(np.cos(t), -np.sin(t), np.sin(t), np.cos(t))
+        slopes = np.zeros_like(v)
+        slopes[..., -2:, -2:] = v[..., -2:, -2:] @ _ROTATION
+        return SpectralPresentation(eigenvalues=_constant(p, th), eigenvectors=v,
+                                    eigenvalue_slopes=_constant(np.zeros((1, p.size)), th),
+                                    eigenvector_slopes=slopes[..., None, :, :])
+
+    def evaluate(th, sp):
+        return (spectral(th) if sp is None else sp).reconstruct()
+
+    return ParametricFamily(dim=p.size, nparams=1, domain=((-math.inf, math.inf),), name=name,
+                            **_exact(spectral, evaluate))
+
+
 def rot3_mixture(epsilon: float = 0.1) -> ParametricFamily:
     """Qutrit mixture (1-2e)|v1><v1| + e|v2><v2| + e|v3><v3| with v2, v3
     rotating in the lower block. Eigenvalues are constant and degenerate in
     the rotating pair; the closed-form frame keeps the overlaps finite."""
     if not (0.0 < epsilon < 1.0 / 3.0):
         raise ParamOutOfDomain(f"epsilon must lie in (0, 1/3), got {epsilon}")
-
-    def frame(th):
-        t = np.asarray(th, dtype=float)[..., 0]
-        v = _constant(np.eye(3, dtype=complex), th)
-        v[..., 1:, 1:] = _matrices(np.cos(t), -np.sin(t), np.sin(t), np.cos(t))
-        return v
-
-    p = np.array([1.0 - 2.0 * epsilon, epsilon, epsilon])
-
-    def evaluate(th):
-        v = frame(th)
-        return (v * p) @ v.conj().swapaxes(-1, -2)
-
-    def spectral(th):
-        v = frame(th)
-        slopes = np.zeros_like(v)
-        slopes[..., 1:, 1:] = v[..., 1:, 1:] @ _ROTATION
-        return SpectralPresentation(eigenvalues=_constant(p, th), eigenvectors=v,
-                                    eigenvalue_slopes=_constant(np.zeros((1, 3)), th),
-                                    eigenvector_slopes=slopes[..., None, :, :])
-
-    return ParametricFamily(
-        dim=3, nparams=1, evaluate=evaluate,
-        domain=((-math.inf, math.inf),), name="rot3-mixture", **_exact(spectral),
-    )
+    return _rotation_family([1.0 - 2.0 * epsilon, epsilon, epsilon], "rot3-mixture")
 
 
 def pure_rotation() -> ParametricFamily:
     """Rank-1 family |w(t)><w(t)| with w = (cos t, sin t)."""
-
-    def evaluate(th):
-        t = np.asarray(th, dtype=float)[..., 0]
-        w = np.stack([np.cos(t), np.sin(t)], axis=-1)
-        return (w[..., :, None] * w[..., None, :]).astype(complex)
-
-    def spectral(th):
-        t = np.asarray(th, dtype=float)[..., 0]
-        frame = _matrices(np.cos(t), -np.sin(t), np.sin(t), np.cos(t))
-        return SpectralPresentation(
-            eigenvalues=_constant(np.array([1.0, 0.0]), th),
-            eigenvectors=frame,
-            eigenvalue_slopes=_constant(np.zeros((1, 2)), th),
-            eigenvector_slopes=(frame @ _ROTATION)[..., None, :, :],
-        )
-
-    return ParametricFamily(
-        dim=2, nparams=1, evaluate=evaluate,
-        domain=((-math.inf, math.inf),), name="pure-rotation", **_exact(spectral),
-    )
+    return _rotation_family([1.0, 0.0], "pure-rotation")
 
 
 def diagonal_simplex() -> ParametricFamily:
@@ -638,10 +618,36 @@ def _random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
     return h / max(np.linalg.norm(h, 2), 1e-12)
 
 
-def _generator(h0: np.ndarray, gens: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """th -> H0 + sum_l t_l G_l at a (p,) vector or an (n, p) stack; the
-    frame exp(-i (H0 + sum_l t_l G_l)) of the random families is its unitary."""
-    return lambda th: h0 + sum(th[..., l, None, None] * g for l, g in enumerate(gens))
+def _random_frame_family(rng: np.random.Generator, d: int, nparams: int, name: str,
+                         spectrum: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+                         ) -> ParametricFamily:
+    """The family V P V^dagger over its trace, with the frame
+    V = exp(-i (H0 + sum_l t_l G_l)) and H0, G_l drawn next from rng.
+    spectrum maps a (p,) vector or an (n, p) stack to P and its slopes dP,
+    shapes (..., d) and (..., p, d); the frame's slopes come from one eigh of
+    H0 + sum_l t_l G_l (linalg.unitary_slopes)."""
+    h0 = _random_hermitian(rng, d)
+    gens = np.array([_random_hermitian(rng, d) for _ in range(nparams)])
+
+    def generator(th):
+        return h0 + sum(th[..., l, None, None] * g for l, g in enumerate(gens))
+
+    def spectral(th):
+        p, dp = spectrum(th)
+        v, dv = unitary_slopes(generator(th), gens)
+        return SpectralPresentation(eigenvalues=p, eigenvectors=v,
+                                    eigenvalue_slopes=dp, eigenvector_slopes=dv)
+
+    def evaluate(th, sp):
+        if sp is None:  # a kept frame is unitary(generator(th))'s bits (linalg.unitary_slopes)
+            sp = SpectralPresentation(spectrum(th)[0], unitary(generator(th)))
+        rho = sp.reconstruct()
+        # The frame is unitary only to ~d eps; differencing would amplify the
+        # resulting trace error past the traceless-tangent check.
+        return rho / np.real(np.trace(rho, axis1=-2, axis2=-1))[..., None, None]
+
+    return ParametricFamily(dim=d, nparams=nparams, domain=((-math.inf, math.inf),) * nparams,
+                            name=name, **_exact(spectral, evaluate))
 
 
 def random_full_rank(d: int = 3, nparams: int = 1, seed: int = 0) -> ParametricFamily:
@@ -663,76 +669,26 @@ def random_full_rank(d: int = 3, nparams: int = 1, seed: int = 0) -> ParametricF
     b = rng.uniform(0.5, 2.0, size=(d, nparams))
     phase = rng.uniform(0.0, 2.0 * math.pi, size=d)
     amp = 0.004
-    h0 = _random_hermitian(rng, d)
-    gens = np.array([_random_hermitian(rng, d) for _ in range(nparams)])
-    generator = _generator(h0, gens)
 
     def spectrum(th):
-        # The normalised wiggled spectrum, the sines' arguments and the norm.
+        # The normalised wiggled spectrum p = q / sum q and its slopes
+        # (dq - p sum dq) / sum q, with dq_l = amp cos(arg) b[:, l].
         arg = (b @ th[..., None])[..., 0] + phase
         q = lam + amp * np.sin(arg)
         total = q.sum(axis=-1, keepdims=True)
-        return q / total, arg, total
-
-    def evaluate(th, sp):
-        # The kept presentation's frame is unitary(generator(th))'s bits (see
-        # linalg.unitary_slopes) and its eigenvalues are spectrum(th)'s.
-        if sp is None:
-            v, p = unitary(generator(th)), spectrum(th)[0]
-        else:
-            v, p = sp.eigenvectors, sp.eigenvalues
-        rho = (v * p[..., None, :]) @ v.conj().swapaxes(-1, -2)
-        # The frame is unitary only to ~d eps; differencing would amplify the
-        # resulting trace error past the traceless-tangent check.
-        return rho / np.real(np.trace(rho, axis1=-2, axis2=-1))[..., None, None]
-
-    def spectral(th):
-        th = np.asarray(th, dtype=float)
-        p, arg, total = spectrum(th)
-        # d(q / sum q) = (dq - (q / sum q) sum dq) / sum q, with dq_l = amp cos(arg) b[:, l].
+        p = q / total
         dq = amp * np.cos(arg)[..., None, :] * b.T
-        dp = (dq - p[..., None, :] * dq.sum(axis=-1, keepdims=True)) / total[..., None, :]
-        v, dv = unitary_slopes(generator(th), gens)
-        return SpectralPresentation(eigenvalues=p, eigenvectors=v,
-                                    eigenvalue_slopes=dp, eigenvector_slopes=dv)
+        return p, (dq - p[..., None, :] * dq.sum(axis=-1, keepdims=True)) / total[..., None, :]
 
-    return ParametricFamily(
-        dim=d, nparams=nparams,
-        domain=((-math.inf, math.inf),) * nparams, name=f"random-full-rank-{d}-{seed}",
-        **_exact(spectral, evaluate),
-    )
+    return _random_frame_family(rng, d, nparams, f"random-full-rank-{d}-{seed}", spectrum)
 
 
 def random_pure(d: int = 3, nparams: int = 1, seed: int = 0) -> ParametricFamily:
-    """Rank-1 family |psi(theta)><psi(theta)| carried by a random rotating
-    frame, with the frame's exact slopes (see random_full_rank)."""
-    rng = np.random.default_rng(seed)
-    h0 = _random_hermitian(rng, d)
-    gens = np.array([_random_hermitian(rng, d) for _ in range(nparams)])
-    generator = _generator(h0, gens)
-    p = np.zeros(d)
-    p[0] = 1.0
-
-    def evaluate(th, sp):
-        psi = (unitary(generator(th)) if sp is None else sp.eigenvectors)[..., :, 0]
-        # Normalised because the frame is unitary only to ~d eps (see above);
-        # sqrt(re.re + im.im) is the sum np.linalg.norm forms for one vector.
-        re, im = psi.real[..., None, :], psi.imag[..., None, :]
-        psi = psi / np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0]
-        return psi[..., :, None] * psi.conj()[..., None, :]
-
-    def spectral(th):
-        th = np.asarray(th, dtype=float)
-        v, dv = unitary_slopes(generator(th), gens)
-        return SpectralPresentation(eigenvalues=_constant(p, th), eigenvectors=v,
-                                    eigenvalue_slopes=_constant(np.zeros((nparams, d)), th),
-                                    eigenvector_slopes=dv)
-
-    return ParametricFamily(
-        dim=d, nparams=nparams,
-        domain=((-math.inf, math.inf),) * nparams, name=f"random-pure-{d}-{seed}",
-        **_exact(spectral, evaluate),
-    )
+    """Rank-1 family |psi(theta)><psi(theta)|, psi the first column of a
+    random rotating frame, with the frame's exact slopes (see random_full_rank)."""
+    e0 = np.eye(d)[0]
+    return _random_frame_family(np.random.default_rng(seed), d, nparams, f"random-pure-{d}-{seed}",
+                                lambda th: (_constant(e0, th), _constant(np.zeros((nparams, d)), th)))
 
 
 _REGISTRY = {
@@ -754,13 +710,16 @@ def family_registry(name: str, params: dict | None = None) -> ParametricFamily:
 
     A parameter that does not convert to its type (a bool never does, nor a
     non-integral number to int), or an integer below its least value, raises
-    ValidationError naming the family and the key."""
+    ValidationError naming the family and the key. So does a key that the
+    family does not take, with the keys it does take."""
     build = _REGISTRY.get(name)
     if build is None:
         raise UnknownFamily(f"unknown family {name!r}; known: {', '.join(REGISTRY_NAMES)}")
     params = dict(params or {})
+    taken = []
 
     def param(key, convert, default, least=None):
+        taken.append(key)
         raw = params.get(key, default)
         try:
             value = convert(raw)
@@ -775,4 +734,9 @@ def family_registry(name: str, params: dict | None = None) -> ParametricFamily:
             raise ValidationError(f"family {name!r}: parameter {key!r} must be >= {least}, got {value}")
         return value
 
-    return build(param)
+    family = build(param)
+    unknown = next((key for key in params if key not in taken), None)
+    if unknown is not None:
+        takes = ", ".join(taken) or "none"
+        raise ValidationError(f"family {name!r}: unknown parameter {unknown!r}; it takes {takes}")
+    return family

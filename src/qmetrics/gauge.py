@@ -23,9 +23,9 @@ import numpy as np
 from .errors import DomainExit, MissingGauge, NonImaginaryOverlap, ValidationError
 from .families import ParametricFamily, spectral_tangents, tangent_data
 
-# Grid points per stacked presentation in minimizing_gauge_1p. Blocks keep
-# the scan's peak memory at the per-point level; stacking a whole 513-point
-# grid with its stencil at once raised the gauge benchmark's peak RSS by about 9%.
+# Grid points per stacked presentation in minimizing_gauge_1p. Unblocked, the
+# scan's memory grows with --steps x d^2: one random d=32 scan of 2048 steps
+# peaked at 51 MB RSS with blocks and 281 MB without.
 _SCAN_BLOCK = 64
 
 

@@ -164,13 +164,6 @@ def born_probabilities(rho: np.ndarray, povm: Sequence[np.ndarray]) -> np.ndarra
     return np.clip(p, 0.0, None)
 
 
-def _added_in_order(start: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """start + terms[..., 0] + terms[..., 1] + ..., added left to right (a
-    cumulative sum), so the result is bit for bit that of a loop over terms;
-    np.sum adds eight or more terms pairwise."""
-    return np.cumsum(np.concatenate([start[..., None], terms], axis=-1), axis=-1)[..., -1]
-
-
 def _fisher_sum(
     p: np.ndarray, dp: np.ndarray, flow_error: Callable[[int], Exception]
 ) -> np.ndarray:
@@ -185,7 +178,8 @@ def _fisher_sum(
     if flowing.any():
         raise flow_error(int(np.argmax(flowing)))
     w = dp[:, support]
-    return _added_in_order(np.zeros((len(dp), len(dp))), w[:, None] * w[None] / p[support])
+    m = (w / p[support]) @ w.T
+    return (m + m.T) / 2.0  # the product is symmetric only to rounding
 
 
 def _measured_fisher(point: FamilyPoint, elements: np.ndarray) -> np.ndarray:
@@ -247,7 +241,7 @@ def mc_metric(family: ParametricFamily, theta, cf: CFunction) -> np.ndarray:
         raise DegeneracyUnresolved(f"{cf.name} coefficient diverges on the degenerate pair ({j},{k})")
     j, k = np.nonzero(upper & ~skipped)
     w = a[:, j, k]
-    m_out = _added_in_order(m_out, 2.0 * cf.c(p[j], p[k]) * np.real(w[:, None] * w[None].conj()))
+    m_out = m_out + np.real((2.0 * cf.c(p[j], p[k]) * w) @ w.conj().T)
     return (m_out + m_out.T) / 2.0
 
 

@@ -245,6 +245,18 @@ def test_output_file(tmp_path, capsys):
     assert "cl" in data["metrics"]
 
 
+@pytest.mark.parametrize("where", ["missing/out.json", "."])
+def test_an_unwritable_out_exits_2_with_an_error_line(tmp_path, capsys, where):
+    # A missing directory, or a directory in place of a file: exit 2, not a
+    # traceback with the suite-failure code 1.
+    code, out, err = run(
+        capsys, "metric", "--family", "bloch3", "--theta", "0.5,1,0", "--metrics", "sld",
+        "--out", str(tmp_path / where),
+    )
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write --out {tmp_path / where}: ")
+
+
 _ESTIMATE = ("estimate", "--family", "diagonal-simplex", "--theta-true", "0.1",
              "--n", "100", "--reps", "5")
 _GAUGE_MIN = ("gauge-min", "--family", "random-full-rank", "--theta0", "-0.5", "--theta1", "0.5")
@@ -270,6 +282,14 @@ MALFORMED = [
     ((*_RANDOM, '{"d":0}'), "parameter 'd' must be >= 1"),
     ((*_RANDOM, '{"nparams":0}'), "parameter 'nparams' must be >= 1"),
     ((*_RANDOM, '{"seed":-1}'), "parameter 'seed' must be >= 0"),
+    # Unknown keys used to be ignored: a misspelled seed ran seed 0.
+    ((*_RANDOM, '{"sed":3}'),
+     "family 'random-full-rank': unknown parameter 'sed'; it takes d, nparams, seed"),
+    (("metric", "--family", "bloch3", "--theta", "0.5,1,0", "--metrics", "sld", "--params", '{"d":5}'),
+     "family 'bloch3': unknown parameter 'd'; it takes none"),
+    # --at alone used to be ignored, and --direction alone misreported the point's shape.
+    ((*_ESTIMATE, "--at", "0.3"), "--at and --direction go together: give both or neither"),
+    ((*_ESTIMATE, "--direction", "1"), "--at and --direction go together: give both or neither"),
     (("verify", "--suite", "sandwich", "--seed", "-1"), "seed must be non-negative"),
     (("QML_SEED=abc", "verify", "--suite", "kmb-limit"), "seed must be an integer, got 'abc'"),
     ((*_ESTIMATE, "--seed", "-1"), "seed must be non-negative"),

@@ -26,7 +26,7 @@ from qmetrics.families import (
     pure_rotation,
     random_full_rank,
 )
-from qmetrics.metrics import basis_povm, classical_fisher, sld_information, validate_povm
+from qmetrics.metrics import basis_povm, classical_fisher, random_povm, sld_information, validate_povm
 
 
 def radial_slice(r=0.5):
@@ -65,6 +65,36 @@ def test_random_povm_has_nonzero_equality_residual():
     fam = random_full_rank(d=2, nparams=1, seed=3)
     residual = equality_condition_residual(fam, [0.1], basis_povm(2))
     assert residual > 1e-4
+
+
+def _reference_residual(family, theta, povm):
+    """The residual as a loop over the POVM elements, each square root from
+    its own eig_hermitian."""
+    point = family.point(theta)
+
+    def psd_sqrt(es):
+        return (es.vectors * np.sqrt(np.clip(es.values, 0.0, None))) @ es.vectors.conj().T
+
+    rho_sqrt, worst = psd_sqrt(point.eig), 0.0
+    for m in validate_povm(povm, family.dim):
+        m_sqrt = psd_sqrt(qmetrics.linalg.eig_hermitian(m))
+        a, b = m_sqrt @ point.scores[0] @ rho_sqrt, m_sqrt @ rho_sqrt
+        bb = float(np.real(np.vdot(b, b)))
+        xi = float(np.real(np.vdot(b, a))) / bb if bb > 1e-14 else 0.0
+        worst = max(worst, float(np.linalg.norm(a - xi * b)))
+    return worst
+
+
+def test_stacked_equality_residual_matches_the_element_loop():
+    # One stacked eigh and per-element reductions in place of the loop: the
+    # same residual within rounding, on attaining and non-attaining POVMs.
+    for seed in range(60):
+        d = 2 + seed % 4
+        fam = random_full_rank(d=d, nparams=1, seed=500 + seed)
+        theta = [float(np.random.default_rng(seed).uniform(-0.3, 0.3))]
+        for povm in (sld_optimal_povm(fam, theta), basis_povm(d), random_povm(d, 5, seed=seed)):
+            reference = _reference_residual(fam, theta, povm)
+            assert abs(equality_condition_residual(fam, theta, povm) - reference) <= 1e-15
 
 
 def test_sampling_is_deterministic_per_seed():

@@ -209,6 +209,18 @@ def test_pure_families_are_rank_one():
         assert np.all(np.abs(vals[:-1]) < 1e-10)
 
 
+def test_pure_rotation_state_is_the_outer_product_of_its_vector():
+    # The rotation builder's V P V^dagger with P = (1, 0), bit for bit, on
+    # one point and on a stack.
+    fam = pure_rotation()
+    ts = np.linspace(-np.pi, np.pi, 41)
+    w = np.stack([np.cos(ts), np.sin(ts)], axis=-1)
+    expected = (w[:, :, None] * w[:, None, :]).astype(complex)
+    assert fam.rhos(ts[:, None]).tobytes() == expected.tobytes()
+    for t, rho in zip(ts, expected):
+        assert fam.rho([t]).tobytes() == rho.tobytes()
+
+
 def test_diagonal_simplex_matches_closed_form():
     fam = diagonal_simplex()
     td = tangent_data(fam, [0.2])
@@ -374,7 +386,9 @@ def test_random_pure_stacked_norm_equals_numpy_norm(d):
     for th in np.random.default_rng(7).uniform(-0.5, 0.5, size=(16, 2)):
         psi = unitary(h0 + sum(t * g for t, g in zip(th, gens)))[:, 0]
         psi = psi / np.linalg.norm(psi)
-        assert np.array_equal(fam.rho(th), np.outer(psi, psi.conj()))
+        # The family divides V P V^dagger by its trace instead: the same state
+        # within rounding.
+        assert np.max(np.abs(fam.rho(th) - np.outer(psi, psi.conj()))) <= 1e-15
 
 
 def test_a_stack_of_the_wrong_shape_raises_a_validation_error_naming_the_family():
