@@ -272,8 +272,9 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, QMetricsError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+    except (NumericalError, QMetricsError, MemoryError) as exc:
+        # Exit 1 means a failed suite, so an allocation too large for memory exits 3.
+        print(f"numerical failure: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     return 1 if isinstance(payload, dict) and not payload.get("passed", True) else 0
 

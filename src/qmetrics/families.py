@@ -191,25 +191,22 @@ def _stack_of(family: ParametricFamily, what: str, array: np.ndarray, shape: tup
 
 def _stencil(family: ParametricFamily, f: Callable[[np.ndarray], np.ndarray],
              thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """central_difference of f at checked points of the family, after checking
-    every stencil point against the domain: a point within DEFAULT_H of a
-    finite bound raises DomainExit instead of evaluating f outside the domain."""
-
-    def inside(points):
-        outside = np.flatnonzero(~family._inside(points))
-        if outside.size:
-            # Rows are the n points, then their shifted copies (see central_difference).
-            i = outside[0]
-            base = np.atleast_2d(thetas)
-            n, p = base.shape
-            origin = base[i if i < n else (i - n) // p % n]
-            raise DomainExit(
-                f"the difference stencil of {family.name!r} at theta {origin.tolist()} "
-                f"with step h={DEFAULT_H} leaves the domain at {points[i].tolist()}"
-            )
-        return f(points)
-
-    return central_difference(inside, thetas)
+    """central_difference of f at checked points of the family, after checking the
+    stencil points theta +- h e_l (theta +- (h/2) e_l lie between) against the domain:
+    one within DEFAULT_H of a finite bound raises DomainExit, and f is not called."""
+    base = np.atleast_2d(thetas)
+    lo, hi = family._limits
+    # moved[s, i, l]: coordinate l of point i moved by step s of (+h, -h), as in central_difference.
+    moved = base + np.array([DEFAULT_H, -DEFAULT_H])[:, None, None]
+    outside = np.flatnonzero(~((lo < moved) & (moved < hi)))
+    if outside.size:
+        s, i, l = np.unravel_index(outside[0], moved.shape)
+        point = np.where(np.arange(base.shape[1]) == l, moved[s, i], base[i])
+        raise DomainExit(
+            f"the difference stencil of {family.name!r} at theta {base[i].tolist()} "
+            f"with step h={DEFAULT_H} leaves the domain at {point.tolist()}"
+        )
+    return central_difference(f, thetas)
 
 
 @dataclass(frozen=True)
@@ -230,8 +227,8 @@ def spectral_tangents(family: ParametricFamily, thetas: np.ndarray):
     Otherwise (or when that presentation carries no slopes) the presentation
     is differenced: one stacked presentation of the points and their 4np
     stencil points. A re-phased family's frame is taken without its phases,
-    and the phases alpha are differenced as real functions (one more stacked
-    call), through <d(e^{i a_j} w_j)|e^{i a_k} w_k> = e^{i(a_k - a_j)} O_jk - i delta_jk da_k,
+    and the phases alpha are differenced as real functions (one more checked
+    stencil), through <d(e^{i a_j} w_j)|e^{i a_k} w_k> = e^{i(a_k - a_j)} O_jk - i delta_jk da_k,
     so its frame is never differenced across the complex phase factors.
     """
     n, p, d = len(thetas), family.nparams, family.dim
@@ -256,7 +253,7 @@ def spectral_tangents(family: ParametricFamily, thetas: np.ndarray):
                              np.asarray(sp.eigenvector_slopes, dtype=complex), (n, p, d, d))
     overlaps = d_frames.conj().swapaxes(-1, -2) @ at[:, None, 1:]
     if family.phases is not None:
-        a, slopes = central_difference(family.phases, thetas)
+        a, slopes = _stencil(family, family.phases, thetas)
         overlaps = overlaps * np.exp(1j * (a[:, None, None, :] - a[:, None, :, None]))
         diag = np.arange(family.dim)
         overlaps[..., diag, diag] -= 1j * slopes

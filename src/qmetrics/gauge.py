@@ -33,9 +33,10 @@ _SCAN_BLOCK = 64
 class PhaseAssignment:
     """Per-eigenvector phase functions alpha_k(theta), in radians.
 
-    Either a closed-form callable theta -> (d,) array, or samples on an
-    increasing one-parameter grid interpolated linearly; sampled phases raise
-    DomainExit outside the grid.
+    phases maps an (n, p) stack of points to their (n, d) phases, as
+    ParametricFamily.phases does. from_callable stacks a function of one
+    point; from_samples interpolates samples on an increasing one-parameter
+    grid linearly and raises DomainExit outside the grid.
 
     Only the slope of alpha enters a metric, and between nodes a linear
     interpolant has the chord slope, not the node slopes. So a sampled
@@ -45,13 +46,20 @@ class PhaseAssignment:
     a cubic Hermite interpolant are ROADMAP direction 5.
     """
 
-    func: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    phases: Callable[[np.ndarray], np.ndarray]
     grid: Optional[np.ndarray] = None
     samples: Optional[np.ndarray] = None  # (d, n)
 
     @classmethod
     def from_callable(cls, func) -> "PhaseAssignment":
-        return cls(func=func)
+        def phases(thetas):
+            rows = [np.asarray(func(theta), dtype=float) for theta in thetas]
+            shapes = {row.shape for row in rows}
+            if len(shapes) > 1:
+                raise ValidationError(f"phase assignment gives rows of shapes {sorted(shapes)}")
+            return np.array(rows)
+
+        return cls(phases)
 
     @classmethod
     def from_samples(cls, grid, samples) -> "PhaseAssignment":
@@ -63,60 +71,55 @@ class PhaseAssignment:
             raise ValidationError("phase samples and their grid must be finite")
         if not np.all(np.diff(grid) > 0):  # np.interp needs an increasing grid
             raise ValidationError("sample grid must be strictly increasing")
-        return cls(grid=grid, samples=samples)
+
+        def phases(thetas):
+            t = thetas[:, 0]
+            outside = ~((grid[0] <= t) & (t <= grid[-1]))
+            if outside.any():
+                # np.interp would clamp t and give the phases a slope of zero there.
+                raise DomainExit(
+                    f"theta {t[outside][0]} outside the sampled phase grid [{grid[0]}, {grid[-1]}]"
+                )
+            return np.stack([np.interp(t, grid, row) for row in samples], axis=-1)
+
+        return cls(phases, grid, samples)
 
     def alphas(self, theta) -> np.ndarray:
-        """Phases at one point, shape (d,). Samples also take an (n, 1) stack,
-        giving (n, d) from one interpolation per eigenvector."""
-        theta = np.atleast_1d(np.asarray(theta, float))
-        if self.func is not None:
-            return np.asarray(self.func(theta), dtype=float)
-        t = theta.reshape(-1, theta.shape[-1])[:, 0]
-        outside = ~((self.grid[0] <= t) & (t <= self.grid[-1]))
-        if outside.any():
-            # np.interp would clamp t and give the phases a slope of zero there.
-            raise DomainExit(
-                f"theta {t[outside][0]} outside the sampled phase grid [{self.grid[0]}, {self.grid[-1]}]"
-            )
-        a = np.stack([np.interp(t, self.grid, row) for row in self.samples], axis=-1)
-        return a if theta.ndim == 2 else a[0]
+        """Phases at one point, shape (d,)."""
+        return self.phases(np.atleast_1d(np.asarray(theta, dtype=float))[None])[0]
 
 
 def zero_gauge(d: int) -> PhaseAssignment:
-    return PhaseAssignment.from_callable(lambda th: np.zeros(d))
-
-
-def _checked_phases(a: np.ndarray, theta: np.ndarray, d: int) -> np.ndarray:
-    if a.shape != (d,):
-        raise ValidationError(
-            f"phase assignment gives shape {a.shape} at theta {theta.tolist()}, expected ({d},)"
-        )
-    if not np.isfinite(a).all():
-        raise ValidationError(
-            f"phase assignment gives non-finite phases {a.tolist()} at theta {theta.tolist()}"
-        )
-    return a
+    return PhaseAssignment(lambda thetas: np.zeros((len(thetas), d)))
 
 
 def apply_gauge(family: ParametricFamily, pa: PhaseAssignment) -> ParametricFamily:
     """Re-phase the eigenvector frame of a presented family; rho is unchanged.
 
     The result keeps the family's spectral and sets its phases; re-phasing a
-    re-phased family adds the phases onto the ones it has. Sampled phases are
-    interpolated once per stack of points; a phase callable is called once
-    per point and must give d finite phases there, or ValidationError is
-    raised.
+    re-phased family adds the phases onto the ones it has. The phases are
+    taken once per stack of points, which must give d finite phases at every
+    point, or ValidationError is raised.
     """
     if family.spectral is None:
         raise MissingGauge("family supplies no spectral presentation to re-gauge")
     d = family.dim
 
     def phases(thetas):
-        if pa.func is None:  # samples are finite, and every row has their shape
-            a = pa.alphas(thetas)
-            _checked_phases(a[0], thetas[0], d)
-            return a
-        return np.array([_checked_phases(pa.alphas(t), t, d) for t in thetas])
+        a, n = np.asarray(pa.phases(thetas), dtype=float), len(thetas)
+        if a.shape[:1] != (n,):
+            raise ValidationError(f"phase assignment gives shape {a.shape} for a stack of {n} points")
+        if a.shape[1:] != (d,):
+            raise ValidationError(
+                f"phase assignment gives shape {a.shape[1:]} at theta {thetas[0].tolist()}, expected ({d},)"
+            )
+        bad = np.flatnonzero(~np.isfinite(a).all(axis=1))
+        if bad.size:
+            raise ValidationError(
+                f"phase assignment gives non-finite phases {a[bad[0]].tolist()} "
+                f"at theta {thetas[bad[0]].tolist()}"
+            )
+        return a
 
     inner = family.phases
     total = phases if inner is None else lambda th: inner(th) + phases(th)

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     NoConvergence,
     NotHermitian,
+    NumericalError,
     SingularSecondArgument,
     UnsupportedTangent,
 )
@@ -172,7 +173,9 @@ def central_difference(
     (n, ...) and (n, p, ...) from one call of f on the n base points and all
     4np shifted points; a single point is the stack n = 1. Row n + (s n + i) p + l
     of f's argument is base point i with coordinate l moved by step s of
-    (+h, -h, +h/2, -h/2).
+    (+h, -h, +h/2, -h/2). A step that rounds away, where (theta_l + s h) - theta_l
+    differs from s h by more than 1e-6 of s h, raises NumericalError before f
+    is called.
     """
     if h <= 0.0:
         raise ValueError("step h must be positive")
@@ -185,7 +188,16 @@ def central_difference(
     shifted = points[n:].reshape(4, n, p, p)
     shifted[...] = thetas[:, None, :]
     # Row l of each point moves coordinate l: the stride p + 1 walks the diagonals.
-    shifted.reshape(4, n, p * p)[..., :: p + 1] += h * _STENCIL_STEPS
+    moved = shifted.reshape(4, n, p * p)[..., :: p + 1]
+    moved += h * _STENCIL_STEPS
+    # Far from zero theta + s h rounds, and the step taken is not the one divided by.
+    rounded = np.abs((moved - thetas) - h * _STENCIL_STEPS) > 1e-6 * h * np.abs(_STENCIL_STEPS)
+    if rounded.any():
+        s, i, l = np.argwhere(rounded)[0]
+        raise NumericalError(
+            f"difference step h={h} rounds away at theta {thetas[i].tolist()}: parameter {l} "
+            f"moves by {moved[s, i, l] - thetas[i, l]} instead of {h * _STENCIL_STEPS[s, 0, 0]}"
+        )
     values = np.asarray(f(points))
     value, values = values[:n], values[n:].reshape((4, n, p) + values.shape[1:])
     d_h = (values[0] - values[1]) / (2.0 * h)

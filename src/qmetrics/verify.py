@@ -83,7 +83,7 @@ def gauge_suite(
         b = rng.uniform(0.5, 2.0, size=d)
         c = rng.uniform(0.0, 2.0 * math.pi, size=d)
         perturbed = apply_gauge(
-            fam, PhaseAssignment.from_callable(lambda th, a=a, b=b, c=c: a * np.sin(b * th[0] + c))
+            fam, PhaseAssignment(lambda th, a=a, b=b, c=c: a * np.sin(b * th[:, :1] + c))
         )
         lo, hi = -0.5, 0.5
         pa = minimizing_gauge_1p(perturbed, lo, hi, steps=512)
@@ -98,10 +98,7 @@ def gauge_suite(
             b2 = rng.uniform(0.5, 2.0, size=d)
             c2 = rng.uniform(0.0, 2.0 * math.pi, size=d)
             gauged = apply_gauge(
-                fam,
-                PhaseAssignment.from_callable(
-                    lambda th, a=a2, b=b2, c=c2: a * np.sin(b * th[0] + c)
-                ),
+                fam, PhaseAssignment(lambda th, a=a2, b=b2, c=c2: a * np.sin(b * th[:, :1] + c))
             )
             cu = float(c_upsilon_states(gauged, t_eval)[0, 0])
             worst_violation = min(worst_violation, cu - cl)
@@ -250,9 +247,7 @@ def bloch3_gauges_example() -> dict:
     diag(1/(1-r^2), 1, 2 + 2 r cos(theta)); max_deviation is the largest
     entrywise distance from them."""
     fam = bloch3()
-    shifted = apply_gauge(
-        fam, PhaseAssignment.from_callable(lambda th: np.array([-th[2] / 2, -th[2] / 2]))
-    )
+    shifted = apply_gauge(fam, PhaseAssignment(lambda th: np.repeat(-th[:, 2:] / 2, 2, axis=1)))
     rows = []
     worst = 0.0
     for r in [0.1 * k for k in range(1, 10)]:

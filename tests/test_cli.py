@@ -88,6 +88,28 @@ def test_numerical_failure_exits_3(capsys):
     assert code == 3
 
 
+def test_a_difference_step_that_rounds_away_exits_3(capsys):
+    # theta + h rounded back to theta and the bound read 0.0 with exit 0.
+    code, out, err = run(capsys, "channel-bound", "--channel-family", "rotation-z", "--theta", "1e12")
+    assert code == 3 and out == ""
+    assert err.startswith("numerical failure: difference step h=1e-05 rounds away at theta [1000000000000.0]")
+    code, out, _ = run(capsys, "channel-bound", "--channel-family", "rotation-z", "--theta", "1e4")
+    assert code == 0 and abs(json.loads(out)["bound"] - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 74.5 GiB", ""], ids=["numpy", "bare"])
+def test_an_allocation_failure_exits_3_with_one_line(capsys, monkeypatch, message):
+    # The allocation is never tried: an OS that grants it lazily kills the process instead.
+    def too_large(param):
+        raise MemoryError(message)
+
+    monkeypatch.setitem(families._REGISTRY, "random-full-rank", too_large)
+    code, out, err = run(capsys, "metric", "--family", "random-full-rank", "--params", '{"d":100000}',
+                         "--theta", "0.1", "--metrics", "sld")
+    assert code == 3 and out == ""
+    assert err == f"numerical failure: {message or 'out of memory'}\n"
+
+
 def test_examples_bloch3_gauges(capsys):
     code, out, _ = run(capsys, "examples", "--which", "bloch3-gauges")
     assert code == 0

@@ -475,3 +475,69 @@ def test_sampled_gauge_outside_its_grid_raises_domain_exit(t):
         pa.alphas([0.5 + DEFAULT_H / 2])
     with pytest.raises(DomainExit):
         pa.alphas([np.nan])
+
+
+def test_a_stack_phase_function_is_called_once_per_stack():
+    calls = []
+
+    def phases(th):
+        calls.append(th.shape)
+        return np.array([0.3, -0.2, 0.1]) * np.sin(th[:, :1])
+
+    gauged = apply_gauge(random_full_rank(d=3, nparams=1, seed=5), PhaseAssignment(phases))
+    minimizing_gauge_1p(gauged, -0.5, 0.5, steps=512)
+    # The scan takes the phases at its 513 grid points in one call.
+    assert calls == [(513, 1)]
+    calls.clear()
+    c_upsilon_states(gauged, [0.1])
+    # One gauged point: the point and its 4 stencil points in one call.
+    assert calls == [(5, 1)]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_stack_and_per_point_phases_give_the_same_minimizing_gauge(d):
+    rng = np.random.default_rng(70 + d)
+    a, b, c = rng.uniform(-1, 1, d), rng.uniform(0.5, 2, d), rng.uniform(0, 2 * math.pi, d)
+    fam = random_full_rank(d=d, nparams=1, seed=70 + d)
+    stacked = PhaseAssignment(lambda th: a * np.sin(b * th[:, :1] + c))
+    per_point = PhaseAssignment.from_callable(lambda th: a * np.sin(b * th[0] + c))
+    samples = [minimizing_gauge_1p(apply_gauge(fam, pa), -0.5, 0.5, steps=128).samples
+               for pa in (stacked, per_point)]
+    assert samples[0].tobytes() == samples[1].tobytes()
+
+
+def test_a_ragged_phase_callable_raises_a_validation_error():
+    ragged = PhaseAssignment.from_callable(lambda th: np.zeros(2 if th[0] < 0.2 else 3))
+    with pytest.raises(ValidationError, match=r"rows of shapes \[\(2,\), \(3,\)\]"):
+        ragged.phases(np.array([[0.1], [0.3]]))
+    gauged = apply_gauge(random_full_rank(d=3, nparams=1, seed=3), ragged)
+    with pytest.raises(ValidationError, match="rows of shapes"):
+        minimizing_gauge_1p(gauged, -0.5, 0.5, steps=8)
+    # A stack function that forgets the stack axis.
+    flat = apply_gauge(random_full_rank(d=3, nparams=1, seed=3), PhaseAssignment(lambda th: np.zeros(3)))
+    with pytest.raises(ValidationError, match=r"gives shape \(3,\) for a stack of 5 points"):
+        c_upsilon_states(flat, [0.1])
+
+
+def test_zero_gauge_gives_zeros_for_a_whole_stack():
+    a = zero_gauge(3).phases(np.zeros((7, 2)))
+    assert a.shape == (7, 3) and not a.any()
+    assert np.array_equal(zero_gauge(3).alphas([0.1, 0.2]), np.zeros(3))
+
+
+def test_phases_are_differenced_inside_the_domain_only():
+    # bloch3 has exact tangents, so only its phases take a stencil; at r = 0.999999
+    # that stencil reaches r = 1.000009 and used to be evaluated there.
+    gauged = apply_gauge(bloch3(), PhaseAssignment.from_callable(lambda th: np.array([th[0], -th[0]])))
+    with pytest.raises(DomainExit, match=r"'bloch3\+gauge' at theta \[0.999999, 1.0, 0.3\] with step "
+                                         r"h=1e-05 leaves the domain at \[1.000009, 1.0, 0.3\]"):
+        c_upsilon_states(gauged, [0.999999, 1.0, 0.3])
+
+
+def test_phases_undefined_past_the_bound_raise_domain_exit_not_a_nan_message():
+    # sqrt(1 - t) is NaN past t = 1: the stencil at 1 - 2e-6 used to report
+    # non-finite phases at a theta the caller never passed.
+    gauged = apply_gauge(diagonal_simplex(), PhaseAssignment(lambda th: np.hstack([np.sqrt(1 - th), 0 * th])))
+    with pytest.raises(DomainExit, match=r"'diagonal-simplex\+gauge' at theta \[0.999998\] with step "
+                                         r"h=1e-05 leaves the domain at \[1.000008\]"):
+        c_upsilon_states(gauged, [1 - 2e-6])

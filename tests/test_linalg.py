@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qmetrics
-from qmetrics.errors import NotHermitian, SingularSecondArgument, UnsupportedTangent
+from qmetrics.errors import NotHermitian, NumericalError, SingularSecondArgument, UnsupportedTangent
 from qmetrics.linalg import (
     central_difference,
     eig_hermitian,
@@ -164,6 +164,20 @@ def test_central_difference_accuracy():
         assert np.array_equal(row, one_row) and np.array_equal(value, one_value)
     with pytest.raises(ValueError):
         central_difference(f, [x, y], h=0.0)
+
+
+def test_a_step_that_rounds_away_raises_a_numerical_error():
+    # At 1e12 theta + h rounds back to theta, and the difference read 0.
+    calls = []
+    with pytest.raises(NumericalError, match=r"step h=1e-05 rounds away at theta \[0.5, 1000000000000.0\]: "
+                                             r"parameter 1 moves by 0.0 instead of 1e-05"):
+        central_difference(lambda t: calls.append(t) or t, [0.5, 1e12])
+    assert calls == []
+    # At 1e6 the realized steps are off by about 2e-5 of h.
+    with pytest.raises(NumericalError, match="rounds away"):
+        central_difference(lambda t: t[:, 0], [1e6])
+    # At 1e4 they are within 1e-6 of h.
+    assert abs(central_difference(lambda t: t[:, 0] ** 2, [1e4])[1][0] - 2e4) < 1e-2
 
 
 def test_only_central_difference_takes_a_step_and_no_export_an_idle_option():
