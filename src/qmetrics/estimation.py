@@ -4,9 +4,11 @@ Connects the information matrices to operational meaning: the projective
 measurement built from the score operator attains the quantum bound, sampled
 outcomes feed a maximum-likelihood estimator (a 256-point grid scored from a
 log-Born table tabulated once per family, POVM and interval, then safeguarded
-Fisher scoring from the multinomial score at one family point per step, with
-nested sub-grids where no score can be formed), and a Monte Carlo harness
-compares empirical variance against 1/(N F).
+Fisher scoring from the multinomial score, with nested sub-grids where no
+score can be formed), and a Monte Carlo harness compares empirical variance
+against 1/(N F). The estimator takes a stack of counts, one row per
+replicate, and scores all of its still-active rows with one stacked family
+call per step; each row's estimate is that of its counts alone.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainExit, FlatLikelihood, NoConvergence, ValidationError
-from .families import ParametricFamily
-from .linalg import eig_hermitian
+from .errors import FlatLikelihood, NoConvergence, ValidationError
+from .families import ParametricFamily, _stack_of, _stencil
+from .linalg import DEFAULT_H, eig_hermitian
 from .metrics import _measured_fisher, born_probabilities, sld_information, validate_povm
 
 
@@ -111,7 +113,8 @@ def _best_cells(points: np.ndarray, values: np.ndarray, mid: float) -> tuple[flo
     first or last point."""
     candidates = np.flatnonzero(values >= values.max())
     best = int(candidates[np.argmin(np.abs(points[candidates] - mid))])
-    return points[max(best - 1, 0)], points[best], points[min(best + 1, points.size - 1)]
+    lo, hi = max(best - 1, 0), min(best + 1, points.size - 1)
+    return float(points[lo]), float(points[best]), float(points[hi])
 
 
 class Likelihood:
@@ -121,7 +124,8 @@ class Likelihood:
     The POVM is validated and stacked once, and the log Born probabilities
     at GRID_POINTS evenly spaced points of the interval are tabulated once,
     from one batched family evaluation. Every set of counts then scores the
-    whole grid with one matrix-vector product before its refinement.
+    whole grid with one matrix-vector product before its refinement, and
+    the sets of a stack are refined together (see estimate).
     """
 
     def __init__(self, family: ParametricFamily, povm, interval):
@@ -133,16 +137,16 @@ class Likelihood:
         self.grid = np.linspace(lo, hi, GRID_POINTS)
         self.mid = (lo + hi) / 2.0
         self.log_born = self._log_born(self.grid, self.elements)
+        self._transposed = np.ascontiguousarray(self.elements.swapaxes(-1, -2))
 
     def _log_born(self, ts: np.ndarray, elements: np.ndarray) -> np.ndarray:
         """Log Born table (n, m) of n parameter values, -inf at probability 0."""
         with np.errstate(divide="ignore"):
             return np.log(born_probabilities(self.family.rhos(ts[:, None]), elements))
 
-    def _grid_scores(self, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Mask of the outcomes counted at least once, their counts, and the
-        log-likelihood at every grid point (-inf where a counted outcome has
-        zero probability)."""
+    def _grid_scores(self, counts) -> np.ndarray:
+        """The log-likelihood of one set of counts at every grid point (-inf
+        where a counted outcome has zero probability)."""
         counts = np.asarray(counts, dtype=float)
         if counts.shape != (len(self.elements),):
             raise ValidationError(
@@ -152,71 +156,120 @@ class Likelihood:
         if not np.all(np.isfinite(counts)) or np.any(counts < 0.0):
             raise ValidationError("counts must be finite and non-negative")
         counted = counts > 0.0
-        c = counts[counted]
-        return counted, c, self.log_born[:, counted] @ c
+        return self.log_born[:, counted] @ counts[counted]
 
-    def _score(self, t: float, elements: np.ndarray, c: np.ndarray) -> tuple[float, float] | None:
-        """The score g = sum_m c_m dp_m / p_m of the counted outcomes at t and
-        the information I = sum_m c_m (dp_m / p_m)^2, from one family point
-        (exact tangents, or the Richardson stencil). None where no scoring step
-        can be formed: I = 0 (a plateau, where no counted probability moves),
-        a counted outcome with probability 0, a non-finite g or I, or a stencil
-        leaving the domain. A g of exactly 0 with I > 0 is a root, not a plateau."""
-        try:
-            point = self.family.point([t])
-            rho, drho = point.rho, point.drho[0]
-        except DomainExit:
-            return None
-        p = born_probabilities(rho, elements)
-        if not np.all(p > 0.0):
-            return None
-        r = np.real(np.einsum("ij,mji->m", drho, elements)) / p
-        g, info = float(c @ r), float(c @ (r * r))
-        if not (math.isfinite(g) and 0.0 < info < math.inf):
-            return None
-        return g, info
+    def _scores(self, ts: np.ndarray, counts: np.ndarray, counted: np.ndarray):
+        """The score g = sum_m c_m dp_m / p_m of each row's counted outcomes at
+        its t, the information I = sum_m c_m (dp_m / p_m)^2, and whether a
+        scoring step can be formed there, from one stacked family call over
+        the (n, 1) stack of ts (exact tangents, or the Richardson stencil).
+        No step can be formed where I = 0 (a plateau, where no counted
+        probability moves), a counted outcome has probability 0, g or I is
+        not finite, or a row's stencil leaves the domain. A g of exactly 0
+        with I > 0 is a root, not a plateau. Each row's numbers do not depend
+        on the other rows."""
+        family, n, d = self.family, len(ts), self.family.dim
+        th = ts.reshape(n, 1)
+        if family.tangents is None:
+            lo, hi = family._limits
+            steps = (lo < ts - DEFAULT_H) & (ts + DEFAULT_H < hi)
+            rho, drho = np.zeros((n, d, d), dtype=complex), np.zeros((n, 1, d, d), dtype=complex)
+            if steps.any():
+                rho[steps], drho[steps] = _stencil(family, family._evaluate_stack, th[steps])
+        else:
+            # Tangents first: a built-in family keeps the presentation they
+            # come from, and its evaluate reuses that frame (see families._exact).
+            steps = True
+            drho = _stack_of(family, "tangents", np.asarray(family.tangents(th), dtype=complex),
+                             (n, 1, d, d))
+            rho = family._evaluate_stack(th)
+        # tr(A M_m) as a sum over the (d, d) entries of each row: unlike an
+        # einsum over the stack, its rows do not change with the stack size.
+        p = np.maximum((rho[:, None] * self._transposed).sum((-2, -1)).real, 0.0)
+        dp = (drho[:, 0, None] * self._transposed).sum((-2, -1)).real
+        live = counted & (p > 0.0)
+        r = np.divide(dp, p, out=np.zeros_like(p), where=live)
+        g, info = (counts * r).sum(-1), (counts * (r * r)).sum(-1)
+        steps = steps & (live == counted).all(-1) & np.isfinite(g) & (0.0 < info) & (info < np.inf)
+        return g, info, steps
 
-    def estimate(self, counts) -> float:
-        """Maximum-likelihood estimate by safeguarded Fisher scoring.
+    def estimate(self, counts):
+        """Maximum-likelihood estimate by safeguarded Fisher scoring: a float
+        for one set of counts (m,), and for a stack (R, m) of them the (R,)
+        estimates, row r equal to the estimate of counts[r] bit for bit.
 
-        Starts at the best grid point (ties toward the interval midpoint), in
-        the bracket of the two grid cells around it. Each step moves the end
-        of the bracket that the score g points away from to t and steps to
-        t + g / I (see _score), or to the bracket's midpoint when a step longer
-        than SCORE_TOL * max(1, |t|) leaves the bracket. The first step no
-        longer than that ends the search, inside the bracket, so a best grid
-        point at an end of the interval whose score points out is returned as
-        it is. Where no step can be formed, or after SCORE_STEPS steps,
-        REFINE_LEVELS levels of REFINE_POINTS-point sub-grids refine the
+        Rows are checked in order: the first with malformed counts raises
+        ValidationError, the first whose likelihood is flat across the grid
+        FlatLikelihood. Each row starts at its best grid point (ties toward
+        the interval midpoint), in the bracket of the two grid cells around
+        it. Each step scores every still-active row at once (see _scores).
+        It moves the end of a row's bracket that its score g points away
+        from to its t and steps to t + g / I, or to the bracket's midpoint
+        when a step longer than SCORE_TOL * max(1, |t|) leaves the bracket.
+        A row's first step no longer than that ends its search, inside the
+        bracket, so a best grid point at an end of the interval whose score
+        points out is returned as it is. A row where no step can be formed,
+        or still active after SCORE_STEPS steps, leaves the stack:
+        REFINE_LEVELS levels of REFINE_POINTS-point sub-grids refine its
         bracket (one stacked family evaluation each, keeping the two cells
         around the best, ties toward the bracket midpoint) to its midpoint.
+        An error raised by the family itself propagates from the stacked
+        step that meets it.
         """
-        counted, c, values = self._grid_scores(counts)
-        finite = values[np.isfinite(values)]
-        if finite.size == 0 or float(finite.max() - finite.min()) < 1e-12:
-            raise FlatLikelihood("likelihood does not vary across the search grid")
-        a, t, b = _best_cells(self.grid, values, self.mid)
-        elements = self.elements[counted]
+        counts = np.asarray(counts, dtype=float)
+        if counts.ndim == 2:
+            return self._estimates(counts)
+        return float(self._estimates(counts[None])[0])
+
+    def _estimates(self, counts: np.ndarray) -> np.ndarray:
+        """The estimates of the rows of a stack of counts (see estimate)."""
+        brackets = []
+        for row in counts:
+            values = self._grid_scores(row)
+            finite = values[np.isfinite(values)]
+            if finite.size == 0 or float(finite.max() - finite.min()) < 1e-12:
+                raise FlatLikelihood("likelihood does not vary across the search grid")
+            brackets.append(_best_cells(self.grid, values, self.mid))
+        counted = counts > 0.0
+        estimates = np.full(len(counts), np.nan)
+        # (row, a, t, b) of the rows still scoring, in row order, with their
+        # counts; (row, a, b) of the rows left to the sub-grids.
+        active = [(r, a, t, b) for r, (a, t, b) in enumerate(brackets)]
+        active_counts, active_counted, refine = counts, counted, []
         for _ in range(SCORE_STEPS):
-            score = self._score(t, elements, c)
-            if score is None:
+            if not active:
                 break
-            g, info = score
-            if g > 0.0:
-                a = t
-            else:
-                b = t
-            tol = SCORE_TOL * max(1.0, abs(t))
-            new = t + g / info
-            if abs(new - t) > tol and not a < new < b:
-                new = (a + b) / 2.0
-            if abs(new - t) <= tol:
-                return min(max(new, a), b)
-            t = new
-        for _ in range(REFINE_LEVELS):
-            ts = np.linspace(a, b, REFINE_POINTS)
-            a, _, b = _best_cells(ts, self._log_born(ts, elements) @ c, (a + b) / 2.0)
-        return (a + b) / 2.0
+            ts = np.array([t for _, _, t, _ in active])
+            g, info, steps = self._scores(ts, active_counts, active_counted)
+            kept, moved = [], []
+            for i, ((r, a, t, b), g_i, info_i, step) in enumerate(
+                    zip(active, g.tolist(), info.tolist(), steps.tolist())):
+                if not step:
+                    refine.append((r, a, b))
+                    continue
+                if g_i > 0.0:
+                    a = t
+                else:
+                    b = t
+                tol = SCORE_TOL * max(1.0, abs(t))
+                new = t + g_i / info_i
+                if abs(new - t) > tol and not a < new < b:
+                    new = (a + b) / 2.0
+                if abs(new - t) <= tol:
+                    estimates[r] = min(max(new, a), b)
+                else:
+                    kept.append(i)
+                    moved.append((r, a, new, b))
+            if moved and len(kept) < len(active):
+                active_counts, active_counted = active_counts[kept], active_counted[kept]
+            active = moved
+        for r, a, b in refine + [(r, a, b) for r, a, _, b in active]:
+            elements, c = self.elements[counted[r]], counts[r, counted[r]]
+            for _ in range(REFINE_LEVELS):
+                ts = np.linspace(a, b, REFINE_POINTS)
+                a, _, b = _best_cells(ts, self._log_born(ts, elements) @ c, (a + b) / 2.0)
+            estimates[r] = (a + b) / 2.0
+        return estimates
 
 
 def mle_1p(family: ParametricFamily, povm, counts, interval) -> float:
@@ -228,7 +281,9 @@ def mle_1p(family: ParametricFamily, povm, counts, interval) -> float:
     Likelihood.estimate). Counts must be finite and non-negative, one per
     POVM element.
     """
-    return Likelihood(family, povm, interval).estimate(counts)
+    # The one-row stack, so that a 2-D array is rejected as a row of the wrong shape.
+    counts = np.asarray(counts, dtype=float)
+    return float(Likelihood(family, povm, interval)._estimates(counts[None])[0])
 
 
 @dataclass(frozen=True)
@@ -256,9 +311,11 @@ def cramer_rao_experiment(
 
     Replication r uses an RNG stream derived from (seed, r), so results are
     deterministic regardless of evaluation order; replicate r equals
-    mle_1p on sample_outcomes(..., seed=[seed, r]). All replicates share one
-    Likelihood and one sampling distribution. n and reps are integers >= 1,
-    theta_true is one number (shape () or (1,)) and lies strictly inside the
+    mle_1p on sample_outcomes(..., seed=[seed, r]) bit for bit. All
+    replicates share one Likelihood and one sampling distribution, and are
+    estimated as one stack of counts: each scoring step reads rho and its
+    tangent at every still-active replicate from one family call. n and
+    reps are integers >= 1, theta_true is one number (shape () or (1,)) and lies strictly inside the
     interval: otherwise every estimate is pinned at an end of it and the
     variance measures the interval. A measurement without Fisher information
     at theta_true (1 / (N F) undefined) raises before any replicate runs.
@@ -286,10 +343,8 @@ def cramer_rao_experiment(
     if fisher <= 0.0:
         raise ValidationError(f"the measurement has no Fisher information at theta_true {theta_true}")
     p = _outcome_distribution(point.rho, likelihood.elements)
-    estimates = np.array([
-        likelihood.estimate(np.random.default_rng([seed, r]).multinomial(n, p))
-        for r in range(reps)
-    ])
+    estimates = likelihood.estimate(
+        np.array([np.random.default_rng([seed, r]).multinomial(n, p) for r in range(reps)]))
     reliable = n > 1 and reps > 1
     variance = float(np.var(estimates, ddof=1)) if reps > 1 else 0.0
     return EstimationReport(

@@ -10,6 +10,8 @@ import qmetrics.linalg
 import qmetrics.metrics
 from qmetrics.errors import DomainExit, FlatLikelihood, ValidationError
 from qmetrics.estimation import (
+    REFINE_LEVELS,
+    REFINE_POINTS,
     SCORE_STEPS,
     Likelihood,
     cramer_rao_experiment,
@@ -271,7 +273,7 @@ def test_edge_cases_start_from_a_one_cell_bracket():
         povm = sld_optimal_povm(fam, [theta])
         likelihood = Likelihood(fam, povm, interval)
         counts = sample_outcomes(fam, [theta], povm, 10_000, seed=[7, 0])
-        best = int(np.argmax(likelihood._grid_scores(counts)[2]))
+        best = int(np.argmax(likelihood._grid_scores(counts)))
         assert best in (0, likelihood.grid.size - 1)
         assert abs(likelihood.estimate(counts) - likelihood.grid[best]) < 1e-12
 
@@ -289,25 +291,124 @@ def test_ties_on_a_likelihood_plateau_break_toward_the_midpoint():
     assert abs(likelihood.estimate([500, 500])) <= 0.4 / 255 + 1e-12
 
 
-def test_refinement_scores_one_point_per_step():
-    # An exact-tangent family: each scoring step reads the tangents and the
-    # state at one point, and no sub-grid stack is evaluated.
-    base = random_full_rank(d=3, nparams=1, seed=9)
+def _counted_calls(base):
+    """base with its evaluate and tangents logging (name, argument shape) to a list."""
     calls = []
 
     def counted(name, fn):
         return lambda th: calls.append((name, np.shape(th))) or fn(th)
 
-    fam = replace(base, evaluate=counted("evaluate", base.evaluate),
-                  tangents=counted("tangents", base.tangents))
+    tangents = None if base.tangents is None else counted("tangents", base.tangents)
+    return replace(base, evaluate=counted("evaluate", base.evaluate), tangents=tangents), calls
+
+
+def test_one_experiment_scores_its_replicates_in_stacked_calls():
+    # An exact-tangent family: after the grid table and the point at
+    # theta_true, each scoring step reads the tangents and the states of the
+    # still-active replicates in one call each, and no sub-grid stack and no
+    # per-replicate (1, 1) call is made.
+    base = random_full_rank(d=3, nparams=1, seed=9)
+    fam, calls = _counted_calls(base)
     povm = sld_optimal_povm(base, [0.1])
-    likelihood = Likelihood(fam, povm, (-0.3, 0.5))
-    counts = sample_outcomes(base, [0.1], povm, 10_000, seed=3)
-    calls.clear()
-    assert likelihood.estimate(counts) == mle_1p(base, povm, counts, (-0.3, 0.5))
-    steps = len(calls) // 2
-    assert 1 <= steps <= SCORE_STEPS
-    assert calls == [("tangents", (1, 1)), ("evaluate", (1, 1))] * steps
+    report = cramer_rao_experiment(fam, 0.1, povm, n=10_000, reps=5, seed=0, interval=(-0.3, 0.5))
+    assert calls[:3] == [("evaluate", (256, 1)), ("tangents", (1, 1)), ("evaluate", (1, 1))]
+    sizes = [shape[0] for _, shape in calls[3::2]]
+    pairs = [(("tangents", (n, 1)), ("evaluate", (n, 1))) for n in sizes]
+    assert calls[3:] == [call for pair in pairs for call in pair]
+    assert 1 <= len(sizes) <= SCORE_STEPS
+    assert sizes[0] == 5 and sizes == sorted(sizes, reverse=True) and 1 not in sizes
+    for r in range(5):
+        counts = sample_outcomes(base, [0.1], povm, 10_000, seed=[0, r])
+        assert report.estimates[r] == mle_1p(base, povm, counts, (-0.3, 0.5))
+
+
+def hinge():
+    """diag(1 - q, q) with q = max(t, 0) and its exact tangents: outcome 1 has
+    probability zero for t <= 0."""
+
+    def diagonal(x, y):
+        out = np.zeros(np.shape(x) + (2, 2), dtype=complex)
+        out[..., 0, 0], out[..., 1, 1] = x, y
+        return out
+
+    def q(th):
+        return np.maximum(np.asarray(th)[..., 0], 0.0)
+
+    def dq(th):
+        return (np.asarray(th)[..., 0] > 0.0).astype(float)
+
+    return ParametricFamily(
+        dim=2, nparams=1, domain=((-1.0, 1.0),), name="hinge",
+        evaluate=lambda th: diagonal(1.0 - q(th), q(th)),
+        tangents=lambda th: diagonal(-dq(th), dq(th))[..., None, :, :],
+    )
+
+
+def _mixed_batches():
+    """(family, interval, counts, the rows left to the sub-grids): each batch
+    mixes rows that score with rows where no step can be formed."""
+    # The plateau family is constant for |t| <= 0.1: balanced counts have
+    # I = 0 at their best grid point, unbalanced ones score outside it.
+    base = diagonal_simplex()
+    plateau = ParametricFamily(
+        dim=2, nparams=1, domain=base.domain, name="plateau",
+        evaluate=lambda th: base.evaluate(np.sign(th) * np.maximum(np.abs(th) - 0.1, 0.0)),
+    )
+    yield plateau, (-0.4, 0.4), [[640, 360], [500, 500], [380, 620]], [1]
+    # Counts [999 350, 650] peak between the grid points -0.0016 and 0.0016:
+    # the step from 0.0016 lands below 0, where the counted outcome 1 has
+    # probability zero.
+    yield hinge(), (-0.4, 0.4), [[990_000, 10_000], [999_350, 650], [950_000, 50_000]], [1]
+    # The best grid point of the second row is the interval's end, 2e-6
+    # below the domain bound 1: its stencil leaves the domain, the others' do not.
+    fam = replace(diagonal_simplex(), tangents=None)
+    counts = [sample_outcomes(fam, [theta], basis_povm(2), 10_000, seed=4)
+              for theta in (0.8, 0.99999, 0.7)]
+    yield fam, (0.5, 1.0 - 2e-6), counts, [1]
+
+
+def test_rows_of_a_stack_are_their_own_estimates():
+    # Row r of a stack is the estimate of row r alone, bit for bit, whether
+    # the rows around it score or leave for the sub-grids, whose
+    # REFINE_POINTS-point stacks are counted per row.
+    for family, interval, counts, falls_back in _mixed_batches():
+        fam, calls = _counted_calls(family)
+        likelihood = Likelihood(fam, basis_povm(2), interval)
+        calls.clear()
+        stack = likelihood.estimate(np.array(counts))
+        assert stack.shape == (len(counts),)
+        assert calls.count(("evaluate", (REFINE_POINTS, 1))) == REFINE_LEVELS * len(falls_back)
+        refined = []
+        for r, row in enumerate(counts):
+            assert likelihood.estimate(np.array(counts[r:])).tolist() == stack[r:].tolist()
+            calls.clear()
+            assert likelihood.estimate(row) == stack[r]
+            if ("evaluate", (REFINE_POINTS, 1)) in calls:
+                refined.append(r)
+        assert refined == falls_back, family.name
+
+
+@pytest.mark.parametrize("rows,error", [
+    ([[600, 400], [600, -1], [0, 0]], ValidationError),
+    ([[600, 400], [0, 0], [600, np.nan]], FlatLikelihood),
+    ([[600, 400], [600, np.inf], [500, 500], [0, 0]], ValidationError),
+])
+def test_a_stack_raises_the_error_of_its_first_bad_row(rows, error):
+    # As the replicates one by one did: the middle row's error, with the
+    # message of that row alone.
+    likelihood = Likelihood(diagonal_simplex(), basis_povm(2), (-0.9, 0.9))
+    with pytest.raises(error) as alone:
+        likelihood.estimate(rows[1])
+    with pytest.raises(error) as stacked:
+        likelihood.estimate(np.array(rows, dtype=float))
+    assert type(stacked.value) is type(alone.value)
+    assert str(stacked.value) == str(alone.value)
+
+
+def test_a_stack_of_the_wrong_width_names_the_row_shape():
+    likelihood = Likelihood(diagonal_simplex(), basis_povm(2), (-0.9, 0.9))
+    with pytest.raises(ValidationError, match=r"counts have shape \(3,\); expected one entry"):
+        likelihood.estimate(np.array([[600, 400, 5], [600, 400, 5]]))
 
 
 def _oracle_cases():
@@ -352,7 +453,7 @@ def test_a_stencil_leaving_the_domain_falls_back_to_sub_grids(monkeypatch):
     povm, interval = basis_povm(2), (0.5, 1.0 - 2e-6)
     likelihood = Likelihood(fam, povm, interval)
     counts = sample_outcomes(fam, [0.99999], povm, 10_000, seed=4)
-    assert int(np.argmax(likelihood._grid_scores(counts)[2])) == likelihood.grid.size - 1
+    assert int(np.argmax(likelihood._grid_scores(counts))) == likelihood.grid.size - 1
     with pytest.raises(DomainExit):
         fam.point([likelihood.grid[-1]]).drho
     est = likelihood.estimate(counts)
@@ -378,10 +479,10 @@ def test_counted_zero_probability_outcome_scores_minus_infinity():
     # t = 0, the first grid point.
     fam = pure_rotation()
     likelihood = Likelihood(fam, basis_povm(2), (0.0, 1.0))
-    values = likelihood._grid_scores([500, 500])[2]
+    values = likelihood._grid_scores([500, 500])
     assert values[0] == -math.inf
     assert np.all(np.isfinite(values[1:]))
-    assert np.isfinite(likelihood._grid_scores([1000, 0])[2][0])
+    assert np.isfinite(likelihood._grid_scores([1000, 0])[0])
     assert abs(likelihood.estimate([500, 500]) - math.pi / 4) < 1e-3
 
 
