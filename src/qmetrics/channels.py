@@ -2,10 +2,10 @@
 as one (K, d, d) stack of operators.
 
 Includes the depolarizing channel (generalized Pauli twirl realization),
-random channels for fuzzing monotonicity claims, canonical Kraus operators
-(the set whose Gram matrix against a reference state is diagonal), the
-channel-level information bound and the induced state family built from
-them, and pushforward of state families.
+random channels for fuzzing monotonicity claims, channel families (stack
+functions of theta), canonical Kraus operators (the set whose Gram matrix
+against a reference state is diagonal), the channel-level information bound
+and the induced state family built from them, and pushforward of state families.
 """
 
 from __future__ import annotations
@@ -23,8 +23,14 @@ from .errors import (
     ParamOutOfDomain,
     ValidationError,
 )
-from .families import ParametricFamily, SpectralPresentation, validate_density
-from .linalg import HERM_TOL, RANK_TOL, central_difference, eig_hermitian, fix_phases
+from .families import (
+    ParametricFamily,
+    SpectralPresentation,
+    _random_hermitian,
+    _stack_of,
+    validate_density,
+)
+from .linalg import HERM_TOL, RANK_TOL, central_difference, eig_hermitian, fix_phases, unitary
 from .metrics import evaluate_metric
 
 
@@ -52,11 +58,27 @@ class KrausChannel:
 
 @dataclass(frozen=True)
 class ChannelFamily:
-    """Smooth one-parameter family of channels theta -> KrausChannel."""
+    """Smooth one-parameter family of channels: evaluate maps an (n,) stack
+    of theta to the (n, K, d, d) stack of their Kraus sets, row i equal to
+    the one-point stack at theta[i] bit for bit."""
 
     dim: int
-    evaluate: Callable[[float], KrausChannel]
+    evaluate: Callable[[np.ndarray], np.ndarray]
     name: str = ""
+
+
+def _kraus_sets(chf: ChannelFamily, thetas) -> np.ndarray:
+    """The Kraus sets at the raveled thetas from one evaluate call, checked to
+    be an (n, K, d, d) stack with K >= 1 (ValidationError naming the family)."""
+    thetas = np.ravel(np.asarray(thetas, dtype=float))
+    ops = np.asarray(chf.evaluate(thetas))
+    k = ops.shape[1] if ops.ndim == 4 and ops.shape[1] else 1
+    return _stack_of(chf, "evaluate", ops, (len(thetas), k, chf.dim, chf.dim))
+
+
+def _act(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """sum_k E_k rho E_k^dagger for Kraus sets (..., K, d, d) and states (..., d, d)."""
+    return (ops @ rho[..., None, :, :] @ ops.conj().swapaxes(-1, -2)).sum(axis=-3)
 
 
 def apply_channel(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
@@ -66,8 +88,7 @@ def apply_channel(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"channel dimension {ch.dim} does not match state shape {rho.shape}"
         )
-    ops = np.asarray(ch.operators)
-    return (ops @ rho[..., None, :, :] @ ops.conj().swapaxes(-1, -2)).sum(axis=-3)
+    return _act(np.asarray(ch.operators), rho)
 
 
 def depolarizing_channel(d: int, r: float) -> KrausChannel:
@@ -101,6 +122,28 @@ def random_tpcp(d: int, kraus_count: int, seed: int = 0) -> KrausChannel:
 
 def unitary_channel(u: np.ndarray) -> KrausChannel:
     return KrausChannel(operators=(np.asarray(u, dtype=complex),))
+
+
+def rotation_z_family(seed: int = 0) -> ChannelFamily:
+    """The qubit rotation theta -> exp(-i theta sigma_z / 2); seed is unused,
+    taken so that every built-in channel family is built alike."""
+    sz = np.diag([1.0, -1.0]).astype(complex)
+    return ChannelFamily(dim=2, name="rotation-z",
+                         evaluate=lambda ts: unitary(ts[:, None, None] * sz / 2)[:, None])
+
+
+def mixed_rotation_family(seed: int = 0) -> ChannelFamily:
+    """Two weighted qubit rotations theta -> (cos 0.6 exp(-i theta G_1),
+    sin 0.6 exp(-i (0.4 + 0.7 theta) G_2)), the generators G drawn from the seed."""
+    rng = np.random.default_rng(seed)
+    g1, g2 = _random_hermitian(rng, 2), _random_hermitian(rng, 2)
+    c, s = math.cos(0.6), math.sin(0.6)
+
+    def evaluate(ts):
+        t = ts[:, None, None]
+        return np.stack([c * unitary(t * g1), s * unitary((0.4 + 0.7 * t) * g2)], axis=1)
+
+    return ChannelFamily(dim=2, evaluate=evaluate, name="mixed-rotation")
 
 
 def pushforward_family(ch: KrausChannel, family: ParametricFamily) -> ParametricFamily:
@@ -155,16 +198,24 @@ def _reference_state(chf: ChannelFamily, rho0) -> np.ndarray:
     return validate_density(rho0)
 
 
-def _canonical(ch: KrausChannel, rho0: np.ndarray) -> np.ndarray:
-    """canonical_kraus as a (k, d, d) stack, rho0 taken as checked."""
-    ops = np.asarray(ch.operators)
-    gram = np.trace((ops @ rho0)[:, None] @ ops.conj().swapaxes(-1, -2), axis1=-2, axis2=-1)
+def _canonical(ops: np.ndarray, rho0: np.ndarray, k: Optional[int] = None) -> np.ndarray:
+    """canonical_kraus of each set of an (n, K, d, d) stack, as an (n, k, d, d)
+    stack, rho0 taken as checked; every row keeps k branches (NumericalError)."""
+    gram = np.trace((ops @ rho0)[:, :, None] @ ops.conj().swapaxes(-1, -2)[:, None],
+                    axis1=-2, axis2=-1)
     es = eig_hermitian(gram)
-    if float(es.values.min()) < -1e-8:
-        raise GramNotPSD(f"Gram matrix has eigenvalue {es.values.min():.3e}")
-    coeffs = np.conj(fix_phases(es.vectors)[:, es.values > RANK_TOL])
-    # U_k = sum_j conj(u_jk) E_j, added over j in order
-    return (coeffs[:, :, None, None] * ops[:, None]).sum(axis=0)
+    least = es.values.min(axis=-1)
+    bad = np.flatnonzero(least < -1e-8)
+    if bad.size:
+        raise GramNotPSD(f"Gram matrix has eigenvalue {least[bad[0]]:.3e}")
+    counts = set((es.values > RANK_TOL).sum(axis=-1).tolist()) | (set() if k is None else {k})
+    if len(counts) > 1:
+        raise NumericalError(f"canonical branch count changes across theta: {sorted(counts)}")
+    # Kept branches come first, the eigenvalues falling. fix_phases again
+    # shrinks the pinned entries' rounding-size imaginary parts, as before.
+    coeffs = np.conj(fix_phases(es.vectors)[..., :max(counts, default=0)]).transpose(1, 0, 2)
+    # U_m = sum_j conj(u_jm) E_j, added over j (now the first axis) in order
+    return (coeffs[..., None, None] * ops.swapaxes(0, 1)[:, :, None]).sum(axis=0)
 
 
 def canonical_kraus(chf: ChannelFamily, theta: float, rho0: np.ndarray) -> list[np.ndarray]:
@@ -174,19 +225,16 @@ def canonical_kraus(chf: ChannelFamily, theta: float, rho0: np.ndarray) -> list[
     conjugated eigenvector matrix; branches with vanishing Gram eigenvalue are
     dropped. Phases are pinned by the deterministic eigenvector gauge.
     """
-    return list(_canonical(chf.evaluate(theta), _reference_state(chf, rho0)))
+    rho0 = _reference_state(chf, rho0)
+    return list(_canonical(_kraus_sets(chf, theta), rho0)[0])
 
 
 def _canonical_branches(chf: ChannelFamily, thetas, rho0: np.ndarray, reference=None):
     """Canonical Kraus sets at the points thetas, an (n, k, d, d) stack, with the
     unit phases making each tr(U_k rho0 R_k^dagger) real non-negative (fixed for
     differencing); R is reference (k, d, d), else the first point's set."""
-    sets = [_canonical(chf.evaluate(float(t)), rho0) for t in np.ravel(thetas)]
-    reference = sets[0] if reference is None else reference
-    counts = sorted({len(ops) for ops in sets} | {len(reference)})
-    if len(counts) > 1:
-        raise NumericalError(f"canonical branch count changes across theta: {counts}")
-    ops = np.reshape(sets, (len(sets),) + reference.shape)
+    ops = _canonical(_kraus_sets(chf, thetas), rho0, None if reference is None else len(reference))
+    reference = ops[0] if reference is None else reference
     z = np.trace(ops @ rho0 @ reference.conj().swapaxes(-1, -2), axis1=-2, axis2=-1)
     a = np.hypot(z.real, z.imag)  # abs of each overlap; np.abs can differ in the last bit
     return ops * np.divide(np.conj(z), a, out=np.ones_like(z), where=a >= 1e-14)[..., None, None]
@@ -225,13 +273,11 @@ def induced_state_family(
         raise ValidationError(f"reference vector must be finite and nonzero, got {psi0}")
     psi0 = psi0 / np.linalg.norm(psi0)
     rho0 = np.outer(psi0, psi0.conj())
-    base = _canonical(chf.evaluate(base_theta), rho0)
+    base = _canonical(_kraus_sets(chf, base_theta), rho0)[0]
 
-    # chf.evaluate takes one theta at a time, so evaluate loops over the points.
     def evaluate(th):
         ts = np.asarray(th, dtype=float)[..., 0]
-        states = np.reshape([apply_channel(chf.evaluate(float(t)), rho0) for t in ts.ravel()],
-                            ts.shape + (d, d))
+        states = _act(_kraus_sets(chf, ts), rho0).reshape(ts.shape + (d, d))
         traces = np.real(np.trace(states, axis1=-2, axis2=-1))[..., None, None]
         if np.any(np.abs(traces - 1.0) > HERM_TOL):
             raise ValidationError(f"{name}: the channel does not preserve trace at theta = {th}")

@@ -21,35 +21,18 @@ import numpy as np
 from . import channels, verify
 from .errors import NumericalError, QMetricsError, ValidationError
 from .estimation import cramer_rao_experiment, sld_optimal_povm
-from .families import _random_hermitian, directional_family, family_registry
+from .families import directional_family, family_registry
 from .gauge import apply_gauge, minimizing_gauge_1p, integrability_test
-from .linalg import unitary
 from .metrics import c_l_information, c_upsilon_states, evaluate_metrics
 
 DEFAULT_SEED = 42
 
 
-def _rotation_z(seed: int) -> channels.ChannelFamily:
-    sz = np.diag([1.0, -1.0]).astype(complex)
-    return channels.ChannelFamily(
-        dim=2, evaluate=lambda t: channels.unitary_channel(unitary(t * sz / 2)), name="rotation-z"
-    )
-
-
-def _mixed_rotation(seed: int) -> channels.ChannelFamily:
-    rng = np.random.default_rng(seed)
-    g1, g2 = _random_hermitian(rng, 2), _random_hermitian(rng, 2)
-
-    def evaluate(t):
-        u1, u2 = unitary(t * g1), unitary((0.4 + 0.7 * t) * g2)
-        c, s = math.cos(0.6), math.sin(0.6)
-        return channels.KrausChannel(operators=(c * u1, s * u2))
-
-    return channels.ChannelFamily(dim=2, evaluate=evaluate, name="mixed-rotation")
-
-
 # Built-in channel families by name, each built from the seed.
-CHANNEL_FAMILIES = {"rotation-z": _rotation_z, "mixed-rotation": _mixed_rotation}
+CHANNEL_FAMILIES = {
+    "rotation-z": channels.rotation_z_family,
+    "mixed-rotation": channels.mixed_rotation_family,
+}
 
 # Pure reference states for channel-bound, by name.
 REFERENCE_STATES = {

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FlatLikelihood, NoConvergence, ValidationError
-from .families import ParametricFamily, _stack_of, _stencil
-from .linalg import DEFAULT_H, eig_hermitian
+from .families import ParametricFamily, _states
+from .linalg import eig_hermitian
 from .metrics import _measured_fisher, born_probabilities, sld_information, validate_povm
 
 
@@ -100,6 +100,10 @@ GRID_POINTS = 256
 # about 1e-11 near the root, so it took a median of 8 and at most 17.
 SCORE_TOL = 1e-12
 SCORE_STEPS = 24
+# A short step is a root only if |g| <= ROOT_SCORE sqrt(I), the step in units
+# of the standard error 1 / sqrt(I): at most 1.7e-10 at the stops above (exact
+# and stencil), about 22 beside a counted outcome whose probability vanishes.
+ROOT_SCORE = 1e-6
 # The sub-grid fallback: points per level, chosen by timing (random_full_rank
 # d=4); the fewest levels whose bracket, shrunk by 2 / (REFINE_POINTS - 1) per
 # level, is no wider than that of 60 ternary steps: k with (1/8)**k <= (2/3)**60, so 12.
@@ -162,27 +166,13 @@ class Likelihood:
         """The score g = sum_m c_m dp_m / p_m of each row's counted outcomes at
         its t, the information I = sum_m c_m (dp_m / p_m)^2, and whether a
         scoring step can be formed there, from one stacked family call over
-        the (n, 1) stack of ts (exact tangents, or the Richardson stencil).
-        No step can be formed where I = 0 (a plateau, where no counted
-        probability moves), a counted outcome has probability 0, g or I is
-        not finite, or a row's stencil leaves the domain. A g of exactly 0
-        with I > 0 is a root, not a plateau. Each row's numbers do not depend
-        on the other rows."""
-        family, n, d = self.family, len(ts), self.family.dim
-        th = ts.reshape(n, 1)
-        if family.tangents is None:
-            lo, hi = family._limits
-            steps = (lo < ts - DEFAULT_H) & (ts + DEFAULT_H < hi)
-            rho, drho = np.zeros((n, d, d), dtype=complex), np.zeros((n, 1, d, d), dtype=complex)
-            if steps.any():
-                rho[steps], drho[steps] = _stencil(family, family._evaluate_stack, th[steps])
-        else:
-            # Tangents first: a built-in family keeps the presentation they
-            # come from, and its evaluate reuses that frame (see families._exact).
-            steps = True
-            drho = _stack_of(family, "tangents", np.asarray(family.tangents(th), dtype=complex),
-                             (n, 1, d, d))
-            rho = family._evaluate_stack(th)
+        the rows of the (n, 1) stack of ts where rho and its tangent can be
+        formed (see families._states). No step can be formed where I = 0 (a
+        plateau, where no counted probability moves), a counted outcome has
+        probability 0, g or I is not finite, or rho and its tangent cannot
+        be formed. A g of exactly 0 with I > 0 is a root, not a plateau.
+        Each row's numbers do not depend on the other rows."""
+        rho, drho, steps = _states(self.family, ts.reshape(len(ts), 1), partial=True)
         # tr(A M_m) as a sum over the (d, d) entries of each row: unlike an
         # einsum over the stack, its rows do not change with the stack size.
         p = np.maximum((rho[:, None] * self._transposed).sum((-2, -1)).real, 0.0)
@@ -205,8 +195,9 @@ class Likelihood:
         it. Each step scores every still-active row at once (see _scores).
         It moves the end of a row's bracket that its score g points away
         from to its t and steps to t + g / I, or to the bracket's midpoint
-        when a step longer than SCORE_TOL * max(1, |t|) leaves the bracket.
-        A row's first step no longer than that ends its search, inside the
+        when a step longer than SCORE_TOL * max(1, |t|) leaves the bracket
+        or a step no longer than that is not at a root (see ROOT_SCORE). A
+        row's first step no longer than that ends its search, inside the
         bracket, so a best grid point at an end of the interval whose score
         points out is returned as it is. A row where no step can be formed,
         or still active after SCORE_STEPS steps, leaves the stack:
@@ -253,7 +244,8 @@ class Likelihood:
                     b = t
                 tol = SCORE_TOL * max(1.0, abs(t))
                 new = t + g_i / info_i
-                if abs(new - t) > tol and not a < new < b:
+                short = abs(new - t) <= tol
+                if not (abs(g_i) <= ROOT_SCORE * math.sqrt(info_i) if short else a < new < b):
                     new = (a + b) / 2.0
                 if abs(new - t) <= tol:
                     estimates[r] = min(max(new, a), b)

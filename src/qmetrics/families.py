@@ -180,7 +180,7 @@ class ParametricFamily:
 
 
 def _stack_of(family: ParametricFamily, what: str, array: np.ndarray, shape: tuple) -> np.ndarray:
-    """array, unless a family callable gave a stack of the wrong shape."""
+    """array, unless a family's (or channel family's) callable gave the wrong shape."""
     if array.shape != shape:
         raise ValidationError(
             f"family {family.name!r}: {what} gives shape {array.shape} for a stack "
@@ -189,24 +189,51 @@ def _stack_of(family: ParametricFamily, what: str, array: np.ndarray, shape: tup
     return array
 
 
+def _stencil_exits(family: ParametricFamily, thetas: np.ndarray) -> np.ndarray:
+    """exits[s, i, l]: whether point i of an (n, p) stack, its coordinate l moved by
+    step s of (+h, -h) as in central_difference, leaves the open domain."""
+    lo, hi = family._limits
+    moved = thetas + np.array([DEFAULT_H, -DEFAULT_H])[:, None, None]
+    return ~((lo < moved) & (moved < hi))
+
+
 def _stencil(family: ParametricFamily, f: Callable[[np.ndarray], np.ndarray],
              thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """central_difference of f at checked points of the family, after checking the
     stencil points theta +- h e_l (theta +- (h/2) e_l lie between) against the domain:
     one within DEFAULT_H of a finite bound raises DomainExit, and f is not called."""
     base = np.atleast_2d(thetas)
-    lo, hi = family._limits
-    # moved[s, i, l]: coordinate l of point i moved by step s of (+h, -h), as in central_difference.
-    moved = base + np.array([DEFAULT_H, -DEFAULT_H])[:, None, None]
-    outside = np.flatnonzero(~((lo < moved) & (moved < hi)))
+    outside = np.flatnonzero(_stencil_exits(family, base))
     if outside.size:
-        s, i, l = np.unravel_index(outside[0], moved.shape)
-        point = np.where(np.arange(base.shape[1]) == l, moved[s, i], base[i])
+        s, i, l = np.unravel_index(outside[0], (2,) + base.shape)
+        step = (DEFAULT_H, -DEFAULT_H)[s]
+        point = np.where(np.arange(base.shape[1]) == l, base[i, l] + step, base[i])
         raise DomainExit(
             f"the difference stencil of {family.name!r} at theta {base[i].tolist()} "
             f"with step h={DEFAULT_H} leaves the domain at {point.tolist()}"
         )
     return central_difference(f, thetas)
+
+
+def _states(family: ParametricFamily, thetas: np.ndarray,
+            partial: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """rho (n, d, d), drho (n, p, d, d) and which rows were formed, at an (n, p)
+    stack of checked points: the family's tangents, then its states (a
+    built-in family's evaluate reuses the frame the tangents came from, see
+    _exact), or else one _stencil of the states. A stencil leaving the domain
+    raises DomainExit; with partial set, its rows are left zero and unformed."""
+    n, p, d = len(thetas), family.nparams, family.dim
+    formed = np.ones(n, dtype=bool)
+    if family.tangents is not None:
+        drho = _stack_of(family, "tangents", np.asarray(family.tangents(thetas), dtype=complex),
+                         (n, p, d, d))
+        return family._evaluate_stack(thetas), drho, formed
+    if partial:
+        formed = ~_stencil_exits(family, thetas).any(axis=(0, 2))
+    rho, drho = np.zeros((n, d, d), dtype=complex), np.zeros((n, p, d, d), dtype=complex)
+    if formed.any():
+        rho[formed], drho[formed] = _stencil(family, family._evaluate_stack, thetas[formed])
+    return rho, drho, formed
 
 
 @dataclass(frozen=True)
@@ -274,10 +301,9 @@ class FamilyPoint:
     them. Each part is computed on first use and kept; a part whose
     computation raises is not kept, so it raises again on the next use. The
     arrays the point hands out are read-only, since later callers share them.
-    rho comes from one evaluation of the point. drho comes from the family's
-    tangents when it has them, at the point alone; otherwise rho and drho
-    come from one evaluation of the point and its 4p Richardson stencil
-    points, all checked against the domain first.
+    rho and drho come from _states on the one-point stack: the family's
+    tangents at the point alone, or one evaluation of the point and its 4p
+    Richardson stencil points, all checked against the domain first.
     """
 
     __slots__ = ("family", "theta", "__dict__")
@@ -292,18 +318,9 @@ class FamilyPoint:
 
     @cached_property
     def _state(self) -> tuple[np.ndarray, np.ndarray]:
-        family = self.family
-        if family.tangents is None:
-            rho, drho = _stencil(family, family._evaluate_stack, self.theta)
-        else:
-            # Tangents first: a built-in family keeps the presentation they
-            # come from, and its evaluate reuses that frame (see _exact).
-            shape = (1, family.nparams, family.dim, family.dim)
-            drho = _stack_of(family, "tangents", np.asarray(
-                family.tangents(self.theta[None]), dtype=complex), shape)[0]
-            rho = family._evaluate_stack(self.theta[None])[0]
+        rho, drho, _ = _states(self.family, self.theta[None])
         _read_only(rho, drho)
-        return rho, drho
+        return rho[0], drho[0]
 
     @property
     def rho(self) -> np.ndarray:

@@ -23,10 +23,10 @@ import numpy as np
 from .errors import DomainExit, MissingGauge, NonImaginaryOverlap, ValidationError
 from .families import ParametricFamily, spectral_tangents, tangent_data
 
-# Grid points per stacked presentation in minimizing_gauge_1p. Unblocked, the
+# Frame entries per stacked presentation in minimizing_gauge_1p. Unblocked, the
 # scan's memory grows with --steps x d^2: one random d=32 scan of 2048 steps
-# peaked at 51 MB RSS with blocks and 281 MB without.
-_SCAN_BLOCK = 64
+# peaked at 51 MB RSS in blocks of 64 points and 281 MB without.
+_SCAN_ENTRIES = 64 * 32 * 32
 
 
 @dataclass(frozen=True)
@@ -156,8 +156,9 @@ def minimizing_gauge_1p(
     phases = None if family.phases is None else family.phases(thetas)
     family = replace(family, phases=None)
     diag = np.empty((grid.size, family.dim), dtype=complex)
-    for start in range(0, grid.size, _SCAN_BLOCK):
-        block = slice(start, start + _SCAN_BLOCK)
+    size = max(1, _SCAN_ENTRIES // family.dim ** 2)
+    for start in range(0, grid.size, size):
+        block = slice(start, start + size)
         overlaps = spectral_tangents(family, thetas[block])[1]
         diag[block] = np.diagonal(overlaps[:, 0], axis1=-2, axis2=-1)
     worst_re = float(np.max(np.abs(np.real(diag))))

@@ -30,9 +30,9 @@ DEGEN_GAP = 1e-6       # eigenvalue pairs closer than this are "degenerate"
 DEFAULT_H = 1e-5       # finite-difference step (entries are O(1))
 
 
-def herm_defect(m: np.ndarray) -> float:
-    """Max-entry deviation of m from its own adjoint."""
-    return float(np.max(np.abs(m - m.conj().T)))
+def herm_defect(m: np.ndarray):
+    """Max-entry deviation of m from its own adjoint; per matrix of a stack."""
+    return np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
 
 
 @dataclass(frozen=True)
@@ -40,36 +40,53 @@ class EigenSystem:
     """Eigenvalues sorted descending; orthonormal column eigenvectors with the
     largest-modulus component of each vector made real and non-negative."""
 
-    values: np.ndarray   # (d,) real
-    vectors: np.ndarray  # (d, d) complex, columns
+    values: np.ndarray   # (d,) real; (..., d) for a stack
+    vectors: np.ndarray  # (d, d) complex, columns; (..., d, d) for a stack
 
 
 def fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-modulus entry is real non-negative.
+    """Rotate each column so its largest-modulus entry is real non-negative;
+    each matrix of a stack (..., d, d) as it would be alone, bit for bit when
+    d >= 2 (1 x 1 matrices share one vector loop, which can round apart).
 
     This pins the otherwise arbitrary eigenvector phases deterministically,
     so repeated decompositions of the same matrix agree bit for bit.
     """
     v = np.array(vectors, dtype=complex, copy=True)
-    z = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
-    a = np.hypot(z.real, z.imag)  # abs of one complex number; np.abs can differ in the last bit
+    rows = np.argmax(np.abs(v), axis=-2)
+    if v.ndim == 2:  # take_along_axis costs one matrix microseconds
+        z = v[rows, np.arange(v.shape[1])]
+    else:
+        z = np.take_along_axis(v, rows[..., None, :], axis=-2)
+    a = np.hypot(z.real, z.imag)  # abs of each complex number; np.abs can differ in the last bit
     v *= np.divide(np.conj(z), a, out=np.ones_like(z), where=a > 0.0)
     return v
 
 
 def eig_hermitian(m: np.ndarray) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix with a deterministic gauge."""
+    """Eigendecomposition of a Hermitian matrix with a deterministic gauge; of
+    each matrix of a stack (..., d, d) bit for bit as alone, after the first
+    matrix that is not Hermitian has raised with its defect."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise NotHermitian(f"expected a square matrix, got shape {m.shape}")
-    if herm_defect(m) > HERM_TOL:
-        raise NotHermitian(f"matrix deviates from Hermitian by {herm_defect(m):.3e}")
+    defects = herm_defect(m)
+    if (defects > HERM_TOL).any():
+        first = np.ravel(defects)[np.argmax(np.ravel(defects) > HERM_TOL)]
+        raise NotHermitian(f"matrix deviates from Hermitian by {first:.3e}")
     try:
-        vals, vecs = np.linalg.eigh((m + m.conj().T) / 2.0)
+        vals, vecs = np.linalg.eigh((m + m.conj().swapaxes(-1, -2)) / 2.0)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergence(str(exc)) from exc
-    order = np.argsort(-vals, kind="stable")
-    return EigenSystem(values=vals[order], vectors=fix_phases(vecs[:, order]))
+    order = np.argsort(-vals, axis=-1, kind="stable")
+    if m.ndim == 2:
+        vals, vecs = vals[order], vecs[:, order]
+    else:
+        # Sorted as rows, then viewed as columns: each matrix keeps the
+        # column-major layout of vecs[:, order], which products downstream round by.
+        vals = np.take_along_axis(vals, order, axis=-1)
+        vecs = np.take_along_axis(vecs.swapaxes(-1, -2), order[..., :, None], axis=-2).swapaxes(-1, -2)
+    return EigenSystem(values=vals, vectors=fix_phases(vecs))
 
 
 def sld_solve(es: EigenSystem, tangents: np.ndarray) -> np.ndarray:
@@ -88,7 +105,7 @@ def sld_solve(es: EigenSystem, tangents: np.ndarray) -> np.ndarray:
     a = v.conj().T @ tangents @ v
     denom = p[:, None] + p[None, :]
     off_support = denom <= RANK_TOL
-    not_hermitian = np.abs(tangents - tangents.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) > HERM_TOL
+    not_hermitian = herm_defect(tangents) > HERM_TOL
     not_traceless = np.abs(np.trace(tangents, axis1=-2, axis2=-1)) > HERM_TOL
     unsupported = (np.abs(a) * off_support).max(axis=(-2, -1)) > 1e-8
     failing = np.flatnonzero(not_hermitian | not_traceless | unsupported)

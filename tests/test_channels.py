@@ -12,11 +12,12 @@ from qmetrics.channels import (
     canonical_kraus,
     depolarizing_channel,
     induced_state_family,
+    mixed_rotation_family,
     monotonicity_experiment,
     pushforward_family,
     random_tpcp,
+    rotation_z_family,
     sm_channel_bound,
-    unitary_channel,
 )
 from qmetrics.cli import CHANNEL_FAMILIES
 from qmetrics.errors import (
@@ -43,11 +44,16 @@ def plus_state():
     return psi, np.outer(psi, psi.conj())
 
 
-def rotation_z_family():
-    sz = np.diag([1.0, -1.0]).astype(complex)
-    return ChannelFamily(
-        dim=2, evaluate=lambda t: unitary_channel(unitary(t * sz / 2)), name="rz"
-    )
+def constant_family(ch, name="c"):
+    """The channel ch at every theta."""
+    ops = np.asarray(ch.operators)
+    return ChannelFamily(dim=ch.dim, name=name,
+                         evaluate=lambda ts: np.broadcast_to(ops, (len(ts),) + ops.shape))
+
+
+def kraus_at(chf, theta):
+    """The family's channel at one theta, from the one-point stack."""
+    return KrausChannel(tuple(chf.evaluate(np.array([float(theta)]))[0]))
 
 
 @settings(deadline=None, max_examples=25)
@@ -142,7 +148,8 @@ def test_sld_information_monotone_under_channels(seed):
 
 
 def test_canonical_kraus_diagonalizes_gram():
-    chf = ChannelFamily(dim=2, evaluate=lambda t: random_tpcp(2, 3, seed=9), name="c")
+    ch = random_tpcp(2, 3, seed=9)
+    chf = constant_family(ch)
     _, rho0 = plus_state()
     ops = canonical_kraus(chf, 0.0, rho0)
     n = len(ops)
@@ -152,7 +159,7 @@ def test_canonical_kraus_diagonalizes_gram():
     # supports at most dim of them), so only the action on rho0 is preserved
     assert n <= 2
     out = sum(e @ rho0 @ e.conj().T for e in ops)
-    ref = apply_channel(chf.evaluate(0.0), rho0)
+    ref = apply_channel(ch, rho0)
     assert np.allclose(out, ref, atol=1e-10)
     probs = np.real(np.diag(gram))
     assert abs(probs.sum() - 1.0) < 1e-10
@@ -160,7 +167,7 @@ def test_canonical_kraus_diagonalizes_gram():
 
 def test_canonical_kraus_rejects_a_non_hermitian_reference_state():
     # Its Gram matrix is not Hermitian; it used to be symmetrized without a check.
-    chf = ChannelFamily(dim=2, evaluate=lambda t: random_tpcp(2, 3, seed=9), name="c")
+    chf = constant_family(random_tpcp(2, 3, seed=9))
     rho0 = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
     with pytest.raises(NotHermitian, match="deviates from Hermitian"):
         canonical_kraus(chf, 0.0, rho0)
@@ -197,8 +204,9 @@ def test_channel_bound_matches_induced_family_lower_bound():
     g1, g2 = rand_herm(2), rand_herm(2)
     c, s = math.cos(0.6), math.sin(0.6)
 
-    def evaluate(t):
-        return KrausChannel(operators=(c * unitary(t * g1), s * unitary((0.4 + 0.7 * t) * g2)))
+    def evaluate(ts):
+        t = ts[:, None, None]
+        return np.stack([c * unitary(t * g1), s * unitary((0.4 + 0.7 * t) * g2)], axis=1)
 
     chf = ChannelFamily(dim=2, evaluate=evaluate, name="two-branch")
     psi, rho0 = plus_state()
@@ -260,7 +268,7 @@ def _align_branch(candidate, reference, rho0):
 
 def _sm_bound_reference(chf, theta, rho0):
     def aligned(thetas):
-        branches = [_canonical_reference(chf.evaluate(t), rho0) for (t,) in thetas]
+        branches = [_canonical_reference(kraus_at(chf, t), rho0) for (t,) in thetas]
         return np.array([[_align_branch(u, ref, rho0) for u, ref in zip(ops, branches[0])]
                          for ops in branches])
 
@@ -276,8 +284,9 @@ def random_mixed_state(rng, d):
 
 def drifting_family(ch, h):
     """theta -> the channel with Kraus operators E_k exp(-i theta h)."""
+    ops = np.asarray(ch.operators)
     return ChannelFamily(
-        dim=ch.dim, evaluate=lambda t: KrausChannel(tuple(e @ unitary(t * h) for e in ch.operators))
+        dim=ch.dim, evaluate=lambda ts: ops @ unitary(ts[:, None, None] * h)[:, None]
     )
 
 
@@ -288,7 +297,7 @@ def test_canonical_kraus_and_bound_equal_the_per_branch_reference_bit_for_bit():
         chf = drifting_family(random_tpcp(d, k, seed=seed), _random_hermitian(rng, d))
         rho0 = random_mixed_state(rng, d)
         theta = float(rng.uniform(-1.0, 1.0))
-        ops, ref = canonical_kraus(chf, theta, rho0), _canonical_reference(chf.evaluate(theta), rho0)
+        ops, ref = canonical_kraus(chf, theta, rho0), _canonical_reference(kraus_at(chf, theta), rho0)
         assert len(ops) == len(ref) == k
         assert all(np.array_equal(a, b) for a, b in zip(ops, ref))
         assert sm_channel_bound(chf, theta, rho0) == _sm_bound_reference(chf, theta, rho0)
@@ -315,7 +324,7 @@ def test_apply_channel_equals_the_operator_loop_bit_for_bit():
 
 
 def mixed_rotation():
-    return CHANNEL_FAMILIES["mixed-rotation"](0)
+    return mixed_rotation_family(0)
 
 
 @pytest.mark.parametrize("call", [canonical_kraus, sm_channel_bound])
@@ -377,8 +386,9 @@ def test_branch_count_change_raises_one_error_for_bound_and_family():
     # The second branch has no weight at theta = 0 and some at theta != 0.
     _, rho0 = plus_state()
     g = np.diag([1.0, -1.0]).astype(complex)
-    chf = ChannelFamily(dim=2, evaluate=lambda t: KrausChannel(
-        (math.cos(t) * np.eye(2, dtype=complex), math.sin(t) * unitary(g))))
+    chf = ChannelFamily(dim=2, evaluate=lambda ts: np.stack(
+        [np.cos(ts)[:, None, None] * np.eye(2, dtype=complex),
+         np.sin(ts)[:, None, None] * unitary(g)], axis=1))
     with pytest.raises(NumericalError, match="canonical branch count changes across theta"):
         sm_channel_bound(chf, 0.0, rho0)
     family = induced_state_family(chf, plus_state()[0], 0.0)
@@ -402,7 +412,7 @@ def test_induced_family_of_the_package_channel_has_traceless_tangents():
 
 
 def test_induced_family_rejects_a_channel_that_loses_trace():
-    lossy = ChannelFamily(dim=2, evaluate=lambda t: KrausChannel((0.9 * unitary(t * np.eye(2)),)))
+    lossy = ChannelFamily(dim=2, evaluate=lambda ts: 0.9 * unitary(ts[:, None, None] * np.eye(2))[:, None])
     family = induced_state_family(lossy, plus_state()[0], 0.0)
     with pytest.raises(ValidationError, match="does not preserve trace"):
         family.rho([0.1])
@@ -418,9 +428,10 @@ def random_unitary_mixture(seed):
     offsets, rates = rng.uniform(-1.0, 1.0, k), rng.uniform(0.5, 1.5, k)
     psi = rng.normal(size=3) + 1j * rng.normal(size=3)
 
-    def evaluate(t):
-        return KrausChannel(tuple(w * unitary((a + b * t) * g)
-                                  for w, g, a, b in zip(weights, gens, offsets, rates)))
+    def evaluate(ts):
+        t = ts[:, None, None]
+        return np.stack([w * unitary((a + b * t) * g)
+                         for w, g, a, b in zip(weights, gens, offsets, rates)], axis=1)
 
     return ChannelFamily(dim=3, evaluate=evaluate, name=f"mixture{seed}"), psi
 
@@ -437,3 +448,34 @@ def test_channel_bound_is_the_canonical_gauge_information_over_seeded_channels()
             family = induced_state_family(chf, psi, t)
             for info in (c_upsilon_states(family, [t]), c_l_information(family, [t])):
                 assert abs(info[0, 0] - bound) <= 1e-8 * bound
+
+
+def test_stacked_channel_families_give_the_one_point_kraus_sets_bit_for_bit():
+    families = [rotation_z_family(), *(mixed_rotation_family(seed) for seed in range(5)),
+                *(random_unitary_mixture(seed)[0] for seed in range(5))]
+    thetas = np.linspace(-1.3, 2.0, 12)
+    for chf in families:
+        stack = chf.evaluate(thetas)
+        assert stack.ndim == 4 and stack.shape[0] == 12 and stack.shape[2:] == (chf.dim,) * 2
+        for theta, row in zip(thetas, stack):
+            assert row.tobytes() == chf.evaluate(np.array([theta]))[0].tobytes(), chf.name
+        assert chf.evaluate(np.zeros(0)).shape == (0,) + stack.shape[1:]
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda ts: KrausChannel((unitary(ts[0] * np.eye(2)),)),  # one channel, as for one theta
+    lambda ts: unitary(ts[:, None, None] * np.eye(2)),        # no Kraus axis
+    lambda ts: unitary(np.append(ts, 0.0)[:, None, None] * np.eye(2))[:, None],  # a row too many
+    lambda ts: np.zeros((len(ts), 1, 3, 3)),                  # the wrong dimension
+    lambda ts: np.zeros((len(ts), 0, 2, 2)),                  # no operators
+], ids=["channel", "no-kraus-axis", "extra-row", "wrong-dim", "empty"])
+def test_a_channel_family_of_the_wrong_shape_raises_naming_it(evaluate):
+    chf = ChannelFamily(dim=2, evaluate=evaluate, name="misshapen")
+    psi, rho0 = plus_state()
+    message = r"family 'misshapen': evaluate gives shape .* expected \(\d+, \d+, 2, 2\)"
+    with pytest.raises(ValidationError, match=message):
+        sm_channel_bound(chf, 0.3, rho0)
+    with pytest.raises(ValidationError, match=message):
+        canonical_kraus(chf, 0.3, rho0)
+    with pytest.raises(ValidationError, match=message):
+        induced_state_family(chf, psi, 0.3)

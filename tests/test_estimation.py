@@ -344,6 +344,33 @@ def hinge():
     )
 
 
+def test_a_short_step_beside_a_vanishing_probability_is_not_a_root():
+    # The step from 0.0016 bisects to 2.8e-17, where outcome 1 has probability
+    # 2.8e-17 and g / I equals t: the step is short, but no root is near. The
+    # estimate used to stop there, at 5.6e-17; the likelihood peaks at 5e-4.
+    estimate = mle_1p(hinge(), basis_povm(2), [999_500, 500], (-0.4, 0.4))
+    assert abs(estimate - 5e-4) < 1e-9
+
+
+def test_a_step_on_a_stencil_only_family_evaluates_the_rows_that_can_step_in_one_call():
+    # Row 1 lies within DEFAULT_H of the domain bound 1, so its stencil would
+    # leave the domain: it is not evaluated, and it cannot step.
+    fam = replace(diagonal_simplex(), tangents=None)
+    seen = []
+    counted = replace(fam, evaluate=lambda th: seen.append(np.array(th)) or fam.evaluate(th))
+    likelihood = Likelihood(counted, basis_povm(2), (-0.9, 1.0 - 1e-6))
+    seen.clear()
+    ts = np.array([0.2, 1.0 - 2e-6, -0.5])
+    counts = np.array([[600.0, 400.0]] * 3)
+    g, info, steps = likelihood._scores(ts, counts, counts > 0.0)
+    assert steps.tolist() == [True, False, True]
+    assert len(seen) == 1 and seen[0].shape == (2 + 4 * 2, 1)
+    assert seen[0][:2, 0].tolist() == [0.2, -0.5]
+    for i in (0, 2):
+        alone = likelihood._scores(ts[i:i + 1], counts[:1], counts[:1] > 0.0)
+        assert (g[i], info[i]) == (alone[0][0], alone[1][0])
+
+
 def _mixed_batches():
     """(family, interval, counts, the rows left to the sub-grids): each batch
     mixes rows that score with rows where no step can be formed."""

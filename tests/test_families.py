@@ -14,7 +14,6 @@ from qmetrics.errors import (
 )
 from qmetrics.channels import (
     ChannelFamily,
-    KrausChannel,
     depolarizing_channel,
     induced_state_family,
     pushforward_family,
@@ -236,8 +235,9 @@ def _two_branch_channels():
     g1 = _random_hermitian(np.random.default_rng(1), 2)
     g2 = _random_hermitian(np.random.default_rng(2), 2)
     c, s = np.cos(0.6), np.sin(0.6)
-    return ChannelFamily(dim=2, name="two-branch", evaluate=lambda t: KrausChannel(
-        operators=(c * unitary(t * g1), s * unitary((0.4 + 0.7 * t) * g2))))
+    return ChannelFamily(dim=2, name="two-branch", evaluate=lambda ts: np.stack(
+        [c * unitary(ts[:, None, None] * g1), s * unitary((0.4 + 0.7 * ts[:, None, None]) * g2)],
+        axis=1))
 
 
 def _sampled_gauge(d, seed):

@@ -273,6 +273,8 @@ def _sampled(d, seed):
 SCANS = [
     *((_perturbed(d, 50 + d), 512) for d in (2, 3, 4)),
     *((_perturbed(3, 60), steps) for steps in (1, 63, 64, 65)),
+    # Blocks of 64 points at d = 32: the grid ends at, and just past, a block edge.
+    *((_perturbed(32, 70), steps) for steps in (63, 64)),
     (_sampled(3, 61), 200),
     (rot3_mixture(0.1), 65),
     (pure_rotation(), 64),
@@ -294,14 +296,17 @@ def test_blocked_scan_equals_the_per_point_scan_bit_for_bit(fam, steps, exact):
     assert np.array_equal(pa.samples, samples)
 
 
-@pytest.mark.parametrize("exact,blocks", [
-    # One presentation of each block with its stencil: 513 grid points in 9 blocks.
-    (False, [(320, 1)] * 8 + [(5, 1)]),
+@pytest.mark.parametrize("d,exact,blocks", [
+    # One presentation of each block with its stencil: at d = 3 the 513 grid
+    # points are one block, at d = 32 nine blocks of at most 64 points.
+    (3, False, [(2565, 1)]),
+    (32, False, [(320, 1)] * 8 + [(5, 1)]),
     # One presentation of each block, with its slopes and no stencil points.
-    (True, [(64, 1)] * 8 + [(1, 1)]),
-], ids=["stencil", "exact"])
-def test_scan_makes_no_one_point_presentation_on_a_batched_family(exact, blocks):
-    base = random_full_rank(d=3, nparams=1, seed=5)
+    (3, True, [(513, 1)]),
+    (32, True, [(64, 1)] * 8 + [(1, 1)]),
+], ids=["stencil-d3", "stencil-d32", "exact-d3", "exact-d32"])
+def test_scan_makes_no_one_point_presentation_on_a_batched_family(d, exact, blocks):
+    base = random_full_rank(d=d, nparams=1, seed=5)
     if not exact:
         base = replace(base, tangents=None)
     calls, phase_calls = [], []
@@ -312,7 +317,7 @@ def test_scan_makes_no_one_point_presentation_on_a_batched_family(exact, blocks)
 
     def phases(th):
         phase_calls.append(np.shape(th))
-        return np.array([0.3, -0.2, 0.1]) * np.sin(th[0])
+        return np.linspace(0.3, -0.2, d) * np.sin(th[0])
 
     counted = replace(base, spectral=spectral)
     minimizing_gauge_1p(apply_gauge(counted, PhaseAssignment.from_callable(phases)),

@@ -71,6 +71,33 @@ def test_eig_rejects_non_hermitian():
         eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_stacked_eig_and_phases_equal_the_per_matrix_results_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for d in range(1, 9):
+        stack = np.array([random_hermitian(rng, d) for _ in range(12)]).reshape(3, 4, d, d)
+        stack[0, 1] = np.diag(np.arange(d, dtype=float))  # a real diagonal matrix, ties of zeros
+        es = eig_hermitian(stack)
+        assert es.values.shape == (3, 4, d) and es.vectors.shape == (3, 4, d, d)
+        frames = np.linalg.qr(rng.normal(size=(5, d, d)) + 1j * rng.normal(size=(5, d, d)))[0]
+        fixed = fix_phases(frames)
+        for i in np.ndindex(3, 4):
+            one = eig_hermitian(stack[i])
+            assert es.values[i].tobytes() == one.values.tobytes()
+            # Each matrix of vectors keeps the layout of one decomposition's.
+            assert es.vectors[i].strides == one.vectors.strides
+            assert np.array_equal(es.vectors[i], one.vectors)
+        for frame, row in zip(frames, fixed if d > 1 else ()):  # d = 1: see fix_phases
+            assert fix_phases(frame).tobytes() == row.tobytes()
+
+
+def test_a_stack_names_the_defect_of_its_first_non_hermitian_matrix():
+    stack = np.array([np.eye(2), [[0.0, 1e-3], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]]])
+    with pytest.raises(NotHermitian, match="by 1.000e-03"):
+        eig_hermitian(stack)
+    with pytest.raises(NotHermitian, match="square matrix"):
+        eig_hermitian(np.ones((2, 2, 3)))
+
+
 @settings(deadline=None, max_examples=50)
 @given(seed=st.integers(0, 10_000), d=st.integers(2, 4))
 def test_sld_solve_residual(seed, d):
