@@ -36,15 +36,9 @@ from .metrics import evaluate_metric
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """TP-CP map rho -> sum_k E_k rho E_k^dagger.
-
-    eigenvalue_affine, when set to (a, b), declares that the channel preserves
-    every eigenbasis and maps eigenvalues p -> a p + b (true for depolarizing
-    maps); pushforwards can then carry a spectral presentation through.
-    """
+    """TP-CP map rho -> sum_k E_k rho E_k^dagger."""
 
     operators: tuple
-    eigenvalue_affine: Optional[tuple] = None
 
     @property
     def dim(self) -> int:
@@ -54,6 +48,20 @@ class KrausChannel:
         ops = np.asarray(self.operators)
         total = (ops.conj().swapaxes(-1, -2) @ ops).sum(axis=0)
         return float(np.max(np.abs(total - np.eye(self.dim))))
+
+    def eigenvalue_map(self) -> Optional[tuple]:
+        """(a, b) if the channel is X -> a X + b tr(X) I within HERM_TOL, which
+        keeps every eigenbasis and maps eigenvalues p -> a p + b; else None. Row
+        (j, m) of images is the image sum_k E_k E_jm E_k^dagger of a matrix unit."""
+        d = self.dim
+        ops = np.asarray(self.operators)
+        images = np.einsum("kij,klm->jmil", ops, ops.conj()).reshape(d * d, d * d)
+        b = images[0, -1].real  # E_00 -> a E_00 + b I
+        a = images[0, 0].real - b
+        # np.outer flattens: outer(I, I) is vec(I) vec(I)^T, the map X -> tr(X) I.
+        if np.abs(images - a * np.eye(d * d) - b * np.outer(np.eye(d), np.eye(d))).max() > HERM_TOL:
+            return None
+        return float(a), float(b)
 
 
 @dataclass(frozen=True)
@@ -108,7 +116,7 @@ def depolarizing_channel(d: int, r: float) -> KrausChannel:
     # X^a Z^b for a, b < d in row-major order, X^0 Z^0 = I first
     paulis = (np.array(xs)[:, None] @ np.array(zs)).reshape(d * d, d, d)
     ops = np.sqrt(np.maximum(weights, 0.0))[:, None, None] * paulis
-    return KrausChannel(operators=tuple(ops), eigenvalue_affine=(r, (1.0 - r) / d))
+    return KrausChannel(operators=tuple(ops))
 
 
 def random_tpcp(d: int, kraus_count: int, seed: int = 0) -> KrausChannel:
@@ -149,8 +157,8 @@ def mixed_rotation_family(seed: int = 0) -> ChannelFamily:
 def pushforward_family(ch: KrausChannel, family: ParametricFamily) -> ParametricFamily:
     """Family theta -> channel(rho(theta)).
 
-    A spectral presentation is carried through only for eigenbasis-preserving
-    channels (eigenvalue_affine set); otherwise the gauge must be recomputed
+    A spectral presentation is carried through only when the channel's
+    eigenvalue_map is not None; otherwise the gauge must be recomputed
     downstream. A re-phased family stays re-phased: the channel maps the
     presentation's eigenvalues and the family's phases are passed on as they
     are. Exact tangents are mapped by the channel, which is linear, and an
@@ -165,8 +173,8 @@ def pushforward_family(ch: KrausChannel, family: ParametricFamily) -> Parametric
         return apply_channel(ch, family.evaluate(th))
 
     spectral = None
-    if ch.eigenvalue_affine is not None and family.spectral is not None:
-        a, b = ch.eigenvalue_affine
+    if family.spectral is not None and (affine := ch.eigenvalue_map()) is not None:
+        a, b = affine
 
         def spectral(th):
             sp = family.spectral(th)

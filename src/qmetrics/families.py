@@ -77,12 +77,12 @@ class SpectralPresentation:
 class ParametricFamily:
     """Map theta in R^p -> density matrix, with optional spectral presentation.
 
-    domain holds per-parameter (lo, hi) bounds; infinite bounds mean the
-    parameter is unconstrained, and an empty domain leaves every parameter
-    unconstrained. evaluate and spectral broadcast over a stack of points:
-    evaluate maps a (p,) parameter vector to a (d, d) state and an (n, p)
-    stack to the (n, d, d) stack of states; spectral maps (p,) to one
-    SpectralPresentation and (n, p) to one with eigenvalues (n, d) and
+    domain holds one (lo, hi) bound per parameter (ValidationError otherwise);
+    infinite bounds mean the parameter is unconstrained, and an empty domain
+    leaves every parameter unconstrained. evaluate and spectral broadcast over
+    a stack of points: evaluate maps a (p,) parameter vector to a (d, d) state
+    and an (n, p) stack to the (n, d, d) stack of states; spectral maps (p,)
+    to one SpectralPresentation and (n, p) to one with eigenvalues (n, d) and
     eigenvectors (n, d, d). Row i of a stack equals the one-point result at
     row i of the parameters bit for bit. Families are immutable value objects.
 
@@ -106,6 +106,11 @@ class ParametricFamily:
     name: str = ""
     phases: Optional[Callable[[np.ndarray], np.ndarray]] = None
     tangents: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+    def __post_init__(self):
+        if len(self.domain) not in (0, self.nparams):
+            raise ValidationError(f"family {self.name!r} takes {self.nparams} parameters "
+                                  f"but its domain has {len(self.domain)} bounds")
 
     @property
     def bounds(self) -> tuple:
@@ -667,11 +672,11 @@ def _random_frame_family(rng: np.random.Generator, d: int, nparams: int, name: s
 def random_full_rank(d: int = 3, nparams: int = 1, seed: int = 0) -> ParametricFamily:
     """Smooth random family with a closed-form spectral presentation.
 
-    The spectrum is a normalised geometric sequence exp(-c k) plus a smooth
-    wiggle of amplitude 0.004 in each eigenvalue; the frame is the unitary
-    exp(-i (H0 + sum_l t_l G_l)). For d <= 4 the spectrum stays positive and
-    non-degenerate. For d >= 5 the smallest geometric eigenvalue can fall
-    below the wiggle, so the state can have a non-positive eigenvalue.
+    The spectrum is the normalised geometric sequence lam_k ~ exp(-c k) plus
+    a smooth wiggle of amplitude min(0.004, lam_k (1 - e^-c) / 2), 0.004 when
+    d <= 4: eigenvalues stay above lam_k / 2 and apart by lam_k (1 - e^-c)^2 / 2,
+    so the state is positive with a descending spectrum for every d. The
+    frame is the unitary exp(-i (H0 + sum_l t_l G_l)).
     The presentation carries exact slopes: the wiggle's in closed form, and
     the frame's from one eigh of H0 + sum_l t_l G_l (linalg.unitary_slopes).
     Deterministic per seed.
@@ -682,7 +687,7 @@ def random_full_rank(d: int = 3, nparams: int = 1, seed: int = 0) -> ParametricF
     lam = lam / lam.sum()
     b = rng.uniform(0.5, 2.0, size=(d, nparams))
     phase = rng.uniform(0.0, 2.0 * math.pi, size=d)
-    amp = 0.004
+    amp = np.minimum(0.004, lam * (1.0 - np.exp(-c)) / 2.0)
 
     def spectrum(th):
         # The normalised wiggled spectrum p = q / sum q and its slopes

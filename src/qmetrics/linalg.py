@@ -174,14 +174,10 @@ def unitary_slopes(h: np.ndarray, gens: np.ndarray) -> tuple[np.ndarray, np.ndar
 _STENCIL_STEPS = np.array([1.0, -1.0, 0.5, -0.5])[:, None, None]
 
 
-def central_difference(
-    f: Callable[[np.ndarray], np.ndarray],
-    theta,
-    h: float = DEFAULT_H,
-) -> tuple[np.ndarray, np.ndarray]:
+def central_difference(f: Callable[[np.ndarray], np.ndarray], theta) -> tuple[np.ndarray, np.ndarray]:
     """Value and partial derivatives of f at theta, shapes (...) and (p, ...):
     symmetric differences D_h = (f(theta + h e_l) - f(theta - h e_l)) / 2h with
-    one Richardson step (4 D_{h/2} - D_h) / 3.
+    one Richardson step (4 D_{h/2} - D_h) / 3, the step h the constant DEFAULT_H.
 
     f maps an (n, p) stack of parameter vectors to the (n, ...) stack of its
     values. It is called once, on theta itself followed by the 4p points
@@ -194,12 +190,10 @@ def central_difference(
     differs from s h by more than 1e-6 of s h, raises NumericalError before f
     is called.
     """
-    if h <= 0.0:
-        raise ValueError("step h must be positive")
+    h = DEFAULT_H
     theta = np.asarray(theta, dtype=float)
     thetas = np.atleast_2d(theta)
     n, p = thetas.shape
-    hh = h / 2.0
     points = np.empty((n + 4 * n * p, p))
     points[:n] = thetas
     shifted = points[n:].reshape(4, n, p, p)
@@ -218,6 +212,6 @@ def central_difference(
     values = np.asarray(f(points))
     value, values = values[:n], values[n:].reshape((4, n, p) + values.shape[1:])
     d_h = (values[0] - values[1]) / (2.0 * h)
-    d_hh = (values[2] - values[3]) / (2.0 * hh)
+    d_hh = (values[2] - values[3]) / h  # the half steps span h
     partials = (4.0 * d_hh - d_h) / 3.0
     return (value, partials) if theta.ndim == 2 else (value[0], partials[0])

@@ -22,8 +22,8 @@ share those inputs, never a formula.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,15 +48,28 @@ from .linalg import DEGEN_GAP, HERM_TOL, RANK_TOL, eig_hermitian
 
 @dataclass(frozen=True)
 class CFunction:
-    """Symmetric, (-1)-homogeneous coefficient c(x, y) with f(t) = 1/c(t, 1).
+    """Symmetric, (-1)-homogeneous coefficient c(x, y), which fixes the
+    Petz-Sudar f(t) = 1/c(t, 1) and what the engine reads off f: c needs a
+    full-rank state when f(0) = 0 and diverges on equal arguments when f(1) = 0.
 
     c works elementwise on arrays of x and y as well as on two numbers."""
 
     name: str
     c: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    f: Callable[[float], float]
-    full_rank_required: bool = False
-    singular_at_equal_args: bool = False
+
+    def f(self, t):
+        """f(t) = 1/c(t, 1), elementwise; a divergent c gives f = 0."""
+        t = np.asarray(t, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return 1.0 / self.c(t, np.ones_like(t))
+
+    @cached_property
+    def full_rank_required(self) -> bool:
+        return bool(self.f(0.0) == 0.0)
+
+    @cached_property
+    def singular_at_equal_args(self) -> bool:
+        return bool(self.f(1.0) == 0.0)
 
 
 def _c_kmb(x, y):
@@ -66,28 +79,12 @@ def _c_kmb(x, y):
     return np.where(close, 1.0 / x, (np.log(x) - np.log(y)) / np.where(close, 1.0, diff))
 
 
-def _f_kmb(t: float) -> float:
-    if abs(t - 1.0) < 1e-12:
-        return 1.0
-    return (t - 1.0) / math.log(t)
-
-
-CF_SLD = CFunction("sld", c=lambda x, y: 2.0 / (x + y), f=lambda t: (1.0 + t) / 2.0)
-CF_KMB = CFunction("kmb", c=_c_kmb, f=_f_kmb, full_rank_required=True)
-CF_RLD = CFunction(
-    "rld",
-    c=lambda x, y: 0.5 * (1.0 / x + 1.0 / y),
-    f=lambda t: 2.0 * t / (1.0 + t),
-    full_rank_required=True,
-)
+CF_SLD = CFunction("sld", lambda x, y: 2.0 / (x + y))
+CF_KMB = CFunction("kmb", _c_kmb)
+CF_RLD = CFunction("rld", lambda x, y: 0.5 * (1.0 / x + 1.0 / y))
 # Coefficient of the gauge-invariant lower bound; diverges on coincident
 # eigenvalues, where the overlap form must be used instead.
-CF_CL = CFunction(
-    "cl",
-    c=lambda x, y: 2.0 * (x + y) / (x - y) ** 2,
-    f=lambda t: (t - 1.0) ** 2 / (2.0 * (1.0 + t)),
-    singular_at_equal_args=True,
-)
+CF_CL = CFunction("cl", lambda x, y: 2.0 * (x + y) / (x - y) ** 2)
 
 C_FUNCTIONS = {cf.name: cf for cf in (CF_SLD, CF_KMB, CF_RLD, CF_CL)}
 
@@ -334,12 +331,12 @@ def c_l_decomposition(family: ParametricFamily, theta):
 def f_function_scan(cf: CFunction, grid) -> "FScanReport":
     """Evaluate f on a finite positive grid; report monotonicity and self-duality."""
     grid = np.asarray(grid, dtype=float)
-    # NaN fails no comparison, and f(inf) or f(1/inf) gives a NaN defect that max() drops.
+    # NaN fails no comparison, and f at inf or 1/inf gives no finite defect.
     if grid.size < 2 or not np.isfinite(grid).all() or np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
         raise ValidationError("grid must be finite, ascending and strictly positive")
-    values = np.array([cf.f(t) for t in grid])
+    values = cf.f(grid)
     nondecreasing = bool(np.all(np.diff(values) >= -1e-12))
-    duality = float(max(abs(cf.f(t) - t * cf.f(1.0 / t)) for t in grid))
+    duality = float(np.max(np.abs(values - grid * cf.f(1.0 / grid))))
     return FScanReport(
         name=cf.name,
         grid=grid,

@@ -18,6 +18,7 @@ from qmetrics.channels import (
     random_tpcp,
     rotation_z_family,
     sm_channel_bound,
+    unitary_channel,
 )
 from qmetrics.cli import CHANNEL_FAMILIES
 from qmetrics.errors import (
@@ -135,6 +136,51 @@ def test_identity_depolarizing_changes_nothing():
         rot3_mixture(0.1), "cl", depolarizing_channel(3, 1.0), np.array([0.3])
     )
     assert np.max(np.abs(report.delta)) < 1e-10
+
+
+def test_a_channel_given_by_its_operators_alone_keeps_the_depolarized_lower_bound():
+    # The eigenvalue map is read off the operators: the per-operator set, and
+    # the same channel in another Kraus representation, carry the presentation
+    # as depolarizing_channel does (before, a bare operator set gave 4.5e-35).
+    eps, r, fam = 0.1, 0.5, rot3_mixture(0.1)
+    ops = np.array(_depolarizing_reference(3, r))
+    mixing = random_tpcp(9, 1, seed=4).operators[0]  # a 9 x 9 unitary
+    expected = c_l_information(pushforward_family(depolarizing_channel(3, r), fam), [0.3])[0, 0]
+    assert abs(expected - (8 * r * eps + 8 * (1 - r) / 3)) < 1e-8
+    for operators in (ops, np.einsum("jk,kab->jab", mixing, ops)):
+        pushed = pushforward_family(KrausChannel(tuple(operators)), fam)
+        assert pushed.spectral is not None
+        assert abs(c_l_information(pushed, [0.3])[0, 0] - expected) <= 1e-12 * expected
+
+
+def test_eigenvalue_map_is_read_off_the_operators():
+    for d in (2, 3, 4):
+        for r in np.linspace(-1.0 / (d * d - 1), 1.0, 25):
+            a, b = depolarizing_channel(d, r).eigenvalue_map()
+            assert abs(a - r) <= 1e-15 and abs(b - (1.0 - r) / d) <= 1e-15
+    for k in (1, 2, 3, 4):
+        assert random_tpcp(3, k, seed=k).eigenvalue_map() is None
+    u = unitary(np.diag([0.3, -0.2, 0.5]))
+    assert unitary_channel(u).eigenvalue_map() is None
+    a, b = unitary_channel(np.exp(0.7j) * np.eye(3)).eigenvalue_map()
+    assert abs(a - 1.0) <= 1e-15 and b == 0.0
+
+
+def test_metrics_are_invariant_under_a_unitary_channel():
+    # The paper's "invariant": the pushed family has no presentation, so its
+    # informations come from the perturbative route, the family's from its frame.
+    names = ["sld", "kmb", "rld", "cl"]
+    rng = np.random.default_rng(23)
+    for seed in range(60):
+        d, p = 2 + seed % 3, 1 + (seed // 3) % 3
+        fam = random_full_rank(d, p, seed=seed)
+        pushed = pushforward_family(unitary_channel(unitary(np.pi * _random_hermitian(rng, d))), fam)
+        assert pushed.spectral is None
+        theta = rng.uniform(-0.5, 0.5, size=p)
+        before, after = evaluate_metrics(fam, theta, names), evaluate_metrics(pushed, theta, names)
+        for name in names:
+            scale = np.abs(before[name]).max()
+            assert np.abs(after[name] - before[name]).max() <= 1e-9 * scale, (seed, name)
 
 
 @settings(deadline=None, max_examples=15)

@@ -157,7 +157,7 @@ def test_relative_entropy_singular_support():
 
 
 def test_central_difference_accuracy():
-    value, d = central_difference(lambda t: np.sin(t[:, 0]), [0.3], h=1e-4)
+    value, d = central_difference(lambda t: np.sin(t[:, 0]), [0.3])
     assert d.shape == (1,) and value == np.sin(0.3)
     assert abs(d[0] - np.cos(0.3)) < 1e-10
 
@@ -170,7 +170,7 @@ def test_central_difference_accuracy():
         return np.stack([np.sin(x) * np.cos(y), x * x * y], axis=-1)
 
     x, y = 0.4, -1.1
-    value, d = central_difference(f, np.array([x, y]), h=1e-4)
+    value, d = central_difference(f, np.array([x, y]))
     expected = [[np.cos(x) * np.cos(y), 2 * x * y], [-np.sin(x) * np.sin(y), x * x]]
     assert d.shape == (2, 2)
     assert np.max(np.abs(d - expected)) < 1e-10
@@ -182,15 +182,13 @@ def test_central_difference_accuracy():
     # A stack of base points: one call on the n points and all 4np shifted
     # points, and each row equal bit for bit to the one-point call.
     base = np.array([[x, y], [0.1, 2.0], [-0.7, 0.3]])
-    values, stacked = central_difference(f, base, h=1e-4)
+    values, stacked = central_difference(f, base)
     assert len(stacks) == 3 and stacks[2].shape == (27, 2)
     assert np.array_equal(stacks[2][:3], base)
     assert values.shape == (3, 2) and stacked.shape == (3, 2, 2)
     for value, row, point in zip(values, stacked, base):
-        one_value, one_row = central_difference(f, point, h=1e-4)
+        one_value, one_row = central_difference(f, point)
         assert np.array_equal(row, one_row) and np.array_equal(value, one_value)
-    with pytest.raises(ValueError):
-        central_difference(f, [x, y], h=0.0)
 
 
 def test_a_step_that_rounds_away_raises_a_numerical_error():
@@ -208,7 +206,7 @@ def test_a_step_that_rounds_away_raises_a_numerical_error():
 
 
 def test_only_central_difference_takes_a_step_and_no_export_an_idle_option():
-    # The step is the constant DEFAULT_H everywhere above central_difference.
+    # The step is the constant DEFAULT_H everywhere, central_difference included.
     exported = [v for k, v in vars(qmetrics).items() if callable(v) and not k.startswith("_")
                 and v.__module__ != "qmetrics.errors"]  # exceptions have no signature
     methods = [m for cls in exported if isinstance(cls, type)
@@ -223,7 +221,7 @@ def test_only_central_difference_takes_a_step_and_no_export_an_idle_option():
     assert "povm" in params(qmetrics.classical_fisher)
     for fn in (qmetrics.eig_hermitian, qmetrics.sld_solve, qmetrics.validate_density):
         assert not params(fn) & {"check", "rank_tol", "tol"}, fn.__name__
-    assert "h" in params(central_difference)
+    assert "h" not in params(central_difference)
 
 
 def test_unitary_matches_closed_form_rotation():

@@ -97,6 +97,33 @@ def test_f_scan_lower_bound_coefficient_is_non_monotone():
     assert rep.self_dual
 
 
+# The closed forms of f = 1/c(t, 1) and the flags that each coefficient
+# function used to declare next to its c.
+FORMER_F = {
+    "sld": (lambda t: (1.0 + t) / 2.0, False, False),
+    "kmb": (lambda t: (t - 1.0) / np.log(t), True, False),
+    "rld": (lambda t: 2.0 * t / (1.0 + t), True, False),
+    "cl": (lambda t: (t - 1.0) ** 2 / (2.0 * (1.0 + t)), False, True),
+}
+
+
+@pytest.mark.parametrize("name", ["sld", "kmb", "rld", "cl"])
+def test_f_and_the_flags_are_worked_out_from_c(name):
+    cf, (f, full_rank, singular) = C_FUNCTIONS[name], FORMER_F[name]
+    assert np.allclose(cf.f(LOG_GRID), f(LOG_GRID), rtol=1e-12, atol=0.0)
+    assert cf.full_rank_required is full_rank
+    assert cf.singular_at_equal_args is singular
+
+
+def test_a_c_function_given_by_its_c_alone_gets_its_f_and_scan():
+    # Wigner-Yanase: c = 4/(sqrt x + sqrt y)^2, f = ((1 + sqrt t)/2)^2.
+    wy = qmetrics.metrics.CFunction("wy", lambda x, y: 4.0 / (np.sqrt(x) + np.sqrt(y)) ** 2)
+    assert np.allclose(wy.f(LOG_GRID), ((1.0 + np.sqrt(LOG_GRID)) / 2.0) ** 2, rtol=1e-12, atol=0.0)
+    rep = f_function_scan(wy, LOG_GRID)
+    assert rep.nondecreasing and rep.self_dual
+    assert not wy.full_rank_required and not wy.singular_at_equal_args
+
+
 @pytest.mark.parametrize("grid", [[0.5, 1.0, math.inf], [0.5, math.nan, 1.0]])
 def test_f_scan_rejects_a_non_finite_grid(grid):
     # [0.5, 1.0, inf] reported self_dual with defect 0.0 (its NaN defect was
