@@ -10,12 +10,10 @@ pushforwards, gauge minimization, and a Monte Carlo estimation harness.
 from .channels import (
     ChannelFamily,
     KrausChannel,
-    MonotonicityReport,
     apply_channel,
     canonical_kraus,
     depolarizing_channel,
     induced_state_family,
-    monotonicity_experiment,
     pushforward_family,
     random_tpcp,
     sm_channel_bound,

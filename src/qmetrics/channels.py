@@ -31,30 +31,53 @@ from .families import (
     validate_density,
 )
 from .linalg import HERM_TOL, RANK_TOL, central_difference, eig_hermitian, fix_phases, unitary
-from .metrics import evaluate_metric
 
 
-@dataclass(frozen=True)
+def _trace_preserving(sets: np.ndarray, name: str, thetas=None) -> np.ndarray:
+    """sets, an (n, K, d, d) stack of Kraus sets, unless some set's
+    sum_k E_k^dagger E_k differs from I by more than HERM_TOL, or is not finite
+    (a non-finite entry makes it NaN or inf): then ValidationError naming the
+    channel and, given the thetas of the sets, the first theta that fails."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        gram = (sets.conj().swapaxes(-1, -2) @ sets).sum(axis=-3)
+        defect = np.abs(gram - np.eye(sets.shape[-1])).max(axis=(-2, -1))
+    bad = np.flatnonzero(~(defect <= HERM_TOL))
+    if bad.size:
+        at = "" if thetas is None else f" at theta = {thetas[bad[0]]}"
+        raise ValidationError(f"{name} does not preserve trace{at}: sum_k E_k^dagger E_k "
+                              f"differs from I by {defect[bad[0]]:.3e}")
+    return sets
+
+
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """TP-CP map rho -> sum_k E_k rho E_k^dagger."""
+    """TP-CP map rho -> sum_k E_k rho E_k^dagger. The operators are converted
+    once to a read-only complex (K, d, d) stack, checked to hold K >= 1 square
+    matrices of one shape with finite entries and sum_k E_k^dagger E_k = I
+    within HERM_TOL (ValidationError otherwise)."""
 
-    operators: tuple
+    operators: np.ndarray
+
+    def __post_init__(self):
+        try:
+            ops = np.array(self.operators, dtype=complex)
+        except (TypeError, ValueError):  # ragged, or not numbers
+            ops = np.empty(0)
+        if ops.ndim != 3 or not ops.shape[0] or ops.shape[1] != ops.shape[2]:
+            raise ValidationError("Kraus operators must be K >= 1 square matrices of one shape")
+        _trace_preserving(ops[None], "the Kraus channel")
+        ops.flags.writeable = False
+        object.__setattr__(self, "operators", ops)
 
     @property
     def dim(self) -> int:
-        return self.operators[0].shape[0]
-
-    def tp_defect(self) -> float:
-        ops = np.asarray(self.operators)
-        total = (ops.conj().swapaxes(-1, -2) @ ops).sum(axis=0)
-        return float(np.max(np.abs(total - np.eye(self.dim))))
+        return self.operators.shape[-1]
 
     def eigenvalue_map(self) -> Optional[tuple]:
         """(a, b) if the channel is X -> a X + b tr(X) I within HERM_TOL, which
         keeps every eigenbasis and maps eigenvalues p -> a p + b; else None. Row
         (j, m) of images is the image sum_k E_k E_jm E_k^dagger of a matrix unit."""
-        d = self.dim
-        ops = np.asarray(self.operators)
+        d, ops = self.dim, self.operators
         images = np.einsum("kij,klm->jmil", ops, ops.conj()).reshape(d * d, d * d)
         b = images[0, -1].real  # E_00 -> a E_00 + b I
         a = images[0, 0].real - b
@@ -77,11 +100,13 @@ class ChannelFamily:
 
 def _kraus_sets(chf: ChannelFamily, thetas) -> np.ndarray:
     """The Kraus sets at the raveled thetas from one evaluate call, checked to
-    be an (n, K, d, d) stack with K >= 1 (ValidationError naming the family)."""
+    be an (n, K, d, d) stack with K >= 1 whose every set preserves trace
+    (ValidationError naming the family, and the first theta that fails)."""
     thetas = np.ravel(np.asarray(thetas, dtype=float))
     ops = np.asarray(chf.evaluate(thetas))
     k = ops.shape[1] if ops.ndim == 4 and ops.shape[1] else 1
-    return _stack_of(chf, "evaluate", ops, (len(thetas), k, chf.dim, chf.dim))
+    sets = _stack_of(chf, "evaluate", ops, (len(thetas), k, chf.dim, chf.dim))
+    return _trace_preserving(sets, f"channel family {chf.name!r}", thetas)
 
 
 def _act(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -96,7 +121,7 @@ def apply_channel(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"channel dimension {ch.dim} does not match state shape {rho.shape}"
         )
-    return _act(np.asarray(ch.operators), rho)
+    return _act(ch.operators, rho)
 
 
 def depolarizing_channel(d: int, r: float) -> KrausChannel:
@@ -116,7 +141,7 @@ def depolarizing_channel(d: int, r: float) -> KrausChannel:
     # X^a Z^b for a, b < d in row-major order, X^0 Z^0 = I first
     paulis = (np.array(xs)[:, None] @ np.array(zs)).reshape(d * d, d, d)
     ops = np.sqrt(np.maximum(weights, 0.0))[:, None, None] * paulis
-    return KrausChannel(operators=tuple(ops))
+    return KrausChannel(operators=ops)
 
 
 def random_tpcp(d: int, kraus_count: int, seed: int = 0) -> KrausChannel:
@@ -125,11 +150,11 @@ def random_tpcp(d: int, kraus_count: int, seed: int = 0) -> KrausChannel:
     rng = np.random.default_rng(seed)
     z = rng.normal(size=(kraus_count * d, d)) + 1j * rng.normal(size=(kraus_count * d, d))
     q, _ = np.linalg.qr(z)
-    return KrausChannel(operators=tuple(q.reshape(kraus_count, d, d)))
+    return KrausChannel(operators=q.reshape(kraus_count, d, d))
 
 
 def unitary_channel(u: np.ndarray) -> KrausChannel:
-    return KrausChannel(operators=(np.asarray(u, dtype=complex),))
+    return KrausChannel(operators=(u,))
 
 
 def rotation_z_family(seed: int = 0) -> ChannelFamily:
@@ -187,7 +212,6 @@ def pushforward_family(ch: KrausChannel, family: ParametricFamily) -> Parametric
 
     return ParametricFamily(
         dim=family.dim,
-        nparams=family.nparams,
         evaluate=evaluate,
         spectral=spectral,
         domain=family.domain,
@@ -268,12 +292,13 @@ def induced_state_family(
 
     psi0, a finite nonzero vector, is normalised. The frame vectors are
     U_k |psi0> / sqrt(p_k); if fewer branches than the dimension survive, the
-    frame is completed deterministically with zero eigenvalues. States are
-    divided by their trace, which the channel must keep to HERM_TOL.
+    frame is completed deterministically with zero eigenvalues. The channel
+    family's Kraus sets are checked to preserve trace (see _kraus_sets), and
+    states are divided by their trace, which renormalises its rounding.
     """
     if not math.isfinite(base_theta):
         raise ValidationError(f"base theta must be finite, got {base_theta}")
-    d, name = chf.dim, f"induced({chf.name})"
+    d = chf.dim
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (d,):
         raise DimensionMismatch(f"channel dimension {d} does not match vector shape {psi0.shape}")
@@ -286,10 +311,7 @@ def induced_state_family(
     def evaluate(th):
         ts = np.asarray(th, dtype=float)[..., 0]
         states = _act(_kraus_sets(chf, ts), rho0).reshape(ts.shape + (d, d))
-        traces = np.real(np.trace(states, axis1=-2, axis2=-1))[..., None, None]
-        if np.any(np.abs(traces - 1.0) > HERM_TOL):
-            raise ValidationError(f"{name}: the channel does not preserve trace at theta = {th}")
-        return states / traces
+        return states / np.real(np.trace(states, axis1=-2, axis2=-1))[..., None, None]
 
     def spectral(th):
         ts = np.asarray(th, dtype=float)[..., 0]
@@ -307,26 +329,7 @@ def induced_state_family(
                                     eigenvectors=frames.reshape(ts.shape + (d, d)))
 
     return ParametricFamily(
-        dim=d, nparams=1, evaluate=evaluate, spectral=spectral,
-        domain=((-math.inf, math.inf),), name=name,
+        dim=d, evaluate=evaluate, spectral=spectral,
+        domain=((-math.inf, math.inf),), name=f"induced({chf.name})",
     )
 
-
-@dataclass(frozen=True)
-class MonotonicityReport:
-    metric: str
-    before: np.ndarray
-    after: np.ndarray
-
-    @property
-    def delta(self) -> np.ndarray:
-        return self.after - self.before
-
-
-def monotonicity_experiment(
-    family: ParametricFamily, metric: str, ch: KrausChannel, theta
-) -> MonotonicityReport:
-    """Evaluate a metric before and after pushing the family through a channel."""
-    before = evaluate_metric(family, theta, metric)
-    after = evaluate_metric(pushforward_family(ch, family), theta, metric)
-    return MonotonicityReport(metric=metric, before=before, after=after)

@@ -321,7 +321,7 @@ def cramer_rao_experiment(
         raise ValidationError(f"theta_true must be one number, got shape {theta.shape}")
     theta_true = theta.item()
     if interval is None:
-        lo, hi = family.bounds[0]
+        lo, hi = family.domain[0]
         lo = max(lo + 1e-6, theta_true - 0.4)
         hi = min(hi - 1e-6, theta_true + 0.4)
         interval = (lo, hi)

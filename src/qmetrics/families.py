@@ -77,14 +77,15 @@ class SpectralPresentation:
 class ParametricFamily:
     """Map theta in R^p -> density matrix, with optional spectral presentation.
 
-    domain holds one (lo, hi) bound per parameter (ValidationError otherwise);
-    infinite bounds mean the parameter is unconstrained, and an empty domain
-    leaves every parameter unconstrained. evaluate and spectral broadcast over
-    a stack of points: evaluate maps a (p,) parameter vector to a (d, d) state
-    and an (n, p) stack to the (n, d, d) stack of states; spectral maps (p,)
-    to one SpectralPresentation and (n, p) to one with eigenvalues (n, d) and
-    eigenvectors (n, d, d). Row i of a stack equals the one-point result at
-    row i of the parameters bit for bit. Families are immutable value objects.
+    domain holds one (lo, hi) bound per parameter, and so fixes the parameter
+    count nparams; infinite bounds leave a parameter unconstrained, and an
+    empty domain raises ValidationError naming the family. evaluate and
+    spectral broadcast over a stack of points: evaluate maps a (p,) parameter
+    vector to a (d, d) state and an (n, p) stack to the (n, d, d) stack of
+    states; spectral maps (p,) to one SpectralPresentation and (n, p) to one
+    with eigenvalues (n, d) and eigenvectors (n, d, d). Row i of a stack
+    equals the one-point result at row i of the parameters bit for bit.
+    Families are immutable value objects.
 
     phases, when set, maps an (n, p) stack to the (n, d) real phases alpha_k
     that re-phase column k of spectral's frame by exp(i alpha_k); spectral
@@ -99,28 +100,25 @@ class ParametricFamily:
     """
 
     dim: int
-    nparams: int
     evaluate: Callable[[np.ndarray], np.ndarray]
+    domain: tuple
     spectral: Optional[Callable[[np.ndarray], SpectralPresentation]] = None
-    domain: tuple = ()
     name: str = ""
     phases: Optional[Callable[[np.ndarray], np.ndarray]] = None
     tangents: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        if len(self.domain) not in (0, self.nparams):
-            raise ValidationError(f"family {self.name!r} takes {self.nparams} parameters "
-                                  f"but its domain has {len(self.domain)} bounds")
+        if not len(self.domain):
+            raise ValidationError(f"family {self.name!r} has an empty domain")
 
     @property
-    def bounds(self) -> tuple:
-        """Per-parameter (lo, hi), unbounded where the domain is empty."""
-        return self.domain or ((-math.inf, math.inf),) * self.nparams
+    def nparams(self) -> int:
+        return len(self.domain)
 
     @cached_property
     def _limits(self) -> tuple:
-        """The bounds as a pair of (p,) arrays of lower and upper limits."""
-        lo, hi = np.array(self.bounds, dtype=float).T
+        """The domain as a pair of (p,) arrays of lower and upper limits."""
+        lo, hi = np.array(self.domain, dtype=float).T
         return lo, hi
 
     def _inside(self, thetas: np.ndarray) -> np.ndarray:
@@ -455,7 +453,6 @@ def directional_family(family: ParametricFamily, theta, v) -> ParametricFamily:
 
     return ParametricFamily(
         dim=family.dim,
-        nparams=1,
         evaluate=sliced(family.evaluate),
         spectral=None if family.spectral is None else spectral,
         domain=(t_domain,),
@@ -550,7 +547,6 @@ def bloch3() -> ParametricFamily:
 
     return ParametricFamily(
         dim=2,
-        nparams=3,
         evaluate=evaluate,
         domain=((0.0, 1.0), (-math.inf, math.inf), (-math.inf, math.inf)),
         name="bloch3",
@@ -591,7 +587,7 @@ def _rotation_family(p, name: str) -> ParametricFamily:
     def evaluate(th, sp):
         return (spectral(th) if sp is None else sp).reconstruct()
 
-    return ParametricFamily(dim=p.size, nparams=1, domain=((-math.inf, math.inf),), name=name,
+    return ParametricFamily(dim=p.size, domain=((-math.inf, math.inf),), name=name,
                             **_exact(spectral, evaluate))
 
 
@@ -626,7 +622,7 @@ def diagonal_simplex() -> ParametricFamily:
         )
 
     return ParametricFamily(
-        dim=2, nparams=1, evaluate=evaluate,
+        dim=2, evaluate=evaluate,
         domain=((-1.0, 1.0),), name="diagonal-simplex", **_exact(spectral),
     )
 
@@ -665,7 +661,7 @@ def _random_frame_family(rng: np.random.Generator, d: int, nparams: int, name: s
         # resulting trace error past the traceless-tangent check.
         return rho / np.real(np.trace(rho, axis1=-2, axis2=-1))[..., None, None]
 
-    return ParametricFamily(dim=d, nparams=nparams, domain=((-math.inf, math.inf),) * nparams,
+    return ParametricFamily(dim=d, domain=((-math.inf, math.inf),) * nparams,
                             name=name, **_exact(spectral, evaluate))
 
 

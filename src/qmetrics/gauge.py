@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DomainExit, MissingGauge, NonImaginaryOverlap, ValidationError
+from .estimation import _check_count
 from .families import ParametricFamily, spectral_tangents, tangent_data
 
 # Frame entries per stacked presentation in minimizing_gauge_1p. Unblocked, the
@@ -143,8 +143,7 @@ def minimizing_gauge_1p(
     """
     if family.nparams != 1:
         raise ValidationError("minimizing gauge is defined for one-parameter families")
-    if not isinstance(steps, numbers.Integral) or steps < 1:
-        raise ValidationError(f"steps must be an integer >= 1, got {steps!r}")
+    steps = _check_count("steps", steps, 1)
     if not (math.isfinite(theta0) and math.isfinite(theta1) and theta0 < theta1):
         raise ValidationError(
             f"scan interval must be finite and strictly increasing, got theta0={theta0}, theta1={theta1}"

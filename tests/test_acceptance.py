@@ -178,7 +178,7 @@ def test_criterion_11_integrability_obstruction():
 
     p = np.array([0.5, 0.3, 0.2])
     real_fam = ParametricFamily(
-        dim=3, nparams=2,
+        dim=3,
         evaluate=lambda th: (real_frame(th) * p) @ real_frame(th).conj().swapaxes(-1, -2),
         spectral=lambda th: SpectralPresentation(eigenvalues=np.broadcast_to(p, np.shape(th)[:-1] + (3,)),
                                                  eigenvectors=real_frame(th)),

@@ -13,7 +13,6 @@ from qmetrics.channels import (
     depolarizing_channel,
     induced_state_family,
     mixed_rotation_family,
-    monotonicity_experiment,
     pushforward_family,
     random_tpcp,
     rotation_z_family,
@@ -45,23 +44,28 @@ def plus_state():
     return psi, np.outer(psi, psi.conj())
 
 
+def tp_defect(ops):
+    """Largest entry of sum_k E_k^dagger E_k - I over a (K, d, d) Kraus set."""
+    return np.abs((ops.conj().swapaxes(-1, -2) @ ops).sum(axis=0) - np.eye(ops.shape[-1])).max()
+
+
 def constant_family(ch, name="c"):
     """The channel ch at every theta."""
-    ops = np.asarray(ch.operators)
+    ops = ch.operators
     return ChannelFamily(dim=ch.dim, name=name,
                          evaluate=lambda ts: np.broadcast_to(ops, (len(ts),) + ops.shape))
 
 
 def kraus_at(chf, theta):
     """The family's channel at one theta, from the one-point stack."""
-    return KrausChannel(tuple(chf.evaluate(np.array([float(theta)]))[0]))
+    return KrausChannel(chf.evaluate(np.array([float(theta)]))[0])
 
 
 @settings(deadline=None, max_examples=25)
 @given(seed=st.integers(0, 5_000), k=st.integers(1, 4))
 def test_random_channels_trace_preserving(seed, k):
     ch = random_tpcp(3, kraus_count=k, seed=seed)
-    assert ch.tp_defect() < 1e-12
+    assert tp_defect(ch.operators) < 1e-12
     fam = random_full_rank(d=3, nparams=1, seed=seed + 1)
     out = apply_channel(ch, fam.rho([0.1]))
     validate_density(out)
@@ -70,7 +74,7 @@ def test_random_channels_trace_preserving(seed, k):
 def test_depolarizing_matches_affine_action():
     d, r = 3, 0.35
     ch = depolarizing_channel(d, r)
-    assert ch.tp_defect() < 1e-12
+    assert tp_defect(ch.operators) < 1e-12
     rho = random_full_rank(d=d, nparams=1, seed=3).rho([0.2])
     out = apply_channel(ch, rho)
     assert np.allclose(out, r * rho + (1 - r) * np.eye(d) / d, atol=1e-12)
@@ -120,22 +124,19 @@ def test_pushforward_carries_presentation_for_depolarizing():
 
 
 def test_lower_bound_increases_under_depolarizing_mixture():
-    eps, r = 0.1, 0.5
-    report = monotonicity_experiment(
-        rot3_mixture(eps), "cl", depolarizing_channel(3, r), np.array([0.3])
-    )
-    delta = report.delta[0, 0]
-    assert abs(report.before[0, 0] - 8 * eps) < 1e-8
-    assert abs(report.after[0, 0] - (8 * r * eps + 8 * (1 - r) / 3)) < 1e-8
-    assert delta > 0
-    assert abs(delta - (1 - r) * (8 / 3 - 8 * eps)) < 1e-8
+    eps, r, fam = 0.1, 0.5, rot3_mixture(0.1)
+    before = c_l_information(fam, [0.3])[0, 0]
+    after = c_l_information(pushforward_family(depolarizing_channel(3, r), fam), [0.3])[0, 0]
+    assert abs(before - 8 * eps) < 1e-8
+    assert abs(after - (8 * r * eps + 8 * (1 - r) / 3)) < 1e-8
+    assert after - before > 0
+    assert abs(after - before - (1 - r) * (8 / 3 - 8 * eps)) < 1e-8
 
 
 def test_identity_depolarizing_changes_nothing():
-    report = monotonicity_experiment(
-        rot3_mixture(0.1), "cl", depolarizing_channel(3, 1.0), np.array([0.3])
-    )
-    assert np.max(np.abs(report.delta)) < 1e-10
+    fam = rot3_mixture(0.1)
+    pushed = pushforward_family(depolarizing_channel(3, 1.0), fam)
+    assert np.max(np.abs(c_l_information(pushed, [0.3]) - c_l_information(fam, [0.3]))) < 1e-10
 
 
 def test_a_channel_given_by_its_operators_alone_keeps_the_depolarized_lower_bound():
@@ -148,7 +149,7 @@ def test_a_channel_given_by_its_operators_alone_keeps_the_depolarized_lower_boun
     expected = c_l_information(pushforward_family(depolarizing_channel(3, r), fam), [0.3])[0, 0]
     assert abs(expected - (8 * r * eps + 8 * (1 - r) / 3)) < 1e-8
     for operators in (ops, np.einsum("jk,kab->jab", mixing, ops)):
-        pushed = pushforward_family(KrausChannel(tuple(operators)), fam)
+        pushed = pushforward_family(KrausChannel(operators), fam)
         assert pushed.spectral is not None
         assert abs(c_l_information(pushed, [0.3])[0, 0] - expected) <= 1e-12 * expected
 
@@ -330,7 +331,7 @@ def random_mixed_state(rng, d):
 
 def drifting_family(ch, h):
     """theta -> the channel with Kraus operators E_k exp(-i theta h)."""
-    ops = np.asarray(ch.operators)
+    ops = ch.operators
     return ChannelFamily(
         dim=ch.dim, evaluate=lambda ts: ops @ unitary(ts[:, None, None] * h)[:, None]
     )
@@ -457,11 +458,35 @@ def test_induced_family_of_the_package_channel_has_traceless_tangents():
                 assert all(np.isfinite(m).all() for m in out.values())
 
 
-def test_induced_family_rejects_a_channel_that_loses_trace():
-    lossy = ChannelFamily(dim=2, evaluate=lambda ts: 0.9 * unitary(ts[:, None, None] * np.eye(2))[:, None])
-    family = induced_state_family(lossy, plus_state()[0], 0.0)
-    with pytest.raises(ValidationError, match="does not preserve trace"):
-        family.rho([0.1])
+def lossy_rotation():
+    """rotation-z scaled by 0.9: sum_k E_k^dagger E_k = 0.81 I at every theta."""
+    rotation = rotation_z_family()
+    return ChannelFamily(dim=2, evaluate=lambda ts: 0.9 * rotation.evaluate(ts), name="lossy")
+
+
+def test_a_channel_family_that_loses_trace_raises_for_bound_kraus_and_induced_family():
+    # sm_channel_bound used to give 0.8100 here, the rotation's 1 scaled by 0.81,
+    # and the induced family raised only when first evaluated.
+    psi, rho0 = plus_state()
+    message = r"channel family 'lossy' does not preserve trace at theta = .*differs from I by 1\.900e-01"
+    with pytest.raises(ValidationError, match=message):
+        sm_channel_bound(lossy_rotation(), 0.7, rho0)
+    with pytest.raises(ValidationError, match=message):
+        canonical_kraus(lossy_rotation(), 0.7, rho0)
+    with pytest.raises(ValidationError, match=message):
+        induced_state_family(lossy_rotation(), psi, 0.0)
+
+
+def test_the_trace_check_names_the_first_theta_of_the_stack_that_fails():
+    # Trace-preserving for theta <= 1, lossy above: the stencil at 1 - 1e-6
+    # reaches past 1 on one side only.
+    rotation = rotation_z_family()
+    chf = ChannelFamily(dim=2, name="edge", evaluate=lambda ts: np.where(
+        ts[:, None, None, None] > 1.0, 0.9, 1.0) * rotation.evaluate(ts))
+    _, rho0 = plus_state()
+    assert abs(sm_channel_bound(chf, 0.5, rho0) - 1.0) < 1e-6
+    with pytest.raises(ValidationError, match=r"'edge' does not preserve trace at theta = 1\.0000"):
+        sm_channel_bound(chf, 1.0 - 1e-6, rho0)
 
 
 def random_unitary_mixture(seed):
@@ -525,3 +550,37 @@ def test_a_channel_family_of_the_wrong_shape_raises_naming_it(evaluate):
         canonical_kraus(chf, 0.3, rho0)
     with pytest.raises(ValidationError, match=message):
         induced_state_family(chf, psi, 0.3)
+
+
+def test_a_kraus_channel_is_one_read_only_complex_stack():
+    u = unitary(np.diag([0.3, -0.2]))
+    for operators in ((u,), [u], u[None], (np.eye(2),), ([[1, 0], [0, 1]],)):
+        ch = KrausChannel(operators)
+        assert ch.operators.shape == (1, 2, 2) and ch.operators.dtype == complex
+        assert not ch.operators.flags.writeable and ch.dim == 2
+    given = u[None]
+    assert np.array_equal(KrausChannel(given).operators, given)
+    assert given.flags.writeable  # the stack is a copy; the caller's array is left as it was
+
+
+SHAPE = "Kraus operators must be K >= 1 square matrices of one shape"
+
+
+@pytest.mark.parametrize("operators,message", [
+    ((0.9 * np.eye(3),), r"the Kraus channel does not preserve trace: .* by 1\.900e-01"),
+    ((np.eye(2), np.eye(2)), r"does not preserve trace: .* by 1\.000e\+00"),
+    ((np.array([[math.nan, 0.0], [0.0, 1.0]]),), "does not preserve trace: .* by nan"),
+    ((np.array([[math.inf, 0.0], [0.0, 1.0]]),), "does not preserve trace: .* by (nan|inf)"),
+    ((np.array([[1e200, 0.0], [0.0, 1.0]]),), "does not preserve trace: .* by inf"),
+    ((np.eye(2), np.eye(3)), SHAPE),
+    ((np.eye(2)[:1],), SHAPE),
+    ((), SHAPE),
+    (np.eye(2), SHAPE),
+    (("a",), SHAPE),
+], ids=["lossy", "gaining", "nan", "inf", "overflow", "ragged", "not-square", "empty", "no-kraus-axis",
+        "not-numbers"])
+def test_an_invalid_kraus_set_raises_when_the_channel_is_made(operators, message):
+    # The lossy set used to be pushed through families with exit 0: through
+    # random_full_rank(3, 1, seed=1) it gave SLD 0.1805 at theta = 0.1, not 0.2228.
+    with pytest.raises(ValidationError, match=message):
+        KrausChannel(operators)

@@ -284,7 +284,7 @@ def test_ties_on_a_likelihood_plateau_break_toward_the_midpoint():
     # midpoint, and the estimate stays at the grid point nearest 0.
     base = diagonal_simplex()
     fam = ParametricFamily(
-        dim=2, nparams=1, domain=base.domain, name="plateau",
+        dim=2, domain=base.domain, name="plateau",
         evaluate=lambda th: base.evaluate(np.sign(th) * np.maximum(np.abs(th) - 0.1, 0.0)),
     )
     likelihood = Likelihood(fam, basis_povm(2), (-0.4, 0.4))
@@ -338,7 +338,7 @@ def hinge():
         return (np.asarray(th)[..., 0] > 0.0).astype(float)
 
     return ParametricFamily(
-        dim=2, nparams=1, domain=((-1.0, 1.0),), name="hinge",
+        dim=2, domain=((-1.0, 1.0),), name="hinge",
         evaluate=lambda th: diagonal(1.0 - q(th), q(th)),
         tangents=lambda th: diagonal(-dq(th), dq(th))[..., None, :, :],
     )
@@ -378,7 +378,7 @@ def _mixed_batches():
     # I = 0 at their best grid point, unbalanced ones score outside it.
     base = diagonal_simplex()
     plateau = ParametricFamily(
-        dim=2, nparams=1, domain=base.domain, name="plateau",
+        dim=2, domain=base.domain, name="plateau",
         evaluate=lambda th: base.evaluate(np.sign(th) * np.maximum(np.abs(th) - 0.1, 0.0)),
     )
     yield plateau, (-0.4, 0.4), [[640, 360], [500, 500], [380, 620]], [1]
@@ -520,9 +520,9 @@ def test_mle_rejects_malformed_counts(counts):
         mle_1p(diagonal_simplex(), basis_povm(2), counts, (-0.9, 0.9))
 
 
-def test_default_interval_for_a_family_without_a_domain():
+def test_default_interval_for_an_unbounded_family():
     base = pure_rotation()
-    bare = ParametricFamily(dim=2, nparams=1, evaluate=base.evaluate, name="bare")
+    bare = ParametricFamily(dim=2, evaluate=base.evaluate, domain=((-np.inf, np.inf),), name="bare")
     report = cramer_rao_experiment(bare, 0.3, basis_povm(2), n=1_000, reps=4, seed=1)
     assert report.estimates.shape == (4,)
     assert np.all(np.abs(report.estimates - 0.3) < 0.4)

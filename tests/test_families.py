@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -119,7 +119,7 @@ def test_tangent_data_spectral_vs_generic_agree_off_degeneracy():
     # gauge, so only the generic path pins them to zero).
     fam = random_full_rank(d=3, nparams=2, seed=11)
     blind = ParametricFamily(
-        dim=fam.dim, nparams=fam.nparams, evaluate=fam.evaluate,
+        dim=fam.dim, evaluate=fam.evaluate,
         spectral=None, domain=fam.domain, name="blind",
     )
     theta = np.array([0.13, -0.07])
@@ -149,7 +149,7 @@ def test_degenerate_family_without_presentation_raises():
         m[..., 1, 2] = m[..., 2, 1] = 0.1 * t
         return m
 
-    blind = ParametricFamily(dim=3, nparams=1, evaluate=evaluate, name="split")
+    blind = ParametricFamily(dim=3, evaluate=evaluate, domain=((-np.inf, np.inf),), name="split")
     with pytest.raises(DegeneracyUnresolved):
         tangent_data(blind, [0.0])
 
@@ -160,7 +160,7 @@ def test_constant_degenerate_family_generic_path_is_silent():
     # data is legitimately zero.
     base = rot3_mixture(0.1)
     blind = ParametricFamily(
-        dim=3, nparams=1, evaluate=base.evaluate, spectral=None,
+        dim=3, evaluate=base.evaluate, spectral=None,
         domain=base.domain, name="blind-mixture",
     )
     td = tangent_data(blind, [0.3])
@@ -405,7 +405,8 @@ def test_random_pure_stacked_norm_equals_numpy_norm(d):
 
 def test_a_stack_of_the_wrong_shape_raises_a_validation_error_naming_the_family():
     # One-point callables that do not broadcast: on a stack they give one matrix.
-    fam = ParametricFamily(dim=2, nparams=1, name="per-point", evaluate=lambda th: np.diag([0.6, 0.4]),
+    fam = ParametricFamily(dim=2, domain=((-np.inf, np.inf),), name="per-point",
+                           evaluate=lambda th: np.diag([0.6, 0.4]),
                            spectral=lambda th: SpectralPresentation(np.array([0.6, 0.4]), np.eye(2)))
     assert np.array_equal(fam.rho([0.1]), np.diag([0.6, 0.4]))
     expected = r"'per-point': evaluate gives shape \(2, 2\) for a stack of 5 points, expected \(5, 2, 2\)"
@@ -532,22 +533,20 @@ def test_non_finite_theta_is_out_of_domain(fam, bad):
         assert str(err.value) == message
 
 
-def test_empty_domain_is_unbounded():
+def test_the_domain_is_the_parameter_count_and_may_not_be_empty():
+    # One (lo, hi) per parameter: the count cannot disagree with the bounds,
+    # and an unbounded parameter is written (-inf, inf).
     base = pure_rotation()
-    bare = ParametricFamily(dim=2, nparams=1, evaluate=base.evaluate, name="bare")
-    assert bare.bounds == ((-np.inf, np.inf),)
+    bare = ParametricFamily(dim=2, evaluate=base.evaluate, domain=((-np.inf, np.inf),), name="bare")
+    assert bare.nparams == 1
     thetas = np.array([[-40.0], [0.3], [40.0]])
     assert np.array_equal(bare.rhos(thetas), _loop(base, thetas))
-
-
-@pytest.mark.parametrize("nparams,domain", [(3, ((0.0, 1.0),)), (1, ((0.0, 1.0), (-1.0, 2.0)))],
-                         ids=["one-bound-for-three", "two-bounds-for-one"])
-def test_a_domain_that_does_not_bound_each_parameter_raises_naming_the_family(nparams, domain):
-    # Before, one bound was applied to all three parameters (so (0.5, 2.0, 0.5)
-    # was out of the domain), and two bounds checked the one parameter twice.
-    with pytest.raises(ValidationError, match=f"family 'boxed' takes {nparams} parameters"):
-        ParametricFamily(dim=2, nparams=nparams, evaluate=lambda th: np.eye(2) / 2,
-                         domain=domain, name="boxed")
+    assert [f.name for f in fields(ParametricFamily)] == [
+        "dim", "evaluate", "domain", "spectral", "name", "phases", "tangents"]
+    with pytest.raises(ValidationError, match="family 'boxed' has an empty domain"):
+        ParametricFamily(dim=2, evaluate=base.evaluate, domain=(), name="boxed")
+    with pytest.raises(TypeError, match="nparams"):
+        ParametricFamily(dim=2, nparams=1, evaluate=base.evaluate, domain=((-np.inf, np.inf),))
 
 
 # The per-coordinate stencil that central_difference's single stacked call

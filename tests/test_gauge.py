@@ -63,7 +63,7 @@ def test_apply_gauge_keeps_the_presentation_and_sets_the_phases():
 
 def test_apply_gauge_requires_presentation():
     fam = bloch3()
-    blind = ParametricFamily(dim=2, nparams=3, evaluate=fam.evaluate,
+    blind = ParametricFamily(dim=2, evaluate=fam.evaluate,
                              spectral=None, domain=fam.domain, name="blind")
     with pytest.raises(MissingGauge):
         apply_gauge(blind, zero_gauge(2))
@@ -108,10 +108,10 @@ def test_minimizing_gauge_requires_one_parameter():
         minimizing_gauge_1p(bloch3(), 0.0, 1.0)
 
 
-@pytest.mark.parametrize("steps", [-1, 0, 2.5])
+@pytest.mark.parametrize("steps", [-1, 0, 2.5, True])
 def test_minimizing_gauge_requires_a_positive_integer_step_count(steps):
     # -1 used to fail in numpy with a zero-size reduction, 0 to return a
-    # one-point grid.
+    # one-point grid, and True (a numbers.Integral) to run a one-step scan.
     with pytest.raises(ValidationError, match="steps must be an integer >= 1"):
         minimizing_gauge_1p(random_full_rank(d=3, nparams=1, seed=5), -0.5, 0.5, steps=steps)
 
@@ -197,7 +197,7 @@ def test_real_frame_family_passes_integrability():
         return (v * p) @ v.conj().swapaxes(-1, -2)
 
     fam = ParametricFamily(
-        dim=3, nparams=2, evaluate=evaluate,
+        dim=3, evaluate=evaluate,
         spectral=lambda th: SpectralPresentation(eigenvalues=np.broadcast_to(p, np.shape(th)[:-1] + (3,)),
                                                  eigenvectors=frame(th)),
         domain=((-math.inf, math.inf),) * 2, name="real-frame",
@@ -419,7 +419,7 @@ def test_scan_rejects_a_frame_that_is_not_orthonormal():
         return SpectralPresentation(eigenvalues=np.broadcast_to([0.6, 0.4], t.shape + (2,)),
                                     eigenvectors=(1.0 + t[..., None, None]) * np.eye(2, dtype=complex))
 
-    fam = ParametricFamily(dim=2, nparams=1, spectral=spectral, name="stretched",
+    fam = ParametricFamily(dim=2, domain=((-np.inf, np.inf),), spectral=spectral, name="stretched",
                            evaluate=lambda th: np.broadcast_to(np.diag([0.6, 0.4]), np.shape(th)[:-1] + (2, 2)))
     with pytest.raises(NonImaginaryOverlap):
         minimizing_gauge_1p(fam, -0.5, 0.5, steps=100)

@@ -205,7 +205,7 @@ def test_a_step_that_rounds_away_raises_a_numerical_error():
     assert abs(central_difference(lambda t: t[:, 0] ** 2, [1e4])[1][0] - 2e4) < 1e-2
 
 
-def test_only_central_difference_takes_a_step_and_no_export_an_idle_option():
+def test_no_export_takes_a_step_or_an_idle_option():
     # The step is the constant DEFAULT_H everywhere, central_difference included.
     exported = [v for k, v in vars(qmetrics).items() if callable(v) and not k.startswith("_")
                 and v.__module__ != "qmetrics.errors"]  # exceptions have no signature

@@ -1,3 +1,5 @@
+import pytest
+
 from qmetrics import verify
 
 
@@ -43,3 +45,20 @@ def test_family_seed_base_defaults_to_the_suites_own_seeds():
             == verify.gauge_suite(n_families=1, n_gauges=2, seed=5, family_seed_base=35_000))
     assert (verify.kmb_limit_suite(n_families=3, seed=5)
             != verify.kmb_limit_suite(n_families=3, seed=5, family_seed_base=6_000_000))
+
+
+@pytest.mark.parametrize("suite,seed", [("crlb", 1), ("crlb", 7), ("kmb-limit", 15), ("kmb-limit", 34)])
+def test_suites_pass_a_correct_library_at_seeds_the_old_gates_failed(suite, seed):
+    # crlb's separate 0.95 floor sat 0.8 sd under the mean variance, and
+    # kmb-limit's [5, 20] window on err(1e-2) / err(1e-3) assumed a nonzero
+    # first-order term: both failed about a fifth of the seeds.
+    report = verify.SUITES[suite](seed=seed)
+    assert report["passed"], report
+
+
+def test_kmb_limit_fails_when_the_curvature_is_compared_with_the_sld_information(monkeypatch):
+    # The relative entropy's Hessian is the KMB metric, not the SLD one: the
+    # gate's constant is at most 3.7 for KMB over seeds 0-99, at least 28.6 for SLD.
+    monkeypatch.setattr(verify, "kmb_information", verify.sld_information)
+    for seed in (15, 34, 42):
+        assert not verify.kmb_limit_suite(seed=seed)["passed"]
