@@ -169,13 +169,18 @@ class ParametricFamily:
         """The family at theta, checked once. The family keeps what its last
         point computed: asked again at a theta with the same bytes once
         checked (so -0.0 and 0.0 differ), it gives a point that shares it. A
-        replaced, gauged or sliced family is a new object and starts empty."""
-        theta = self.check_theta(theta)
+        replaced, gauged or sliced family is a new object and starts empty.
+        The last point's theta, of shape (p,), is not checked again: the
+        point holds the family's read-only copy of it, which no caller can
+        change under the parts kept for it."""
+        theta = np.atleast_1d(np.asarray(theta, dtype=float))
         key = theta.tobytes()
         last = self.__dict__.get("_point")
-        if last is None or last[0] != key:
-            last = self.__dict__["_point"] = (key, {})
-        return FamilyPoint(self, theta, last[1])
+        if last is None or last[0] != key or theta.shape != (self.nparams,):
+            theta = self.check_theta(theta).copy()
+            _read_only(theta)
+            last = self.__dict__["_point"] = (key, theta, {})
+        return FamilyPoint(self, last[1], last[2])
 
     def drho(self, theta) -> np.ndarray:
         """Tangents d(rho)/d(theta^l), shape (p, d, d), read-only (see FamilyPoint.drho)."""
@@ -314,9 +319,10 @@ class FamilyPoint:
     def __init__(self, family: ParametricFamily, theta: np.ndarray, parts: dict):
         self.family = family
         self.theta = theta
-        # The cached properties keep each part in the family's parts dict,
-        # which holds nothing that refers back to the family: no reference
-        # cycle, so a dropped family and its parts are freed at once.
+        # The cached properties (and metrics._shared, for the terms the
+        # metrics at a point have in common) keep each part in the family's
+        # parts dict, which holds nothing that refers back to the family: no
+        # reference cycle, so a dropped family and its parts are freed at once.
         self.__dict__ = parts
 
     @cached_property

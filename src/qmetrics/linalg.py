@@ -70,12 +70,13 @@ def eig_hermitian(m: np.ndarray) -> EigenSystem:
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise NotHermitian(f"expected a square matrix, got shape {m.shape}")
-    defects = herm_defect(m)
+    adjoint = m.conj().swapaxes(-1, -2)  # herm_defect's, formed once for the symmetrisation too
+    defects = np.abs(m - adjoint).max(axis=(-2, -1))
     if (defects > HERM_TOL).any():
         first = np.ravel(defects)[np.argmax(np.ravel(defects) > HERM_TOL)]
         raise NotHermitian(f"matrix deviates from Hermitian by {first:.3e}")
     try:
-        vals, vecs = np.linalg.eigh((m + m.conj().swapaxes(-1, -2)) / 2.0)
+        vals, vecs = np.linalg.eigh((m + adjoint) / 2.0)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergence(str(exc)) from exc
     order = np.argsort(-vals, axis=-1, kind="stable")

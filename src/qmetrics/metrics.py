@@ -16,14 +16,20 @@ Each information has one implementation: its public (family, theta)
 function, which the name registry behind evaluate_metrics maps to directly.
 Each builds on the family's families.FamilyPoint at theta (rho, its tangents,
 its eigensystem, the SLD scores, the tangent data). A family keeps its last
-point, so the calls at one theta compute each of those once; the routes
-share those inputs, never a formula.
+point, so the calls at one theta compute each of those once. The terms of a
+metric that do not depend on its coefficient are kept on the point too
+(_shared), so each metric pays only for what is its own: the engine's
+diagonal Fisher term and, per skip rule, its pairs (j, k) with p_j, p_k and
+the tangent rows there, which kmb and rld share; and the sum C_L, which
+cupsilon extends by its diagonal-overlap term. Sharing stays within a route:
+the score route and the overlap form never read the engine's terms, so each
+remains the other's oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -38,7 +44,7 @@ from .errors import (
     ValidationError,
     VanishingProbabilityWithFlow,
 )
-from .families import FamilyPoint, ParametricFamily, TangentData
+from .families import FamilyPoint, ParametricFamily, TangentData, _read_only
 from .linalg import DEGEN_GAP, HERM_TOL, RANK_TOL, eig_hermitian
 
 
@@ -138,18 +144,21 @@ def random_povm(d: int, n_outcomes: int, seed: int = 0) -> list[np.ndarray]:
     return [inv_sqrt @ a @ inv_sqrt for a in raw]
 
 
+@lru_cache(maxsize=8)  # d^3 entries each: a few sizes, not every size ever asked for
 def _basis_stack(d: int) -> np.ndarray:
-    """The computational-basis projectors stacked, shape (d, d, d); a valid
-    POVM by construction, so callers in the library skip validate_povm."""
+    """The computational-basis projectors stacked, shape (d, d, d), read-only
+    and kept for the last few d; a valid POVM by construction, so callers in
+    the library skip validate_povm."""
     stack = np.zeros((d, d, d), dtype=complex)
     i = np.arange(d)
     stack[i, i, i] = 1.0
+    _read_only(stack)
     return stack
 
 
 def basis_povm(d: int) -> list[np.ndarray]:
-    """Computational-basis projectors."""
-    return list(_basis_stack(d))
+    """Computational-basis projectors, fresh writable arrays."""
+    return list(_basis_stack(d).copy())
 
 
 def born_probabilities(rho: np.ndarray, povm: Sequence[np.ndarray]) -> np.ndarray:
@@ -203,7 +212,62 @@ def classical_fisher(
 
 
 # ---------------------------------------------------------------------------
+# Parts shared at a point
+
+
+def _shared(point: FamilyPoint, key: str, compute: Callable[[], object]):
+    """The part key of the point: compute() on first use, kept read-only in
+    the point's parts (see FamilyPoint), so it is dropped with the point. A
+    compute() that raises keeps nothing, and raises again on the next use."""
+    parts = vars(point)
+    if key not in parts:
+        part = compute()
+        _read_only(*(part if isinstance(part, tuple) else (part,)))
+        parts[key] = part
+    return parts[key]
+
+
+@cache
+def _upper(d: int, strict: bool) -> np.ndarray:
+    """The (d, d) mask of the upper triangle, without the diagonal when strict;
+    read-only and kept per size. np.where(mask, m, 0.0) is np.triu(m, strict)."""
+    rows, cols = np.indices((d, d))
+    mask = rows < cols if strict else rows <= cols
+    _read_only(mask)
+    return mask
+
+
+# ---------------------------------------------------------------------------
 # Generic coefficient-function engine
+
+
+def _engine_diagonal(point: FamilyPoint) -> np.ndarray:
+    """sum_i A^(k)_ii A^(l)_ii / p_i, the engine's term without c."""
+    return _fisher_sum(np.clip(point.eig.values, 0.0, None),
+                       np.real(np.einsum("lii->li", point.drho_eigenbasis)),
+                       lambda i: RankDeficient("tangent flows out of the support of the state"))
+
+
+def _engine_pairs(point: FamilyPoint, cf: CFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """p_j, p_k and the tangent rows A[:, j, k] over the pairs j < k, in row
+    order, that cf's skip rule keeps. Pairs off the support, and for a
+    singular coefficient degenerate pairs, are skipped; the first of them
+    with coupling raises."""
+    p = np.clip(point.eig.values, 0.0, None)
+    a = point.drho_eigenbasis
+    off_support = p[:, None] + p <= RANK_TOL
+    skipped = off_support
+    if cf.singular_at_equal_args:
+        skipped = skipped | (np.abs(p[:, None] - p) < DEGEN_GAP)
+    upper = _upper(p.size, True)
+    failing = upper & skipped & (np.abs(a).max(axis=0) > 1e-8)
+    if failing.any():
+        j, k = np.argwhere(failing)[0]
+        if off_support[j, k]:
+            raise UnsupportedTangent("tangent has weight outside the support of the state")
+        raise DegeneracyUnresolved(f"{cf.name} coefficient diverges on the degenerate pair ({j},{k})")
+    j, k = np.nonzero(upper & ~skipped)
+    return p[j], p[k], a[:, j, k]
 
 
 def mc_metric(family: ParametricFamily, theta, cf: CFunction) -> np.ndarray:
@@ -213,32 +277,18 @@ def mc_metric(family: ParametricFamily, theta, cf: CFunction) -> np.ndarray:
 
         M_kl = sum_i A^(k)_ii A^(l)_ii / p_i
              + 2 sum_{j<m} c(p_j, p_m) Re(A^(k)_jm conj(A^(l)_jm)).
+
+    Only c is the metric's own: the diagonal term and the pairs kept by each
+    skip rule are computed once per point. A call raises in the order full
+    rank, flow out of the support, first failing pair.
     """
     point = family.point(theta)
-    es = point.eig
-    p = np.clip(es.values, 0.0, None)
-    if cf.full_rank_required and float(es.values.min()) < RANK_TOL:
+    if cf.full_rank_required and float(point.eig.values.min()) < RANK_TOL:
         raise RankDeficient(f"{cf.name} information requires a full-rank state")
-    a = point.drho_eigenbasis
-    m_out = _fisher_sum(p, np.real(np.einsum("lii->li", a)), lambda i: RankDeficient(
-        "tangent flows out of the support of the state"))
-    # The pairs j < k in row order. Pairs off the support, and for a singular
-    # coefficient degenerate pairs, are skipped; the first of them with
-    # coupling raises.
-    off_support = p[:, None] + p <= RANK_TOL
-    skipped = off_support
-    if cf.singular_at_equal_args:
-        skipped = skipped | (np.abs(p[:, None] - p) < DEGEN_GAP)
-    upper = np.arange(p.size)[:, None] < np.arange(p.size)
-    failing = upper & skipped & (np.abs(a).max(axis=0) > 1e-8)
-    if failing.any():
-        j, k = np.argwhere(failing)[0]
-        if off_support[j, k]:
-            raise UnsupportedTangent("tangent has weight outside the support of the state")
-        raise DegeneracyUnresolved(f"{cf.name} coefficient diverges on the degenerate pair ({j},{k})")
-    j, k = np.nonzero(upper & ~skipped)
-    w = a[:, j, k]
-    m_out = m_out + np.real((2.0 * cf.c(p[j], p[k]) * w) @ w.conj().T)
+    diagonal = _shared(point, "_engine_diagonal", lambda: _engine_diagonal(point))
+    pj, pk, w = _shared(point, f"_engine_pairs_{cf.singular_at_equal_args}",
+                        lambda: _engine_pairs(point, cf))
+    m_out = diagonal + np.real((2.0 * cf.c(pj, pk) * w) @ w.conj().T)
     return (m_out + m_out.T) / 2.0
 
 
@@ -257,7 +307,8 @@ def sld_information(family: ParametricFamily, theta) -> np.ndarray:
     scores = point.scores
     m_out = np.real(np.trace((point.rho @ scores)[:, None] @ scores, axis1=-2, axis2=-1))
     # Re tr(rho L_k L_l) for k <= l, mirrored below the diagonal: exactly symmetric.
-    return np.triu(m_out) + np.triu(m_out, 1).T
+    size = m_out.shape[0]
+    return np.where(_upper(size, False), m_out, 0.0) + np.where(_upper(size, True), m_out, 0.0).T
 
 
 def kmb_information(family: ParametricFamily, theta) -> np.ndarray:
@@ -276,7 +327,8 @@ def _classical_part(td: TangentData) -> np.ndarray:
 def _offdiag_part(td: TangentData) -> np.ndarray:
     p = np.clip(td.eigenvalues, 0.0, None)
     o = td.overlaps
-    out = 4.0 * np.real(np.einsum("ajk,bjk,jk->ab", o, o.conj(), np.triu(p[:, None] + p, 1)))
+    weights = np.where(_upper(p.size, True), p[:, None] + p, 0.0)
+    out = 4.0 * np.real(np.einsum("ajk,bjk,jk->ab", o, o.conj(), weights))
     return (out + out.T) / 2.0
 
 
@@ -285,6 +337,13 @@ def _diag_part(td: TangentData) -> np.ndarray:
     o_diag = np.einsum("ljj->lj", td.overlaps)
     out = 4.0 * np.real(np.einsum("aj,bj,j->ab", o_diag, o_diag.conj(), p))
     return (out + out.T) / 2.0
+
+
+def _c_l(point: FamilyPoint) -> np.ndarray:
+    """C_L from the overlap form, kept on the point (read-only): cupsilon adds
+    its diagonal-overlap term to it, the association of the sum written out."""
+    td = point.tangent_data
+    return _shared(point, "_c_l", lambda: _classical_part(td) + _offdiag_part(td))
 
 
 def c_upsilon_states(family: ParametricFamily, theta) -> np.ndarray:
@@ -297,8 +356,7 @@ def c_upsilon_states(family: ParametricFamily, theta) -> np.ndarray:
     point = family.point(theta)  # theta is checked before the presentation
     if family.spectral is None:
         raise MissingGauge("family supplies no spectral presentation (no gauge to use)")
-    td = point.tangent_data
-    return _classical_part(td) + _offdiag_part(td) + _diag_part(td)
+    return _c_l(point) + _diag_part(point.tangent_data)
 
 
 def c_l_information(family: ParametricFamily, theta) -> np.ndarray:
@@ -308,8 +366,7 @@ def c_l_information(family: ParametricFamily, theta) -> np.ndarray:
     whenever a spectral presentation is available; agrees with the engine
     route (coefficient 2(x+y)/(x-y)^2) on non-degenerate families.
     """
-    td = family.point(theta).tangent_data
-    return _classical_part(td) + _offdiag_part(td)
+    return _c_l(family.point(theta)).copy()
 
 
 def c_l_decomposition(family: ParametricFamily, theta):
@@ -360,12 +417,17 @@ class FScanReport:
 def evaluate_metrics(family: ParametricFamily, theta, names: Sequence[str]) -> dict[str, np.ndarray]:
     """Metrics by registry name at one point, as a dict name -> matrix.
 
-    At least one name must be given; every name is checked before anything
-    is computed. Each name calls its public function with (family, theta),
-    and those share the family's point there: rho, its tangents, its
-    eigensystem, the SLD scores and the tangent data are each computed at
-    most once. "fisher" measures in the computational basis.
+    names is read once, so any iterable of names will do; a bare string
+    raises ValidationError. At least one name must be given; every name is
+    checked before anything is computed. Each name calls its public function
+    with (family, theta), and those share the family's point there: rho, its
+    tangents, its eigensystem, the SLD scores, the tangent data, the engine's
+    terms without c and the sum C_L are each computed at most once. "fisher"
+    measures in the computational basis.
     """
+    if isinstance(names, str):
+        raise ValidationError(f"metric names must be a sequence of names, not the string {names!r}")
+    names = tuple(names)
     if not names:
         raise ValidationError(f"no metric names given; known: {', '.join(METRIC_NAMES)}")
     for name in names:

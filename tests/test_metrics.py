@@ -22,6 +22,7 @@ from qmetrics.errors import (
     ValidationError,
     VanishingProbabilityWithFlow,
 )
+from qmetrics.channels import depolarizing_channel, pushforward_family, random_tpcp
 from qmetrics.families import (
     ParametricFamily,
     SpectralPresentation,
@@ -548,7 +549,7 @@ def test_the_arrays_a_point_shares_are_read_only(fam):
     theta = [0.1, -0.2]
     point = fam.point(theta)
     td = point.tangent_data
-    shared = (point.rho, point.drho, point.eig.values, point.eig.vectors, point.scores,
+    shared = (point.theta, point.rho, point.drho, point.eig.values, point.eig.vectors, point.scores,
               td.dp, td.overlaps, td.eigenvalues, fam.drho(theta))
     for array in shared:
         with pytest.raises(ValueError, match="read-only"):
@@ -783,3 +784,199 @@ def test_exact_tangents_keep_the_perturbative_cl_of_a_close_pair(g):
         if g == 1e-5:  # the stencil's error there is about 1e-5 relative
             stencil = c_l_information(replace(fam, spectral=None, tangents=None), [0.2])[0, 0]
             assert abs(stencil - presented) > 1e-8 * presented
+
+
+# -- shared parts at a point against the unshared formulas --------------------
+
+
+def _unshared_mc_metric(point, cf):
+    """mc_metric as one call that shares nothing with another."""
+    es = point.eig
+    p = np.clip(es.values, 0.0, None)
+    if cf.full_rank_required and float(es.values.min()) < RANK_TOL:
+        raise RankDeficient(f"{cf.name} information requires a full-rank state")
+    a = point.drho_eigenbasis
+    m_out = qmetrics.metrics._fisher_sum(p, np.real(np.einsum("lii->li", a)), lambda i: RankDeficient(
+        "tangent flows out of the support of the state"))
+    off_support = p[:, None] + p <= RANK_TOL
+    skipped = off_support
+    if cf.singular_at_equal_args:
+        skipped = skipped | (np.abs(p[:, None] - p) < DEGEN_GAP)
+    upper = np.arange(p.size)[:, None] < np.arange(p.size)
+    failing = upper & skipped & (np.abs(a).max(axis=0) > 1e-8)
+    if failing.any():
+        j, k = np.argwhere(failing)[0]
+        if off_support[j, k]:
+            raise UnsupportedTangent("tangent has weight outside the support of the state")
+        raise DegeneracyUnresolved(f"{cf.name} coefficient diverges on the degenerate pair ({j},{k})")
+    j, k = np.nonzero(upper & ~skipped)
+    w = a[:, j, k]
+    m_out = m_out + np.real((2.0 * cf.c(p[j], p[k]) * w) @ w.conj().T)
+    return (m_out + m_out.T) / 2.0
+
+
+def _unshared_overlap_sums(td, with_diagonal):
+    """C_L, plus the diagonal-overlap term for C_Upsilon, as one left-to-right sum."""
+    p = np.clip(td.eigenvalues, 0.0, None)
+    o = td.overlaps
+    classical = qmetrics.metrics._fisher_sum(p, td.dp, lambda i: RankDeficient(
+        "eigenvalue flow out of the support of the state"))
+    off = 4.0 * np.real(np.einsum("ajk,bjk,jk->ab", o, o.conj(), np.triu(p[:, None] + p, 1)))
+    if not with_diagonal:
+        return classical + (off + off.T) / 2.0
+    o_diag = np.einsum("ljj->lj", o)
+    diag = 4.0 * np.real(np.einsum("aj,bj,j->ab", o_diag, o_diag.conj(), p))
+    return classical + (off + off.T) / 2.0 + (diag + diag.T) / 2.0
+
+
+def _unshared(family, theta, name):
+    """The metric called name at a point of its own (a fresh copy of family)."""
+    if name == "fisher":
+        return classical_fisher(replace(family), theta, basis_povm(family.dim))
+    point = replace(family).point(theta)
+    if name == "sld":
+        scores = point.scores
+        m_out = np.real(np.trace((point.rho @ scores)[:, None] @ scores, axis1=-2, axis2=-1))
+        return np.triu(m_out) + np.triu(m_out, 1).T
+    if name in ("kmb", "rld", "engine-sld", "engine-cl"):
+        return _unshared_mc_metric(point, C_FUNCTIONS[name.removeprefix("engine-")])
+    if name == "cupsilon" and family.spectral is None:
+        raise MissingGauge("family supplies no spectral presentation (no gauge to use)")
+    return _unshared_overlap_sums(point.tangent_data, name == "cupsilon")
+
+
+def _shared_metric(family, theta, name):
+    if name.startswith("engine-"):
+        return mc_metric(family, theta, C_FUNCTIONS[name.removeprefix("engine-")])
+    return evaluate_metric(family, theta, name)
+
+
+def _bench_points():
+    """Seeded points of every kind the benchmark's points workload draws."""
+    rng = np.random.default_rng(25)
+    yield bloch3(), [rng.uniform(0.1, 0.9), rng.uniform(0.2, np.pi - 0.2), rng.uniform(0.0, 2 * np.pi)]
+    yield rot3_mixture(float(rng.uniform(0.02, 0.3))), [rng.uniform(-np.pi, np.pi)]
+    for d in (2, 3, 4, 8):
+        for p in (1, 3):
+            yield random_full_rank(d=d, nparams=p, seed=int(rng.integers(2**31))), rng.uniform(-0.3, 0.3, p)
+    for p in (1, 3):
+        base = random_full_rank(d=3, nparams=p, seed=int(rng.integers(2**31)))
+        channel = random_tpcp(3, kraus_count=int(rng.integers(1, 5)), seed=int(rng.integers(2**31)))
+        yield pushforward_family(channel, base), rng.uniform(-0.3, 0.3, p)
+
+
+SHARING_CASES = [
+    *_bench_points(),
+    (rot3_mixture(0.1), [0.3]),
+    (pure_rotation(), [0.3]),
+    (diagonal_simplex(), [0.2]),
+    (pushforward_family(depolarizing_channel(3, 0.5), rot3_mixture(0.1)), [0.3]),
+    *ENGINE_CASES[-4:],
+]
+# The bench's names, then the engine under both skip rules (2/(x+y) skips
+# nothing on the support; the lower bound's coefficient skips degenerate pairs).
+SHARED_NAMES = ("fisher", "sld", "kmb", "rld", "cupsilon", "cl", "engine-sld", "engine-cl")
+
+
+@pytest.mark.parametrize("names", [SHARED_NAMES, SHARED_NAMES[::-1]], ids=["bench-order", "reversed"])
+def test_the_shared_parts_give_every_metric_the_bits_of_its_unshared_formula(names):
+    raised = set()
+    for family, theta in SHARING_CASES:
+        family = replace(family)  # a point of its own for this order
+        for _ in range(2):  # the second round reads what the first kept
+            for name in names:
+                try:
+                    reference = _unshared(family, theta, name)
+                except QMetricsError as err:
+                    with pytest.raises(type(err)) as ours:
+                        _shared_metric(family, theta, name)
+                    assert str(ours.value) == str(err)
+                    raised.add((family.name, name, type(err).__name__))
+                    continue
+                ours = _shared_metric(family, theta, name)
+                assert ours.dtype == reference.dtype and ours.shape == reference.shape
+                assert ours.tobytes() == reference.tobytes(), (family.name, name)
+    # Every error path of the engine is taken: rank, flow, support and degeneracy.
+    # (rot3-mixture's degenerate pair has no coupling: the skip rule passes it.)
+    assert ("pure-rotation", "kmb", "RankDeficient") in raised
+    assert ("affine", "engine-sld", "RankDeficient") in raised
+    assert {"UnsupportedTangent", "DegeneracyUnresolved"} <= {
+        e for f, n, e in raised if (f, n) == ("affine", "engine-cl")}
+
+
+def test_kmb_and_rld_share_the_diagonal_and_cl_and_cupsilon_share_one_c_l_sum(monkeypatch):
+    calls = []
+    for name in ("_fisher_sum", "_offdiag_part", "_diag_part"):
+        fn = getattr(qmetrics.metrics, name)
+        monkeypatch.setattr(qmetrics.metrics, name,
+                            lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+    fam, theta = random_full_rank(d=4, nparams=2, seed=3), [0.1, -0.2]
+    kmb_information(fam, theta)
+    rld_information(fam, theta)
+    assert calls == ["_fisher_sum"]
+    calls.clear()
+    c_l_information(fam, theta)
+    c_upsilon_states(fam, theta)
+    c_l_information(fam, theta)
+    # One C_L sum (its classical part is a _fisher_sum), one diagonal-overlap term.
+    assert calls == ["_fisher_sum", "_offdiag_part", "_diag_part"]
+
+
+def test_a_returned_matrix_is_the_callers_and_errors_repeat():
+    fam, theta = random_full_rank(d=3, nparams=2, seed=5), [0.1, -0.2]
+    for name in METRIC_NAMES:
+        first = evaluate_metric(fam, theta, name)
+        kept = first.copy()
+        first[...] = np.nan
+        assert np.array_equal(evaluate_metric(fam, theta, name), kept)
+    assert np.array_equal(c_upsilon_states(fam, theta), evaluate_metric(fam, theta, "cupsilon"))
+    for d in (1, 3):
+        povm = basis_povm(d)
+        povm[0][...] = 7.0
+        assert basis_povm(d)[0][0, 0] == 1.0
+        assert qmetrics.metrics._basis_stack(d)[0, 0, 0] == 1.0
+    for before in ((), ("sld",), ("cl",), ("sld", "cl")):
+        fam = pure_rotation()
+        if before:
+            evaluate_metrics(fam, [0.3], before)
+        for _ in range(2):
+            with pytest.raises(RankDeficient, match="requires a full-rank state"):
+                evaluate_metric(fam, [0.3], "kmb")
+
+
+def test_evaluate_metrics_reads_its_names_once_and_rejects_a_bare_string():
+    fam, theta = bloch3(), [0.5, 1.0, 0.0]
+    out = evaluate_metrics(fam, theta, (n for n in ["sld", "cl"]))
+    assert list(out) == ["sld", "cl"]
+    assert np.array_equal(out["sld"], sld_information(fam, theta))
+    with pytest.raises(UnknownMetric, match="'nope'"):
+        evaluate_metrics(fam, theta, (n for n in ["sld", "nope"]))
+    with pytest.raises(ValidationError, match="not the string 'sld'"):
+        evaluate_metrics(fam, theta, "sld")
+
+
+def test_the_last_point_is_not_checked_again_but_another_shape_is(monkeypatch):
+    fam = bloch3()
+    theta = [0.5, 1.2, 0.5]
+    point = fam.point(theta)
+    checked = []
+    check = ParametricFamily.check_theta
+    monkeypatch.setattr(ParametricFamily, "check_theta",
+                        lambda self, th: checked.append(1) or check(self, th))
+    assert fam.point(np.array(theta)).eig is point.eig
+    assert checked == []
+    with pytest.raises(ValidationError, match="takes 3 parameters"):
+        fam.point([theta])
+    with pytest.raises(ParamOutOfDomain):
+        fam.point([2.0, 1.2, 0.5])
+    # A theta that fails its check replaces nothing.
+    assert fam.point(theta).eig is point.eig and len(checked) == 2
+
+
+def test_a_callers_theta_changed_after_point_does_not_move_the_kept_parts():
+    fam, theta = random_full_rank(d=3, nparams=1, seed=1), np.array([0.1])
+    point = fam.point(theta)
+    theta[0] = 0.2  # the parts are computed after this
+    point.rho
+    assert np.array_equal(sld_information(fam, [0.1]),
+                          sld_information(random_full_rank(d=3, nparams=1, seed=1), [0.1]))
