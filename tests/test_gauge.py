@@ -228,7 +228,8 @@ def test_pure_rotation_already_minimal():
 # or else the one-parameter stencil over four one-point presentations), then
 # the overlap with the frame at the point. A re-phased family is scanned in
 # its base frame, and its phases' own integral a(grid) - a(theta0) is then
-# subtracted, phase by phase at each grid point.
+# subtracted, phase by phase at each grid point. Returns the grid, the sampled
+# integral and the minimizing phases at the grid points, each (d, n).
 def _reference_scan(family, theta0, theta1, steps, h=DEFAULT_H):
     grid = np.linspace(theta0, theta1, steps + 1)
 
@@ -248,11 +249,12 @@ def _reference_scan(family, theta0, theta1, steps, h=DEFAULT_H):
         diag[i] = np.diagonal(slope(t).conj().T @ frame(t))
     integrand = np.imag(diag)
     areas = np.diff(grid)[:, None] * (integrand[1:] + integrand[:-1]) / 2.0
-    alphas = np.vstack([np.zeros((1, family.dim)), np.cumsum(areas, axis=0)])
+    integral = np.vstack([np.zeros((1, family.dim)), np.cumsum(areas, axis=0)])
+    alphas = integral.copy()
     if family.phases is not None:
         phases = np.array([family.phases(np.array([[t]]))[0] for t in grid])
         alphas -= phases - phases[0]
-    return grid, alphas.T
+    return grid, integral.T, alphas.T
 
 
 def _perturbed(d, seed):
@@ -291,9 +293,12 @@ def test_blocked_scan_equals_the_per_point_scan_bit_for_bit(fam, steps, exact):
     # The scan runs first: run second, its uninitialised buffer could reuse
     # the reference's memory and hide a grid point no block filled.
     pa = minimizing_gauge_1p(fam, -0.5, 0.5, steps=steps)
-    grid, samples = _reference_scan(fam, -0.5, 0.5, steps)
+    grid, integral, alphas = _reference_scan(fam, -0.5, 0.5, steps)
     assert np.array_equal(pa.grid, grid)
-    assert np.array_equal(pa.samples, samples)
+    # The samples are the scan's own integral; at the grid points the phases
+    # also remove a re-phased family's own phases a(grid) - a(theta0).
+    assert np.array_equal(pa.samples, integral)
+    assert np.array_equal(pa.phases(grid[:, None]).T, alphas)
 
 
 @pytest.mark.parametrize("d,exact,blocks", [
@@ -323,8 +328,45 @@ def test_scan_makes_no_one_point_presentation_on_a_batched_family(d, exact, bloc
     minimizing_gauge_1p(apply_gauge(counted, PhaseAssignment.from_callable(phases)),
                         -0.5, 0.5, steps=512)
     assert calls == blocks
-    # The phases are taken at the grid points only, one point per call.
-    assert phase_calls == [(1,)] * 513
+    # The family's phases are taken once, at theta0 only.
+    assert phase_calls == [(1,)]
+
+
+@pytest.mark.parametrize("make", [_perturbed, _sampled], ids=["perturbed", "sampled"])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_minimizing_a_rephased_family_cancels_its_own_phases_exactly(make, d):
+    # Minimized, the re-phased family F and its base B differ by the constant
+    # a(theta0), off the grid nodes too: F's own phases are removed as a
+    # function, and only the scan's sampled part is interpolated.
+    fam = make(d, 50 + d)
+    base = replace(fam, phases=None, name="base")
+    lo, hi, steps = -0.5, 0.5, 128
+    minimized = apply_gauge(fam, minimizing_gauge_1p(fam, lo, hi, steps=steps))
+    minimized_base = apply_gauge(base, minimizing_gauge_1p(base, lo, hi, steps=steps))
+    grid = np.linspace(lo, hi, steps + 1)
+    off_node = (grid[:-1] + 0.3 * (grid[1] - grid[0]))[:, None]
+    a0 = fam.phases(np.array([[lo]]))
+    assert np.max(np.abs(minimized.phases(off_node) - minimized_base.phases(off_node) - a0)) <= 1e-14
+    for t in off_node[::37]:
+        cu = c_upsilon_states(minimized, t)[0, 0]
+        assert abs(cu - c_upsilon_states(minimized_base, t)[0, 0]) <= 1e-9 * cu
+
+
+@pytest.mark.parametrize("bad,message", [(np.zeros(2), r"expected \(3,\)"),
+                                         (np.array([0.1, np.nan, 0.2]), "non-finite phases")],
+                         ids=["misshaped", "non-finite"])
+def test_phases_bad_past_theta0_raise_where_the_minimizing_gauge_is_used(bad, message):
+    # The scan checks the phases at theta0; everywhere else the gauge reads
+    # them through the family's checked phases, so bad ones still raise.
+    good = np.array([0.1, -0.2, 0.3])
+    fam = random_full_rank(d=3, nparams=1, seed=5)
+    gauged = apply_gauge(fam, PhaseAssignment.from_callable(lambda th: good * th[0] if th[0] < 0.2 else bad))
+    pa = minimizing_gauge_1p(gauged, -0.5, 0.5, steps=64)
+    c_upsilon_states(apply_gauge(gauged, pa), [0.0])
+    with pytest.raises(ValidationError, match=message):
+        pa.phases(np.array([[0.3]]))
+    with pytest.raises(ValidationError, match=message):
+        c_upsilon_states(apply_gauge(gauged, pa), [0.3])
 
 
 def _rephased_frame(family):
@@ -486,17 +528,21 @@ def test_a_stack_phase_function_is_called_once_per_stack():
     calls = []
 
     def phases(th):
-        calls.append(th.shape)
+        calls.append(th.copy())
         return np.array([0.3, -0.2, 0.1]) * np.sin(th[:, :1])
 
     gauged = apply_gauge(random_full_rank(d=3, nparams=1, seed=5), PhaseAssignment(phases))
-    minimizing_gauge_1p(gauged, -0.5, 0.5, steps=512)
-    # The scan takes the phases at its 513 grid points in one call.
-    assert calls == [(513, 1)]
+    pa = minimizing_gauge_1p(gauged, -0.5, 0.5, steps=512)
+    # The scan takes the phases once, at theta0 alone.
+    assert len(calls) == 1 and np.array_equal(calls[0], [[-0.5]])
+    calls.clear()
+    # The minimizing gauge takes them once per stack it is evaluated on.
+    pa.phases(np.array([[0.1], [0.2]]))
+    assert len(calls) == 1 and np.array_equal(calls[0], [[0.1], [0.2]])
     calls.clear()
     c_upsilon_states(gauged, [0.1])
     # One gauged point: the point and its 4 stencil points in one call.
-    assert calls == [(5, 1)]
+    assert [c.shape for c in calls] == [(5, 1)]
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -506,9 +552,13 @@ def test_stack_and_per_point_phases_give_the_same_minimizing_gauge(d):
     fam = random_full_rank(d=d, nparams=1, seed=70 + d)
     stacked = PhaseAssignment(lambda th: a * np.sin(b * th[:, :1] + c))
     per_point = PhaseAssignment.from_callable(lambda th: a * np.sin(b * th[0] + c))
-    samples = [minimizing_gauge_1p(apply_gauge(fam, pa), -0.5, 0.5, steps=128).samples
-               for pa in (stacked, per_point)]
-    assert samples[0].tobytes() == samples[1].tobytes()
+    # Off the grid nodes, where the family's own phases enter the minimizing
+    # gauge as a function rather than through its samples.
+    grid = np.linspace(-0.5, 0.5, 129)
+    off_node = (grid[:-1] + 0.3 * (grid[1] - grid[0]))[:, None]
+    phases = [minimizing_gauge_1p(apply_gauge(fam, pa), -0.5, 0.5, steps=128).phases(off_node)
+              for pa in (stacked, per_point)]
+    assert phases[0].tobytes() == phases[1].tobytes()
 
 
 def test_a_ragged_phase_callable_raises_a_validation_error():
@@ -516,7 +566,8 @@ def test_a_ragged_phase_callable_raises_a_validation_error():
     with pytest.raises(ValidationError, match=r"rows of shapes \[\(2,\), \(3,\)\]"):
         ragged.phases(np.array([[0.1], [0.3]]))
     gauged = apply_gauge(random_full_rank(d=3, nparams=1, seed=3), ragged)
-    with pytest.raises(ValidationError, match="rows of shapes"):
+    # The scan reads the phases at theta0 alone, where they have 2 entries.
+    with pytest.raises(ValidationError, match=r"gives shape \(2,\) at theta \[-0.5\], expected \(3,\)"):
         minimizing_gauge_1p(gauged, -0.5, 0.5, steps=8)
     # A stack function that forgets the stack axis.
     flat = apply_gauge(random_full_rank(d=3, nparams=1, seed=3), PhaseAssignment(lambda th: np.zeros(3)))

@@ -1,6 +1,10 @@
+import math
+
 import pytest
 
 from qmetrics import verify
+from qmetrics.errors import ValidationError
+from qmetrics.gauge import PhaseAssignment
 
 
 def test_suite_registry_names():
@@ -56,9 +60,40 @@ def test_suites_pass_a_correct_library_at_seeds_the_old_gates_failed(suite, seed
     assert report["passed"], report
 
 
+def test_crlb_reports_its_z_score_and_false_failure_rate():
+    # 2 000 replicates put the +-15% band at 4.7 sd of the sample variance.
+    report = verify.crlb_suite(seed=42)
+    assert report["reps"] == 2_000 and report["passed"]
+    rel_sd = math.sqrt(2.0 / 1_999)
+    assert report["z_score"] == pytest.approx(
+        (report["empirical_variance"] / report["target_variance"] - 1.0) / rel_sd)
+    assert report["false_failure_rate"] == pytest.approx(2.1e-6, rel=0.05)
+    with pytest.raises(ValidationError, match="reps must be an integer >= 2"):
+        verify.crlb_suite(reps=1)
+
+
 def test_kmb_limit_fails_when_the_curvature_is_compared_with_the_sld_information(monkeypatch):
     # The relative entropy's Hessian is the KMB metric, not the SLD one: the
     # gate's constant is at most 3.7 for KMB over seeds 0-99, at least 28.6 for SLD.
     monkeypatch.setattr(verify, "kmb_information", verify.sld_information)
     for seed in (15, 34, 42):
         assert not verify.kmb_limit_suite(seed=seed)["passed"]
+
+
+
+def test_gauge_suite_gates_the_gap_off_the_grid_nodes(monkeypatch):
+    # Interpolating the family's own phases linearly, with the scan's samples,
+    # leaves a gap above 1e-6 at 0.3 of a cell, though it is 1e-11 at the node.
+    report = verify.gauge_suite(seed=42)
+    # 5.3e-8 at seed 42: the chord error of the base frame's own integral.
+    assert report["passed"] and report["worst_offnode_gap"] <= 1e-7
+    scan = verify.minimizing_gauge_1p
+
+    def node_samples_only(family, theta0, theta1, steps):
+        pa = scan(family, theta0, theta1, steps)
+        return PhaseAssignment.from_samples(pa.grid, pa.phases(pa.grid[:, None]).T)
+
+    monkeypatch.setattr(verify, "minimizing_gauge_1p", node_samples_only)
+    report = verify.gauge_suite(seed=42)
+    assert report["worst_minimized_gap"] <= 1e-10 and report["worst_offnode_gap"] > 1e-6
+    assert not report["passed"]
