@@ -2,13 +2,14 @@
 
 Connects the information matrices to operational meaning: the projective
 measurement built from the score operator attains the quantum bound, sampled
-outcomes feed a maximum-likelihood estimator (a 256-point grid scored from a
-log-Born table tabulated once per family, POVM and interval, then safeguarded
-Fisher scoring from the multinomial score, with nested sub-grids where no
-score can be formed), and a Monte Carlo harness compares empirical variance
-against 1/(N F). The estimator takes a stack of counts, one row per
-replicate, and scores all of its still-active rows with one stacked family
-call per step; each row's estimate is that of its counts alone.
+outcomes feed a maximum-likelihood estimator (a start on a 256-point grid
+found coarse to fine, from a log-Born table whose rows are built as the
+search needs them, then safeguarded Fisher scoring from the multinomial
+score, with nested sub-grids where no score can be formed), and a Monte
+Carlo harness compares empirical variance against 1/(N F). The estimator
+takes a stack of counts, one row per replicate, and scores all of its
+still-active rows with one stacked family call per step; each row's
+estimate is that of its counts alone.
 """
 
 from __future__ import annotations
@@ -93,6 +94,17 @@ def sample_outcomes(
 
 
 GRID_POINTS = 256
+# The start search scores the grid's coarse nodes, every COARSE_STRIDE-th
+# point, then the points within one node of each coarse local maximum: the
+# divisor s of GRID_POINTS - 1 that builds the fewest table rows for one
+# maximum, (GRID_POINTS - 1) / s + 1 nodes and 2 s - 2 more points, so 15.
+COARSE_STRIDE = min((s for s in range(1, GRID_POINTS) if (GRID_POINTS - 1) % s == 0),
+                    key=lambda s: (GRID_POINTS - 1) // s + 2 * s)
+# Row k holds the grid points strictly inside coarse cell k, which runs from
+# node k to node k + 1.
+_INSIDE = np.arange(GRID_POINTS - 1).reshape(-1, COARSE_STRIDE)[:, 1:]
+# The grid points before, at and after each grid point, within the grid.
+_AROUND = np.clip(np.arange(GRID_POINTS)[:, None] + (-1, 0, 1), 0, GRID_POINTS - 1)
 # Fisher scoring stops at a step no longer than SCORE_TOL * max(1, |t|), or
 # after SCORE_STEPS steps. Over 2400 seeded replicates (N = 10 000, bloch3
 # radial slices and random_full_rank d <= 4) the exact score took a median of
@@ -121,15 +133,26 @@ def _best_cells(points: np.ndarray, values: np.ndarray, mid: float) -> tuple[flo
     return float(points[lo]), float(points[best]), float(points[hi])
 
 
+def _row_scores(table: np.ndarray, counts: np.ndarray, counted: np.ndarray) -> np.ndarray:
+    """The log-likelihood (R, n) of each of R sets of counts at each of n
+    points of an outcome-major log Born table (m, n), from the counted
+    outcomes (-inf where a counted outcome has probability 0). Each value is
+    the sum over its outcomes in order, so it does not depend on the other
+    rows or points of the stacks."""
+    return (np.where(counted[:, :, None], table, 0.0) * counts[:, :, None]).sum(1)
+
+
 class Likelihood:
     """Multinomial log-likelihood of outcome counts for one (family, POVM,
     search interval).
 
-    The POVM is validated and stacked once, and the log Born probabilities
-    at GRID_POINTS evenly spaced points of the interval are tabulated once,
-    from one batched family evaluation. Every set of counts then scores the
-    whole grid with one matrix-vector product before its refinement, and
-    the sets of a stack are refined together (see estimate).
+    The POVM is validated and stacked once. log_born (GRID_POINTS, m) holds
+    the log Born probabilities at GRID_POINTS evenly spaced points of the
+    interval, -inf at probability 0. Its rows are built as the start search
+    needs them, so it is partial: the coarse nodes (every COARSE_STRIDE-th
+    point) when the likelihood is made, then the windows that a stack of
+    counts opens, in one batched family evaluation per stack; rows not yet
+    built are NaN. The sets of a stack are refined together (see estimate).
     """
 
     def __init__(self, family: ParametricFamily, povm, interval):
@@ -138,29 +161,71 @@ class Likelihood:
             raise ValidationError("interval must satisfy lo < hi")
         self.family = family
         self.elements = validate_povm(povm, family.dim)
+        self._transposed = np.ascontiguousarray(self.elements.swapaxes(-1, -2))
         self.grid = np.linspace(lo, hi, GRID_POINTS)
         self.mid = (lo + hi) / 2.0
-        self.log_born = self._log_born(self.grid, self.elements)
-        self._transposed = np.ascontiguousarray(self.elements.swapaxes(-1, -2))
+        self._distance = np.abs(self.grid - self.mid)
+        # Outcome-major in memory, so that a score sums whole rows (see _row_scores).
+        self.log_born = np.full((len(self.elements), GRID_POINTS), np.nan).T
+        self._build(np.arange(0, GRID_POINTS, COARSE_STRIDE))
 
-    def _log_born(self, ts: np.ndarray, elements: np.ndarray) -> np.ndarray:
-        """Log Born table (n, m) of n parameter values, -inf at probability 0."""
-        with np.errstate(divide="ignore"):
-            return np.log(born_probabilities(self.family.rhos(ts[:, None]), elements))
-
-    def _grid_scores(self, counts) -> np.ndarray:
-        """The log-likelihood of one set of counts at every grid point (-inf
-        where a counted outcome has zero probability)."""
-        counts = np.asarray(counts, dtype=float)
-        if counts.shape != (len(self.elements),):
+    def _log(self, p: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        """log p of the Born probabilities p (n, m) at the n values ts, -inf at
+        probability 0. Probabilities that are not finite raise
+        ValidationError naming the family and the first such t."""
+        if not np.isfinite(p).all():
+            t = float(ts[np.argmin(np.isfinite(p).all(-1))])
             raise ValidationError(
-                f"counts have shape {counts.shape}; expected one entry per POVM element "
-                f"({len(self.elements)},)"
-            )
-        if not np.all(np.isfinite(counts)) or np.any(counts < 0.0):
-            raise ValidationError("counts must be finite and non-negative")
-        counted = counts > 0.0
-        return self.log_born[:, counted] @ counts[counted]
+                f"family {self.family.name!r}: Born probabilities are not finite at theta {t!r}")
+        with np.errstate(divide="ignore"):
+            return np.log(p)
+
+    def _born(self, rho: np.ndarray) -> np.ndarray:
+        """The Born probabilities (n, m) of a stack of n states, clamped at 0.
+        tr(rho M_m) as a sum over the (d, d) entries of each state: unlike an
+        einsum over the stack, its rows do not change with the stack size."""
+        return np.maximum((rho[:, None] * self._transposed).sum((-2, -1)).real, 0.0)
+
+    def _build(self, rows: np.ndarray) -> None:
+        """Build the table rows of the grid points rows, from one family call."""
+        ts = self.grid[rows]
+        self.log_born[rows] = self._log(self._born(self.family.rhos(ts[:, None])), ts)
+
+    def _start_cells(self, counts: np.ndarray, counted: np.ndarray):
+        """The starts (R, 3) of a stack of checked counts, row r (a, t, b):
+        t its best grid point, ties toward the interval midpoint, between
+        its neighbours a and b (t itself at an end of the grid).
+
+        Each row scores the coarse nodes. A node above -inf and no lower
+        than its neighbours is a coarse local maximum, and the grid points
+        from the node before it to the node after it are one of the row's
+        windows; a row whose finite node values span less than 1e-12 (or
+        that has none) takes the whole grid. The missing table rows of all
+        windows are built in one family call, and each row's best point is
+        the best of its nodes and windows. That is the best of the whole
+        grid unless it lies between coarse nodes that are not local maxima,
+        which a grid log-likelihood that rises to its maximum and then falls
+        never has. A row flat across the whole grid raises FlatLikelihood."""
+        coarse = _row_scores(self.log_born[::COARSE_STRIDE].T, counts, counted)
+        finite = coarse > -np.inf
+        flat = coarse.max(1) - np.where(finite, coarse, np.inf).min(1) < 1e-12
+        padded = np.full((len(counts), coarse.shape[1] + 2), -np.inf)
+        padded[:, 1:-1] = coarse
+        peak = finite & (coarse >= np.maximum(padded[:, :-2], padded[:, 2:]))
+        cells = peak[:, :-1] | peak[:, 1:]
+        cells[flat] = True
+        # A cell is built whole, so its first inside point tells whether it is.
+        missing = cells.any(0) & np.isnan(self.log_born[1::COARSE_STRIDE, 0])
+        if missing.any():
+            self._build(_INSIDE[missing].ravel())
+        values = _row_scores(self.log_born.T, counts, counted)
+        # The cells (R, 17, 15) of the grid points but the last, node first.
+        values[:, :-1].reshape(len(counts), len(_INSIDE), COARSE_STRIDE)[:, :, 1:][~cells] = -np.inf
+        top = values.max(1)
+        if flat.any() and (top - np.where(values > -np.inf, values, np.inf).min(1) < 1e-12).any():
+            raise FlatLikelihood("likelihood does not vary across the search grid")
+        best = np.where(values >= top[:, None], self._distance, np.inf).argmin(1)
+        return self.grid[_AROUND[best]]
 
     def _scores(self, ts: np.ndarray, counts: np.ndarray, counted: np.ndarray):
         """The score g = sum_m c_m dp_m / p_m of each row's counted outcomes at
@@ -173,9 +238,8 @@ class Likelihood:
         be formed. A g of exactly 0 with I > 0 is a root, not a plateau.
         Each row's numbers do not depend on the other rows."""
         rho, drho, steps = _states(self.family, ts.reshape(len(ts), 1), partial=True)
-        # tr(A M_m) as a sum over the (d, d) entries of each row: unlike an
-        # einsum over the stack, its rows do not change with the stack size.
-        p = np.maximum((rho[:, None] * self._transposed).sum((-2, -1)).real, 0.0)
+        # dp_m = tr(drho M_m) row by row, as p is (see _born).
+        p = self._born(rho)
         dp = (drho[:, 0, None] * self._transposed).sum((-2, -1)).real
         live = counted & (p > 0.0)
         r = np.divide(dp, p, out=np.zeros_like(p), where=live)
@@ -190,22 +254,24 @@ class Likelihood:
 
         Rows are checked in order: the first with malformed counts raises
         ValidationError, the first whose likelihood is flat across the grid
-        FlatLikelihood. Each row starts at its best grid point (ties toward
-        the interval midpoint), in the bracket of the two grid cells around
-        it. Each step scores every still-active row at once (see _scores).
-        It moves the end of a row's bracket that its score g points away
-        from to its t and steps to t + g / I, or to the bracket's midpoint
-        when a step longer than SCORE_TOL * max(1, |t|) leaves the bracket
-        or a step no longer than that is not at a root (see ROOT_SCORE). A
-        row's first step no longer than that ends its search, inside the
-        bracket, so a best grid point at an end of the interval whose score
-        points out is returned as it is. A row where no step can be formed,
-        or still active after SCORE_STEPS steps, leaves the stack:
-        REFINE_LEVELS levels of REFINE_POINTS-point sub-grids refine its
-        bracket (one stacked family evaluation each, keeping the two cells
-        around the best, ties toward the bracket midpoint) to its midpoint.
-        An error raised by the family itself propagates from the stacked
-        step that meets it.
+        FlatLikelihood. Each row starts at the best grid point of a coarse to
+        fine search (ties toward the interval midpoint; see _start_cells),
+        in the bracket of the two grid cells around it. Each step scores
+        every still-active row at once (see _scores). It moves the end of a
+        row's bracket that its score g points away from to its t and steps
+        to t + g / I, or to the bracket's midpoint when a step longer than
+        SCORE_TOL * max(1, |t|) leaves the bracket or a step no longer than
+        that is not at a root (see ROOT_SCORE). A row's first step no longer
+        than that ends its search, inside the bracket, so a best grid point
+        at an end of the interval whose score points out is returned as it
+        is. A row where no step can be formed, or still active after
+        SCORE_STEPS steps, leaves the stack: REFINE_LEVELS levels of
+        REFINE_POINTS-point sub-grids refine its bracket (one stacked family
+        evaluation each, keeping the two cells around the best, ties toward
+        the bracket midpoint) to its midpoint. An error raised by the family
+        itself propagates from the stacked step that meets it; states whose
+        Born probabilities are not finite raise ValidationError where the
+        grid table or a sub-grid meets them.
         """
         counts = np.asarray(counts, dtype=float)
         if counts.ndim == 2:
@@ -214,18 +280,21 @@ class Likelihood:
 
     def _estimates(self, counts: np.ndarray) -> np.ndarray:
         """The estimates of the rows of a stack of counts (see estimate)."""
-        brackets = []
-        for row in counts:
-            values = self._grid_scores(row)
-            finite = values[np.isfinite(values)]
-            if finite.size == 0 or float(finite.max() - finite.min()) < 1e-12:
-                raise FlatLikelihood("likelihood does not vary across the search grid")
-            brackets.append(_best_cells(self.grid, values, self.mid))
+        m = len(self.elements)
+        if counts.ndim != 2 or counts.shape[1] != m:
+            raise ValidationError(
+                f"counts have shape {counts.shape[1:]}; expected one entry per POVM element ({m},)")
         counted = counts > 0.0
+        valid = np.isfinite(counts) & (counts >= 0.0)
+        if not valid.all():
+            first = int(np.argmin(valid.all(1)))
+            self._start_cells(counts[:first], counted[:first])  # a flat row before it raises first
+            raise ValidationError("counts must be finite and non-negative")
         estimates = np.full(len(counts), np.nan)
         # (row, a, t, b) of the rows still scoring, in row order, with their
         # counts; (row, a, b) of the rows left to the sub-grids.
-        active = [(r, a, t, b) for r, (a, t, b) in enumerate(brackets)]
+        starts = self._start_cells(counts, counted).tolist()
+        active = [(r, a, t, b) for r, (a, t, b) in enumerate(starts)]
         active_counts, active_counted, refine = counts, counted, []
         for _ in range(SCORE_STEPS):
             if not active:
@@ -259,7 +328,8 @@ class Likelihood:
             elements, c = self.elements[counted[r]], counts[r, counted[r]]
             for _ in range(REFINE_LEVELS):
                 ts = np.linspace(a, b, REFINE_POINTS)
-                a, _, b = _best_cells(ts, self._log_born(ts, elements) @ c, (a + b) / 2.0)
+                p = born_probabilities(self.family.rhos(ts[:, None]), elements)
+                a, _, b = _best_cells(ts, self._log(p, ts) @ c, (a + b) / 2.0)
             estimates[r] = (a + b) / 2.0
         return estimates
 
@@ -267,11 +337,11 @@ class Likelihood:
 def mle_1p(family: ParametricFamily, povm, counts, interval) -> float:
     """Maximum-likelihood estimate over a search interval.
 
-    Dense 256-point grid, ties breaking toward the interval midpoint, then
-    safeguarded Fisher scoring inside the two grid cells around the best
-    point, with nested sub-grids where the score cannot be formed (see
-    Likelihood.estimate). Counts must be finite and non-negative, one per
-    POVM element.
+    The best point of a 256-point grid searched coarse to fine, ties
+    breaking toward the interval midpoint, then safeguarded Fisher scoring
+    inside the two grid cells around it, with nested sub-grids where the
+    score cannot be formed (see Likelihood.estimate). Counts must be finite
+    and non-negative, one per POVM element.
     """
     # The one-row stack, so that a 2-D array is rejected as a row of the wrong shape.
     counts = np.asarray(counts, dtype=float)

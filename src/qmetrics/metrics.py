@@ -29,7 +29,7 @@ remains the other's oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -144,21 +144,9 @@ def random_povm(d: int, n_outcomes: int, seed: int = 0) -> list[np.ndarray]:
     return [inv_sqrt @ a @ inv_sqrt for a in raw]
 
 
-@lru_cache(maxsize=8)  # d^3 entries each: a few sizes, not every size ever asked for
-def _basis_stack(d: int) -> np.ndarray:
-    """The computational-basis projectors stacked, shape (d, d, d), read-only
-    and kept for the last few d; a valid POVM by construction, so callers in
-    the library skip validate_povm."""
-    stack = np.zeros((d, d, d), dtype=complex)
-    i = np.arange(d)
-    stack[i, i, i] = 1.0
-    _read_only(stack)
-    return stack
-
-
 def basis_povm(d: int) -> list[np.ndarray]:
     """Computational-basis projectors, fresh writable arrays."""
-    return list(_basis_stack(d).copy())
+    return [np.diag(e) for e in np.eye(d, dtype=complex)]
 
 
 def born_probabilities(rho: np.ndarray, povm: Sequence[np.ndarray]) -> np.ndarray:
@@ -188,10 +176,17 @@ def _fisher_sum(
     return (m + m.T) / 2.0  # the product is symmetric only to rounding
 
 
-def _measured_fisher(point: FamilyPoint, elements: np.ndarray) -> np.ndarray:
-    """Fisher information at a point for a validated, stacked POVM."""
-    p0 = born_probabilities(point.rho, elements)
-    dp = np.real(np.einsum("lij,mji->lm", point.drho, elements))
+def _measured_fisher(point: FamilyPoint, elements: np.ndarray | None) -> np.ndarray:
+    """Fisher information at a point for a validated, stacked POVM, or with
+    None for the computational basis, whose probabilities and slopes are the
+    diagonals of rho and its tangents: the same bits as the projector stack,
+    whose other products are exact zeros."""
+    if elements is None:
+        p0 = np.clip(np.diagonal(point.rho).real, 0.0, None)
+        dp = np.diagonal(point.drho, axis1=-2, axis2=-1).real
+    else:
+        p0 = born_probabilities(point.rho, elements)
+        dp = np.real(np.einsum("lij,mji->lm", point.drho, elements))
     return _fisher_sum(p0, dp, lambda m: VanishingProbabilityWithFlow(
         f"outcome {m} has zero probability but nonzero derivative"))
 
@@ -207,8 +202,7 @@ def classical_fisher(
     A POVM passed in is validated; the default is the computational basis.
     """
     point = family.point(theta)
-    d = family.dim
-    return _measured_fisher(point, _basis_stack(d) if povm is None else validate_povm(povm, d))
+    return _measured_fisher(point, None if povm is None else validate_povm(povm, family.dim))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -10,10 +11,14 @@ import qmetrics.linalg
 import qmetrics.metrics
 from qmetrics.errors import DomainExit, FlatLikelihood, ValidationError
 from qmetrics.estimation import (
+    COARSE_STRIDE,
+    GRID_POINTS,
     REFINE_LEVELS,
     REFINE_POINTS,
     SCORE_STEPS,
     Likelihood,
+    _best_cells,
+    _row_scores,
     cramer_rao_experiment,
     equality_condition_residual,
     mle_1p,
@@ -28,7 +33,14 @@ from qmetrics.families import (
     pure_rotation,
     random_full_rank,
 )
-from qmetrics.metrics import basis_povm, classical_fisher, random_povm, sld_information, validate_povm
+from qmetrics.metrics import (
+    basis_povm,
+    born_probabilities,
+    classical_fisher,
+    random_povm,
+    sld_information,
+    validate_povm,
+)
 
 
 def radial_slice(r=0.5):
@@ -268,12 +280,38 @@ def test_estimates_match_the_ternary_reference():
             assert abs(est - ternary_mle(fam, povm, counts, interval)) < 1e-7, fam.name
 
 
+def dense_table(likelihood):
+    """Reference: the whole log Born table (GRID_POINTS, m) of a likelihood,
+    from one batched family evaluation, as the dense search built it."""
+    states = likelihood.family.rhos(likelihood.grid[:, None])
+    with np.errstate(divide="ignore"):
+        return np.log(born_probabilities(states, likelihood.elements))
+
+
+def dense_scores(table, counts):
+    """Reference: the log-likelihood of one set of counts at every grid point
+    of a dense table (-inf where a counted outcome has zero probability)."""
+    counts = np.asarray(counts, dtype=float)
+    counted = counts > 0.0
+    return table[:, counted] @ counts[counted]
+
+
+def dense_start(likelihood, values):
+    """Reference: the start (a, t, b) of the dense search from the grid
+    values of one row, t the best of all GRID_POINTS points (ties toward
+    the interval midpoint)."""
+    finite = values[np.isfinite(values)]
+    if finite.size == 0 or float(finite.max() - finite.min()) < 1e-12:
+        raise FlatLikelihood("likelihood does not vary across the search grid")
+    return _best_cells(likelihood.grid, values, likelihood.mid)
+
+
 def test_edge_cases_start_from_a_one_cell_bracket():
     for fam, theta, interval in list(_estimation_cases())[1:3]:
         povm = sld_optimal_povm(fam, [theta])
         likelihood = Likelihood(fam, povm, interval)
         counts = sample_outcomes(fam, [theta], povm, 10_000, seed=[7, 0])
-        best = int(np.argmax(likelihood._grid_scores(counts)))
+        best = int(np.argmax(dense_scores(dense_table(likelihood), counts)))
         assert best in (0, likelihood.grid.size - 1)
         assert abs(likelihood.estimate(counts) - likelihood.grid[best]) < 1e-12
 
@@ -303,23 +341,43 @@ def _counted_calls(base):
 
 
 def test_one_experiment_scores_its_replicates_in_stacked_calls():
-    # An exact-tangent family: after the grid table and the point at
-    # theta_true, each scoring step reads the tangents and the states of the
-    # still-active replicates in one call each, and no sub-grid stack and no
-    # per-replicate (1, 1) call is made.
+    # An exact-tangent family: the 18 coarse nodes when the likelihood is
+    # made, the point at theta_true, one call for the windows of all
+    # replicates (here the 14 inside points of each of 3 coarse cells), then each
+    # scoring step reads the tangents and the states of the still-active
+    # replicates in one call each; no sub-grid stack and no per-replicate
+    # (1, 1) call is made.
+    assert (GRID_POINTS - 1) // COARSE_STRIDE + 1 == 18
     base = random_full_rank(d=3, nparams=1, seed=9)
     fam, calls = _counted_calls(base)
     povm = sld_optimal_povm(base, [0.1])
     report = cramer_rao_experiment(fam, 0.1, povm, n=10_000, reps=5, seed=0, interval=(-0.3, 0.5))
-    assert calls[:3] == [("evaluate", (256, 1)), ("tangents", (1, 1)), ("evaluate", (1, 1))]
-    sizes = [shape[0] for _, shape in calls[3::2]]
+    assert calls[:4] == [("evaluate", (18, 1)), ("tangents", (1, 1)), ("evaluate", (1, 1)),
+                         ("evaluate", (3 * 14, 1))]
+    sizes = [shape[0] for _, shape in calls[4::2]]
     pairs = [(("tangents", (n, 1)), ("evaluate", (n, 1))) for n in sizes]
-    assert calls[3:] == [call for pair in pairs for call in pair]
+    assert calls[4:] == [call for pair in pairs for call in pair]
     assert 1 <= len(sizes) <= SCORE_STEPS
     assert sizes[0] == 5 and sizes == sorted(sizes, reverse=True) and 1 not in sizes
     for r in range(5):
         counts = sample_outcomes(base, [0.1], povm, 10_000, seed=[0, r])
         assert report.estimates[r] == mle_1p(base, povm, counts, (-0.3, 0.5))
+
+
+def test_one_replicate_builds_the_coarse_nodes_and_one_window():
+    # A random d=4 replicate builds 46 of the 256 grid rows: the 18 nodes and
+    # the 28 inside points of the two coarse cells around its coarse maximum.
+    for seed in range(3):
+        base = random_full_rank(d=4, nparams=1, seed=seed)
+        fam, calls = _counted_calls(base)
+        povm = sld_optimal_povm(base, [0.1])
+        report = cramer_rao_experiment(fam, 0.1, povm, n=10_000, reps=1, seed=seed)
+        grid_rows = [shape[0] for name, shape in calls if shape[0] > 1]
+        assert grid_rows == [18, 28] and calls[3] == ("evaluate", (28, 1))
+        likelihood = Likelihood(base, povm, (0.1 - 0.4, 0.1 + 0.4))
+        counts = sample_outcomes(base, [0.1], povm, 10_000, seed=[seed, 0])
+        assert likelihood.estimate(counts) == report.estimates[0]
+        assert np.count_nonzero(~np.isnan(likelihood.log_born[:, 0])) == 46
 
 
 def hinge():
@@ -342,6 +400,143 @@ def hinge():
         evaluate=lambda th: diagonal(1.0 - q(th), q(th)),
         tangents=lambda th: diagonal(-dq(th), dq(th))[..., None, :, :],
     )
+
+
+def tent():
+    """diag(1 - q, q), q a tent of height 1/2 over grid points 1 to 13 of the
+    interval (-0.4, 0.4): outcome 1 has probability zero at every coarse node."""
+    grid = np.linspace(-0.4, 0.4, GRID_POINTS)
+    center, half_width = grid[7], 6.5 * (grid[1] - grid[0])
+
+    def evaluate(th):
+        q = 0.5 * np.maximum(0.0, 1.0 - np.abs(np.asarray(th)[..., 0] - center) / half_width)
+        out = np.zeros(q.shape + (2, 2), dtype=complex)
+        out[..., 0, 0], out[..., 1, 1] = 1.0 - q, q
+        return out
+
+    return ParametricFamily(dim=2, domain=((-1.0, 1.0),), name="tent", evaluate=evaluate)
+
+
+def _start_cases():
+    """(family, POVM, interval, stack of counts, whether every row's best grid
+    point must be a node or inside a window): the estimation and oracle
+    cases, the mixed batches (plateau, hinge, stencil edge), the
+    zero-probability node and the tent, then a sweep of 1 800 rows with
+    random POVMs over wide intervals, where the likelihood has several peaks."""
+    for cases, stream in ((_estimation_cases(), 7), (_oracle_cases(), 13)):
+        for fam, theta, interval in cases:
+            povm = sld_optimal_povm(fam, [theta])
+            counts = [sample_outcomes(fam, [theta], povm, 10_000, seed=[stream, r])
+                      for r in range(5)]
+            yield fam, povm, interval, counts, True
+    for fam, interval, counts, _ in _mixed_batches():
+        yield fam, basis_povm(2), interval, counts, True
+    counts = [[500, 500], [1000, 0], [0, 1000], [2, 998]]
+    yield pure_rotation(), basis_povm(2), (0.0, 1.0), counts, True
+    yield tent(), basis_povm(2), (-0.4, 0.4), [[600, 400], [999, 1], [1000, 0]], True
+    rng = np.random.default_rng(1800)
+    for d in (2, 3, 4):
+        for k in range(10):
+            fam = random_full_rank(d=d, nparams=1, seed=900 + 10 * d + k)
+            for interval in ((-3.0, 3.0), (-1.0, 1.0)):
+                povm = random_povm(d, d + 1, seed=int(rng.integers(2**31)))
+                counts = [sample_outcomes(fam, [rng.uniform(*interval)], povm, n,
+                                          seed=int(rng.integers(2**31)))
+                          for n in (50, 1_000, 100_000) for _ in range(10)]
+                yield fam, povm, interval, counts, False
+
+
+def searched(values):
+    """Reference: the grid points the coarse-to-fine search scores for one
+    row of grid values, the coarse nodes and every coarse cell next to a
+    node that is a coarse local maximum (finite and no lower than its
+    neighbours), or the whole grid when the finite node values span less
+    than 1e-12."""
+    nodes = values[::COARSE_STRIDE]
+    finite = nodes[np.isfinite(nodes)]
+    if finite.size == 0 or finite.max() - finite.min() < 1e-12:
+        return np.ones(GRID_POINTS, dtype=bool)
+    seen = np.arange(GRID_POINTS) % COARSE_STRIDE == 0
+    for k, v in enumerate(nodes):
+        if np.isfinite(v) and v >= nodes[max(k - 1, 0)] and v >= nodes[min(k + 1, len(nodes) - 1)]:
+            seen[max(k - 1, 0) * COARSE_STRIDE:(k + 1) * COARSE_STRIDE + 1] = True
+    return seen
+
+
+def test_the_coarse_to_fine_start_is_the_dense_start():
+    # Where the best of all 256 grid points is a coarse node or lies in a
+    # window, the search starts from it. A global peak hidden between coarse
+    # nodes that are not local maxima (two peaks within about two coarse
+    # cells) is the declared exception: the search then starts at the best
+    # point it scored. That holds for none of the fixed cases and for 7 of
+    # the sweep's 1 800 rows, all on a likelihood with two peaks, their
+    # log-likelihoods from 6e-7 to 0.7 apart. A window around the best
+    # node alone misses peaks next to the other local maxima.
+    rows = hidden = 0
+    for fam, povm, interval, counts, unhidden in _start_cases():
+        likelihood = Likelihood(fam, povm, interval)
+        counts = np.array(counts, dtype=float)
+        starts, table = likelihood._start_cells(counts, counts > 0.0), dense_table(likelihood)
+        for row, start in zip(counts, starts.tolist()):
+            values = dense_scores(table, row)
+            dense = dense_start(likelihood, values)
+            seen = searched(values)
+            if seen[likelihood.grid.tolist().index(dense[1])]:
+                assert tuple(start) == dense, (fam.name, interval, row)
+            else:
+                assert not unhidden, (fam.name, interval, row)
+                best = _best_cells(likelihood.grid, np.where(seen, values, -np.inf), likelihood.mid)
+                assert tuple(start) == best and start != list(dense)
+                hidden += 1
+            rows += not unhidden
+    assert rows == 1_800 and hidden <= 0.01 * rows
+
+
+def test_a_row_whose_nodes_all_score_minus_infinity_searches_the_whole_grid():
+    # A counted outcome 1 has probability zero at every coarse node of the
+    # tent: the row takes the whole grid and finds the tent, where the
+    # dense search found it.
+    likelihood = Likelihood(tent(), basis_povm(2), (-0.4, 0.4))
+    estimate = likelihood.estimate([600, 400])
+    assert likelihood.grid[1] < estimate < likelihood.grid[13]
+    assert not np.isnan(likelihood.log_born).any()
+    assert likelihood.grid[6] <= likelihood.estimate([0, 400]) <= likelihood.grid[8]
+
+
+def nan_band(half_width):
+    """diagonal_simplex with NaN states for |t - 0.2| < half_width."""
+    base = diagonal_simplex()
+
+    def evaluate(th):
+        states = base.evaluate(th)
+        states[np.abs(np.asarray(th)[..., 0] - 0.2) < half_width] = np.nan
+        return states
+
+    return replace(base, evaluate=evaluate, name=f"nan-band-{half_width}")
+
+
+@pytest.mark.parametrize("half_width,theta", [(0.01, np.linspace(-0.5, 0.5, 256)[180]),
+                                              (np.inf, -0.5)])
+def test_states_that_are_not_finite_raise_naming_the_family_and_theta(half_width, theta):
+    # The first grid point with NaN states is coarse node 12 (t = 0.2059), or
+    # with NaN everywhere the first node. The partial band used to raise a
+    # bare ValueError from an empty argmin, and the whole-NaN family a
+    # FlatLikelihood that said the likelihood does not vary.
+    message = (f"family 'nan-band-{half_width}': Born probabilities are not finite "
+               f"at theta {float(theta)!r}")
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        mle_1p(nan_band(half_width), basis_povm(2), [600, 400], (-0.5, 0.5))
+
+
+def test_states_that_are_not_finite_between_grid_points_raise_from_the_sub_grids(monkeypatch):
+    # NaN states only for |t - 0.2| < 1e-3, between grid points 178 and 179:
+    # the grid is finite, the score steps toward the peak at 0.2 cannot be
+    # formed there, and the sub-grid level that meets the band raises.
+    for steps in (SCORE_STEPS, 0):
+        monkeypatch.setattr(qmetrics.estimation, "SCORE_STEPS", steps)
+        with pytest.raises(ValidationError, match="not finite at theta 0.1") as raised:
+            mle_1p(nan_band(1e-3), basis_povm(2), [600, 400], (-0.5, 0.5))
+        assert abs(float(str(raised.value).split()[-1]) - 0.2) < 1e-3
 
 
 def test_a_short_step_beside_a_vanishing_probability_is_not_a_root():
@@ -480,7 +675,7 @@ def test_a_stencil_leaving_the_domain_falls_back_to_sub_grids(monkeypatch):
     povm, interval = basis_povm(2), (0.5, 1.0 - 2e-6)
     likelihood = Likelihood(fam, povm, interval)
     counts = sample_outcomes(fam, [0.99999], povm, 10_000, seed=4)
-    assert int(np.argmax(likelihood._grid_scores(counts))) == likelihood.grid.size - 1
+    assert int(np.argmax(dense_scores(dense_table(likelihood), counts))) == likelihood.grid.size - 1
     with pytest.raises(DomainExit):
         fam.point([likelihood.grid[-1]]).drho
     est = likelihood.estimate(counts)
@@ -503,13 +698,14 @@ def test_replicates_are_mle_of_their_own_stream():
 
 def test_counted_zero_probability_outcome_scores_minus_infinity():
     # Basis measurement of (cos t, sin t): outcome 1 has probability zero at
-    # t = 0, the first grid point.
+    # t = 0, the first grid point and coarse node.
     fam = pure_rotation()
     likelihood = Likelihood(fam, basis_povm(2), (0.0, 1.0))
-    values = likelihood._grid_scores([500, 500])
-    assert values[0] == -math.inf
-    assert np.all(np.isfinite(values[1:]))
-    assert np.isfinite(likelihood._grid_scores([1000, 0])[0])
+    assert likelihood.log_born[0].tolist() == [0.0, -math.inf]
+    counts = np.array([[500.0, 500.0], [1000.0, 0.0]])
+    nodes = _row_scores(likelihood.log_born[::COARSE_STRIDE].T, counts, counts > 0.0)
+    assert nodes[0, 0] == -math.inf
+    assert np.all(np.isfinite(nodes[0, 1:])) and np.all(np.isfinite(nodes[1]))
     assert abs(likelihood.estimate([500, 500]) - math.pi / 4) < 1e-3
 
 

@@ -569,11 +569,24 @@ def test_default_fisher_skips_povm_validation(monkeypatch):
     assert validated == [1]
 
 
+def test_default_fisher_reads_the_diagonals_with_the_bits_of_the_basis_projectors():
+    # The default measurement reads diag(rho) and diag(drho); the projector
+    # stack's other products are exact zeros, so the bits are those of the
+    # explicit basis POVM.
+    rng = np.random.default_rng(15)
+    for d, p in ((1, 1), (2, 1), (2, 3), (3, 2), (4, 1), (4, 3), (8, 1)):
+        for k in range(4):
+            fam = random_full_rank(d=d, nparams=p, seed=int(rng.integers(2**31)))
+            theta = rng.uniform(-0.3, 0.3, size=p)
+            default = classical_fisher(fam, theta)
+            assert default.tobytes() == classical_fisher(fam, theta, basis_povm(d)).tobytes()
+
+
 @pytest.mark.parametrize("d", range(1, 9))
-def test_basis_stack_equals_the_validated_basis_povm_bit_for_bit(d):
+def test_basis_povm_equals_the_validated_projectors_bit_for_bit(d):
     eye = np.eye(d, dtype=complex)
     reference = validate_povm([np.outer(eye[:, i], eye[:, i].conj()) for i in range(d)])
-    stack = qmetrics.metrics._basis_stack(d)
+    stack = np.array(basis_povm(d))
     assert stack.dtype == reference.dtype and stack.shape == reference.shape
     assert stack.tobytes() == reference.tobytes()
 
@@ -934,7 +947,6 @@ def test_a_returned_matrix_is_the_callers_and_errors_repeat():
         povm = basis_povm(d)
         povm[0][...] = 7.0
         assert basis_povm(d)[0][0, 0] == 1.0
-        assert qmetrics.metrics._basis_stack(d)[0, 0, 0] == 1.0
     for before in ((), ("sld",), ("cl",), ("sld", "cl")):
         fam = pure_rotation()
         if before:
