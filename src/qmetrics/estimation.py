@@ -22,7 +22,7 @@ import numpy as np
 from .errors import FlatLikelihood, NoConvergence, ValidationError
 from .families import ParametricFamily, _states
 from .linalg import eig_hermitian
-from .metrics import _measured_fisher, born_probabilities, sld_information, validate_povm
+from .metrics import _measured_fisher, _traces, born_probabilities, sld_information, validate_povm
 
 
 def sld_optimal_povm(family: ParametricFamily, theta) -> list[np.ndarray]:
@@ -103,8 +103,6 @@ COARSE_STRIDE = min((s for s in range(1, GRID_POINTS) if (GRID_POINTS - 1) % s =
 # Row k holds the grid points strictly inside coarse cell k, which runs from
 # node k to node k + 1.
 _INSIDE = np.arange(GRID_POINTS - 1).reshape(-1, COARSE_STRIDE)[:, 1:]
-# The grid points before, at and after each grid point, within the grid.
-_AROUND = np.clip(np.arange(GRID_POINTS)[:, None] + (-1, 0, 1), 0, GRID_POINTS - 1)
 # Fisher scoring stops at a step no longer than SCORE_TOL * max(1, |t|), or
 # after SCORE_STEPS steps. Over 2400 seeded replicates (N = 10 000, bloch3
 # radial slices and random_full_rank d <= 4) the exact score took a median of
@@ -123,22 +121,23 @@ REFINE_POINTS = 17
 REFINE_LEVELS = math.ceil(60 * math.log(2.0 / 3.0) / math.log(2.0 / (REFINE_POINTS - 1)))
 
 
-def _best_cells(points: np.ndarray, values: np.ndarray, mid: float) -> tuple[float, float, float]:
-    """The best-scoring of evenly spaced points, ties broken toward mid, and
-    the two cells around it: (a, best, b), with one cell when the best is the
-    first or last point."""
-    candidates = np.flatnonzero(values >= values.max())
-    best = int(candidates[np.argmin(np.abs(points[candidates] - mid))])
-    lo, hi = max(best - 1, 0), min(best + 1, points.size - 1)
-    return float(points[lo]), float(points[best]), float(points[hi])
+def _best_cells(points: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """For R rows of n evenly spaced points (R, n) and their values (R, n):
+    each row's best-scoring point, ties broken toward the row's midpoint,
+    and the two cells around it, (a, best, b) in a row of (R, 3), with one
+    cell when the best is the first or last point."""
+    mid = (points[:, :1] + points[:, -1:]) / 2.0
+    best = np.where(values >= values.max(1, keepdims=True), np.abs(points - mid), np.inf).argmin(1)
+    around = np.clip(best[:, None] + (-1, 0, 1), 0, points.shape[1] - 1)
+    return np.take_along_axis(points, around, 1)
 
 
 def _row_scores(table: np.ndarray, counts: np.ndarray, counted: np.ndarray) -> np.ndarray:
     """The log-likelihood (R, n) of each of R sets of counts at each of n
-    points of an outcome-major log Born table (m, n), from the counted
-    outcomes (-inf where a counted outcome has probability 0). Each value is
-    the sum over its outcomes in order, so it does not depend on the other
-    rows or points of the stacks."""
+    points of a C-contiguous, outcome-major log Born table: one (m, n) for
+    every row, or one (R, m, n) per row. It sums the counted outcomes (-inf
+    where one has probability 0) in order, so a value does not depend on
+    the other rows or points of the stacks."""
     return (np.where(counted[:, :, None], table, 0.0) * counts[:, :, None]).sum(1)
 
 
@@ -146,9 +145,10 @@ class Likelihood:
     """Multinomial log-likelihood of outcome counts for one (family, POVM,
     search interval).
 
-    The POVM is validated and stacked once. log_born (GRID_POINTS, m) holds
-    the log Born probabilities at GRID_POINTS evenly spaced points of the
-    interval, -inf at probability 0. Its rows are built as the start search
+    The POVM is validated and stacked once, and the grid checked against the
+    domain once: the table rows and the sub-grids inside it evaluate without
+    checks. log_born (GRID_POINTS, m) holds the log Born probabilities at
+    GRID_POINTS evenly spaced points of the interval, -inf at probability 0. Its rows are built as the start search
     needs them, so it is partial: the coarse nodes (every COARSE_STRIDE-th
     point) when the likelihood is made, then the windows that a stack of
     counts opens, in one batched family evaluation per stack; rows not yet
@@ -161,35 +161,23 @@ class Likelihood:
             raise ValidationError("interval must satisfy lo < hi")
         self.family = family
         self.elements = validate_povm(povm, family.dim)
-        self._transposed = np.ascontiguousarray(self.elements.swapaxes(-1, -2))
         self.grid = np.linspace(lo, hi, GRID_POINTS)
-        self.mid = (lo + hi) / 2.0
-        self._distance = np.abs(self.grid - self.mid)
+        family.check_thetas(self.grid[:, None])
         # Outcome-major in memory, so that a score sums whole rows (see _row_scores).
         self.log_born = np.full((len(self.elements), GRID_POINTS), np.nan).T
-        self._build(np.arange(0, GRID_POINTS, COARSE_STRIDE))
+        self.log_born[::COARSE_STRIDE] = self._log_born(self.grid[::COARSE_STRIDE])
 
-    def _log(self, p: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        """log p of the Born probabilities p (n, m) at the n values ts, -inf at
-        probability 0. Probabilities that are not finite raise
-        ValidationError naming the family and the first such t."""
+    def _log_born(self, ts: np.ndarray) -> np.ndarray:
+        """log p (n, m), -inf at p = 0, of the Born probabilities at n values ts
+        inside the grid, from one family call. Probabilities that are not
+        finite raise ValidationError naming the family and the first such t."""
+        p = born_probabilities(self.family._evaluate_stack(ts[:, None]), self.elements)
         if not np.isfinite(p).all():
             t = float(ts[np.argmin(np.isfinite(p).all(-1))])
             raise ValidationError(
                 f"family {self.family.name!r}: Born probabilities are not finite at theta {t!r}")
         with np.errstate(divide="ignore"):
             return np.log(p)
-
-    def _born(self, rho: np.ndarray) -> np.ndarray:
-        """The Born probabilities (n, m) of a stack of n states, clamped at 0.
-        tr(rho M_m) as a sum over the (d, d) entries of each state: unlike an
-        einsum over the stack, its rows do not change with the stack size."""
-        return np.maximum((rho[:, None] * self._transposed).sum((-2, -1)).real, 0.0)
-
-    def _build(self, rows: np.ndarray) -> None:
-        """Build the table rows of the grid points rows, from one family call."""
-        ts = self.grid[rows]
-        self.log_born[rows] = self._log(self._born(self.family.rhos(ts[:, None])), ts)
 
     def _start_cells(self, counts: np.ndarray, counted: np.ndarray):
         """The starts (R, 3) of a stack of checked counts, row r (a, t, b):
@@ -217,15 +205,15 @@ class Likelihood:
         # A cell is built whole, so its first inside point tells whether it is.
         missing = cells.any(0) & np.isnan(self.log_born[1::COARSE_STRIDE, 0])
         if missing.any():
-            self._build(_INSIDE[missing].ravel())
+            inside = _INSIDE[missing].ravel()
+            self.log_born[inside] = self._log_born(self.grid[inside])
         values = _row_scores(self.log_born.T, counts, counted)
         # The cells (R, 17, 15) of the grid points but the last, node first.
         values[:, :-1].reshape(len(counts), len(_INSIDE), COARSE_STRIDE)[:, :, 1:][~cells] = -np.inf
         top = values.max(1)
         if flat.any() and (top - np.where(values > -np.inf, values, np.inf).min(1) < 1e-12).any():
             raise FlatLikelihood("likelihood does not vary across the search grid")
-        best = np.where(values >= top[:, None], self._distance, np.inf).argmin(1)
-        return self.grid[_AROUND[best]]
+        return _best_cells(np.broadcast_to(self.grid, values.shape), values)
 
     def _scores(self, ts: np.ndarray, counts: np.ndarray, counted: np.ndarray):
         """The score g = sum_m c_m dp_m / p_m of each row's counted outcomes at
@@ -238,9 +226,7 @@ class Likelihood:
         be formed. A g of exactly 0 with I > 0 is a root, not a plateau.
         Each row's numbers do not depend on the other rows."""
         rho, drho, steps = _states(self.family, ts.reshape(len(ts), 1), partial=True)
-        # dp_m = tr(drho M_m) row by row, as p is (see _born).
-        p = self._born(rho)
-        dp = (drho[:, 0, None] * self._transposed).sum((-2, -1)).real
+        p, dp = born_probabilities(rho, self.elements), _traces(drho[:, 0], self.elements)
         live = counted & (p > 0.0)
         r = np.divide(dp, p, out=np.zeros_like(p), where=live)
         g, info = (counts * r).sum(-1), (counts * (r * r)).sum(-1)
@@ -266,10 +252,11 @@ class Likelihood:
         at an end of the interval whose score points out is returned as it
         is. A row where no step can be formed, or still active after
         SCORE_STEPS steps, leaves the stack: REFINE_LEVELS levels of
-        REFINE_POINTS-point sub-grids refine its bracket (one stacked family
-        evaluation each, keeping the two cells around the best, ties toward
-        the bracket midpoint) to its midpoint. An error raised by the family
-        itself propagates from the stacked step that meets it; states whose
+        REFINE_POINTS-point sub-grids refine its bracket (keeping the two
+        cells around the best, ties toward the bracket midpoint) to its
+        midpoint, all such rows together in one family call per level. An
+        error raised by the family itself propagates from the stacked step
+        that meets it; states whose
         Born probabilities are not finite raise ValidationError where the
         grid table or a sub-grid meets them.
         """
@@ -324,13 +311,17 @@ class Likelihood:
             if moved and len(kept) < len(active):
                 active_counts, active_counted = active_counts[kept], active_counted[kept]
             active = moved
-        for r, a, b in refine + [(r, a, b) for r, a, _, b in active]:
-            elements, c = self.elements[counted[r]], counts[r, counted[r]]
+        left = refine + [(r, a, b) for r, a, _, b in active]
+        if left:
+            rows, a, b = map(np.array, zip(*left))
             for _ in range(REFINE_LEVELS):
-                ts = np.linspace(a, b, REFINE_POINTS)
-                p = born_probabilities(self.family.rhos(ts[:, None]), elements)
-                a, _, b = _best_cells(ts, self._log(p, ts) @ c, (a + b) / 2.0)
-            estimates[r] = (a + b) / 2.0
+                # Each row has the bits of its own linspace: linspace changes its formula
+                # if a step is 0, to the same bits while REFINE_POINTS - 1 is a power of 2.
+                ts = np.linspace(a, b, REFINE_POINTS, axis=1)
+                table = self._log_born(ts.ravel()).reshape(*ts.shape, m).swapaxes(1, 2)
+                values = _row_scores(np.ascontiguousarray(table), counts[rows], counted[rows])
+                a, _, b = _best_cells(ts, values).T
+            estimates[rows] = (a + b) / 2.0
         return estimates
 
 

@@ -350,9 +350,9 @@ class FamilyPoint:
 
     @cached_property
     def drho_eigenbasis(self) -> np.ndarray:
-        """The tangents in rho's eigenbasis, V^dagger drho_l V, shape (p, d, d)."""
+        """The tangents in rho's eigenbasis, V^dagger drho_l V (sld_solve's product), (p, d, d)."""
         v = self.eig.vectors
-        a = np.einsum("ij,ljk,km->lim", v.conj().T, self.drho, v)
+        a = v.conj().T @ self.drho @ v
         _read_only(a)
         return a
 

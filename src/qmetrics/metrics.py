@@ -152,10 +152,17 @@ def basis_povm(d: int) -> list[np.ndarray]:
 def born_probabilities(rho: np.ndarray, povm: Sequence[np.ndarray]) -> np.ndarray:
     """Outcome probabilities Re tr(rho M_m), clamped at zero.
 
-    rho may be a stack (..., d, d) of states; the result is (..., m).
+    rho may be a stack (..., d, d) of states; the result is (..., m), each
+    state's row the bits it has alone (see _traces).
     """
-    p = np.real(np.einsum("...ij,mji->...m", rho, np.asarray(povm, dtype=complex)))
-    return np.clip(p, 0.0, None)
+    return np.maximum(_traces(rho, np.asarray(povm, dtype=complex)), 0.0)
+
+
+def _traces(a: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """Re tr(a M_m), shape (..., m), of a stack (..., d, d) and stacked elements
+    (m, d, d), unclamped: a sum over each matrix's (d, d) entries, so that a
+    row does not change with the stack around it, as an einsum's does."""
+    return (a[..., None, :, :] * elements.swapaxes(-1, -2)).sum((-2, -1)).real
 
 
 def _fisher_sum(
@@ -185,8 +192,7 @@ def _measured_fisher(point: FamilyPoint, elements: np.ndarray | None) -> np.ndar
         p0 = np.clip(np.diagonal(point.rho).real, 0.0, None)
         dp = np.diagonal(point.drho, axis1=-2, axis2=-1).real
     else:
-        p0 = born_probabilities(point.rho, elements)
-        dp = np.real(np.einsum("lij,mji->lm", point.drho, elements))
+        p0, dp = born_probabilities(point.rho, elements), _traces(point.drho, elements)
     return _fisher_sum(p0, dp, lambda m: VanishingProbabilityWithFlow(
         f"outcome {m} has zero probability but nonzero derivative"))
 

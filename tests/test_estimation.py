@@ -303,7 +303,7 @@ def dense_start(likelihood, values):
     finite = values[np.isfinite(values)]
     if finite.size == 0 or float(finite.max() - finite.min()) < 1e-12:
         raise FlatLikelihood("likelihood does not vary across the search grid")
-    return _best_cells(likelihood.grid, values, likelihood.mid)
+    return tuple(_best_cells(likelihood.grid[None], values[None])[0].tolist())
 
 
 def test_edge_cases_start_from_a_one_cell_bracket():
@@ -485,8 +485,8 @@ def test_the_coarse_to_fine_start_is_the_dense_start():
                 assert tuple(start) == dense, (fam.name, interval, row)
             else:
                 assert not unhidden, (fam.name, interval, row)
-                best = _best_cells(likelihood.grid, np.where(seen, values, -np.inf), likelihood.mid)
-                assert tuple(start) == best and start != list(dense)
+                best = _best_cells(likelihood.grid[None], np.where(seen, values, -np.inf)[None])
+                assert start == best[0].tolist() and start != list(dense)
                 hidden += 1
             rows += not unhidden
     assert rows == 1_800 and hidden <= 0.01 * rows
@@ -591,15 +591,21 @@ def _mixed_batches():
 
 def test_rows_of_a_stack_are_their_own_estimates():
     # Row r of a stack is the estimate of row r alone, bit for bit, whether
-    # the rows around it score or leave for the sub-grids, whose
-    # REFINE_POINTS-point stacks are counted per row.
-    for family, interval, counts, falls_back in _mixed_batches():
+    # the rows around it score or leave for the sub-grids. The rows left to
+    # the sub-grids are refined together, one family call per level: two
+    # balanced rows on the plateau make REFINE_LEVELS calls on
+    # 2 REFINE_POINTS points, not 2 REFINE_LEVELS calls on REFINE_POINTS.
+    batches = list(_mixed_batches())
+    plateau, interval = batches[0][:2]
+    batches.append((plateau, interval, [[500, 500], [640, 360], [3, 3]], [0, 2]))
+    for family, interval, counts, falls_back in batches:
         fam, calls = _counted_calls(family)
         likelihood = Likelihood(fam, basis_povm(2), interval)
         calls.clear()
         stack = likelihood.estimate(np.array(counts))
         assert stack.shape == (len(counts),)
-        assert calls.count(("evaluate", (REFINE_POINTS, 1))) == REFINE_LEVELS * len(falls_back)
+        assert calls.count(("evaluate", (len(falls_back) * REFINE_POINTS, 1))) == REFINE_LEVELS
+        assert calls.count(("evaluate", (REFINE_POINTS, 1))) == REFINE_LEVELS * (len(falls_back) == 1)
         refined = []
         for r, row in enumerate(counts):
             assert likelihood.estimate(np.array(counts[r:])).tolist() == stack[r:].tolist()
