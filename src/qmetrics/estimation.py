@@ -2,11 +2,13 @@
 
 Connects the information matrices to operational meaning: the projective
 measurement built from the score operator attains the quantum bound, sampled
-outcomes feed a maximum-likelihood estimator (a start on a 256-point grid
-found coarse to fine, from a log-Born table whose rows are built as the
-search needs them, then safeguarded Fisher scoring from the multinomial
-score, with nested sub-grids where no score can be formed), and a Monte
-Carlo harness compares empirical variance against 1/(N F). The estimator
+outcomes feed a maximum-likelihood estimator (the best point of a
+256-point grid found coarse to fine, from a log-Born table whose rows are
+built as the search needs them; a start at the peak of the polynomial
+through the log-likelihood at the seven grid points around it; then
+safeguarded Fisher scoring from the multinomial score, with nested
+sub-grids where no score can be formed), and a Monte Carlo harness
+compares empirical variance against 1/(N F). The estimator
 takes a stack of counts, one row per replicate, and scores all of its
 still-active rows with one stacked family call per step; each row's
 estimate is that of its counts alone.
@@ -104,10 +106,13 @@ COARSE_STRIDE = min((s for s in range(1, GRID_POINTS) if (GRID_POINTS - 1) % s =
 # node k to node k + 1.
 _INSIDE = np.arange(GRID_POINTS - 1).reshape(-1, COARSE_STRIDE)[:, 1:]
 # Fisher scoring stops at a step no longer than SCORE_TOL * max(1, |t|), or
-# after SCORE_STEPS steps. Over 2400 seeded replicates (N = 10 000, bloch3
-# radial slices and random_full_rank d <= 4) the exact score took a median of
-# 3 steps and at most 7. The stencil's differencing noise moves its steps by
-# about 1e-11 near the root, so it took a median of 8 and at most 17.
+# after SCORE_STEPS steps. Over the 2400 replicates of the benchmark's
+# montecarlo inputs at seeds 0 and 9 (N = 10 000, the bloch3 radial slice and
+# random_full_rank d = 4), from the peak start (see _peak_starts) the exact
+# score took one step and at most 2; from the best grid point it took a
+# median of 4 and at most 7. The stencil's differencing noise moves its steps
+# by about 1e-11 near the root, so it took a median of 1, a mean of 2.5 and
+# at most 11 steps (from the grid point: 4, 5.5 and 16).
 SCORE_TOL = 1e-12
 SCORE_STEPS = 24
 # A short step is a root only if |g| <= ROOT_SCORE sqrt(I), the step in units
@@ -119,6 +124,36 @@ ROOT_SCORE = 1e-6
 # level, is no wider than that of 60 ternary steps: k with (1/8)**k <= (2/3)**60, so 12.
 REFINE_POINTS = 17
 REFINE_LEVELS = math.ceil(60 * math.log(2.0 / 3.0) / math.log(2.0 / (REFINE_POINTS - 1)))
+# Scoring starts at the maximum of the degree-6 polynomial P(u) through the
+# log-likelihood at a row's best grid point and the three grid points on each
+# side, u in grid steps from it. _DERIVATIVES (2, 6, 7) takes those seven
+# values to the coefficients of u**0 .. u**5 in P' and in P'': the inverse
+# Vandermonde matrix of the offsets (the Lagrange basis) with each power's
+# factor, each entry one rounding of a ratio of integers. PEAK_STEPS Newton
+# steps on P' from u = 0, the first to the vertex of P's quadratic part, reach
+# the maximum to rounding: on the 600 calls of the seed-0 montecarlo inputs
+# two steps leave 1.89 scoring calls per bloch3 call and three leave 1.00;
+# the fourth reaches it where P's cubic term moves it a third of a step from
+# the vertex. A polynomial of lower degree starts far enough from the root
+# for scoring to take more steps (3 points: 3.00 scoring calls per bloch3
+# call and 3.30 per d=4 call; 5 points: 2.00 and 1.73).
+_OFFSETS = np.arange(-3, 4)
+
+
+def _derivative_weights() -> np.ndarray:
+    weights = np.zeros((2, 6, 7))
+    for n, x in enumerate(_OFFSETS):
+        others = np.delete(_OFFSETS, n)
+        # Basis polynomial n over its integer denominator; np.poly puts the highest power first.
+        numerator, denominator = np.poly(others), np.prod(x - others)
+        weights[0, :, n] = np.polyder(numerator)[::-1] / denominator
+        weights[1, :5, n] = np.polyder(numerator, 2)[::-1] / denominator
+    return weights
+
+
+_DERIVATIVES = _derivative_weights()
+_POWERS = np.arange(6.0)[:, None]
+PEAK_STEPS = 4
 
 
 def _best_cells(points: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -161,6 +196,9 @@ class Likelihood:
             raise ValidationError("interval must satisfy lo < hi")
         self.family = family
         self.elements = validate_povm(povm, family.dim)
+        self.step = (hi - lo) / (GRID_POINTS - 1)
+        if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(self.step)):
+            raise ValidationError(f"interval ({lo!r}, {hi!r}) needs finite ends and a finite grid step")
         self.grid = np.linspace(lo, hi, GRID_POINTS)
         family.check_thetas(self.grid[:, None])
         # Outcome-major in memory, so that a score sums whole rows (see _row_scores).
@@ -179,21 +217,11 @@ class Likelihood:
         with np.errstate(divide="ignore"):
             return np.log(p)
 
-    def _start_cells(self, counts: np.ndarray, counted: np.ndarray):
-        """The starts (R, 3) of a stack of checked counts, row r (a, t, b):
-        t its best grid point, ties toward the interval midpoint, between
-        its neighbours a and b (t itself at an end of the grid).
-
-        Each row scores the coarse nodes. A node above -inf and no lower
-        than its neighbours is a coarse local maximum, and the grid points
-        from the node before it to the node after it are one of the row's
-        windows; a row whose finite node values span less than 1e-12 (or
-        that has none) takes the whole grid. The missing table rows of all
-        windows are built in one family call, and each row's best point is
-        the best of its nodes and windows. That is the best of the whole
-        grid unless it lies between coarse nodes that are not local maxima,
-        which a grid log-likelihood that rises to its maximum and then falls
-        never has. A row flat across the whole grid raises FlatLikelihood."""
+    def _searched_values(self, counts: np.ndarray, counted: np.ndarray) -> np.ndarray:
+        """The log-likelihood (R, GRID_POINTS) of each row of a stack of
+        checked counts at the grid points its coarse to fine search scores,
+        -inf at the points it does not (see _start_cells). A row's values
+        do not depend on the other rows or on the table rows they built."""
         coarse = _row_scores(self.log_born[::COARSE_STRIDE].T, counts, counted)
         finite = coarse > -np.inf
         flat = coarse.max(1) - np.where(finite, coarse, np.inf).min(1) < 1e-12
@@ -213,7 +241,61 @@ class Likelihood:
         top = values.max(1)
         if flat.any() and (top - np.where(values > -np.inf, values, np.inf).min(1) < 1e-12).any():
             raise FlatLikelihood("likelihood does not vary across the search grid")
+        return values
+
+    def _start_cells(self, counts: np.ndarray, counted: np.ndarray):
+        """The starts (R, 3) of a stack of checked counts, row r (a, t, b):
+        t its best grid point, ties toward the interval midpoint, between
+        its neighbours a and b (t itself at an end of the grid).
+
+        Each row scores the coarse nodes. A node above -inf and no lower
+        than its neighbours is a coarse local maximum, and the grid points
+        from the node before it to the node after it are one of the row's
+        windows; a row whose finite node values span less than 1e-12 (or
+        that has none) takes the whole grid. The missing table rows of all
+        windows are built in one family call, and each row's best point is
+        the best of its nodes and windows. That is the best of the whole
+        grid unless it lies between coarse nodes that are not local maxima,
+        which a grid log-likelihood that rises to its maximum and then falls
+        never has. A row flat across the whole grid raises FlatLikelihood."""
+        values = self._searched_values(counts, counted)
         return _best_cells(np.broadcast_to(self.grid, values.shape), values)
+
+    def _peak_starts(self, values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        """Each row's scoring start (R,): the maximum of the degree-6
+        interpolant through its searched values (R, GRID_POINTS) at its best
+        grid point k and at k +- 1, 2, 3, from the starts (R, 3) of those
+        values, or the grid point itself unless all seven values are finite
+        (the row searched them all), 3 <= k <= GRID_POINTS - 4, and the
+        interpolant's second derivative at that maximum is negative and it
+        lies strictly inside the cell around k and strictly inside the
+        bracket. The maximum is PEAK_STEPS Newton steps on the interpolant's
+        derivative from k, the first to the vertex of its quadratic part,
+        each clipped to that cell. Each row's start does not depend on the
+        other rows."""
+        a, t, b = starts.T
+        k = np.searchsorted(self.grid, t)
+        inner = np.clip(k, 3, GRID_POINTS - 4)
+        seven = values.take((np.arange(len(t)) * GRID_POINTS + inner)[:, None] + _OFFSETS)
+        fit = (k == inner) & (seven > -np.inf).all(1)
+        seven = np.where(fit[:, None], seven, 0.0)
+        # Less the value at k, so that equal values give P' = P'' = 0. The
+        # coefficients (2, 6, R) are each summed in order over the seven
+        # values, as _row_scores sums.
+        coefficients = (_DERIVATIVES[..., None] * (seven - seven[:, 3:4]).T).sum(2)
+
+        def derivatives(u):
+            return (coefficients * u ** _POWERS).sum(1)
+
+        u = np.zeros_like(t)
+        with np.errstate(over="ignore"):  # a step that overflows is clipped to the cell
+            for _ in range(PEAK_STEPS):
+                slope, curvature = derivatives(u)
+                # No step where P'' >= 0: the step is slope / inf = 0.
+                u = np.minimum(np.maximum(u - slope / np.where(curvature < 0.0, curvature, -np.inf), -1.0), 1.0)
+        peak = t + u * self.step
+        ok = fit & (derivatives(u)[1] < 0.0) & (np.abs(u) < 1.0) & (a < peak) & (peak < b)
+        return np.where(ok, peak, t)
 
     def _scores(self, ts: np.ndarray, counts: np.ndarray, counted: np.ndarray):
         """The score g = sum_m c_m dp_m / p_m of each row's counted outcomes at
@@ -240,9 +322,12 @@ class Likelihood:
 
         Rows are checked in order: the first with malformed counts raises
         ValidationError, the first whose likelihood is flat across the grid
-        FlatLikelihood. Each row starts at the best grid point of a coarse to
-        fine search (ties toward the interval midpoint; see _start_cells),
-        in the bracket of the two grid cells around it. Each step scores
+        FlatLikelihood. Each row's bracket is the two grid cells around the
+        best grid point of a coarse to fine search (ties toward the interval
+        midpoint; see _start_cells), and it starts at the maximum of the
+        degree-6 polynomial through its log-likelihood at that point and the
+        three grid points on each side, or at the grid point itself where
+        that maximum is not formed (see _peak_starts). Each step scores
         every still-active row at once (see _scores). It moves the end of a
         row's bracket that its score g points away from to its t and steps
         to t + g / I, or to the bracket's midpoint when a step longer than
@@ -280,8 +365,10 @@ class Likelihood:
         estimates = np.full(len(counts), np.nan)
         # (row, a, t, b) of the rows still scoring, in row order, with their
         # counts; (row, a, b) of the rows left to the sub-grids.
-        starts = self._start_cells(counts, counted).tolist()
-        active = [(r, a, t, b) for r, (a, t, b) in enumerate(starts)]
+        values = self._searched_values(counts, counted)
+        starts = _best_cells(np.broadcast_to(self.grid, values.shape), values)
+        starts[:, 1] = self._peak_starts(values, starts)
+        active = [(r, a, t, b) for r, (a, t, b) in enumerate(starts.tolist())]
         active_counts, active_counted, refine = counts, counted, []
         for _ in range(SCORE_STEPS):
             if not active:
@@ -330,9 +417,11 @@ def mle_1p(family: ParametricFamily, povm, counts, interval) -> float:
 
     The best point of a 256-point grid searched coarse to fine, ties
     breaking toward the interval midpoint, then safeguarded Fisher scoring
-    inside the two grid cells around it, with nested sub-grids where the
-    score cannot be formed (see Likelihood.estimate). Counts must be finite
-    and non-negative, one per POVM element.
+    inside the two grid cells around it, from the peak of the polynomial
+    through the log-likelihood at the seven grid points around the best one,
+    with nested sub-grids where the score cannot be formed (see
+    Likelihood.estimate). The interval's ends and grid step must be finite.
+    Counts must be finite and non-negative, one per POVM element.
     """
     # The one-row stack, so that a 2-D array is rejected as a row of the wrong shape.
     counts = np.asarray(counts, dtype=float)

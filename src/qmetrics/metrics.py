@@ -133,6 +133,8 @@ def validate_povm(povm: Sequence[np.ndarray], dim: int | None = None) -> np.ndar
 
 def random_povm(d: int, n_outcomes: int, seed: int = 0) -> list[np.ndarray]:
     """Random informationally scrambled POVM: normalized random PSD elements."""
+    if d < 1 or n_outcomes < 1:
+        raise ValidationError(f"a random POVM needs d >= 1 and n_outcomes >= 1, got {d} and {n_outcomes}")
     rng = np.random.default_rng(seed)
     raw = []
     for _ in range(n_outcomes):

@@ -295,6 +295,9 @@ MALFORMED = [
     ((*_ESTIMATE, "--interval", "0.1"), "interval must be two finite numbers lo,hi, got '0.1'"),
     ((*_ESTIMATE, "--interval", "0.1,abc"), "expected comma-separated numbers, got '0.1,abc'"),
     ((*_ESTIMATE, "--interval", "0.3,0.5"), "theta_true 0.1 must lie inside the interval"),
+    # A grid step of inf used to reach the family as theta nan.
+    ((*_ESTIMATE, "--interval=-1e308,1e308"),
+     "interval (-1e+308, 1e+308) needs finite ends and a finite grid step"),
     ((*_ESTIMATE, "--direction", "5", "--at", "9"), "theta [9.0] outside domain of 'diagonal-simplex'"),
     ((*_RANDOM, '{"d":"x"}'), "parameter 'd' must be int"),
     ((*_RANDOM, '{"d":2.5}'), "parameter 'd' must be int, got 2.5"),

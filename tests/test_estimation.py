@@ -343,25 +343,155 @@ def _counted_calls(base):
 def test_one_experiment_scores_its_replicates_in_stacked_calls():
     # An exact-tangent family: the 18 coarse nodes when the likelihood is
     # made, the point at theta_true, one call for the windows of all
-    # replicates (here the 14 inside points of each of 3 coarse cells), then each
-    # scoring step reads the tangents and the states of the still-active
-    # replicates in one call each; no sub-grid stack and no per-replicate
-    # (1, 1) call is made.
+    # replicates (here the 14 inside points of each of 3 coarse cells), then
+    # one scoring step reads the tangents and the states of all replicates in
+    # one call each: every replicate starts at the peak of its tabled
+    # log-likelihood and is a root there. No sub-grid stack and no
+    # per-replicate (1, 1) call is made.
     assert (GRID_POINTS - 1) // COARSE_STRIDE + 1 == 18
     base = random_full_rank(d=3, nparams=1, seed=9)
     fam, calls = _counted_calls(base)
     povm = sld_optimal_povm(base, [0.1])
     report = cramer_rao_experiment(fam, 0.1, povm, n=10_000, reps=5, seed=0, interval=(-0.3, 0.5))
-    assert calls[:4] == [("evaluate", (18, 1)), ("tangents", (1, 1)), ("evaluate", (1, 1)),
-                         ("evaluate", (3 * 14, 1))]
-    sizes = [shape[0] for _, shape in calls[4::2]]
-    pairs = [(("tangents", (n, 1)), ("evaluate", (n, 1))) for n in sizes]
-    assert calls[4:] == [call for pair in pairs for call in pair]
-    assert 1 <= len(sizes) <= SCORE_STEPS
-    assert sizes[0] == 5 and sizes == sorted(sizes, reverse=True) and 1 not in sizes
+    assert calls == [("evaluate", (18, 1)), ("tangents", (1, 1)), ("evaluate", (1, 1)),
+                     ("evaluate", (3 * 14, 1)), ("tangents", (5, 1)), ("evaluate", (5, 1))]
     for r in range(5):
         counts = sample_outcomes(base, [0.1], povm, 10_000, seed=[0, r])
         assert report.estimates[r] == mle_1p(base, povm, counts, (-0.3, 0.5))
+
+
+def scored(monkeypatch, likelihood, counts):
+    """The estimates of a stack of counts, and the t of each row at its first
+    score (every row is in the first scoring call)."""
+    first = []
+    score = Likelihood._scores
+
+    def recorded(self, ts, *rest):
+        if not first:
+            first.append(ts.tolist())
+        return score(self, ts, *rest)
+
+    with monkeypatch.context() as m:
+        m.setattr(Likelihood, "_scores", recorded)
+        estimates = likelihood.estimate(np.array(counts, dtype=float))
+    return estimates, first[0] if first else []
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_benchmark_shapes_make_one_verifying_score_per_call(monkeypatch, seed):
+    # Three replicates on the bloch3 slice and one on a random d=4 family, at
+    # N = 10 000: each row starts at the peak of its tabled log-likelihood,
+    # strictly inside its grid cell, and the one scoring call finds it a root.
+    calls = []
+    score = Likelihood._scores
+    monkeypatch.setattr(Likelihood, "_scores",
+                        lambda self, ts, *rest: calls.append(ts.tolist()) or score(self, ts, *rest))
+    fam = radial_slice()
+    povm = sld_optimal_povm(fam, [0.0])
+    report = cramer_rao_experiment(fam, 0.0, povm, n=10_000, reps=3, seed=seed, interval=(-0.4, 0.4))
+    grid = np.linspace(-0.4, 0.4, GRID_POINTS).tolist()
+    assert len(calls) == 1 and len(calls[0]) == 3 and not set(calls[0]) & set(grid)
+    assert np.abs(report.estimates - calls[0]).max() < 1e-12
+    calls.clear()
+    fam = random_full_rank(d=4, nparams=1, seed=seed)
+    cramer_rao_experiment(fam, 0.1, sld_optimal_povm(fam, [0.1]), n=10_000, reps=1, seed=seed)
+    assert len(calls) == 1 and len(calls[0]) == 1
+
+
+@pytest.mark.parametrize("counts,k,on_grid", [
+    ([560, 9440], 2, True), ([9440, 560], GRID_POINTS - 3, True),
+    ([600, 9400], 3, False), ([9400, 600], GRID_POINTS - 4, False),
+])
+def test_a_best_grid_point_within_three_of_an_end_starts_at_the_grid_point(
+        monkeypatch, counts, k, on_grid):
+    # diag((1 + t) / 2, (1 - t) / 2) peaks at t = (c0 - c1) / N: the best grid
+    # point has fewer than three points on one side, or just three.
+    likelihood = Likelihood(diagonal_simplex(), basis_povm(2), (-0.9, 0.9))
+    estimates, (start,) = scored(monkeypatch, likelihood, [counts])
+    a, t, b = likelihood._start_cells(np.array([counts], float), np.array([counts]) > 0)[0]
+    assert t == likelihood.grid[k]
+    assert (start == t) if on_grid else (a < start < b and start != t)
+    assert abs(estimates[0] - (counts[0] - counts[1]) / 10_000) < 1e-12
+
+
+def kink():
+    """diag(1 - q, q), q = 1/2 at a point 1.4 grid steps above coarse node
+    120 of (-0.4, 0.4), with slope 1 below it and 0.05 above: balanced
+    counts peak there, and q moves 20 times faster below it, so that grid
+    point 122 is their best and node 135, 13.6 steps above the peak, scores
+    higher than node 120."""
+    grid = np.linspace(-0.4, 0.4, GRID_POINTS)
+    center = grid[120] + 1.4 * (grid[1] - grid[0])
+
+    def q(th):
+        x = np.asarray(th)[..., 0] - center
+        return 0.5 + np.where(x < 0.0, 1.0, 0.05) * x
+
+    def diagonal(x, y):
+        out = np.zeros(np.shape(x) + (2, 2), dtype=complex)
+        out[..., 0, 0], out[..., 1, 1] = x, y
+        return out
+
+    def tangents(th):
+        dq = np.where(np.asarray(th)[..., 0] < center, 1.0, 0.05)
+        return diagonal(-dq, dq)[..., None, :, :]
+
+    return ParametricFamily(dim=2, domain=((-1.0, 1.0),), name="kink",
+                            evaluate=lambda th: diagonal(1.0 - q(th), q(th)), tangents=tangents)
+
+
+def test_a_neighbour_the_row_did_not_search_starts_at_the_grid_point(monkeypatch):
+    # The balanced row's windows are the two coarse cells around node 135,
+    # so grid point 119, three below its best point 122, is not one of its
+    # searched points. That holds after another row has built the cell below
+    # node 120: the row's start and estimate are those of the row alone.
+    likelihood = Likelihood(kink(), basis_povm(2), (-0.4, 0.4))
+    values = likelihood._searched_values(np.array([[500.0, 500.0]]), np.ones((1, 2), dtype=bool))[0]
+    assert int(np.argmax(values)) == 122 and values[119] == -np.inf
+    assert np.isfinite(values[120:126]).all() and values[135] > values[120]
+    assert np.isnan(likelihood.log_born[119, 0])
+    alone, (start,) = scored(monkeypatch, likelihood, [[500, 500]])
+    assert start == likelihood.grid[122]
+    # The peak of these counts is about 11.5 steps below grid point 122.
+    likelihood.estimate([536, 464])
+    assert not np.isnan(likelihood.log_born[119]).any()
+    stacked, starts = scored(monkeypatch, likelihood, [[536, 464], [500, 500]])
+    assert starts[1] == likelihood.grid[122] and stacked[1] == alone[0]
+
+
+def test_a_best_grid_point_beside_minus_infinity_starts_at_the_grid_point(monkeypatch):
+    # The hinge's counted outcome 1 has probability zero for t <= 0, so the
+    # grid point below the best one, 0.0016, scores -inf.
+    likelihood = Likelihood(hinge(), basis_povm(2), (-0.4, 0.4))
+    estimates, (start,) = scored(monkeypatch, likelihood, [[999_500, 500]])
+    assert start == likelihood.grid[128] and likelihood.grid[127] < 0.0
+    assert abs(estimates[0] - 5e-4) < 1e-9
+
+
+def test_a_best_grid_point_where_the_interpolant_is_not_concave_starts_at_the_grid_point(monkeypatch):
+    # On the plateau the seven values are equal, a zero interpolant. On the
+    # notch, q moves about 0.002 at the best grid point's neighbours, 0.2
+    # two points out and about 0.01 three out: the interpolant is convex
+    # there, and a little asymmetric, so its vertex is off the grid point.
+    plateau = next(_mixed_batches())[0]
+    grid = np.linspace(-0.4, 0.4, GRID_POINTS)
+    offsets = [0.3, 0.01, 0.2, 0.003, 0.0, 0.002, 0.2, 0.012, 0.3]
+    points = np.concatenate([[-0.4], grid[125:132], [0.4]])
+
+    def notch(th):
+        q = 0.5 + np.interp(np.asarray(th)[..., 0], points, offsets)
+        out = np.zeros(q.shape + (2, 2), dtype=complex)
+        out[..., 0, 0], out[..., 1, 1] = 1.0 - q, q
+        return out
+
+    notched = ParametricFamily(dim=2, domain=((-1.0, 1.0),), name="notch", evaluate=notch)
+    for family, k in ((plateau, 127), (notched, 128)):
+        likelihood = Likelihood(family, basis_povm(2), (-0.4, 0.4))
+        counts = np.array([[500.0, 500.0]])
+        values = likelihood._searched_values(counts, counts > 0.0)[0]
+        assert likelihood._start_cells(counts, counts > 0.0)[0, 1] == grid[k]
+        assert np.isfinite(values[k - 3:k + 4]).all()
+        assert scored(monkeypatch, likelihood, counts)[1] == [grid[k]]
 
 
 def test_one_replicate_builds_the_coarse_nodes_and_one_window():
@@ -490,6 +620,45 @@ def test_the_coarse_to_fine_start_is_the_dense_start():
                 hidden += 1
             rows += not unhidden
     assert rows == 1_800 and hidden <= 0.01 * rows
+
+
+def interpolant_peak(seven):
+    """Reference: the one local maximum in (-1, 1) of the polynomial through
+    seven values at the offsets -3..3 (numpy's fit and derivative roots), or
+    None where it has none or several."""
+    poly = np.polynomial.Polynomial.fit(np.arange(-3, 4), seven - seven[3], 6, domain=[-1, 1], window=[-1, 1])
+    if not poly.coef.any():
+        return None
+    roots = poly.deriv().roots()
+    peaks = [r.real for r in roots
+             if abs(r.imag) < 1e-12 and abs(r.real) < 1 and poly.deriv(2)(r.real) < 0]
+    return peaks[0] if len(peaks) == 1 else None
+
+
+def test_each_start_is_the_maximum_of_its_interpolant_or_its_grid_point():
+    # Over the 1 886 rows of the start cases, a row starts at the local
+    # maximum of its interpolant, to 1e-7 grid steps, where the interpolant
+    # has one and the row searched its seven values (1 652 rows); at its best
+    # grid point where it has none or several. The rows with a maximum within 1e-6 steps
+    # of the cell's ends are not checked.
+    rows = moved = 0
+    for fam, povm, interval, counts, _ in _start_cases():
+        likelihood = Likelihood(fam, povm, interval)
+        counts = np.array(counts, dtype=float)
+        values = likelihood._searched_values(counts, counts > 0.0)
+        starts = likelihood._start_cells(counts, counts > 0.0)
+        step = likelihood.grid[1] - likelihood.grid[0]
+        for row, (a, t, b), start in zip(values, starts.tolist(), likelihood._peak_starts(values, starts)):
+            rows += 1
+            k = likelihood.grid.tolist().index(t)
+            seven = row[max(k - 3, 0):k + 4]
+            peak = interpolant_peak(seven) if 3 <= k <= GRID_POINTS - 4 and np.isfinite(seven).all() else None
+            if peak is None:
+                assert start == t, (fam.name, k)
+            elif abs(peak) < 1 - 1e-6:
+                assert a < start < b and abs(start - (t + peak * step)) < 1e-7 * step, (fam.name, k)
+                moved += 1
+    assert rows == 1_886 and moved == 1_652
 
 
 def test_a_row_whose_nodes_all_score_minus_infinity_searches_the_whole_grid():
@@ -713,6 +882,13 @@ def test_counted_zero_probability_outcome_scores_minus_infinity():
     assert nodes[0, 0] == -math.inf
     assert np.all(np.isfinite(nodes[0, 1:])) and np.all(np.isfinite(nodes[1]))
     assert abs(likelihood.estimate([500, 500]) - math.pi / 4) < 1e-3
+
+
+@pytest.mark.parametrize("interval", [(-np.inf, 1.0), (0.0, np.inf), (-1e308, 1e308)])
+def test_an_interval_whose_grid_is_not_finite_is_rejected(interval):
+    # np.linspace used to warn and build a grid of inf or nan.
+    with pytest.raises(ValidationError, match=r"interval \(.*\) needs finite ends and a finite grid"):
+        mle_1p(diagonal_simplex(), basis_povm(2), [600, 400], interval)
 
 
 @pytest.mark.parametrize("counts", [[600, 400, 5000], [600, -400], [600], [[600, 400]],

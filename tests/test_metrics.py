@@ -218,6 +218,14 @@ def test_random_povm_is_valid_and_deterministic():
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
+@pytest.mark.parametrize("d,n_outcomes", [(2, 0), (0, 3), (-1, 2)])
+def test_random_povm_rejects_an_empty_shape_before_drawing(monkeypatch, d, n_outcomes):
+    # (2, 0) used to raise NotHermitian for the sum of no elements, a shape ().
+    monkeypatch.setattr(np.random, "default_rng", None)
+    with pytest.raises(ValidationError, match="needs d >= 1 and n_outcomes >= 1"):
+        random_povm(d, n_outcomes)
+
+
 def test_validate_povm_rejects_bad_sets():
     eye = np.eye(2, dtype=complex)
     with pytest.raises(ValidationError):
