@@ -30,7 +30,7 @@ from .families import (
     _stack_of,
     validate_density,
 )
-from .linalg import HERM_TOL, RANK_TOL, central_difference, eig_hermitian, fix_phases, unitary
+from .linalg import HERM_TOL, RANK_TOL, central_difference, eig_hermitian, unitary
 
 
 def _trace_preserving(sets: np.ndarray, name: str, thetas=None) -> np.ndarray:
@@ -243,9 +243,8 @@ def _canonical(ops: np.ndarray, rho0: np.ndarray, k: Optional[int] = None) -> np
     counts = set((es.values > RANK_TOL).sum(axis=-1).tolist()) | (set() if k is None else {k})
     if len(counts) > 1:
         raise NumericalError(f"canonical branch count changes across theta: {sorted(counts)}")
-    # Kept branches come first, the eigenvalues falling. fix_phases again
-    # shrinks the pinned entries' rounding-size imaginary parts, as before.
-    coeffs = np.conj(fix_phases(es.vectors)[..., :max(counts, default=0)]).transpose(1, 0, 2)
+    # Kept branches come first, the eigenvalues falling; eig_hermitian pinned their phases.
+    coeffs = np.conj(es.vectors[..., :max(counts, default=0)]).transpose(1, 0, 2)
     # U_m = sum_j conj(u_jm) E_j, added over j (now the first axis) in order
     return (coeffs[..., None, None] * ops.swapaxes(0, 1)[:, :, None]).sum(axis=0)
 

@@ -220,8 +220,20 @@ class Likelihood:
     def _searched_values(self, counts: np.ndarray, counted: np.ndarray) -> np.ndarray:
         """The log-likelihood (R, GRID_POINTS) of each row of a stack of
         checked counts at the grid points its coarse to fine search scores,
-        -inf at the points it does not (see _start_cells). A row's values
-        do not depend on the other rows or on the table rows they built."""
+        -inf at the points it does not. A row's values do not depend on the
+        other rows or on the table rows they built.
+
+        Each row scores the coarse nodes. A node above -inf and no lower
+        than its neighbours is a coarse local maximum, and the grid points
+        from the node before it to the node after it are one of the row's
+        windows; a row whose finite node values span less than 1e-12 (or
+        that has none) takes the whole grid. The missing table rows of all
+        windows are built in one family call, and each row's best point
+        (_best_cells) is the best of its nodes and windows. That is the best
+        of the whole grid unless it lies between coarse nodes that are not
+        local maxima, which a grid log-likelihood that rises to its maximum
+        and then falls never has. A row flat across the whole grid raises
+        FlatLikelihood."""
         coarse = _row_scores(self.log_born[::COARSE_STRIDE].T, counts, counted)
         finite = coarse > -np.inf
         flat = coarse.max(1) - np.where(finite, coarse, np.inf).min(1) < 1e-12
@@ -242,24 +254,6 @@ class Likelihood:
         if flat.any() and (top - np.where(values > -np.inf, values, np.inf).min(1) < 1e-12).any():
             raise FlatLikelihood("likelihood does not vary across the search grid")
         return values
-
-    def _start_cells(self, counts: np.ndarray, counted: np.ndarray):
-        """The starts (R, 3) of a stack of checked counts, row r (a, t, b):
-        t its best grid point, ties toward the interval midpoint, between
-        its neighbours a and b (t itself at an end of the grid).
-
-        Each row scores the coarse nodes. A node above -inf and no lower
-        than its neighbours is a coarse local maximum, and the grid points
-        from the node before it to the node after it are one of the row's
-        windows; a row whose finite node values span less than 1e-12 (or
-        that has none) takes the whole grid. The missing table rows of all
-        windows are built in one family call, and each row's best point is
-        the best of its nodes and windows. That is the best of the whole
-        grid unless it lies between coarse nodes that are not local maxima,
-        which a grid log-likelihood that rises to its maximum and then falls
-        never has. A row flat across the whole grid raises FlatLikelihood."""
-        values = self._searched_values(counts, counted)
-        return _best_cells(np.broadcast_to(self.grid, values.shape), values)
 
     def _peak_starts(self, values: np.ndarray, starts: np.ndarray) -> np.ndarray:
         """Each row's scoring start (R,): the maximum of the degree-6
@@ -324,7 +318,7 @@ class Likelihood:
         ValidationError, the first whose likelihood is flat across the grid
         FlatLikelihood. Each row's bracket is the two grid cells around the
         best grid point of a coarse to fine search (ties toward the interval
-        midpoint; see _start_cells), and it starts at the maximum of the
+        midpoint; see _searched_values), and it starts at the maximum of the
         degree-6 polynomial through its log-likelihood at that point and the
         three grid points on each side, or at the grid point itself where
         that maximum is not formed (see _peak_starts). Each step scores
@@ -360,7 +354,7 @@ class Likelihood:
         valid = np.isfinite(counts) & (counts >= 0.0)
         if not valid.all():
             first = int(np.argmin(valid.all(1)))
-            self._start_cells(counts[:first], counted[:first])  # a flat row before it raises first
+            self._searched_values(counts[:first], counted[:first])  # a flat row before it raises first
             raise ValidationError("counts must be finite and non-negative")
         estimates = np.full(len(counts), np.nan)
         # (row, a, t, b) of the rows still scoring, in row order, with their

@@ -2,7 +2,8 @@
 
 A phase assignment multiplies each eigenvector of a spectral presentation by
 exp(i alpha_k(theta)); the density matrix is unchanged but the gauge-dependent
-information is not. A re-phased family holds its real phases in the family's
+information is not. A gauge is absolute: one phase choice relative to the
+presentation frame. A re-phased family holds its real phases in the family's
 phases field, apart from its spectral presentation, so tangents and scans
 difference the phases as real functions, never through exp(i alpha) w. The
 one-parameter minimizing gauge integrates the (purely imaginary) diagonal
@@ -31,22 +32,21 @@ _SCAN_ENTRIES = 64 * 32 * 32
 
 @dataclass(frozen=True)
 class PhaseAssignment:
-    """Per-eigenvector phase functions alpha_k(theta), in radians.
+    """Per-eigenvector phase functions alpha_k(theta), in radians, relative to
+    a family's presentation frame.
 
-    phases maps an (n, p) stack of points to their (n, d) phases, as
+    phases maps an (n, p) stack of points to their (n, d) real phases, as
     ParametricFamily.phases does. from_callable stacks a function of one
-    point; from_samples interpolates samples on an increasing one-parameter
-    grid linearly and raises DomainExit outside the grid. grid and samples,
-    when set, are the sampled part that phases interpolates; the minimizing
-    gauge of a re-phased family also removes the family's own phases, which
-    are not sampled (minimizing_gauge_1p).
+    point; from_samples interpolates real samples on an increasing
+    one-parameter grid linearly and raises DomainExit outside the grid.
+    grid and samples, when set, are the whole gauge that phases interpolates.
 
     Only the slope of alpha enters a metric, and between nodes a linear
     interpolant has the chord slope, not the node slopes. So a sampled
     minimizing gauge minimizes at nodes and cell midpoints only: on the gauge
     suite's families (seed 42, 512 steps) |C_Upsilon(min) - C_L| is at most
     7.1e-14 at a node and 1.7e-14 at a cell midpoint, but 5.5e-8 at 0.3 of a
-    cell, the chord error of the base frame's own integral. Exact node slopes
+    cell, the chord error of the sampled integral. Exact node slopes
     with a cubic Hermite interpolant are ROADMAP direction 5.
     """
 
@@ -57,7 +57,7 @@ class PhaseAssignment:
     @classmethod
     def from_callable(cls, func) -> "PhaseAssignment":
         def phases(thetas):
-            rows = [np.asarray(func(theta), dtype=float) for theta in thetas]
+            rows = [np.asarray(func(theta)) for theta in thetas]
             shapes = {row.shape for row in rows}
             if len(shapes) > 1:
                 raise ValidationError(f"phase assignment gives rows of shapes {sorted(shapes)}")
@@ -68,9 +68,10 @@ class PhaseAssignment:
     @classmethod
     def from_samples(cls, grid, samples) -> "PhaseAssignment":
         grid = np.asarray(grid, dtype=float)
-        samples = np.asarray(samples, dtype=float)
+        samples = np.asarray(samples)
         if samples.ndim != 2 or samples.shape[1] != grid.size:
             raise ValidationError("samples must have shape (d, len(grid))")
+        samples = _real_phases(samples.T, grid[:, None]).T
         if not (np.isfinite(grid).all() and np.isfinite(samples).all()):
             raise ValidationError("phase samples and their grid must be finite")
         if not np.all(np.diff(grid) > 0):  # np.interp needs an increasing grid
@@ -93,6 +94,15 @@ class PhaseAssignment:
         return self.phases(np.atleast_1d(np.asarray(theta, dtype=float))[None])[0]
 
 
+def _real_phases(a: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """The (n, d) phases at the (n, p) thetas as floats, or ValidationError if
+    complex: cast, e^{i alpha} would read as cos(alpha) and i alpha as zero."""
+    if np.iscomplexobj(a):
+        i = int(np.argmax(np.imag(a).any(axis=1)))  # the first complex row, else row 0
+        raise ValidationError(f"complex phases {a[i].tolist()} at theta {thetas[i].tolist()}")
+    return np.asarray(a, dtype=float)
+
+
 def zero_gauge(d: int) -> PhaseAssignment:
     return PhaseAssignment(lambda thetas: np.zeros((len(thetas), d)))
 
@@ -100,23 +110,24 @@ def zero_gauge(d: int) -> PhaseAssignment:
 def apply_gauge(family: ParametricFamily, pa: PhaseAssignment) -> ParametricFamily:
     """Re-phase the eigenvector frame of a presented family; rho is unchanged.
 
-    The result keeps the family's spectral and sets its phases; re-phasing a
-    re-phased family adds the phases onto the ones it has. The phases are
-    taken once per stack of points, which must give d finite phases at every
-    point, or ValidationError is raised.
+    The result keeps the family's spectral and sets its phases to pa's,
+    replacing any the family had. The phases are taken once per stack of
+    points, which must give d finite real phases at every point, or
+    ValidationError is raised.
     """
     if family.spectral is None:
         raise MissingGauge("family supplies no spectral presentation to re-gauge")
     d = family.dim
 
     def phases(thetas):
-        a, n = np.asarray(pa.phases(thetas), dtype=float), len(thetas)
+        a, n = np.asarray(pa.phases(thetas)), len(thetas)
         if a.shape[:1] != (n,):
             raise ValidationError(f"phase assignment gives shape {a.shape} for a stack of {n} points")
         if a.shape[1:] != (d,):
             raise ValidationError(
                 f"phase assignment gives shape {a.shape[1:]} at theta {thetas[0].tolist()}, expected ({d},)"
             )
+        a = _real_phases(a, thetas)
         bad = np.flatnonzero(~np.isfinite(a).all(axis=1))
         if bad.size:
             raise ValidationError(
@@ -125,9 +136,7 @@ def apply_gauge(family: ParametricFamily, pa: PhaseAssignment) -> ParametricFami
             )
         return a
 
-    inner = family.phases
-    total = phases if inner is None else lambda th: inner(th) + phases(th)
-    return replace(family, phases=total, name=f"{family.name}+gauge")
+    return replace(family, phases=phases, name=f"{family.name}+gauge")
 
 
 def minimizing_gauge_1p(
@@ -142,14 +151,9 @@ def minimizing_gauge_1p(
     come from stacked presentations of blocks of grid points: their slopes
     for a family with exact tangents, else the frames differenced.
 
-    A re-phased family is scanned without its phases a: they enter the
-    diagonal overlaps as -i a_k', whose integral is exactly a(t) - a(theta0).
-    So the scan samples only its own integral beta (the result's samples),
-    reads a once, at theta0, which checks their shape and finiteness there,
-    and returns phases(t) = interp(beta)(t) - (a(t) - a(theta0)), with a read
-    through the family's checked phases on each stack the gauge is used on.
-    Re-phased by it, the family carries its base frame's minimizing gauge
-    plus the constant a(theta0), between the grid nodes too.
+    A gauge sets a family's phases (apply_gauge), so a re-phased family is
+    scanned in its presentation frame, without reading its phases: the result
+    is the sampled integral, and the same for the family with or without them.
     """
     if family.nparams != 1:
         raise ValidationError("minimizing gauge is defined for one-parameter families")
@@ -162,8 +166,6 @@ def minimizing_gauge_1p(
         raise MissingGauge("minimizing gauge needs a spectral presentation")
     grid = np.linspace(theta0, theta1, steps + 1)
     thetas = family.check_thetas(grid[:, None])
-    own = family.phases
-    a0 = None if own is None else own(thetas[:1])
     family = replace(family, phases=None)
     diag = np.empty((grid.size, family.dim), dtype=complex)
     size = max(1, _SCAN_ENTRIES // family.dim ** 2)
@@ -179,10 +181,7 @@ def minimizing_gauge_1p(
     integrand = np.imag(diag)  # alpha_k' = Im<w_k'|w_k>
     areas = np.diff(grid)[:, None] * (integrand[1:] + integrand[:-1]) / 2.0
     alphas = np.vstack([np.zeros((1, family.dim)), np.cumsum(areas, axis=0)])
-    sampled = PhaseAssignment.from_samples(grid, alphas.T)
-    if own is None:
-        return sampled
-    return replace(sampled, phases=lambda th: sampled.phases(th) - (own(th) - a0))
+    return PhaseAssignment.from_samples(grid, alphas.T)
 
 
 @dataclass(frozen=True)

@@ -69,8 +69,9 @@ def gauge_suite(
 ) -> dict:
     """Minimizing gauge closes the gap to the invariant lower bound on
     one-parameter families, at the grid midpoint and at 0.3 of a cell past
-    it; random gauges never go below it. Family i has seed
-    family_seed_base + i (default seed * 7000)."""
+    it; random gauges never go below it. Each family is first re-phased by
+    a smooth random gauge, which the minimizing gauge replaces (a gauge sets
+    the phases). Family i has seed family_seed_base + i (default seed * 7000)."""
     rng = np.random.default_rng(seed)
     if family_seed_base is None:
         family_seed_base = seed * 7_000

@@ -33,7 +33,6 @@ from qmetrics.linalg import (
     RANK_TOL,
     central_difference,
     eig_hermitian,
-    fix_phases,
     unitary,
 )
 from qmetrics.metrics import c_l_information, c_upsilon_states, evaluate_metrics, sld_information
@@ -301,8 +300,7 @@ def _canonical_reference(ch, rho0):
         for k in range(n):
             gram[j, k] = np.trace(ops[j] @ rho0 @ ops[k].conj().T)
     es = eig_hermitian(gram)
-    u = fix_phases(es.vectors)
-    return [sum(np.conj(u[j, k]) * ops[j] for j in range(n))
+    return [sum(np.conj(es.vectors[j, k]) * ops[j] for j in range(n))
             for k in range(n) if es.values[k] > RANK_TOL]
 
 

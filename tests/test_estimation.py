@@ -408,7 +408,8 @@ def test_a_best_grid_point_within_three_of_an_end_starts_at_the_grid_point(
     # point has fewer than three points on one side, or just three.
     likelihood = Likelihood(diagonal_simplex(), basis_povm(2), (-0.9, 0.9))
     estimates, (start,) = scored(monkeypatch, likelihood, [counts])
-    a, t, b = likelihood._start_cells(np.array([counts], float), np.array([counts]) > 0)[0]
+    values = likelihood._searched_values(np.array([counts], float), np.array([counts]) > 0)
+    a, t, b = _best_cells(likelihood.grid[None], values)[0]
     assert t == likelihood.grid[k]
     assert (start == t) if on_grid else (a < start < b and start != t)
     assert abs(estimates[0] - (counts[0] - counts[1]) / 10_000) < 1e-12
@@ -489,7 +490,7 @@ def test_a_best_grid_point_where_the_interpolant_is_not_concave_starts_at_the_gr
         likelihood = Likelihood(family, basis_povm(2), (-0.4, 0.4))
         counts = np.array([[500.0, 500.0]])
         values = likelihood._searched_values(counts, counts > 0.0)[0]
-        assert likelihood._start_cells(counts, counts > 0.0)[0, 1] == grid[k]
+        assert _best_cells(likelihood.grid[None], values[None])[0, 1] == grid[k]
         assert np.isfinite(values[k - 3:k + 4]).all()
         assert scored(monkeypatch, likelihood, counts)[1] == [grid[k]]
 
@@ -606,7 +607,8 @@ def test_the_coarse_to_fine_start_is_the_dense_start():
     for fam, povm, interval, counts, unhidden in _start_cases():
         likelihood = Likelihood(fam, povm, interval)
         counts = np.array(counts, dtype=float)
-        starts, table = likelihood._start_cells(counts, counts > 0.0), dense_table(likelihood)
+        starts = _best_cells(likelihood.grid[None], likelihood._searched_values(counts, counts > 0.0))
+        table = dense_table(likelihood)
         for row, start in zip(counts, starts.tolist()):
             values = dense_scores(table, row)
             dense = dense_start(likelihood, values)
@@ -646,7 +648,7 @@ def test_each_start_is_the_maximum_of_its_interpolant_or_its_grid_point():
         likelihood = Likelihood(fam, povm, interval)
         counts = np.array(counts, dtype=float)
         values = likelihood._searched_values(counts, counts > 0.0)
-        starts = likelihood._start_cells(counts, counts > 0.0)
+        starts = _best_cells(likelihood.grid[None], values)
         step = likelihood.grid[1] - likelihood.grid[0]
         for row, (a, t, b), start in zip(values, starts.tolist(), likelihood._peak_starts(values, starts)):
             rows += 1

@@ -227,9 +227,8 @@ def test_pure_rotation_already_minimal():
 # each grid point the frame's slope (the one-point presentation's exact slope,
 # or else the one-parameter stencil over four one-point presentations), then
 # the overlap with the frame at the point. A re-phased family is scanned in
-# its base frame, and its phases' own integral a(grid) - a(theta0) is then
-# subtracted, phase by phase at each grid point. Returns the grid, the sampled
-# integral and the minimizing phases at the grid points, each (d, n).
+# its presentation frame, and its phases are not read. Returns the grid and
+# the sampled integral, (d, n).
 def _reference_scan(family, theta0, theta1, steps, h=DEFAULT_H):
     grid = np.linspace(theta0, theta1, steps + 1)
 
@@ -250,11 +249,7 @@ def _reference_scan(family, theta0, theta1, steps, h=DEFAULT_H):
     integrand = np.imag(diag)
     areas = np.diff(grid)[:, None] * (integrand[1:] + integrand[:-1]) / 2.0
     integral = np.vstack([np.zeros((1, family.dim)), np.cumsum(areas, axis=0)])
-    alphas = integral.copy()
-    if family.phases is not None:
-        phases = np.array([family.phases(np.array([[t]]))[0] for t in grid])
-        alphas -= phases - phases[0]
-    return grid, integral.T, alphas.T
+    return grid, integral.T
 
 
 def _perturbed(d, seed):
@@ -293,12 +288,11 @@ def test_blocked_scan_equals_the_per_point_scan_bit_for_bit(fam, steps, exact):
     # The scan runs first: run second, its uninitialised buffer could reuse
     # the reference's memory and hide a grid point no block filled.
     pa = minimizing_gauge_1p(fam, -0.5, 0.5, steps=steps)
-    grid, integral, alphas = _reference_scan(fam, -0.5, 0.5, steps)
+    grid, integral = _reference_scan(fam, -0.5, 0.5, steps)
     assert np.array_equal(pa.grid, grid)
-    # The samples are the scan's own integral; at the grid points the phases
-    # also remove a re-phased family's own phases a(grid) - a(theta0).
+    # The samples are the scan's own integral, and the whole gauge at the nodes.
     assert np.array_equal(pa.samples, integral)
-    assert np.array_equal(pa.phases(grid[:, None]).T, alphas)
+    assert np.array_equal(pa.phases(grid[:, None]).T, integral)
 
 
 @pytest.mark.parametrize("d,exact,blocks", [
@@ -328,45 +322,56 @@ def test_scan_makes_no_one_point_presentation_on_a_batched_family(d, exact, bloc
     minimizing_gauge_1p(apply_gauge(counted, PhaseAssignment.from_callable(phases)),
                         -0.5, 0.5, steps=512)
     assert calls == blocks
-    # The family's phases are taken once, at theta0 only.
-    assert phase_calls == [(1,)]
+    # The family's phases are not read.
+    assert phase_calls == []
 
 
 @pytest.mark.parametrize("make", [_perturbed, _sampled], ids=["perturbed", "sampled"])
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_minimizing_a_rephased_family_cancels_its_own_phases_exactly(make, d):
-    # Minimized, the re-phased family F and its base B differ by the constant
-    # a(theta0), off the grid nodes too: F's own phases are removed as a
-    # function, and only the scan's sampled part is interpolated.
+    # A gauge sets the phases, so the re-phased family F and its frame B have
+    # one minimizing gauge: the same samples, and the same phases at the
+    # nodes and off them, where a gauge reading F's phases would differ.
     fam = make(d, 50 + d)
-    base = replace(fam, phases=None, name="base")
     lo, hi, steps = -0.5, 0.5, 128
-    minimized = apply_gauge(fam, minimizing_gauge_1p(fam, lo, hi, steps=steps))
-    minimized_base = apply_gauge(base, minimizing_gauge_1p(base, lo, hi, steps=steps))
-    grid = np.linspace(lo, hi, steps + 1)
-    off_node = (grid[:-1] + 0.3 * (grid[1] - grid[0]))[:, None]
-    a0 = fam.phases(np.array([[lo]]))
-    assert np.max(np.abs(minimized.phases(off_node) - minimized_base.phases(off_node) - a0)) <= 1e-14
-    for t in off_node[::37]:
-        cu = c_upsilon_states(minimized, t)[0, 0]
-        assert abs(cu - c_upsilon_states(minimized_base, t)[0, 0]) <= 1e-9 * cu
+    pa = minimizing_gauge_1p(fam, lo, hi, steps=steps)
+    pa_base = minimizing_gauge_1p(replace(fam, phases=None, name="base"), lo, hi, steps=steps)
+    assert np.array_equal(pa.samples, pa_base.samples)
+    off_node = (pa.grid[:-1] + 0.3 * (pa.grid[1] - pa.grid[0]))[:, None]
+    for t in (pa.grid[:, None], off_node):
+        assert np.array_equal(pa.phases(t), pa_base.phases(t))
+    assert np.array_equal(pa.phases(pa.grid[:, None]).T, pa.samples)
 
 
 @pytest.mark.parametrize("bad,message", [(np.zeros(2), r"expected \(3,\)"),
                                          (np.array([0.1, np.nan, 0.2]), "non-finite phases")],
                          ids=["misshaped", "non-finite"])
-def test_phases_bad_past_theta0_raise_where_the_minimizing_gauge_is_used(bad, message):
-    # The scan checks the phases at theta0; everywhere else the gauge reads
-    # them through the family's checked phases, so bad ones still raise.
+def test_phases_bad_past_theta0_are_not_read_by_the_minimizing_gauge(bad, message):
+    # The gauge replaces the family's phases, bad ones included: they raise
+    # only where the family itself is used with them.
     good = np.array([0.1, -0.2, 0.3])
     fam = random_full_rank(d=3, nparams=1, seed=5)
     gauged = apply_gauge(fam, PhaseAssignment.from_callable(lambda th: good * th[0] if th[0] < 0.2 else bad))
     pa = minimizing_gauge_1p(gauged, -0.5, 0.5, steps=64)
-    c_upsilon_states(apply_gauge(gauged, pa), [0.0])
     with pytest.raises(ValidationError, match=message):
-        pa.phases(np.array([[0.3]]))
-    with pytest.raises(ValidationError, match=message):
-        c_upsilon_states(apply_gauge(gauged, pa), [0.3])
+        c_upsilon_states(gauged, [0.3])
+    minimized = c_upsilon_states(apply_gauge(gauged, pa), [0.3])
+    assert np.array_equal(minimized, c_upsilon_states(apply_gauge(fam, pa), [0.3]))
+
+
+def test_the_minimized_family_reads_none_of_the_family_phases():
+    # The scan and the minimized family used to call them on (1, 1), (5, 1)
+    # and (5, 1) stacks, and cancel the last two in floating point.
+    calls = []
+
+    def phases(th):
+        calls.append(th.shape)
+        return np.array([0.3, -0.2, 0.1]) * np.sin(th[:, :1])
+
+    fam = apply_gauge(random_full_rank(d=3, nparams=1, seed=5), PhaseAssignment(phases))
+    minimized = apply_gauge(fam, minimizing_gauge_1p(fam, -0.5, 0.5, steps=512))
+    c_upsilon_states(minimized, [0.0])
+    assert calls == []
 
 
 def _rephased_frame(family):
@@ -396,12 +401,15 @@ def test_gauged_tangents_agree_with_the_differenced_rephased_frame():
         assert np.max(np.abs(exact.overlaps - differenced.overlaps)) < 1e-9
 
 
-def test_rephasing_a_rephased_family_adds_the_phases_onto_one_base():
+def test_rephasing_a_rephased_family_sets_the_phases_on_one_base():
     fam = random_full_rank(d=3, nparams=1, seed=7)
-    once = apply_gauge(fam, sin_gauge(np.array([0.4, -0.8, 0.2]), np.ones(3), np.zeros(3)))
-    twice = apply_gauge(once, zero_gauge(3))
-    assert twice.spectral is once.spectral is fam.spectral
-    assert np.array_equal(twice.phases(np.array([[0.3]])), once.phases(np.array([[0.3]])))
+    a = sin_gauge(np.array([0.4, -0.8, 0.2]), np.ones(3), np.zeros(3))
+    b = sin_gauge(np.array([-0.1, 0.5, 0.9]), np.full(3, 2.0), np.ones(3))
+    twice = apply_gauge(apply_gauge(fam, a), b)
+    assert twice.spectral is fam.spectral
+    thetas = np.array([[-0.2], [0.3]])
+    assert np.array_equal(twice.phases(thetas), apply_gauge(fam, b).phases(thetas))
+    assert not apply_gauge(apply_gauge(fam, a), zero_gauge(3)).phases(thetas).any()
 
 
 def test_a_pushforward_that_drops_the_presentation_drops_the_phases():
@@ -486,8 +494,6 @@ def test_misshaped_phases_raise_a_validation_error(name, base):
         gauged.phases(np.array([[0.1], [0.2]]))
     with pytest.raises(ValidationError, match=r"expected \(3,\)"):
         c_upsilon_states(gauged, [0.1])
-    with pytest.raises(ValidationError, match=r"expected \(3,\)"):
-        minimizing_gauge_1p(gauged, -0.5, 0.5, steps=8)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -497,8 +503,6 @@ def test_non_finite_phases_raise_a_validation_error(bad):
                          PhaseAssignment.from_callable(lambda th: np.array([0.1, bad, th[0]])))
     with pytest.raises(ValidationError, match="non-finite phases"):
         c_upsilon_states(gauged, [0.1])
-    with pytest.raises(ValidationError, match="non-finite phases"):
-        minimizing_gauge_1p(gauged, -0.5, 0.5, steps=8)
     grid = np.linspace(-1.0, 1.0, 5)
     samples = np.zeros((3, 5))
     samples[1, 2] = bad
@@ -507,6 +511,25 @@ def test_non_finite_phases_raise_a_validation_error(bad):
     grid[-1] = bad
     with pytest.raises(ValidationError, match="must be finite"):
         PhaseAssignment.from_samples(grid, np.zeros((3, 5)))
+
+
+@pytest.mark.parametrize("wrap", [np.exp, lambda z: z], ids=["unit-modulus", "imaginary"])
+def test_complex_phases_raise_a_validation_error_naming_their_theta(wrap):
+    # e^{i alpha} used to be read as cos(alpha) (C_Upsilon 3.2038 here), and
+    # i alpha as zeros (3.1942, the frame's own value), with a ComplexWarning.
+    gauged = apply_gauge(random_full_rank(d=2, seed=3),
+                         PhaseAssignment.from_callable(lambda th: wrap(1j * np.array([0.4, -0.7]) * th[0])))
+    with pytest.raises(ValidationError, match=r"complex phases .* at theta \[0.1\]"):
+        c_upsilon_states(gauged, [0.1])
+
+
+@pytest.mark.parametrize("wrap", [np.exp, lambda z: z], ids=["unit-modulus", "imaginary"])
+def test_complex_phase_samples_raise_a_validation_error_naming_their_theta(wrap):
+    grid = np.linspace(-1.0, 1.0, 5)
+    samples = np.zeros((3, 5), dtype=complex)
+    samples[1, 3:] = wrap(0.5j)
+    with pytest.raises(ValidationError, match=r"complex phases .* at theta \[0.5\]"):
+        PhaseAssignment.from_samples(grid, samples)
 
 
 @pytest.mark.parametrize("t", [0.5, 0.6])
@@ -532,12 +555,7 @@ def test_a_stack_phase_function_is_called_once_per_stack():
         return np.array([0.3, -0.2, 0.1]) * np.sin(th[:, :1])
 
     gauged = apply_gauge(random_full_rank(d=3, nparams=1, seed=5), PhaseAssignment(phases))
-    pa = minimizing_gauge_1p(gauged, -0.5, 0.5, steps=512)
-    # The scan takes the phases once, at theta0 alone.
-    assert len(calls) == 1 and np.array_equal(calls[0], [[-0.5]])
-    calls.clear()
-    # The minimizing gauge takes them once per stack it is evaluated on.
-    pa.phases(np.array([[0.1], [0.2]]))
+    gauged.phases(np.array([[0.1], [0.2]]))
     assert len(calls) == 1 and np.array_equal(calls[0], [[0.1], [0.2]])
     calls.clear()
     c_upsilon_states(gauged, [0.1])
@@ -552,12 +570,12 @@ def test_stack_and_per_point_phases_give_the_same_minimizing_gauge(d):
     fam = random_full_rank(d=d, nparams=1, seed=70 + d)
     stacked = PhaseAssignment(lambda th: a * np.sin(b * th[:, :1] + c))
     per_point = PhaseAssignment.from_callable(lambda th: a * np.sin(b * th[0] + c))
-    # Off the grid nodes, where the family's own phases enter the minimizing
-    # gauge as a function rather than through its samples.
     grid = np.linspace(-0.5, 0.5, 129)
     off_node = (grid[:-1] + 0.3 * (grid[1] - grid[0]))[:, None]
-    phases = [minimizing_gauge_1p(apply_gauge(fam, pa), -0.5, 0.5, steps=128).phases(off_node)
-              for pa in (stacked, per_point)]
+    gauged = [apply_gauge(fam, pa) for pa in (stacked, per_point)]
+    assert gauged[0].phases(off_node).tobytes() == gauged[1].phases(off_node).tobytes()
+    # Off the grid nodes too, both are the frame's own minimizing gauge.
+    phases = [minimizing_gauge_1p(g, -0.5, 0.5, steps=128).phases(off_node) for g in gauged]
     assert phases[0].tobytes() == phases[1].tobytes()
 
 
@@ -566,9 +584,9 @@ def test_a_ragged_phase_callable_raises_a_validation_error():
     with pytest.raises(ValidationError, match=r"rows of shapes \[\(2,\), \(3,\)\]"):
         ragged.phases(np.array([[0.1], [0.3]]))
     gauged = apply_gauge(random_full_rank(d=3, nparams=1, seed=3), ragged)
-    # The scan reads the phases at theta0 alone, where they have 2 entries.
+    # A one-point stack where the phases have 2 entries.
     with pytest.raises(ValidationError, match=r"gives shape \(2,\) at theta \[-0.5\], expected \(3,\)"):
-        minimizing_gauge_1p(gauged, -0.5, 0.5, steps=8)
+        gauged.phases(np.array([[-0.5]]))
     # A stack function that forgets the stack axis.
     flat = apply_gauge(random_full_rank(d=3, nparams=1, seed=3), PhaseAssignment(lambda th: np.zeros(3)))
     with pytest.raises(ValidationError, match=r"gives shape \(3,\) for a stack of 5 points"):
