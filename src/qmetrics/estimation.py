@@ -357,44 +357,40 @@ class Likelihood:
             self._searched_values(counts[:first], counted[:first])  # a flat row before it raises first
             raise ValidationError("counts must be finite and non-negative")
         estimates = np.full(len(counts), np.nan)
-        # (row, a, t, b) of the rows still scoring, in row order, with their
-        # counts; (row, a, b) of the rows left to the sub-grids.
         values = self._searched_values(counts, counted)
         starts = _best_cells(np.broadcast_to(self.grid, values.shape), values)
         starts[:, 1] = self._peak_starts(values, starts)
-        active = [(r, a, t, b) for r, (a, t, b) in enumerate(starts.tolist())]
-        active_counts, active_counted, refine = counts, counted, []
+        # Each row's bracket (a, b) and point t; rows is the stack still
+        # scoring, in row order, and left marks the rows for the sub-grids.
+        a, t, b = starts.T.copy()
+        left = np.zeros(len(counts), dtype=bool)
+        rows = np.arange(len(counts))
         for _ in range(SCORE_STEPS):
-            if not active:
+            if not rows.size:
                 break
-            ts = np.array([t for _, _, t, _ in active])
-            g, info, steps = self._scores(ts, active_counts, active_counted)
-            kept, moved = [], []
-            for i, ((r, a, t, b), g_i, info_i, step) in enumerate(
-                    zip(active, g.tolist(), info.tolist(), steps.tolist())):
-                if not step:
-                    refine.append((r, a, b))
-                    continue
-                if g_i > 0.0:
-                    a = t
-                else:
-                    b = t
-                tol = SCORE_TOL * max(1.0, abs(t))
-                new = t + g_i / info_i
-                short = abs(new - t) <= tol
-                if not (abs(g_i) <= ROOT_SCORE * math.sqrt(info_i) if short else a < new < b):
-                    new = (a + b) / 2.0
-                if abs(new - t) <= tol:
-                    estimates[r] = min(max(new, a), b)
-                else:
-                    kept.append(i)
-                    moved.append((r, a, new, b))
-            if moved and len(kept) < len(active):
-                active_counts, active_counted = active_counts[kept], active_counted[kept]
-            active = moved
-        left = refine + [(r, a, b) for r, a, _, b in active]
-        if left:
-            rows, a, b = map(np.array, zip(*left))
+            now = t[rows]
+            g, info, steps = self._scores(now, counts[rows], counted[rows])
+            if np.count_nonzero(steps) < rows.size:
+                left[rows[~steps]] = True
+                rows, now, g, info = rows[steps], now[steps], g[steps], info[steps]
+            up = g > 0.0
+            a[rows[up]], b[rows[~up]] = now[up], now[~up]
+            lo, hi = a[rows], b[rows]
+            # A short step must be at a root and a long one inside the
+            # bracket, or the row steps to the bracket's midpoint.
+            tol = SCORE_TOL * np.maximum(1.0, np.abs(now))
+            new = now + g / info
+            ok = (lo < new) & (new < hi)
+            np.copyto(ok, np.abs(g) <= ROOT_SCORE * np.sqrt(info), where=np.abs(new - now) <= tol)
+            np.copyto(new, (lo + hi) / 2.0, where=~ok)
+            t[rows] = new
+            # Every scored row's estimate, kept by the rows whose step is short.
+            estimates[rows] = np.minimum(np.maximum(new, lo), hi)
+            rows = rows[np.abs(new - now) > tol]
+        left[rows] = True
+        rows = np.flatnonzero(left)
+        if rows.size:
+            a, b = a[rows], b[rows]
             for _ in range(REFINE_LEVELS):
                 # Each row has the bits of its own linspace: linspace changes its formula
                 # if a step is 0, to the same bits while REFINE_POINTS - 1 is a power of 2.

@@ -67,7 +67,10 @@ class PhaseAssignment:
 
     @classmethod
     def from_samples(cls, grid, samples) -> "PhaseAssignment":
-        grid = np.asarray(grid, dtype=float)
+        grid = np.asarray(grid)
+        if np.iscomplexobj(grid):  # cast, the grid would read as its real part
+            raise ValidationError(f"complex sample grid {grid.tolist()}")
+        grid = grid.astype(float)
         samples = np.asarray(samples)
         if samples.ndim != 2 or samples.shape[1] != grid.size:
             raise ValidationError("samples must have shape (d, len(grid))")
@@ -111,9 +114,9 @@ def apply_gauge(family: ParametricFamily, pa: PhaseAssignment) -> ParametricFami
     """Re-phase the eigenvector frame of a presented family; rho is unchanged.
 
     The result keeps the family's spectral and sets its phases to pa's,
-    replacing any the family had. The phases are taken once per stack of
-    points, which must give d finite real phases at every point, or
-    ValidationError is raised.
+    replacing any the family had, and a re-phased family keeps its name (one
+    "+gauge"). The phases are taken once per stack of points, which must give
+    d finite real phases at every point, or ValidationError is raised.
     """
     if family.spectral is None:
         raise MissingGauge("family supplies no spectral presentation to re-gauge")
@@ -136,7 +139,8 @@ def apply_gauge(family: ParametricFamily, pa: PhaseAssignment) -> ParametricFami
             )
         return a
 
-    return replace(family, phases=phases, name=f"{family.name}+gauge")
+    name = family.name if family.phases is not None else f"{family.name}+gauge"
+    return replace(family, phases=phases, name=name)
 
 
 def minimizing_gauge_1p(

@@ -15,7 +15,7 @@ import numpy as np
 
 from .channels import depolarizing_channel, pushforward_family, random_tpcp
 from .estimation import _check_count, cramer_rao_experiment, equality_condition_residual, sld_optimal_povm
-from .families import bloch3, random_full_rank, rot3_mixture
+from .families import bloch3, directional_family, random_full_rank, rot3_mixture
 from .gauge import PhaseAssignment, apply_gauge, minimizing_gauge_1p
 from .linalg import relative_entropy
 from .metrics import (
@@ -64,6 +64,15 @@ def sandwich_suite(n_families: int = 200, seed: int = 42) -> dict:
     }
 
 
+def _sine_gauge(rng: np.random.Generator, d: int) -> PhaseAssignment:
+    """The gauge a sin(b theta + c) of a one-parameter family of dimension d,
+    amplitudes a, frequencies b and offsets c drawn from rng in that order."""
+    a = rng.uniform(-1.0, 1.0, size=d)
+    b = rng.uniform(0.5, 2.0, size=d)
+    c = rng.uniform(0.0, 2.0 * math.pi, size=d)
+    return PhaseAssignment(lambda th: a * np.sin(b * th[:, :1] + c))
+
+
 def gauge_suite(
     n_families: int = 20, n_gauges: int = 50, seed: int = 42, family_seed_base: int | None = None
 ) -> dict:
@@ -82,12 +91,7 @@ def gauge_suite(
         d = 2 + i % 3
         fam = random_full_rank(d=d, nparams=1, seed=family_seed_base + i)
         # Smooth random phase perturbation so the starting gauge is generic.
-        a = rng.uniform(-1.0, 1.0, size=d)
-        b = rng.uniform(0.5, 2.0, size=d)
-        c = rng.uniform(0.0, 2.0 * math.pi, size=d)
-        perturbed = apply_gauge(
-            fam, PhaseAssignment(lambda th, a=a, b=b, c=c: a * np.sin(b * th[:, :1] + c))
-        )
+        perturbed = apply_gauge(fam, _sine_gauge(rng, d))
         lo, hi = -0.5, 0.5
         pa = minimizing_gauge_1p(perturbed, lo, hi, steps=512)
         minimized = apply_gauge(perturbed, pa)
@@ -100,12 +104,7 @@ def gauge_suite(
         offnode_gap = c_upsilon_states(minimized, t_off) - c_l_information(fam, t_off)
         worst_offnode_gap = max(worst_offnode_gap, abs(float(offnode_gap[0, 0])))
         for g in range(n_gauges):
-            a2 = rng.uniform(-1.0, 1.0, size=d)
-            b2 = rng.uniform(0.5, 2.0, size=d)
-            c2 = rng.uniform(0.0, 2.0 * math.pi, size=d)
-            gauged = apply_gauge(
-                fam, PhaseAssignment(lambda th, a=a2, b=b2, c=c2: a * np.sin(b * th[:, :1] + c))
-            )
+            gauged = apply_gauge(fam, _sine_gauge(rng, d))
             cu = float(c_upsilon_states(gauged, t_eval)[0, 0])
             worst_violation = min(worst_violation, cu - cl)
     passed = worst_gap <= 1e-6 and worst_offnode_gap <= 1e-6 and worst_violation >= -1e-9
@@ -166,8 +165,6 @@ def crlb_suite(seed: int = 42, n: int = 10_000, reps: int = 2_000) -> dict:
     distance from the target in those sds; false_failure_rate is the chance,
     in the normal approximation, that a correct library lands outside the
     band: 4.7 sd and 2.1e-6 at 2000 replicates."""
-    from .families import directional_family
-
     reps = _check_count("reps", reps, 2)
 
     base = bloch3()

@@ -15,7 +15,9 @@ from qmetrics.estimation import (
     GRID_POINTS,
     REFINE_LEVELS,
     REFINE_POINTS,
+    ROOT_SCORE,
     SCORE_STEPS,
+    SCORE_TOL,
     Likelihood,
     _best_cells,
     _row_scores,
@@ -661,6 +663,89 @@ def test_each_start_is_the_maximum_of_its_interpolant_or_its_grid_point():
                 assert a < start < b and abs(start - (t + peak * step)) < 1e-7 * step, (fam.name, k)
                 moved += 1
     assert rows == 1_886 and moved == 1_652
+
+
+def _reference_estimates(likelihood, counts):
+    """Reference: the estimates (R,) of a stack of counts by Fisher scoring
+    that walks the still-active rows one at a time, from the same starts and
+    with the same stacked score call per step, then the sub-grids over the
+    rows in the order they left; and a tally of the bisecting steps, the
+    rows where a step could not be formed, the rows still active after
+    SCORE_STEPS steps, and the rows whose last step left the bracket."""
+    counts = np.asarray(counts, dtype=float)
+    counted = counts > 0.0
+    m = len(likelihood.elements)
+    estimates = np.full(len(counts), np.nan)
+    tally = {"bisections": 0, "no step": 0, "capped": 0, "clipped": 0}
+    values = likelihood._searched_values(counts, counted)
+    starts = _best_cells(np.broadcast_to(likelihood.grid, values.shape), values)
+    starts[:, 1] = likelihood._peak_starts(values, starts)
+    active = [(r, a, t, b) for r, (a, t, b) in enumerate(starts.tolist())]
+    active_counts, active_counted, refine = counts, counted, []
+    for _ in range(SCORE_STEPS):
+        if not active:
+            break
+        ts = np.array([t for _, _, t, _ in active])
+        g, info, steps = likelihood._scores(ts, active_counts, active_counted)
+        kept, moved = [], []
+        for i, ((r, a, t, b), g_i, info_i, step) in enumerate(
+                zip(active, g.tolist(), info.tolist(), steps.tolist())):
+            if not step:
+                tally["no step"] += 1
+                refine.append((r, a, b))
+                continue
+            if g_i > 0.0:
+                a = t
+            else:
+                b = t
+            tol = SCORE_TOL * max(1.0, abs(t))
+            new = t + g_i / info_i
+            short = abs(new - t) <= tol
+            if not (abs(g_i) <= ROOT_SCORE * math.sqrt(info_i) if short else a < new < b):
+                tally["bisections"] += 1
+                new = (a + b) / 2.0
+            if abs(new - t) <= tol:
+                tally["clipped"] += not a <= new <= b
+                estimates[r] = min(max(new, a), b)
+            else:
+                kept.append(i)
+                moved.append((r, a, new, b))
+        if moved and len(kept) < len(active):
+            active_counts, active_counted = active_counts[kept], active_counted[kept]
+        active = moved
+    tally["capped"] = len(active)
+    left = refine + [(r, a, b) for r, a, _, b in active]
+    if left:
+        rows, a, b = map(np.array, zip(*left))
+        for _ in range(REFINE_LEVELS):
+            ts = np.linspace(a, b, REFINE_POINTS, axis=1)
+            table = likelihood._log_born(ts.ravel()).reshape(*ts.shape, m).swapaxes(1, 2)
+            values = _row_scores(np.ascontiguousarray(table), counts[rows], counted[rows])
+            a, _, b = _best_cells(ts, values).T
+        estimates[rows] = (a + b) / 2.0
+    return estimates, tally
+
+
+def test_scoring_on_row_arrays_is_the_row_at_a_time_loop():
+    # Every stack of the start cases, and the stencil copies of the sweep's
+    # d = 2 families, whose rows take more steps, has the bits of the
+    # reference loop. Without the stencil copies the cases bisect (959
+    # steps) and have rows that cannot step (6, all in the fixed cases) and
+    # rows that reach the step cap (22, all in the sweep). The root at 0.2,
+    # 1e-14 past the interval's end, ends with a short step out of the
+    # bracket [end, end], clipped to the end: each path of the loop is compared.
+    cases = list(_start_cases())
+    cases.append((diagonal_simplex(), basis_povm(2), (-0.5, 0.2 - 1e-14), [[600, 400]], True))
+    totals = dict.fromkeys(("bisections", "no step", "capped", "clipped"), 0)
+    for fam, povm, interval, counts, unhidden in cases:
+        counts = np.array(counts, dtype=float)
+        for family in [fam] + [replace(fam, tangents=None)] * (not unhidden and fam.dim == 2):
+            likelihood = Likelihood(family, povm, interval)
+            reference, tally = _reference_estimates(likelihood, counts)
+            assert likelihood.estimate(counts).tobytes() == reference.tobytes(), (family.name, interval)
+            for key in totals:
+                totals[key] += tally[key]
+    assert all(totals.values()), totals
 
 
 def test_a_row_whose_nodes_all_score_minus_infinity_searches_the_whole_grid():

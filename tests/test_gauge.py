@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -412,6 +413,17 @@ def test_rephasing_a_rephased_family_sets_the_phases_on_one_base():
     assert not apply_gauge(apply_gauge(fam, a), zero_gauge(3)).phases(thetas).any()
 
 
+def test_a_re_phased_family_keeps_one_gauge_in_its_name():
+    # A gauge replaces the one before it, so the name used to read
+    # random-full-rank-3-7+gauge+gauge for a family with one gauge.
+    fam = random_full_rank(d=3, nparams=1, seed=7)
+    a = sin_gauge(np.array([0.4, -0.8, 0.2]), np.ones(3), np.zeros(3))
+    b = sin_gauge(np.array([-0.1, 0.5, 0.9]), np.full(3, 2.0), np.ones(3))
+    assert apply_gauge(apply_gauge(fam, a), b).name == apply_gauge(fam, b).name == f"{fam.name}+gauge"
+    sliced = directional_family(apply_gauge(bloch3(), zero_gauge(2)), [0.5, 0.8, 0.3], [1.0, 0.0, 0.0])
+    assert apply_gauge(sliced, zero_gauge(2)).name == sliced.name == "bloch3+gauge@dir"
+
+
 def test_a_pushforward_that_drops_the_presentation_drops_the_phases():
     rephased = _perturbed(3, 60)
     pushed = pushforward_family(random_tpcp(3, 2, seed=1), rephased)
@@ -530,6 +542,13 @@ def test_complex_phase_samples_raise_a_validation_error_naming_their_theta(wrap)
     samples[1, 3:] = wrap(0.5j)
     with pytest.raises(ValidationError, match=r"complex phases .* at theta \[0.5\]"):
         PhaseAssignment.from_samples(grid, samples)
+
+
+def test_a_complex_sample_grid_raises_a_validation_error_naming_the_grid():
+    # The grid used to be cast to its real part, [-1, -0.5, 0, 0.5, 1], with
+    # only a ComplexWarning.
+    with pytest.raises(ValidationError, match=re.escape("complex sample grid [(-1+0.5j), ")):
+        PhaseAssignment.from_samples(np.linspace(-1.0, 1.0, 5) + 0.5j, np.zeros((3, 5)))
 
 
 @pytest.mark.parametrize("t", [0.5, 0.6])
