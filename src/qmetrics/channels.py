@@ -17,6 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (
+    DegeneracyUnresolved,
     DimensionMismatch,
     GramNotPSD,
     NumericalError,
@@ -30,7 +31,7 @@ from .families import (
     _stack_of,
     validate_density,
 )
-from .linalg import HERM_TOL, RANK_TOL, central_difference, eig_hermitian, unitary
+from .linalg import DEFAULT_H, DEGEN_GAP, HERM_TOL, RANK_TOL, central_difference, eig_hermitian, unitary
 
 
 def _trace_preserving(sets: np.ndarray, name: str, thetas=None) -> np.ndarray:
@@ -230,9 +231,13 @@ def _reference_state(chf: ChannelFamily, rho0) -> np.ndarray:
     return validate_density(rho0)
 
 
-def _canonical(ops: np.ndarray, rho0: np.ndarray, k: Optional[int] = None) -> np.ndarray:
-    """canonical_kraus of each set of an (n, K, d, d) stack, as an (n, k, d, d)
-    stack, rho0 taken as checked; every row keeps k branches (NumericalError)."""
+def _canonical(chf: ChannelFamily, thetas, rho0: np.ndarray, k: Optional[int] = None) -> np.ndarray:
+    """canonical_kraus at each of the raveled thetas, an (n, k, d, d) stack,
+    rho0 taken as checked; every point keeps k branches (NumericalError).
+    Two kept Gram eigenvalues closer than DEGEN_GAP leave the branches
+    undetermined: DegeneracyUnresolved naming the family and the first such theta."""
+    thetas = np.ravel(np.asarray(thetas, dtype=float))
+    ops = _kraus_sets(chf, thetas)
     gram = np.trace((ops @ rho0)[:, :, None] @ ops.conj().swapaxes(-1, -2)[:, None],
                     axis1=-2, axis2=-1)
     es = eig_hermitian(gram)
@@ -243,8 +248,14 @@ def _canonical(ops: np.ndarray, rho0: np.ndarray, k: Optional[int] = None) -> np
     counts = set((es.values > RANK_TOL).sum(axis=-1).tolist()) | (set() if k is None else {k})
     if len(counts) > 1:
         raise NumericalError(f"canonical branch count changes across theta: {sorted(counts)}")
+    kept = max(counts, default=0)
+    close = np.flatnonzero((-np.diff(es.values[:, :kept], axis=-1) < DEGEN_GAP).any(axis=-1))
+    if close.size:
+        raise DegeneracyUnresolved(
+            f"channel family {chf.name!r}: two kept Gram eigenvalues at theta {float(thetas[close[0]])!r} "
+            f"are closer than {DEGEN_GAP}, so the canonical branches are not determined")
     # Kept branches come first, the eigenvalues falling; eig_hermitian pinned their phases.
-    coeffs = np.conj(es.vectors[..., :max(counts, default=0)]).transpose(1, 0, 2)
+    coeffs = np.conj(es.vectors[..., :kept]).transpose(1, 0, 2)
     # U_m = sum_j conj(u_jm) E_j, added over j (now the first axis) in order
     return (coeffs[..., None, None] * ops.swapaxes(0, 1)[:, :, None]).sum(axis=0)
 
@@ -257,14 +268,40 @@ def canonical_kraus(chf: ChannelFamily, theta: float, rho0: np.ndarray) -> list[
     dropped. Phases are pinned by the deterministic eigenvector gauge.
     """
     rho0 = _reference_state(chf, rho0)
-    return list(_canonical(_kraus_sets(chf, theta), rho0)[0])
+    return list(_canonical(chf, theta, rho0)[0])
 
 
 def _canonical_branches(chf: ChannelFamily, thetas, rho0: np.ndarray, reference=None):
     """Canonical Kraus sets at the points thetas, an (n, k, d, d) stack, with the
     unit phases making each tr(U_k rho0 R_k^dagger) real non-negative (fixed for
-    differencing); R is reference (k, d, d), else the first point's set."""
-    ops = _canonical(_kraus_sets(chf, thetas), rho0, None if reference is None else len(reference))
+    differencing); R is reference (k, d, d), else the first point's set.
+
+    Points within DEFAULT_H of each other, as a difference stencil's are, must
+    list their branches in one order: where some other order pi of a point's
+    branches has a larger sum_j |tr(U_j rho0 V_pi(j)^dagger)| against the set V
+    of the next point below it, the Gram eigenvalues cross between the two and
+    a stencil would difference one branch against another, so
+    DegeneracyUnresolved names the family and the two points. Points further
+    apart are not compared: their branches may rotate into any order."""
+    thetas = np.ravel(np.asarray(thetas, dtype=float))
+    ops = _canonical(chf, thetas, rho0, None if reference is None else len(reference))
+    rows = np.argsort(thetas, kind="stable")
+    near = np.flatnonzero(np.diff(thetas[rows]) <= DEFAULT_H)
+    below, above = ops[rows[near]], ops[rows[near + 1]]
+    # Another order beats the identity iff a cycle of the gains |z_jm| - |z_jj|
+    # (branch j taken to branch m below) is positive; k rounds of max-plus
+    # closure put the best cycle through each branch on the diagonal, in
+    # O(k^3) where trying every order costs k!.
+    overlaps = np.abs(np.trace(above[:, :, None] @ rho0 @ below.conj().swapaxes(-1, -2)[:, None],
+                               axis1=-2, axis2=-1))
+    gains = overlaps - np.diagonal(overlaps, axis1=-2, axis2=-1)[..., :, None]
+    for m in range(gains.shape[-1]):
+        gains = np.maximum(gains, gains[..., :, m, None] + gains[..., None, m, :])
+    swapped = np.flatnonzero((np.diagonal(gains, axis1=-2, axis2=-1) > 0.0).any(axis=-1))
+    if swapped.size:
+        lo, hi = thetas[rows[near[swapped[0]] + np.arange(2)]].tolist()
+        raise DegeneracyUnresolved(f"channel family {chf.name!r}: the canonical branches change "
+                                   f"order between theta {lo!r} and {hi!r}, where their Gram eigenvalues cross")
     reference = ops[0] if reference is None else reference
     z = np.trace(ops @ rho0 @ reference.conj().swapaxes(-1, -2), axis1=-2, axis2=-1)
     a = np.hypot(z.real, z.imag)  # abs of each overlap; np.abs can differ in the last bit
@@ -305,7 +342,7 @@ def induced_state_family(
         raise ValidationError(f"reference vector must be finite and nonzero, got {psi0}")
     psi0 = psi0 / np.linalg.norm(psi0)
     rho0 = np.outer(psi0, psi0.conj())
-    base = _canonical(_kraus_sets(chf, base_theta), rho0)[0]
+    base = _canonical(chf, base_theta, rho0)[0]
 
     def evaluate(th):
         ts = np.asarray(th, dtype=float)[..., 0]

@@ -88,7 +88,7 @@ def sample_outcomes(
     family: ParametricFamily, theta_true, povm, n: int, seed=0
 ) -> np.ndarray:
     """Multinomial outcome counts for n >= 0 repeated measurements;
-    deterministic per seed (an int or a sequence of ints for derived streams)."""
+    deterministic per seed."""
     n = _check_count("n", n, 0)
     elements = validate_povm(povm, family.dim)
     p = _outcome_distribution(family.rho(theta_true), elements)
@@ -441,12 +441,14 @@ def cramer_rao_experiment(
 ) -> EstimationReport:
     """Monte Carlo Cramer-Rao comparison for a one-parameter family.
 
-    Replication r uses an RNG stream derived from (seed, r), so results are
-    deterministic regardless of evaluation order; replicate r equals
-    mle_1p on sample_outcomes(..., seed=[seed, r]) bit for bit. All
-    replicates share one Likelihood and one sampling distribution, and are
-    estimated as one stack of counts: each scoring step reads rho and its
-    tangent at every still-active replicate from one family call. n and
+    The counts of all replicates are one multinomial draw of reps rows from
+    one generator seeded with seed, and replicate r is mle_1p on row r bit
+    for bit. Rows are drawn in order, so the first k replicates are those of
+    the run with reps=k, and replicate 0 is mle_1p on
+    sample_outcomes(..., seed=seed). All replicates share one Likelihood and
+    one sampling distribution, and are estimated as one stack of counts:
+    each scoring step reads rho and its tangent at every still-active
+    replicate from one family call. n and
     reps are integers >= 1, theta_true is one number (shape () or (1,)) and lies strictly inside the
     interval: otherwise every estimate is pinned at an end of it and the
     variance measures the interval. A measurement without Fisher information
@@ -475,8 +477,7 @@ def cramer_rao_experiment(
     if fisher <= 0.0:
         raise ValidationError(f"the measurement has no Fisher information at theta_true {theta_true}")
     p = _outcome_distribution(point.rho, likelihood.elements)
-    estimates = likelihood.estimate(
-        np.array([np.random.default_rng([seed, r]).multinomial(n, p) for r in range(reps)]))
+    estimates = likelihood.estimate(np.random.default_rng(seed).multinomial(n, p, size=reps))
     reliable = n > 1 and reps > 1
     variance = float(np.var(estimates, ddof=1)) if reps > 1 else 0.0
     return EstimationReport(

@@ -156,11 +156,6 @@ class ParametricFamily:
     def rho(self, theta) -> np.ndarray:
         return np.asarray(self.evaluate(self.check_theta(theta)), dtype=complex)
 
-    def rhos(self, thetas) -> np.ndarray:
-        """States at an (n, p) stack of parameters, shape (n, d, d), from one
-        evaluate call on the stack checked by check_thetas."""
-        return self._evaluate_stack(self.check_thetas(thetas))
-
     def _evaluate_stack(self, thetas: np.ndarray) -> np.ndarray:
         states = np.asarray(self.evaluate(thetas), dtype=complex)
         return _stack_of(self, "evaluate", states, (len(thetas), self.dim, self.dim))

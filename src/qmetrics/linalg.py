@@ -140,31 +140,49 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     return s_rho - s_cross
 
 
+# The phase e^{-i lam} of an eigenvalue lam is known to about eps |lam| radians.
+PHASE_TOL = 1e-7
+
+
+def _exp_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The eigh of a Hermitian h (or stack) as (lam, W, W^dagger) plus
+    W e^{-i Lambda} W^dagger, unless an eigenvalue is so large that
+    eps |lam| > PHASE_TOL: then its phases are rounding noise, and
+    NumericalError gives |lam| and that resolution."""
+    vals, vecs = np.linalg.eigh(np.asarray(h, dtype=complex))
+    largest = float(np.abs(vals).max(initial=0.0))
+    resolution = np.finfo(float).eps * largest
+    if resolution > PHASE_TOL:
+        raise NumericalError(
+            f"exp(-i h) at an eigenvalue |lambda| = {largest:.3e} resolves its phases only "
+            f"to {resolution:.1e} rad (above {PHASE_TOL})")
+    adj = vecs.conj().swapaxes(-1, -2)
+    return vals, vecs, adj, (vecs * np.exp(-1j * vals)[..., None, :]) @ adj
+
+
 def unitary(h: np.ndarray) -> np.ndarray:
     """exp(-i h) of a Hermitian matrix h, as V e^{-i Lambda} V^dagger from eigh;
-    a stack (n, d, d) gives the stack of unitaries.
+    a stack (n, d, d) gives the stack of unitaries. An eigenvalue with
+    eps |lambda| > PHASE_TOL raises NumericalError.
 
     Unitary to about d * machine epsilon, which is not exact: callers that
     difference states built from it renormalise the trace themselves.
     """
-    vals, vecs = np.linalg.eigh(np.asarray(h, dtype=complex))
-    return (vecs * np.exp(-1j * vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    return _exp_eigh(h)[3]
 
 
 def unitary_slopes(h: np.ndarray, gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """exp(-i h) and its derivatives d/dt exp(-i (h + t G_l)) at t = 0 along
     each Hermitian generator of gens (p, d, d): shapes (d, d) and (p, d, d),
     or (n, d, d) and (n, p, d, d) for a stack of h. The unitary is unitary(h)'s
-    bit for bit, from the same eigh.
+    bit for bit, from the same eigh and the same PHASE_TOL check.
 
     With h = W diag(lam) W^dagger the derivative is W [(W^dagger G_l W) o Phi] W^dagger
     (Daleckii-Krein), Phi_jk = (e^{-i lam_j} - e^{-i lam_k}) / (lam_j - lam_k) and
     Phi_jj = -i e^{-i lam_j}, formed as -i e^{-i (lam_j + lam_k)/2} sinc((lam_j - lam_k)/2),
     which has no cancellation on close eigenvalues.
     """
-    vals, vecs = np.linalg.eigh(np.asarray(h, dtype=complex))
-    adj = vecs.conj().swapaxes(-1, -2)
-    u = (vecs * np.exp(-1j * vals)[..., None, :]) @ adj
+    vals, vecs, adj, u = _exp_eigh(h)
     mean = (vals[..., :, None] + vals[..., None, :]) / 2.0
     phi = -1j * np.exp(-1j * mean) * np.sinc((vals[..., :, None] - vals[..., None, :]) / (2.0 * np.pi))
     w, w_adj = vecs[..., None, :, :], adj[..., None, :, :]

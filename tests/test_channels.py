@@ -21,6 +21,7 @@ from qmetrics.channels import (
 )
 from qmetrics.cli import CHANNEL_FAMILIES
 from qmetrics.errors import (
+    DegeneracyUnresolved,
     DimensionMismatch,
     NotHermitian,
     NumericalError,
@@ -99,7 +100,7 @@ def test_apply_channel_dimension_check():
 
 def test_apply_channel_on_a_stack_equals_state_by_state_bit_for_bit():
     ch = random_tpcp(3, kraus_count=3, seed=2)
-    states = random_full_rank(d=3, nparams=1, seed=3).rhos(np.linspace(-0.5, 0.5, 12)[:, None])
+    states = random_full_rank(d=3, nparams=1, seed=3).evaluate(np.linspace(-0.5, 0.5, 12)[:, None])
     out = apply_channel(ch, states)
     assert out.shape == (12, 3, 3)
     assert np.array_equal(out, np.array([apply_channel(ch, rho) for rho in states]))
@@ -454,6 +455,59 @@ def test_induced_family_of_the_package_channel_has_traceless_tangents():
             for t in np.linspace(-1.0, 1.0, 9):
                 out = evaluate_metrics(induced_state_family(chf, psi, t), [t], ["sld", "kmb"])
                 assert all(np.isfinite(m).all() for m in out.values())
+
+
+def crossing_branches():
+    """Kraus operators cos(pi/4 + 0.3 t) U and sin(pi/4 + 0.3 t) U sigma_x with
+    U = exp(-i t sigma_z / 2): against |0><0| the Gram matrix is diagonal, its
+    eigenvalues cos^2 and sin^2 cross at t = 0, and the bound is 0.36 elsewhere."""
+    sz, sx = np.diag([1.0, -1.0]).astype(complex), np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+    def evaluate(ts):
+        u = unitary(ts[:, None, None] * sz / 2)
+        c, s = np.cos(math.pi / 4 + 0.3 * ts), np.sin(math.pi / 4 + 0.3 * ts)
+        return np.stack([c[:, None, None] * u, s[:, None, None] * u @ sx], axis=1)
+
+    return ChannelFamily(dim=2, evaluate=evaluate, name="crossing")
+
+
+def test_a_gram_crossing_raises_instead_of_a_silent_bound():
+    # The bound used to read 1.09e11 at 0 and +-3e-6 and 2.2e9 at 1e-5, and
+    # the induced family's C_L half of that, all with exit 0: the stencil
+    # differenced the canonical branches across their swap.
+    chf, psi = crossing_branches(), np.array([1.0, 0.0])
+    rho0 = np.outer(psi, psi)
+    message = r"channel family 'crossing': .* theta"
+    for t in (0.0, 3e-6, -3e-6, 1e-5, -1e-5):
+        with pytest.raises(DegeneracyUnresolved, match=message):
+            sm_channel_bound(chf, t, rho0)
+    for t in (1e-4, -1e-4, 1e-2, -1e-2):
+        assert abs(sm_channel_bound(chf, t, rho0) - 0.36) < 1e-8
+    with pytest.raises(DegeneracyUnresolved, match=r"closer than 1e-06"):
+        induced_state_family(chf, psi, 0.0)
+    for base in (0.01, -0.01):
+        family = induced_state_family(chf, psi, base)
+        for t in (0.0, 3e-6, -3e-6, 1e-5, -1e-5, 1e-4, -1e-4, 1e-2, -1e-2):
+            try:
+                cl = c_l_information(family, [t])[0, 0]
+            except DegeneracyUnresolved:
+                continue
+            assert abs(cl - 0.36) < 1e-8
+        # Across the crossing from the base point: the stencil does not span it.
+        assert abs(c_l_information(family, [-base])[0, 0] - 0.36) < 1e-8
+    with pytest.raises(DegeneracyUnresolved, match=r"change order between theta -?[0-9.e-]+ and"):
+        c_l_information(induced_state_family(chf, psi, 0.01), [3e-6])
+
+
+def test_branches_far_from_the_base_point_are_not_held_to_its_order():
+    # Far from base_theta the branches of mixed-rotation seed 0 overlap the
+    # base branches most in the other order, with no crossing between: the
+    # induced family's C_L is still the bound at that theta.
+    chf, psi = CHANNEL_FAMILIES["mixed-rotation"](0), np.array([1.0, 0.0])
+    family = induced_state_family(chf, psi, 0.0)
+    for t in (-2.0, -1.5, 1.5, 2.0, 2.5):
+        bound = sm_channel_bound(chf, t, np.outer(psi, psi))
+        assert abs(c_l_information(family, [t])[0, 0] - bound) <= 1e-8 * bound
 
 
 def lossy_rotation():

@@ -97,6 +97,17 @@ def test_a_difference_step_that_rounds_away_exits_3(capsys):
     assert code == 0 and abs(json.loads(out)["bound"] - 1.0) < 1e-6
 
 
+def test_an_exact_frame_whose_phases_are_rounding_noise_exits_3(capsys):
+    # The exact tangents of random-full-rank read exp(-i (H0 + theta G)),
+    # whose phases at theta = 1e16 are rounding noise: exit 0 with noise before.
+    argv = ("metric", "--family", "random-full-rank", "--metrics", "sld,cl", "--theta")
+    code, out, err = run(capsys, *argv, "1e16")
+    assert code == 3 and out == ""
+    assert err.startswith("numerical failure: exp(-i h) at an eigenvalue |lambda| = 1.000e+16")
+    code, out, _ = run(capsys, *argv, "1e8")
+    assert code == 0 and np.isfinite(json.loads(out)["metrics"]["sld"]).all()
+
+
 @pytest.mark.parametrize("message", ["Unable to allocate 74.5 GiB", ""], ids=["numpy", "bare"])
 def test_an_allocation_failure_exits_3_with_one_line(capsys, monkeypatch, message):
     # The allocation is never tried: an OS that grants it lazily kills the process instead.

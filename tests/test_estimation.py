@@ -49,6 +49,11 @@ def radial_slice(r=0.5):
     return directional_family(bloch3(), np.array([r, 0.8, 0.3]), np.array([1.0, 0.0, 0.0]))
 
 
+def _distribution(family, theta, povm):
+    """The outcome probabilities that cramer_rao_experiment samples at theta."""
+    return qmetrics.estimation._outcome_distribution(family.rho([theta]), validate_povm(povm, family.dim))
+
+
 def test_optimal_povm_is_valid_projective():
     fam = radial_slice()
     povm = sld_optimal_povm(fam, [0.0])
@@ -285,7 +290,7 @@ def test_estimates_match_the_ternary_reference():
 def dense_table(likelihood):
     """Reference: the whole log Born table (GRID_POINTS, m) of a likelihood,
     from one batched family evaluation, as the dense search built it."""
-    states = likelihood.family.rhos(likelihood.grid[:, None])
+    states = likelihood.family.evaluate(likelihood.grid[:, None])
     with np.errstate(divide="ignore"):
         return np.log(born_probabilities(states, likelihood.elements))
 
@@ -357,9 +362,9 @@ def test_one_experiment_scores_its_replicates_in_stacked_calls():
     report = cramer_rao_experiment(fam, 0.1, povm, n=10_000, reps=5, seed=0, interval=(-0.3, 0.5))
     assert calls == [("evaluate", (18, 1)), ("tangents", (1, 1)), ("evaluate", (1, 1)),
                      ("evaluate", (3 * 14, 1)), ("tangents", (5, 1)), ("evaluate", (5, 1))]
+    rows = np.random.default_rng(0).multinomial(10_000, _distribution(base, 0.1, povm), size=5)
     for r in range(5):
-        counts = sample_outcomes(base, [0.1], povm, 10_000, seed=[0, r])
-        assert report.estimates[r] == mle_1p(base, povm, counts, (-0.3, 0.5))
+        assert report.estimates[r] == mle_1p(base, povm, rows[r], (-0.3, 0.5))
 
 
 def scored(monkeypatch, likelihood, counts):
@@ -946,16 +951,39 @@ def test_a_stencil_leaving_the_domain_falls_back_to_sub_grids(monkeypatch):
     assert likelihood.grid[-2] <= est <= likelihood.grid[-1]
 
 
-def test_replicates_are_mle_of_their_own_stream():
+def test_replicates_are_mle_of_the_rows_of_one_draw():
     fam = radial_slice()
     povm = sld_optimal_povm(fam, [0.0])
     kwargs = dict(n=2_000, seed=11, interval=(-0.4, 0.4))
     five = cramer_rao_experiment(fam, 0.0, povm, reps=5, **kwargs).estimates
     three = cramer_rao_experiment(fam, 0.0, povm, reps=3, **kwargs).estimates
     assert np.array_equal(five[:3], three)
+    rows = np.random.default_rng(11).multinomial(2_000, _distribution(fam, 0.0, povm), size=5)
     for r in range(5):
-        counts = sample_outcomes(fam, [0.0], povm, 2_000, seed=[11, r])
-        assert five[r] == mle_1p(fam, povm, counts, (-0.4, 0.4))
+        assert five[r] == mle_1p(fam, povm, rows[r], (-0.4, 0.4))
+    counts = sample_outcomes(fam, [0.0], povm, 2_000, seed=11)
+    assert five[0] == mle_1p(fam, povm, counts, (-0.4, 0.4))
+
+
+def test_one_experiment_draws_its_counts_from_one_generator(monkeypatch):
+    fam = radial_slice()
+    povm = sld_optimal_povm(fam, [0.0])
+    draws = []
+    make = np.random.default_rng
+
+    class Logged:
+        def __init__(self, seed):
+            draws.append(("generator", seed))
+            self.rng = make(seed)
+
+        def multinomial(self, n, p, size=None):
+            draws.append(("multinomial", size))
+            return self.rng.multinomial(n, p, size=size)
+
+    monkeypatch.setattr(np.random, "default_rng", Logged)
+    report = cramer_rao_experiment(fam, 0.0, povm, n=2_000, reps=4, seed=11, interval=(-0.4, 0.4))
+    assert draws == [("generator", 11), ("multinomial", 4)]
+    assert report.estimates.shape == (4,)
 
 
 def test_counted_zero_probability_outcome_scores_minus_infinity():

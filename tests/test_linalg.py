@@ -265,6 +265,32 @@ def test_unitary_slopes_of_a_stack_equal_its_rows_and_hold_on_a_degenerate_spect
         assert np.max(np.abs(du[i] - differenced)) < 1e-8
 
 
+def _eigh_unitary(h):
+    vals, vecs = np.linalg.eigh(h)
+    return (vecs * np.exp(-1j * vals)) @ vecs.conj().T
+
+
+@pytest.mark.parametrize("theta", [1.0, 1e4, 1e6, 1e8])
+def test_unitary_keeps_its_bits_where_its_phases_are_resolved(theta):
+    rng = np.random.default_rng(8)
+    h, g = random_hermitian(rng, 3), random_hermitian(rng, 3)
+    m = h + theta * g / np.linalg.norm(g, 2)
+    assert np.array_equal(unitary(m), _eigh_unitary(m))
+    assert np.array_equal(unitary_slopes(m, g[None])[0], unitary(m))
+
+
+@pytest.mark.parametrize("theta", [1e10, 1e12, 1e16, 1e20])
+def test_unitary_raises_where_its_phases_are_rounding_noise(theta):
+    # eps |lambda| > 1e-7: at 1e16 the phases of exp(-i theta G) spread by 7e-2
+    # over the next six floats of theta, and the family's SLD read that spread.
+    rng = np.random.default_rng(8)
+    h, g = random_hermitian(rng, 3), random_hermitian(rng, 3)
+    m = h + theta * g / np.linalg.norm(g, 2)
+    for call in (unitary, lambda a: unitary_slopes(a, g[None]), lambda a: unitary(np.array([h, a]))):
+        with pytest.raises(NumericalError, match=r"eigenvalue \|lambda\| = .* resolves its phases only to"):
+            call(m)
+
+
 def test_import_loads_no_scipy():
     code = "import sys, qmetrics; print([m for m in sys.modules if m.startswith('scipy')])"
     src = os.path.dirname(os.path.dirname(qmetrics.__file__))

@@ -262,7 +262,7 @@ def test_born_probabilities_of_a_stack_are_those_of_each_state_alone():
     # other bits than the state alone.
     povm = random_povm(4, 5, seed=0)
     for seed in range(50):
-        rho = random_full_rank(d=4, seed=seed).rhos(np.linspace(-0.9, 0.9, 37)[:, None])
+        rho = random_full_rank(d=4, seed=seed).evaluate(np.linspace(-0.9, 0.9, 37)[:, None])
         p = born_probabilities(rho, povm)
         assert p.shape == (37, 5)
         assert all(np.array_equal(p[i], born_probabilities(rho[i], povm)) for i in range(37))
